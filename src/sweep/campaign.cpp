@@ -40,15 +40,16 @@ void fill_from_cache(PointResult& slot, const CachedPoint& hit) {
 /// Insert every task key of `spec` (points + deduped baselines) into `keys`.
 void collect_task_keys(const SweepSpec& spec,
                        std::unordered_set<std::uint64_t>& keys) {
+  const SweepKeys spec_keys(spec);
   PairIndex baseline_pairs;
   std::size_t next_slot = 0;
   for (const PointSpec& point : spec.enumerate()) {
     const std::uint64_t seed = replicate_seed(spec.base_seed, point.replicate);
-    keys.insert(point_key(spec, point, seed));
+    keys.insert(spec_keys.point(point, seed));
     if (baseline_pairs.insert(point.flows, point.replicate, next_slot)
             .second) {
       ++next_slot;
-      keys.insert(baseline_key(spec, point, seed));
+      keys.insert(spec_keys.baseline(point, seed));
     }
   }
 }
@@ -131,6 +132,7 @@ std::size_t count_unique_tasks(const SweepSpec& spec) {
 
 SweepResult replay_from_store(const SweepSpec& spec, const PointStore& store) {
   const std::vector<PointSpec> points = spec.enumerate();
+  const SweepKeys keys(spec);
   SweepResult result;
   result.points.resize(points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
@@ -139,7 +141,7 @@ SweepResult replay_from_store(const SweepSpec& spec, const PointStore& store) {
     slot.point = points[i];
     slot.seed = replicate_seed(spec.base_seed, points[i].replicate);
     CachedPoint hit;
-    if (store.lookup_point(point_key(spec, slot.point, slot.seed), hit)) {
+    if (store.lookup_point(keys.point(slot.point, slot.seed), hit)) {
       fill_from_cache(slot, hit);
       ++result.cache_hits;
     }

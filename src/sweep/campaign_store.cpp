@@ -6,9 +6,7 @@
 #include <unistd.h>
 
 #include <chrono>
-#include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <random>
 
@@ -33,21 +31,6 @@ std::uint64_t make_owner_token() {
   const std::uint64_t salt =
       (static_cast<std::uint64_t>(rd()) << 32) ^ rd();
   return (static_cast<std::uint64_t>(::getpid()) << 32) ^ (salt & 0xffffffff);
-}
-
-std::string format_lease(std::uint64_t key, std::uint64_t owner,
-                         double expiry) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "L %016" PRIx64 " %016" PRIx64 " %.17g\n",
-                key, owner, expiry);
-  return buf;
-}
-
-std::string format_release(std::uint64_t key, std::uint64_t owner) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "R %016" PRIx64 " %016" PRIx64 "\n", key,
-                owner);
-  return buf;
 }
 
 }  // namespace
@@ -95,13 +78,14 @@ bool CampaignStore::ensure_open(Segment& seg) {
   return seg.fd >= 0;
 }
 
-void CampaignStore::apply_line(const char* line, std::size_t len) {
-  if (len < 2 || line[1] != ' ') return;
+void CampaignStore::apply_line(std::string_view line) {
+  if (line.size() < 2 || line[1] != ' ') return;
+  const std::string_view fields = line.substr(2);
   std::uint64_t key = 0;
   switch (line[0]) {
     case 'P': {
       CachedPoint value;
-      if (parse_point_record(line + 2, key, value)) {
+      if (parse_point_record(fields, key, value)) {
         points_[key] = value;
         leases_.erase(key);  // result supersedes any claim
       }
@@ -109,7 +93,7 @@ void CampaignStore::apply_line(const char* line, std::size_t len) {
     }
     case 'B': {
       double goodput = 0.0;
-      if (parse_baseline_record(line + 2, key, goodput)) {
+      if (parse_baseline_record(fields, key, goodput)) {
         baselines_[key] = goodput;
         leases_.erase(key);
       }
@@ -118,8 +102,7 @@ void CampaignStore::apply_line(const char* line, std::size_t len) {
     case 'L': {
       std::uint64_t owner = 0;
       double expiry = 0.0;
-      if (std::sscanf(line + 2, "%" SCNx64 " %" SCNx64 " %lg", &key, &owner,
-                      &expiry) == 3) {
+      if (parse_lease_record(fields, key, owner, expiry)) {
         // Last lease wins: a re-claim after expiry replaces the dead one.
         // Never shadow a result that already landed.
         if (points_.find(key) == points_.end() &&
@@ -131,7 +114,7 @@ void CampaignStore::apply_line(const char* line, std::size_t len) {
     }
     case 'R': {
       std::uint64_t owner = 0;
-      if (std::sscanf(line + 2, "%" SCNx64 " %" SCNx64, &key, &owner) == 2) {
+      if (parse_release_record(fields, key, owner)) {
         const auto it = leases_.find(key);
         if (it != leases_.end() && it->second.owner == owner) {
           leases_.erase(it);
@@ -174,11 +157,9 @@ void CampaignStore::scan_segment(Segment& seg) {
   while (true) {
     const std::size_t nl = tail.find('\n', begin);
     if (nl == std::string::npos) break;
-    const char* line = tail.data() + begin;
-    const std::size_t len = nl - begin;
+    const std::string_view line(tail.data() + begin, nl - begin);
     if (seg.scanned == 0 && begin == 0 && !seg.header_ok) {
-      if (len != sizeof(kSegHeader) - 1 ||
-          std::memcmp(line, kSegHeader, len) != 0) {
+      if (line != kSegHeader) {
         // Foreign or pre-v1 segment: load nothing from it and truncate it
         // on the first append (mirrors PointCache's rewrite semantics).
         seg.rewrite = true;
@@ -186,7 +167,7 @@ void CampaignStore::scan_segment(Segment& seg) {
       }
       seg.header_ok = true;
     } else {
-      apply_line(line, len);
+      apply_line(line);
     }
     begin = nl + 1;
   }
@@ -200,38 +181,22 @@ void CampaignStore::append_locked(Segment& seg, const std::string& line) {
     seg.scanned = 0;
     seg.header_ok = false;
   }
-  struct stat st;
-  if (::fstat(seg.fd, &st) != 0) return;
+  // A worker killed mid-write left a partial final line: cut it, so our
+  // record starts a fresh line and the fragment never loads as a record.
+  // Scans consume whole lines only, so `scanned` never passes the cut.
+  const std::int64_t end = cut_torn_tail(seg.fd);
+  if (end < 0) return;
   std::string out;
-  if (st.st_size == 0) {
+  if (end == 0) {
     out = std::string(kSegHeader) + "\n";
     seg.header_ok = true;
-  } else {
-    // Torn-tail repair: a worker killed mid-write left a partial final
-    // line. Terminate it so our record starts on a fresh line — the torn
-    // fragment becomes one malformed line that loaders skip, instead of
-    // swallowing the next valid record.
-    char last = '\n';
-    if (::pread(seg.fd, &last, 1, st.st_size - 1) == 1 && last != '\n') {
-      out.assign(1, '\n');
-    }
   }
   out += line;
-  const char* data = out.data();
-  std::size_t left = out.size();
-  while (left > 0) {
-    const ssize_t n = ::write(seg.fd, data, left);
-    if (n <= 0) break;  // disk full etc.: degrade to in-memory only
-    data += n;
-    left -= static_cast<std::size_t>(n);
-  }
-  // Our own bytes need no re-parse: account them as scanned if we are
-  // current with the file (the common case: we appended under the lock
-  // right after a scan).
-  struct stat after;
-  if (::fstat(seg.fd, &after) == 0 &&
-      static_cast<std::uint64_t>(after.st_size) ==
-          seg.scanned + out.size()) {
+  // Disk full etc. degrades to in-memory only. Our own bytes need no
+  // re-parse: account them as scanned if we were current with the file
+  // (the common case: we appended under the lock right after a scan).
+  if (write_all(seg.fd, out) &&
+      static_cast<std::uint64_t>(end) == seg.scanned) {
     seg.scanned += out.size();
   }
 }
@@ -304,7 +269,7 @@ CampaignStore::ClaimStatus CampaignStore::claim(std::uint64_t key,
       status = ClaimStatus::kBusy;
     } else {
       const double expiry = now_epoch_seconds() + lease_ttl_;
-      append_locked(seg, format_lease(key, owner_, expiry));
+      append_locked(seg, format_lease_record(key, owner_, expiry));
       leases_[key] = Lease{owner_, expiry};
       status = ClaimStatus::kAcquired;
     }
@@ -329,7 +294,7 @@ void CampaignStore::release(std::uint64_t key) {
   Segment& seg = segments_[segment_of(key)];
   if (!ensure_open(seg)) return;
   ::flock(seg.fd, LOCK_EX);
-  append_locked(seg, format_release(key, owner_));
+  append_locked(seg, format_release_record(key, owner_));
   ::flock(seg.fd, LOCK_UN);
 }
 
@@ -394,16 +359,10 @@ std::size_t CampaignStore::compact() {
       ++new_lines;
     }
     if (::ftruncate(seg.fd, 0) == 0) {
-      const char* data = content.data();
-      std::size_t left = content.size();
-      while (left > 0) {
-        const ssize_t n = ::write(seg.fd, data, left);
-        if (n <= 0) break;
-        data += n;
-        left -= static_cast<std::size_t>(n);
-      }
-      seg.scanned = content.size() - left;
-      seg.header_ok = true;
+      // After a failed write the next scan re-reads whatever landed.
+      const bool written = write_all(seg.fd, content);
+      seg.scanned = written ? content.size() : 0;
+      seg.header_ok = written;
       if (old_lines > new_lines) dropped += old_lines - new_lines;
     }
     ::flock(seg.fd, LOCK_UN);

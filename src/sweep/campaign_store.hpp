@@ -34,9 +34,12 @@
 // recovery needs no fsck pass.
 //
 // Torn-tail tolerance: a worker killed mid-write leaves a partial final
-// line. Loaders skip lines that fail to parse, and every appender checks
-// (under the lock) whether the segment ends in '\n' and prepends one if
-// not, so a torn tail corrupts at most itself — never the next record.
+// line. Scans consume whole lines only, so the fragment never loads, and
+// every appender first cuts the segment back to its last '\n' (under the
+// lock, `cut_torn_tail`). Terminating the fragment instead would let a
+// prefix of a record that happens to parse (`B <key> 98765` torn from a
+// longer goodput) load as a wrong result and mark the key done. A killed
+// worker thus loses its one unfinished record, never a finished one.
 //
 // An in-memory index (maps keyed by the content hash) answers lookups
 // without I/O; `refresh()` incrementally folds in segment bytes appended
@@ -50,6 +53,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -118,7 +122,7 @@ class CampaignStore : public PointStore {
   // All private helpers assume mutex_ is held.
   bool ensure_open(Segment& seg);
   void scan_segment(Segment& seg);
-  void apply_line(const char* line, std::size_t len);
+  void apply_line(std::string_view line);
   void append_locked(Segment& seg, const std::string& line);
   ClaimStatus claim(std::uint64_t key, bool baseline);
   void release(std::uint64_t key);

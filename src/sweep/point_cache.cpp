@@ -5,11 +5,16 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+
+#include "util/assert.hpp"
 
 namespace pdos::sweep {
 
@@ -20,6 +25,10 @@ namespace {
 /// which matches the simulator's bit-exact determinism contract.
 class Fnv1a {
  public:
+  Fnv1a() = default;
+  /// Resume from a saved `value()`.
+  explicit Fnv1a(std::uint64_t state) : hash_(state) {}
+
   Fnv1a& bytes(const void* data, std::size_t n) {
     const auto* p = static_cast<const unsigned char*>(data);
     for (std::size_t i = 0; i < n; ++i) {
@@ -95,17 +104,39 @@ void hash_control(Fnv1a& h, const RunControl& ctl) {
   h.i64(ctl.traced_flow);
 }
 
-/// Everything that parameterizes a sweep run: the derived ScenarioConfig,
-/// the measurement windows, and the build fingerprint.
-void hash_common(Fnv1a& h, const SweepSpec& spec, const ScenarioConfig& c,
-                 std::uint64_t seed) {
+/// The FNV state of a sweep key up to its seed: the entry-kind tag, the
+/// build fingerprint, the derived ScenarioConfig and the measurement
+/// windows. Depends on `point` only through `flows` (see SweepKeys).
+std::uint64_t key_prefix(const char* tag, const SweepSpec& spec,
+                         const PointSpec& point) {
+  Fnv1a h;
+  h.str(tag);
   h.i64(kPointCacheSchema);
   h.str(__VERSION__);  // compiler change may legally perturb FP results
   h.i64(static_cast<std::int64_t>(spec.scenario));
   h.i64(static_cast<std::int64_t>(spec.queue));
-  hash_scenario(h, c);
+  hash_scenario(h, spec.make_scenario(point));
   hash_control(h, spec.control);
+  return h.value();
+}
+
+std::uint64_t finish_point_key(std::uint64_t prefix, const PointSpec& point,
+                               std::uint64_t seed) {
+  Fnv1a h(prefix);
   h.u64(seed);
+  h.i64(point.flows).f64(point.textent).f64(point.rattack);
+  h.f64(point.gamma).f64(point.kappa).i64(point.replicate);
+  return h.value();
+}
+
+std::uint64_t finish_baseline_key(std::uint64_t prefix, const PointSpec& probe,
+                                  std::uint64_t seed) {
+  Fnv1a h(prefix);
+  h.u64(seed);
+  // Only the axes the baseline run depends on; textent/rattack/gamma vary
+  // freely across the points this baseline normalizes.
+  h.i64(probe.flows).i64(probe.replicate);
+  return h.value();
 }
 
 }  // namespace
@@ -125,23 +156,51 @@ std::uint64_t scenario_digest(const char* tag, const ScenarioConfig& config,
 
 std::uint64_t point_key(const SweepSpec& spec, const PointSpec& point,
                         std::uint64_t seed) {
-  Fnv1a h;
-  h.str("point");
-  hash_common(h, spec, spec.make_scenario(point), seed);
-  h.i64(point.flows).f64(point.textent).f64(point.rattack);
-  h.f64(point.gamma).f64(point.kappa).i64(point.replicate);
-  return h.value();
+  return finish_point_key(key_prefix("point", spec, point), point, seed);
 }
 
 std::uint64_t baseline_key(const SweepSpec& spec, const PointSpec& probe,
                            std::uint64_t seed) {
-  Fnv1a h;
-  h.str("baseline");
-  hash_common(h, spec, spec.make_scenario(probe), seed);
-  // Only the axes the baseline run depends on; textent/rattack/gamma vary
-  // freely across the points this baseline normalizes.
-  h.i64(probe.flows).i64(probe.replicate);
-  return h.value();
+  return finish_baseline_key(key_prefix("baseline", spec, probe), probe, seed);
+}
+
+SweepKeys::SweepKeys(const SweepSpec& spec) {
+  std::vector<int> flows;
+  if (spec.explicit_points.empty()) {
+    flows = spec.flow_counts;
+  } else {
+    for (const PointSpec& point : spec.explicit_points) {
+      flows.push_back(point.flows);
+    }
+  }
+  std::sort(flows.begin(), flows.end());
+  flows.erase(std::unique(flows.begin(), flows.end()), flows.end());
+  prefixes_.reserve(flows.size());
+  for (int n : flows) {
+    PointSpec probe;
+    probe.flows = n;
+    prefixes_.push_back(Prefix{n, key_prefix("point", spec, probe),
+                               key_prefix("baseline", spec, probe)});
+  }
+}
+
+const SweepKeys::Prefix& SweepKeys::prefix(int flows) const {
+  const auto it = std::lower_bound(
+      prefixes_.begin(), prefixes_.end(), flows,
+      [](const Prefix& p, int n) { return p.flows < n; });
+  PDOS_CHECK_MSG(it != prefixes_.end() && it->flows == flows,
+                 "SweepKeys: flow count not in the spec");
+  return *it;
+}
+
+std::uint64_t SweepKeys::point(const PointSpec& point,
+                               std::uint64_t seed) const {
+  return finish_point_key(prefix(point.flows).point, point, seed);
+}
+
+std::uint64_t SweepKeys::baseline(const PointSpec& probe,
+                                  std::uint64_t seed) const {
+  return finish_baseline_key(prefix(probe.flows).baseline, probe, seed);
 }
 
 std::string format_point_record(std::uint64_t key, const CachedPoint& v) {
@@ -164,23 +223,128 @@ std::string format_baseline_record(std::uint64_t key, double goodput) {
   return buf;
 }
 
-bool parse_point_record(const char* text, std::uint64_t& key, CachedPoint& v) {
-  int shrew = 0;
-  const int n = std::sscanf(
-      text,
-      "%" SCNx64 " %lg %lg %lg %d %lg %lg %lg %lg %lg %lg %" SCNu64
-      " %" SCNu64 " %" SCNu64 " %" SCNu64,
-      &key, &v.c_psi, &v.analytic_degradation, &v.analytic_gain, &shrew,
-      &v.baseline_goodput, &v.goodput, &v.measured_degradation,
-      &v.measured_gain, &v.utilization, &v.fairness, &v.timeouts,
-      &v.fast_recoveries, &v.attack_packets, &v.events);
-  v.shrew = shrew != 0;
-  return n == 15;
+std::string format_lease_record(std::uint64_t key, std::uint64_t owner,
+                                double expiry) {
+  char buf[96];
+  std::snprintf(buf, sizeof(buf), "L %016" PRIx64 " %016" PRIx64 " %.17g\n",
+                key, owner, expiry);
+  return buf;
 }
 
-bool parse_baseline_record(const char* text, std::uint64_t& key,
+std::string format_release_record(std::uint64_t key, std::uint64_t owner) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "R %016" PRIx64 " %016" PRIx64 "\n", key,
+                owner);
+  return buf;
+}
+
+namespace {
+
+/// Reads a record's fields left to right with std::from_chars, in the
+/// writers' grammar (see point_cache.hpp). A failed field fails every
+/// later one, so a parser checks `done()` once at the end.
+class FieldReader {
+ public:
+  explicit FieldReader(std::string_view text)
+      : p_(text.data()), end_(text.data() + text.size()) {}
+
+  /// 16 hex digits, as %016 PRIx64 writes them.
+  FieldReader& hex(std::uint64_t& v) {
+    if (next(v, 16) && p_ - field_ != 16) ok_ = false;
+    return *this;
+  }
+  FieldReader& u64(std::uint64_t& v) {
+    next(v, 10);
+    return *this;
+  }
+  FieldReader& f64(double& v) {
+    next(v);
+    return *this;
+  }
+  /// Every field parsed and nothing follows the last one.
+  bool done() const { return ok_ && p_ == end_; }
+
+ private:
+  template <typename T, typename... Base>
+  bool next(T& v, Base... base) {
+    // One space before every field but the first: from_chars itself takes
+    // no leading space or '+'.
+    if (ok_ && !first_) ok_ = p_ != end_ && *p_++ == ' ';
+    first_ = false;
+    if (!ok_) return false;
+    field_ = p_;
+    const std::from_chars_result r = std::from_chars(p_, end_, v, base...);
+    p_ = r.ptr;
+    ok_ = r.ec == std::errc();
+    return ok_;
+  }
+
+  const char* p_;
+  const char* end_;
+  const char* field_ = nullptr;  // start of the last field read
+  bool first_ = true;
+  bool ok_ = true;
+};
+
+}  // namespace
+
+bool parse_point_record(std::string_view text, std::uint64_t& key,
+                        CachedPoint& v) {
+  std::uint64_t shrew = 0;
+  FieldReader in(text);
+  in.hex(key).f64(v.c_psi).f64(v.analytic_degradation).f64(v.analytic_gain);
+  in.u64(shrew).f64(v.baseline_goodput).f64(v.goodput);
+  in.f64(v.measured_degradation).f64(v.measured_gain).f64(v.utilization);
+  in.f64(v.fairness).u64(v.timeouts).u64(v.fast_recoveries);
+  in.u64(v.attack_packets).u64(v.events);
+  v.shrew = shrew != 0;
+  return in.done();
+}
+
+bool parse_baseline_record(std::string_view text, std::uint64_t& key,
                            double& goodput) {
-  return std::sscanf(text, "%" SCNx64 " %lg", &key, &goodput) == 2;
+  return FieldReader(text).hex(key).f64(goodput).done();
+}
+
+bool parse_lease_record(std::string_view text, std::uint64_t& key,
+                        std::uint64_t& owner, double& expiry) {
+  return FieldReader(text).hex(key).hex(owner).f64(expiry).done();
+}
+
+bool parse_release_record(std::string_view text, std::uint64_t& key,
+                          std::uint64_t& owner) {
+  return FieldReader(text).hex(key).hex(owner).done();
+}
+
+std::int64_t cut_torn_tail(int fd) {
+  struct stat st;
+  if (::fstat(fd, &st) != 0) return -1;
+  off_t end = st.st_size;
+  // Scan back a chunk at a time: a record is far shorter than a chunk, so
+  // one pread finds the last '\n' unless the file holds no whole line.
+  char buf[512];
+  while (end > 0) {
+    const off_t from = std::max<off_t>(0, end - static_cast<off_t>(sizeof(buf)));
+    const auto want = static_cast<std::size_t>(end - from);
+    if (::pread(fd, buf, want, from) != static_cast<ssize_t>(want)) return -1;
+    const std::size_t nl = std::string_view(buf, want).rfind('\n');
+    if (nl != std::string_view::npos) {
+      end = from + static_cast<off_t>(nl) + 1;
+      break;
+    }
+    end = from;
+  }
+  if (end < st.st_size && ::ftruncate(fd, end) != 0) return -1;
+  return end;
+}
+
+bool write_all(int fd, std::string_view bytes) {
+  while (!bytes.empty()) {
+    const ssize_t n = ::write(fd, bytes.data(), bytes.size());
+    if (n <= 0) return false;
+    bytes.remove_prefix(static_cast<std::size_t>(n));
+  }
+  return true;
 }
 
 namespace {
@@ -190,27 +354,34 @@ constexpr char kHeader[] = "pdos-point-cache-v1";
 }  // namespace
 
 PointCache::PointCache(std::string path) : path_(std::move(path)) {
-  std::ifstream in(path_);
+  std::ifstream in(path_, std::ios::binary);
   if (!in) return;  // no cache yet: start empty
-  std::string line;
-  if (!std::getline(in, line) || line != kHeader) {
+  const std::string data{std::istreambuf_iterator<char>(in),
+                         std::istreambuf_iterator<char>()};
+  std::string_view rest(data);
+  std::size_t nl = rest.find('\n');
+  if (nl == std::string_view::npos || rest.substr(0, nl) != kHeader) {
     // Foreign or pre-v1 file: ignore it and rewrite from scratch on the
     // first append (appending records after a bad header would make them
     // invisible to the next load).
     rewrite_ = true;
     return;
   }
-  while (std::getline(in, line)) {
+  // Whole lines only: a final line without its '\n' is torn.
+  for (rest.remove_prefix(nl + 1);
+       (nl = rest.find('\n')) != std::string_view::npos;
+       rest.remove_prefix(nl + 1)) {
+    const std::string_view line = rest.substr(0, nl);
     if (line.size() < 2 || line[1] != ' ') continue;
     std::uint64_t key = 0;
     if (line[0] == 'P') {
       CachedPoint value;
-      if (parse_point_record(line.c_str() + 2, key, value)) {
+      if (parse_point_record(line.substr(2), key, value)) {
         points_[key] = value;
       }
     } else if (line[0] == 'B') {
       double goodput = 0.0;
-      if (parse_baseline_record(line.c_str() + 2, key, goodput)) {
+      if (parse_baseline_record(line.substr(2), key, goodput)) {
         baselines_[key] = goodput;
       }
     }
@@ -263,7 +434,8 @@ void PointCache::append(const std::string& line) {
       std::error_code ec;
       std::filesystem::create_directories(parent, ec);  // best effort
     }
-    int flags = O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC;
+    // O_RDWR (not O_WRONLY): cut_torn_tail reads the tail back.
+    int flags = O_RDWR | O_CREAT | O_APPEND | O_CLOEXEC;
     if (rewrite_) flags |= O_TRUNC;  // foreign header: start over
     fd_ = ::open(path_.c_str(), flags, 0644);
     if (fd_ < 0) return;  // unwritable cache degrades to in-memory only
@@ -273,21 +445,16 @@ void PointCache::append(const std::string& line) {
   // cannot interleave with this record (or with the header we may need to
   // write first). O_APPEND makes each write(2) land atomically at the
   // current end even without the lock; the lock closes the header race and
-  // keeps the header-check + write pair atomic.
+  // keeps the tail-cut + header-check + write sequence atomic.
   ::flock(fd_, LOCK_EX);
-  struct stat st;
-  std::string out;
-  if (::fstat(fd_, &st) == 0 && st.st_size == 0) {
-    out = std::string(kHeader) + "\n";
-  }
-  out += line;
-  const char* data = out.data();
-  std::size_t left = out.size();
-  while (left > 0) {
-    const ssize_t n = ::write(fd_, data, left);
-    if (n <= 0) break;  // disk full etc.: degrade, records stay in memory
-    data += n;
-    left -= static_cast<std::size_t>(n);
+  const std::int64_t end = cut_torn_tail(fd_);
+  if (end >= 0) {
+    std::string out;
+    if (end == 0) out = std::string(kHeader) + "\n";
+    out += line;
+    // A failed write degrades to in-memory only; a partial one leaves a
+    // torn line that the next append cuts.
+    write_all(fd_, out);
   }
   ::flock(fd_, LOCK_UN);
 }

@@ -13,7 +13,9 @@
 // value is bit-exact and cached CSV output stays byte-identical to a fresh
 // run. Robustness over cleverness: a missing, truncated, or corrupt file —
 // including one from an older schema — loads as empty and is rewritten by
-// subsequent appends; malformed lines (e.g. a torn tail write) are skipped.
+// subsequent appends; malformed lines are skipped, a final line without
+// its '\n' (a writer killed mid-record) never loads, and the next append
+// cuts it off before writing.
 //
 // The key covers every *parameter* that shapes the simulation, plus the
 // compiler version. It cannot see code changes that alter simulation
@@ -35,7 +37,9 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "sweep/sweep.hpp"
 
@@ -80,6 +84,35 @@ std::uint64_t point_key(const SweepSpec& spec, const PointSpec& point,
 std::uint64_t baseline_key(const SweepSpec& spec, const PointSpec& probe,
                            std::uint64_t seed);
 
+/// `point_key`/`baseline_key` for the points of one spec, with the shared
+/// part hashed once. Everything the two keys hash before the seed (tag,
+/// schema, compiler, scenario and queue kinds, the derived ScenarioConfig,
+/// the RunControl) depends on the point only through `flows`: the seed and
+/// shard count `make_scenario` also sets are not hashed. So the FNV state
+/// at the seed is computed once per flow count, and each key is finished
+/// with the seed and the point axes. The keys are the free functions'
+/// keys. Immutable after construction, so pool threads share one without
+/// locking. A newly hashed field that varies per point must be hashed
+/// after the prefix, in the finishing step.
+class SweepKeys {
+ public:
+  /// Prefixes for every flow count `spec.enumerate()` can produce.
+  explicit SweepKeys(const SweepSpec& spec);
+
+  std::uint64_t point(const PointSpec& point, std::uint64_t seed) const;
+  std::uint64_t baseline(const PointSpec& probe, std::uint64_t seed) const;
+
+ private:
+  struct Prefix {
+    int flows = 0;
+    std::uint64_t point = 0;  // FNV states before the seed
+    std::uint64_t baseline = 0;
+  };
+  const Prefix& prefix(int flows) const;
+
+  std::vector<Prefix> prefixes_;  // sorted by flows
+};
+
 /// Digest of (tag + schema/compiler fingerprint + full ScenarioConfig +
 /// RunControl + `extra` doubles, in order). The key core of the fluid
 /// surrogate-gain cache (sweep/optimizer_cache.hpp), exposed here so every
@@ -91,15 +124,43 @@ std::uint64_t scenario_digest(const char* tag, const ScenarioConfig& config,
                               std::size_t n_extra);
 
 // Record text codecs shared by PointCache and CampaignStore: one line per
-// record, %.17g doubles for bit-exact reload. The returned lines include
-// the trailing newline.
+// record, fields separated by one space, keys and owners as 16 hex digits,
+// doubles as %.17g (bit-exact on reload), counts as unsigned decimals:
+//
+//   P <key> <c_psi> … <fairness> <timeouts> … <events>   completed point
+//   B <key> <goodput>                                    completed baseline
+//   L <key> <owner> <expiry>                             lease (campaign)
+//   R <key> <owner>                                      release (campaign)
+//
+// The format functions return the whole line, trailing '\n' included. The
+// parsers take the text after the "P " / "B " / "L " / "R " tag, without
+// the '\n', and accept exactly what the writers produce: no leading,
+// doubled or trailing spaces, no '+' signs or hex prefixes, no doubles out
+// of range, nothing after the last field. They return false on anything
+// else, leaving the outputs unspecified.
 std::string format_point_record(std::uint64_t key, const CachedPoint& v);
 std::string format_baseline_record(std::uint64_t key, double goodput);
-/// Parse the text after the "P " / "B " tag. Returns false on a malformed
-/// (e.g. torn) line.
-bool parse_point_record(const char* text, std::uint64_t& key, CachedPoint& v);
-bool parse_baseline_record(const char* text, std::uint64_t& key,
+std::string format_lease_record(std::uint64_t key, std::uint64_t owner,
+                                double expiry);
+std::string format_release_record(std::uint64_t key, std::uint64_t owner);
+bool parse_point_record(std::string_view text, std::uint64_t& key,
+                        CachedPoint& v);
+bool parse_baseline_record(std::string_view text, std::uint64_t& key,
                            double& goodput);
+bool parse_lease_record(std::string_view text, std::uint64_t& key,
+                        std::uint64_t& owner, double& expiry);
+bool parse_release_record(std::string_view text, std::uint64_t& key,
+                          std::uint64_t& owner);
+
+// Append-side file helpers shared by both stores. Call them under the
+// file's exclusive flock(2).
+/// Cut a torn final line (a writer killed mid-record) back to the file's
+/// last '\n', or to empty when it has none, so the next record starts a
+/// fresh line and the fragment can never load as a record. Returns the
+/// resulting file size, or -1 on an I/O error.
+std::int64_t cut_torn_tail(int fd);
+/// write(2) all of `bytes`; false on an I/O error (disk full etc.).
+bool write_all(int fd, std::string_view bytes);
 
 /// What the sweep engine needs from a result store. `PointCache` is the
 /// single-process file implementation; `CampaignStore` adds multi-process
@@ -159,7 +220,8 @@ class PointCache : public PointStore {
   /// cache file. Appends go through an O_APPEND fd with the full record in
   /// one write(2) under an advisory flock(2), so concurrent processes
   /// appending to the same file cannot interleave a record (each sees the
-  /// other's lines whole on its next load). Thread-safe.
+  /// other's lines whole on its next load). Under the lock the append
+  /// first cuts a torn final line (`cut_torn_tail`). Thread-safe.
   void store_point(std::uint64_t key, const CachedPoint& value) override;
   void store_baseline(std::uint64_t key, double goodput) override;
 

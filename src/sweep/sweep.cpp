@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <stdexcept>
 #include <thread>
@@ -541,6 +542,9 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& options) {
     owned_cache = std::make_unique<PointCache>(options.cache_path);
     store = owned_cache.get();
   }
+  // Keys are hashed only when there is a store to address.
+  std::optional<SweepKeys> keys;
+  if (store) keys.emplace(spec);
   // Tasks another process holds a live lease on (claim returned kBusy):
   // deferred here and drained after each phase's main pass, so a pool
   // worker never idles waiting on a peer process.
@@ -571,7 +575,7 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& options) {
       const std::uint64_t seed =
           replicate_seed(spec.base_seed, slot.probe.replicate);
       const std::uint64_t key =
-          store ? baseline_key(spec, slot.probe, seed) : 0;
+          store ? keys->baseline(slot.probe, seed) : 0;
       bool hit = false;
       bool claimed = false;
       try {
@@ -644,7 +648,7 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& options) {
           const std::uint64_t seed =
               replicate_seed(spec.base_seed, slot.probe.replicate);
           const std::uint64_t key =
-              store ? baseline_key(spec, slot.probe, seed) : 0;
+              store ? keys->baseline(slot.probe, seed) : 0;
           double cached = 0.0;
           if (store && store->lookup_baseline(key, cached)) {
             slot.goodput = cached;
@@ -678,7 +682,7 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& options) {
           if (options.cancel_on_failure) {
             cancel.store(true, std::memory_order_relaxed);
           }
-          meter.tick(true);
+          meter.tick(false);
         }
       }
       if (miss.empty()) return;
@@ -746,7 +750,7 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& options) {
       BaselineSlot& slot = baselines[i];
       const std::uint64_t seed =
           replicate_seed(spec.base_seed, slot.probe.replicate);
-      const std::uint64_t key = baseline_key(spec, slot.probe, seed);
+      const std::uint64_t key = keys->baseline(slot.probe, seed);
       bool claimed = false;
       try {
         double cached = 0.0;
@@ -822,7 +826,7 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& options) {
         const std::size_t i = group.first + j;
         PointResult& slot = result.points[i];
         const std::uint64_t key =
-            store ? point_key(spec, slot.point, slot.seed) : 0;
+            store ? keys->point(slot.point, slot.seed) : 0;
         CachedPoint cached;
         if (store && store->lookup_point(key, cached)) {
           fill_cached_point(slot, cached);
@@ -933,7 +937,7 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& options) {
         return;  // stays kSkipped
       }
       const std::uint64_t key =
-          store ? point_key(spec, slot.point, slot.seed) : 0;
+          store ? keys->point(slot.point, slot.seed) : 0;
       bool hit = false;
       bool claimed = false;
       try {
@@ -1010,7 +1014,7 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& options) {
         const std::size_t i = group.first + j;
         PointResult& slot = result.points[i];
         const std::uint64_t key =
-            store ? point_key(spec, slot.point, slot.seed) : 0;
+            store ? keys->point(slot.point, slot.seed) : 0;
         CachedPoint cached;
         if (store && store->lookup_point(key, cached)) {
           fill_cached_point(slot, cached);
@@ -1123,7 +1127,7 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& options) {
     std::vector<std::size_t> still;
     for (std::size_t i : deferred_points) {
       PointResult& slot = result.points[i];
-      const std::uint64_t key = point_key(spec, slot.point, slot.seed);
+      const std::uint64_t key = keys->point(slot.point, slot.seed);
       bool claimed = false;
       try {
         CachedPoint cached;

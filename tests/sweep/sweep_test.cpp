@@ -10,9 +10,11 @@
 #include <random>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "core/planner.hpp"
+#include "sweep/point_cache.hpp"
 #include "sweep/spec.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
@@ -219,6 +221,42 @@ TEST(RunSweep, ProgressReachesTotal) {
   EXPECT_EQ(result.failures(), 0u);
   EXPECT_EQ(last_done.load(), total.load());
   EXPECT_EQ(total.load(), 2u);  // 1 baseline + 1 point
+}
+
+/// A store that misses every lookup and fails every baseline claim.
+class ClaimFailingStore : public PointStore {
+ public:
+  bool lookup_point(std::uint64_t, CachedPoint&) const override {
+    return false;
+  }
+  bool lookup_baseline(std::uint64_t, double&) const override { return false; }
+  void store_point(std::uint64_t, const CachedPoint&) override {}
+  void store_baseline(std::uint64_t, double) override {}
+  std::size_t size() const override { return 0; }
+  ClaimStatus claim_baseline(std::uint64_t) override {
+    throw std::runtime_error("claim failed");
+  }
+};
+
+TEST(RunSweep, FailedBaselineClaimIsNotCountedAsCached) {
+  // replicates = 2 takes the batched-baseline path, whose error branch
+  // used to tick the progress meter as a cache hit.
+  SweepSpec spec = tiny_spec();
+  ASSERT_TRUE(spec.batch_replicates);
+  ASSERT_EQ(spec.replicates, 2);
+  ClaimFailingStore store;
+  SweepProgress last;
+  SweepOptions options;
+  options.threads = 2;
+  options.store = &store;
+  options.on_progress = [&](const SweepProgress& progress) {
+    last = progress;  // serialized and monotonic
+  };
+  const SweepResult result = run_sweep(spec, options);
+  EXPECT_EQ(result.completed(), 0u);
+  EXPECT_EQ(last.done, last.total);
+  EXPECT_EQ(last.cached, result.cache_hits);
+  EXPECT_EQ(result.cache_hits, 0u);
 }
 
 TEST(RunSweep, CacheHitsAreWeightedNearZeroInEta) {
