@@ -8,13 +8,7 @@
 //                   [--gamma G | --no-attack] [--kappa K]
 //                   [--warmup S] [--measure S] [--seed N]
 //                   [--backend full|fast|fluid|hybrid] [--foreground N]
-//                   [--shards K]
 //   scenario_runner --sweep SPECFILE [--threads N]
-//
-// --shards K >= 2 partitions the single run into K logical processes and
-// runs the per-round shard tasks on a thread pool spanning the machine
-// (conservative PDES, DESIGN.md §13). Results are bit-identical to
-// --shards 1; only the wall clock changes. Packet backends only.
 //
 // The first form prints baseline and attacked goodput, measured vs
 // predicted degradation, queue drop counters and TCP state statistics for
@@ -26,7 +20,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
 
 #include "pdos/pdos.hpp"
@@ -124,32 +117,22 @@ int main(int argc, char** argv) {
   scenario.hybrid_foreground = static_cast<int>(
       arg_of(argc, argv, "--foreground",
              static_cast<double>(scenario.hybrid_foreground)));
-  scenario.shards = static_cast<int>(arg_of(argc, argv, "--shards", 1.0));
 
   RunControl control;
   control.warmup = sec(arg_of(argc, argv, "--warmup", 5.0));
   control.measure = sec(arg_of(argc, argv, "--measure", 20.0));
 
   std::printf("scenario: %d flows, %.1f Mbps %s bottleneck, B=%zu pkts, "
-              "TCP %s, minRTO=%.0fms, seed=%llu, backend=%s, shards=%d\n",
+              "TCP %s, minRTO=%.0fms, seed=%llu, backend=%s\n",
               scenario.num_flows, to_mbps(scenario.bottleneck),
               queue.c_str(), scenario.buffer_packets,
               tcp_variant_name(scenario.tcp.variant),
               to_ms(scenario.tcp.rto_min),
               static_cast<unsigned long long>(scenario.seed),
-              backend_name(scenario.backend), scenario.shards);
+              backend_name(scenario.backend));
 
-  // One warm workspace for the baseline and the attacked run. A sharded
-  // run gets a machine-wide pool executor: this is the one-big-scenario
-  // case intra-run parallelism exists for (sweeps keep the inline default).
+  // One warm workspace for the baseline and the attacked run.
   ScenarioWorkspace ws;
-  std::unique_ptr<sweep::ThreadPool> pool;
-  if (scenario.shards > 1) {
-    pool = std::make_unique<sweep::ThreadPool>();
-    ws.set_shard_executor(sweep::pool_shard_executor(*pool));
-    std::printf("pdes: %d shards on %d worker threads\n", scenario.shards,
-                pool->size());
-  }
   const BitRate baseline = ws.baseline(scenario, control);
   std::printf("baseline: %.2f Mbps goodput (%.1f%% utilization), jitter "
               "gauge below\n",
@@ -197,10 +180,5 @@ int main(int argc, char** argv) {
   std::printf("simulation:        %llu events, %llu attack packets\n",
               static_cast<unsigned long long>(run.events_executed),
               static_cast<unsigned long long>(run.attack_packets_sent));
-  if (scenario.shards > 1) {
-    std::printf("pdes:              %llu rounds, %llu cross-shard packets\n",
-                static_cast<unsigned long long>(ws.pdes_rounds()),
-                static_cast<unsigned long long>(ws.pdes_messages()));
-  }
   return 0;
 }

@@ -96,8 +96,7 @@ void PulseAttacker::fire_pulse() {
     burst_seq_ = sim_.scheduler().allocate_seq_range(
         static_cast<std::uint32_t>(packets_per_pulse_));
     burst_next_ = 0;
-    sim_.scheduler().schedule_at_sequenced(burst_start_, burst_start_,
-                                           burst_seq_,
+    sim_.scheduler().schedule_at_sequenced(burst_start_, burst_seq_,
                                            [this] { emit_packet(); });
   }
   if (stats_.pulses_started < train_.n) {
@@ -122,11 +121,9 @@ void PulseAttacker::emit_packet() {
   if (++burst_next_ < packets_per_pulse_) {
     // Emission times are computed from the burst origin, not accumulated,
     // so the chain reproduces the eager schedule's timestamps bit-for-bit.
-    // The whole burst's ranks were claimed at the pulse origin, so every
-    // chained emission carries burst_start_ as its claim instant.
     sim_.scheduler().schedule_at_sequenced(
         burst_start_ + static_cast<double>(burst_next_) * packet_spacing_,
-        burst_start_, burst_seq_ + static_cast<std::uint32_t>(burst_next_),
+        burst_seq_ + static_cast<std::uint32_t>(burst_next_),
         [this] { emit_packet(); });
   }
   out_->handle(std::move(pkt));

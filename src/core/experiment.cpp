@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <string>
 #include <utility>
 
 #include "attack/distributed.hpp"
-#include "core/experiment_internal.hpp"
 #include "core/model.hpp"
 #include "fluid/batch.hpp"
 #include "fluid/hybrid.hpp"
@@ -133,13 +131,6 @@ void ScenarioConfig::validate() const {
                  "Scenario: hybrid needs 1 <= hybrid_foreground < num_flows");
     PDOS_REQUIRE(hybrid_tick > 0.0, "Scenario: hybrid_tick must be > 0");
   }
-  PDOS_REQUIRE(shards >= 1, "Scenario: shards must be >= 1");
-  if (shards > 1) {
-    PDOS_REQUIRE(backend == Backend::kFull || backend == Backend::kFast,
-                 "Scenario: shards > 1 requires a packet backend");
-    PDOS_REQUIRE(shards - 1 <= num_flows,
-                 "Scenario: need at least one flow per flow shard");
-  }
   tcp.validate();
 }
 
@@ -175,9 +166,28 @@ fluid::FluidConfig make_fluid_config(const ScenarioConfig& config) {
 
 namespace {
 
-using detail::big_fifo;
-using detail::kFlowStartStream;
-using detail::make_queue;
+// Stream tags for seed-derived randomness (see Simulator::stream). Every
+// stochastic component gets its own stream keyed off the run seed, so
+// changing one component (e.g. adding attackers) never shifts the
+// randomness another component sees — two runs with the same config and
+// seed are bit-identical even when num_attackers > 1.
+constexpr std::uint64_t kQueueStream = 0x71756575'65000000ULL;  // "queue"
+constexpr std::uint64_t kFlowStartStream = 0x666c6f77'73000000ULL;  // "flows"
+
+/// Bottleneck queue, allocated in the simulator's arena so its buffer and
+/// the links it serves share blocks (and survive warm resets).
+QueueDiscipline* make_queue(Simulator& sim, const ScenarioConfig& config) {
+  if (config.queue == QueueKind::kDropTail) {
+    return sim.make<DropTailQueue>(config.buffer_packets, sim.memory());
+  }
+  return sim.make<RedQueue>(RedParams::paper_testbed(config.buffer_packets),
+                            sim.stream(kQueueStream), sim.memory());
+}
+
+QueueDiscipline* big_fifo(Simulator& sim) {
+  // Access links are never the bottleneck; give them ample tail-drop space.
+  return sim.make<DropTailQueue>(1000, sim.memory());
+}
 
 fluid::FluidControl fluid_control_from(const RunControl& control) {
   fluid::FluidControl fctl;
@@ -449,76 +459,6 @@ void ScenarioWorkspace::build(const ScenarioConfig& config,
   }
 }
 
-/// The per-run accumulators every instrumentation closure points into
-/// (arrival tap, occupancy sampler, cwnd tracer). Heap-held by the
-/// workspace and never moved, so the captured raw addresses stay valid from
-/// begin_run until finish_run — which is what lets a run pause between
-/// advance_run slices while other co-resident replicates execute.
-struct ScenarioWorkspace::ActiveRun {
-  ScenarioConfig config;  // the caller's config (pre-hybrid-carve)
-  RunControl control;
-  StatsHub arrivals;
-  RunResult result;
-  std::vector<double> background_mark;
-  bool marked = false;  // warmup goodput marks taken
-
-  // Sample bottleneck occupancy (and RED's lagging average) once per bin.
-  // The state is bundled so the closure captures one pointer and stays
-  // within InlineFn's inline budget.
-  struct SamplerCtx {
-    Link* bottleneck;
-    Simulator& sim;
-    RunResult& result;
-    const RunControl& control;
-    const RedQueue* red_queue;
-    Timer* timer = nullptr;
-  } sampler_ctx;
-  Timer sampler;
-
-  ActiveRun(const ScenarioConfig& cfg, const RunControl& ctl, Simulator& sim,
-            Link* bottleneck)
-      : config(cfg),
-        control(ctl),
-        arrivals(ctl.bin_width, ctl.horizon()),
-        sampler_ctx{bottleneck, sim, result, control,
-                    dynamic_cast<const RedQueue*>(&bottleneck->queue())},
-        sampler(sim.scheduler(), [ctx = &sampler_ctx] {
-          // Lazy fused links drain analytically between packets; flush
-          // services completed by now so the occupancy sample matches the
-          // eager schedule.
-          ctx->bottleneck->settle();
-          // Hybrid runs count the fluid background's virtual backlog as
-          // occupancy; with no background the term is exactly 0.0 and the
-          // sample is bit-identical to the packet-only path.
-          ctx->result.queue_occupancy.push_back(
-              static_cast<double>(ctx->bottleneck->queue().length()) +
-              (ctx->red_queue != nullptr ? ctx->red_queue->fluid_backlog()
-                                         : 0.0));
-          ctx->result.red_avg_samples.push_back(
-              ctx->red_queue != nullptr ? ctx->red_queue->avg() : 0.0);
-          if (ctx->sim.now() + ctx->control.bin_width <=
-              ctx->control.horizon()) {
-            ctx->timer->schedule_in(ctx->control.bin_width);
-          }
-        }) {
-    sampler_ctx.timer = &sampler;
-    // Pre-size the sampled series to the horizon so the event loop itself
-    // performs no allocations (pinned by replicate_alloc_test): one sample
-    // per bin from t = 0, plus slack for the boundary sample.
-    const std::size_t samples =
-        static_cast<std::size_t>(ctl.horizon() / ctl.bin_width) + 2;
-    result.queue_occupancy.reserve(samples);
-    result.red_avg_samples.reserve(samples);
-  }
-};
-
-ScenarioWorkspace::ScenarioWorkspace() = default;
-ScenarioWorkspace::~ScenarioWorkspace() = default;
-
-void ScenarioWorkspace::abort_run() { active_.reset(); }
-
-bool ScenarioWorkspace::run_active() const { return active_ != nullptr; }
-
 RunResult ScenarioWorkspace::run(const ScenarioConfig& config,
                                  const std::optional<PulseTrain>& attack,
                                  const RunControl& control) {
@@ -531,33 +471,6 @@ RunResult ScenarioWorkspace::run(const ScenarioConfig& config,
     // Pure surrogate: no packets, no simulator state touched.
     return run_fluid_backend(config, attack, control);
   }
-
-  if (config.shards > 1) {
-    // Conservative PDES partition (experiment_pdes.cpp): K simulators in
-    // lookahead-bounded rounds. Full backend: bit-identical to the path
-    // below, events included; fast backend: counters identical, event count
-    // differs (cross-shard links cannot fuse).
-    return run_pdes(config, attack, control);
-  }
-
-  // The monolithic path IS the phased path run in one slice, so batched
-  // (sweep/replicate_batch) and sequential execution cannot diverge.
-  begin_run(config, attack, control);
-  advance_run(control.horizon());
-  return finish_run();
-}
-
-void ScenarioWorkspace::begin_run(const ScenarioConfig& config,
-                                  const std::optional<PulseTrain>& attack,
-                                  const RunControl& control) {
-  config.validate();
-  if (attack) attack->validate();
-  PDOS_REQUIRE(control.warmup >= 0.0 && control.measure > 0.0,
-               "RunControl: need warmup >= 0 and measure > 0");
-  PDOS_REQUIRE(config.backend != Backend::kFluid,
-               "begin_run: the fluid tier has no event loop to phase");
-  PDOS_REQUIRE(config.shards == 1,
-               "begin_run: sharded runs drive their own round loop");
 
   // Hybrid: carve the packet-level foreground out of the flow list; the
   // complement becomes the fluid background aggregate attached after build.
@@ -586,10 +499,6 @@ void ScenarioWorkspace::begin_run(const ScenarioConfig& config,
       dst.push_back(config.rtts[i]);
     }
   }
-
-  // Retire any abandoned phased run before the rewind: its sampler Timer
-  // must cancel into the scheduler while its event slots are still live.
-  active_.reset();
 
   // Rewind the simulator to the run seed: the previous run's object graph
   // is destroyed, but every block of memory it occupied is retained and
@@ -623,33 +532,67 @@ void ScenarioWorkspace::begin_run(const ScenarioConfig& config,
   // Instrument the bottleneck's arrivals (the paper's "incoming traffic").
   // StatsHub batches the per-bin sums and is pre-sized to the horizon, so
   // the tap — an inline closure of two pointers — does no allocation and
-  // at most one bins-vector store per bin. All per-run accumulators live in
-  // the heap-held ActiveRun so their addresses survive across slices.
-  active_ = std::make_unique<ActiveRun>(config, control, sim_, bottleneck_);
-  ActiveRun& run = *active_;
+  // at most one bins-vector store per bin.
+  StatsHub arrivals(control.bin_width, control.horizon());
+  RunResult result;
   bottleneck_->add_arrival_tap(
-      [hub = &run.arrivals, sim = &sim_](const Packet& pkt) {
+      [hub = &arrivals, sim = &sim_](const Packet& pkt) {
         hub->on_arrival(sim->now(), pkt);
       });
-  run.sampler.schedule_in(0.0);
+
+  // Sample bottleneck occupancy (and RED's lagging average) once per bin.
+  // The state is bundled so the closure captures one pointer and stays
+  // within InlineFn's inline budget.
+  struct SamplerCtx {
+    Link* bottleneck;
+    Simulator& sim;
+    RunResult& result;
+    const RunControl& control;
+    const RedQueue* red_queue;
+    Timer* timer = nullptr;
+  } sampler_ctx{bottleneck_, sim_, result, control,
+                dynamic_cast<const RedQueue*>(&bottleneck_->queue())};
+  Timer sampler(sim_.scheduler(), [ctx = &sampler_ctx] {
+    // Lazy fused links drain analytically between packets; flush services
+    // completed by now so the occupancy sample matches the eager schedule.
+    ctx->bottleneck->settle();
+    // Hybrid runs count the fluid background's virtual backlog as
+    // occupancy; with no background the term is exactly 0.0 and the sample
+    // is bit-identical to the packet-only path.
+    ctx->result.queue_occupancy.push_back(
+        static_cast<double>(ctx->bottleneck->queue().length()) +
+        (ctx->red_queue != nullptr ? ctx->red_queue->fluid_backlog() : 0.0));
+    ctx->result.red_avg_samples.push_back(
+        ctx->red_queue != nullptr ? ctx->red_queue->avg() : 0.0);
+    if (ctx->sim.now() + ctx->control.bin_width <= ctx->control.horizon()) {
+      ctx->timer->schedule_in(ctx->control.bin_width);
+    }
+  });
+  sampler_ctx.timer = &sampler;
+  // Pre-size the sampled series to the horizon so the event loop itself
+  // performs no allocations (pinned by warm_run_alloc_test): one sample per
+  // bin from t = 0, plus slack for the boundary sample.
+  const std::size_t samples =
+      static_cast<std::size_t>(control.horizon() / control.bin_width) + 2;
+  result.queue_occupancy.reserve(samples);
+  result.red_avg_samples.reserve(samples);
+  sampler.schedule_in(0.0);
 
   // Per-flow delivery jitter (§2.3's "increase in jitter"), kept in the
   // hub's flat meter table: one O(1) JitterMeter update per in-order
   // delivery, no allocation on the per-packet path.
-  run.arrivals.register_flows(connections_.size());
+  arrivals.register_flows(connections_.size());
   for (std::size_t i = 0; i < connections_.size(); ++i) {
     connections_[i].receiver->set_delivery_tracer(
-        [hub = &run.arrivals, i](Time t, std::int64_t) {
-          hub->on_delivery(i, t);
-        });
+        [hub = &arrivals, i](Time t, std::int64_t) { hub->on_delivery(i, t); });
   }
 
   if (control.traced_flow >= 0) {
     PDOS_REQUIRE(control.traced_flow < active.num_flows,
                  "RunControl: traced_flow out of range");
     connections_[control.traced_flow].sender->set_cwnd_tracer(
-        [result = &run.result](Time t, double w) {
-          result->cwnd_trace.emplace_back(t, w);
+        [trace = &result.cwnd_trace](Time t, double w) {
+          trace->emplace_back(t, w);
         });
   }
 
@@ -670,53 +613,21 @@ void ScenarioWorkspace::begin_run(const ScenarioConfig& config,
     }
   }
   if (cross_traffic_) cross_traffic_->start(0.0);
-}
 
-bool ScenarioWorkspace::advance_run(Time until) {
-  PDOS_CHECK_MSG(active_ != nullptr, "advance_run: no active phased run");
-  ActiveRun& run = *active_;
-  const Time horizon = run.control.horizon();
-  const Time target = std::min(until, horizon);
-  if (!run.marked) {
-    if (target < run.control.warmup) {
-      sim_.run_until(target);
-      return false;
-    }
-    // Stop exactly at the warmup boundary for the goodput marks — the same
-    // run_until(warmup) call the monolithic path makes, so the marks see
-    // the identical event prefix no matter how the slices fell before it.
-    sim_.run_until(run.control.warmup);
-    goodput_marks_.clear();
-    goodput_marks_.reserve(connections_.size());
-    for (const auto& conn : connections_) {
-      goodput_marks_.push_back(conn.receiver->goodput_bytes());
-    }
-    if (background_ != nullptr) {
-      run.background_mark = background_->bank().delivered_packets();
-    }
-    run.marked = true;
+  // Warmup, then mark every receiver's goodput so the measurement window
+  // counts only what arrives after it.
+  sim_.run_until(control.warmup);
+  goodput_marks_.clear();
+  goodput_marks_.reserve(connections_.size());
+  for (const auto& conn : connections_) {
+    goodput_marks_.push_back(conn.receiver->goodput_bytes());
   }
-  sim_.run_until(target);
-  return target >= horizon;
-}
+  std::vector<double> background_mark;
+  if (background_ != nullptr) {
+    background_mark = background_->bank().delivered_packets();
+  }
+  sim_.run_until(control.horizon());
 
-RunResult ScenarioWorkspace::finish_run() {
-  PDOS_CHECK_MSG(active_ != nullptr, "finish_run: no active phased run");
-  ActiveRun& run = *active_;
-  PDOS_CHECK_MSG(run.marked && sim_.now() >= run.control.horizon(),
-                 "finish_run: the run has not reached its horizon");
-  collect_packet_result(run.config, run.control, run.arrivals,
-                        run.background_mark, run.result);
-  run.result.events_executed = sim_.scheduler().events_executed();
-  RunResult result = std::move(run.result);
-  active_.reset();
-  return result;
-}
-
-void ScenarioWorkspace::collect_packet_result(
-    const ScenarioConfig& config, const RunControl& control,
-    StatsHub& arrivals, const std::vector<double>& background_mark,
-    RunResult& result) {
   for (std::size_t i = 0; i < connections_.size(); ++i) {
     const Bytes flow_bytes =
         connections_[i].receiver->goodput_bytes() - goodput_marks_[i];
@@ -764,6 +675,8 @@ void ScenarioWorkspace::collect_packet_result(
     result.attack_packets_sent +=
         static_cast<std::uint64_t>(attacker->stats().packets_sent);
   }
+  result.events_executed = sim_.scheduler().events_executed();
+  return result;
 }
 
 BitRate ScenarioWorkspace::baseline(const ScenarioConfig& config,

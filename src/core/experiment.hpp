@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -27,7 +26,6 @@
 #include "fluid/fluid.hpp"
 #include "net/queue.hpp"
 #include "net/red.hpp"
-#include "sim/pdes/engine.hpp"
 #include "tcp/connection.hpp"
 #include "tcp/tcp_sender.hpp"
 #include "util/units.hpp"
@@ -36,7 +34,6 @@ namespace pdos {
 
 class Link;
 class OnOffSource;
-class StatsHub;
 namespace fluid {
 class FluidBackgroundSource;
 }
@@ -109,18 +106,6 @@ struct ScenarioConfig {
   /// additionally snaps steps to pulse edges and RTO expiries.
   Time fluid_dt_pulse = ms(10.0);
   Time fluid_dt_idle = ms(20.0);
-  /// Conservative PDES sharding (DESIGN.md §13): 1 runs the whole scenario
-  /// on one scheduler (the default path, golden-digest pinned); K >= 2
-  /// partitions it into K logical processes — shard 0 owns the routers,
-  /// bottleneck, attackers, and cross traffic, shards 1..K-1 own contiguous
-  /// flow blocks — each with its own Simulator, synchronized by link-delay
-  /// lookahead. The partition is a pure function of (num_flows, shards),
-  /// NOT of the executor thread count, and on the full backend the outputs
-  /// (every counter, bin, and the event count) are bit-identical to
-  /// shards = 1; on the fast backend every counter matches but the event
-  /// count differs (cross-shard links cannot fuse). Excluded from
-  /// point-cache keys for exactly that reason. Packet backends only.
-  int shards = 1;
 
   /// §4.1 ns-2 scenario. The paper reuses Kuzmanovic & Knightly's scripts;
   /// parameters it does not restate (buffer size, RED thresholds) follow
@@ -208,8 +193,7 @@ struct GainMeasurement;
 /// the simulator is fresh or rewound.
 class ScenarioWorkspace {
  public:
-  ScenarioWorkspace();
-  ~ScenarioWorkspace();
+  ScenarioWorkspace() = default;
   ScenarioWorkspace(const ScenarioWorkspace&) = delete;
   ScenarioWorkspace& operator=(const ScenarioWorkspace&) = delete;
 
@@ -217,30 +201,6 @@ class ScenarioWorkspace {
   RunResult run(const ScenarioConfig& config,
                 const std::optional<PulseTrain>& attack,
                 const RunControl& control);
-
-  /// Phased execution, the primitive under the replicate-batch runner
-  /// (sweep/replicate_batch, DESIGN.md §14). `begin_run` rewinds the
-  /// simulator to `config.seed`, rebuilds the topology, arms the
-  /// instrumentation, and starts the sources; `advance_run(until)` executes
-  /// events up to `min(until, horizon)` — taking the warmup goodput marks
-  /// exactly when the clock crosses the warmup boundary — and returns true
-  /// once the horizon is reached; `finish_run` collects the result and
-  /// retires the run. `run()` on the single-scheduler packet path is
-  /// exactly begin + advance(horizon) + finish, so sliced and monolithic
-  /// execution share one code path and are bit-identical by construction
-  /// (the scheduler pops in (time, rank) order regardless of how the
-  /// horizon is partitioned). Packet backends with shards == 1 only: the
-  /// fluid tier has no event loop to slice and the PDES engine drives its
-  /// own round loop.
-  void begin_run(const ScenarioConfig& config,
-                 const std::optional<PulseTrain>& attack,
-                 const RunControl& control);
-  bool advance_run(Time until);
-  RunResult finish_run();
-  /// Drop an in-flight phased run (exception recovery); no-op when idle.
-  void abort_run();
-  /// True between begin_run and finish_run/abort_run.
-  bool run_active() const;
 
   /// Baseline goodput rate (no attack); equivalent to `measure_baseline`.
   BitRate baseline(const ScenarioConfig& config, const RunControl& control);
@@ -251,44 +211,11 @@ class ScenarioWorkspace {
                        BitRate baseline_goodput);
 
   /// The underlying simulator (for memory/telemetry inspection in tests).
-  /// With shards > 1 this is shard 0 (bottleneck + routers).
   const Simulator& simulator() const { return sim_; }
-
-  /// Executor for sharded runs (config.shards > 1): how the per-round
-  /// shard tasks are dispatched. Null (the default) runs them inline on
-  /// the calling thread — the right choice inside sweep workers, which are
-  /// already one-per-core. CLIs and benches install a ThreadPool-backed
-  /// one to run a single large scenario on all cores. Outputs are
-  /// bit-identical either way (DESIGN.md §13).
-  void set_shard_executor(pdes::ShardExecutor executor) {
-    shard_executor_ = std::move(executor);
-  }
-
-  /// PDES telemetry from the last sharded run (0 when shards == 1).
-  std::uint64_t pdes_rounds() const { return engine_ ? engine_->rounds() : 0; }
-  std::uint64_t pdes_messages() const {
-    return engine_ ? engine_->messages_delivered() : 0;
-  }
 
  private:
   void build(const ScenarioConfig& config,
              const std::optional<PulseTrain>& attack);
-
-  /// Sharded path (config.shards > 1): partitioned build + conservative
-  /// round loop; defined in experiment_pdes.cpp.
-  RunResult run_pdes(const ScenarioConfig& config,
-                     const std::optional<PulseTrain>& attack,
-                     const RunControl& control);
-  void build_pdes(const ScenarioConfig& config,
-                  const std::optional<PulseTrain>& attack);
-
-  /// Shared tail of run()/run_pdes(): per-flow goodput against the warmup
-  /// marks, TCP counters, fairness/jitter, stats-hub series, and bottleneck
-  /// telemetry. Everything except events_executed, which the callers own.
-  void collect_packet_result(const ScenarioConfig& config,
-                             const RunControl& control, StatsHub& arrivals,
-                             const std::vector<double>& background_mark,
-                             RunResult& result);
 
   Simulator sim_{1};  // reseeded by every run()
   Node* router_s_ = nullptr;
@@ -304,18 +231,6 @@ class ScenarioWorkspace {
   TcpReceiverHot* receiver_hot_ = nullptr;
   // Per-run scratch, cleared (not freed) between runs.
   std::vector<Bytes> goodput_marks_;
-  // Sharded runs (DESIGN.md §13): shard 0 is sim_ above; flow shards keep
-  // their own warm simulators. Engine state (channels, staging) is reused
-  // across runs like the arenas are.
-  std::vector<std::unique_ptr<Simulator>> flow_sims_;
-  std::unique_ptr<pdes::PdesEngine> engine_;
-  pdes::ShardExecutor shard_executor_;
-  // Phased-run state (begin_run/advance_run/finish_run): the per-run
-  // accumulators the instrumentation closures point into. Heap-held so the
-  // captured addresses stay stable for the run's whole lifetime; declared
-  // last so its Timer cancels into a still-live scheduler on destruction.
-  struct ActiveRun;
-  std::unique_ptr<ActiveRun> active_;
 };
 
 /// Build and run one scenario. If `attack` is set, the pulse train starts
@@ -341,7 +256,7 @@ GainMeasurement measure_gain(const ScenarioConfig& config,
 
 /// Fold one finished attack run into a gain point: Γ against the baseline,
 /// G = Γ(1−γ)^κ. The measurement math shared by `ScenarioWorkspace::gain`
-/// and the replicate-batch runner, which finishes R runs at once.
+/// and the lane-batched fluid paths, which finish many runs at once.
 GainMeasurement finish_gain(const ScenarioConfig& config,
                             const PulseTrain& train, double kappa,
                             BitRate baseline_goodput, RunResult run);

@@ -184,14 +184,6 @@ void Link::inject_at(Packet pkt, Time arrival) {
 }
 
 void Link::emit(Packet pkt, Time fin) {
-  if (remote_egress_ != nullptr) {
-    // Cross-shard link: the packet leaves this shard here. The destination
-    // shard claims the tie-break rank and schedules the delivery event on
-    // its own scheduler when the message is injected (sim/pdes/engine.cpp),
-    // so this side consumes no local event and no local rank.
-    remote_egress_(remote_ctx_, std::move(pkt), fin);
-    return;
-  }
   if (chain_hop_ != nullptr) {
     // Chain handoff: the downstream express lane serializes from the
     // analytic arrival time; this link never owns a delivery event.
@@ -232,15 +224,7 @@ Link* Link::chain_resolve(NodeId dst) {
 }
 
 void Link::arm_delivery(Time when, std::uint32_t seq) {
-  // The claim instant is the emission time `fin == when - delay_`. On the
-  // full service path that is literally when allocate_seq ran (emit() fires
-  // inside finish_service at fin); fused and express paths claim their rank
-  // at a different wall instant but use the same fin-claim so that delivery
-  // ties resolve identically whether the neighbour delivery was scheduled
-  // here or injected by the PDES engine, whose messages claim at their
-  // source-side emission time.
-  sim_.scheduler().schedule_at_sequenced(when, when - delay_, seq,
-                                         [this] { deliver(); });
+  sim_.scheduler().schedule_at_sequenced(when, seq, [this] { deliver(); });
 }
 
 void Link::deliver() {

@@ -138,8 +138,7 @@ class Link : public PacketHandler {
   /// this off. No-op on an express link (always fused by construction).
   void set_fused(bool fused) {
     fused_ = fused;
-    lazy_ = queue_ != nullptr && fused_ && departure_taps_.empty() &&
-            remote_egress_ == nullptr;
+    lazy_ = queue_ != nullptr && fused_ && departure_taps_.empty();
   }
 
   /// True for the queue-less express lane.
@@ -162,34 +161,6 @@ class Link : public PacketHandler {
   /// destination once and cached. PDOS_REQUIREs that this link is express
   /// and (lazily, per destination) that the resolved hop is express too.
   void chain_via(Node* hop);
-
-  /// Callback for a cross-shard link (sim/pdes): invoked with each emitted
-  /// packet and its serialization-finish instant instead of arming this
-  /// link's own delivery event.
-  using RemoteEgress = void (*)(void* ctx, Packet&& pkt, Time fin);
-
-  /// Turn this link into a cross-shard channel mouth (DESIGN.md §13): every
-  /// emission — full-path service completion, lazy replay, or express
-  /// injection — is handed to `fn(ctx, pkt, fin)` in place of the local
-  /// pipeline, and the destination shard schedules the delivery at
-  /// `fin + delay()` on ITS scheduler. Queue admission, RED draws, and
-  /// serialization timing are untouched; only where the departed packet
-  /// goes changes. Mutually exclusive with chain handoff, and forbidden on
-  /// a FUSED queued link: a lazy link emits during catch-up replay at visit
-  /// time, when the computed arrival may already lie in the destination
-  /// shard's executing round — a conservative-order violation — and its
-  /// backlog drain is driven by its own delivery event, which a remote link
-  /// does not have. (Express links are safe: they emit eagerly, inside the
-  /// upstream event that produced the packet.)
-  void set_remote_egress(RemoteEgress fn, void* ctx) {
-    PDOS_REQUIRE(fn != nullptr && ctx != nullptr,
-                 "Link: remote egress hook must be non-null");
-    PDOS_REQUIRE(chain_hop_ == nullptr,
-                 "Link: remote egress excludes chain handoff");
-    PDOS_REQUIRE(!lazy_, "Link: remote egress requires an unfused link");
-    remote_egress_ = fn;
-    remote_ctx_ = ctx;
-  }
 
   /// Flush lazy catch-up: replay every service a fused link would have
   /// completed by now, so queue().length()/stats() reflect the true state
@@ -257,8 +228,6 @@ class Link : public PacketHandler {
   std::string name_;
   BitRate rate_;
   Time delay_;
-  RemoteEgress remote_egress_ = nullptr;  // cross-shard mouth, or null
-  void* remote_ctx_ = nullptr;
   double service_scale_ = 1.0;  // hybrid residual-capacity governor
   std::unique_ptr<QueueDiscipline> owned_queue_;  // legacy ctor only
   QueueDiscipline* queue_;  // null on the express lane

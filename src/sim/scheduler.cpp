@@ -29,7 +29,6 @@ bool Scheduler::reschedule_at(EventId id, Time when) {
   const std::int32_t p = pos_[slot];
   const std::uint32_t seq = next_seq();  // re-sequence: ties fire as if
                                          // freshly scheduled
-  slot_ptr(slot)->claim = now_;          // the rank's new claim instant
   if (p <= kShelfBase) {
     const std::size_t idx = static_cast<std::size_t>(kShelfBase - p);
     if (when > far_horizon_) {
@@ -89,8 +88,7 @@ void Scheduler::reset() {
   now_ = 0.0;
   far_horizon_ = 0.0;
   far_window_ = kFarWindow;
-  next_seq_ = kSeqBandBase;
-  front_seq_ = 0;
+  next_seq_ = 0;
   executed_ = 0;
 }
 
@@ -220,23 +218,6 @@ std::uint64_t Scheduler::run_until(Time horizon) {
     ++count;
   }
   if (now_ < horizon) now_ = horizon;
-  executed_ += count;
-  return count;
-}
-
-std::uint64_t Scheduler::run_before(Time bound) {
-  std::uint64_t count = 0;
-  for (;;) {
-    if (!shelf_.empty() && (heap_.empty() || heap_[0].when > far_horizon_)) {
-      pull_shelf();
-    }
-    if (heap_.empty() || heap_[0].when >= bound) break;
-    const std::uint32_t slot = pop_min();
-    slot_ptr(slot)->fn();  // in place: the slot cannot be re-acquired yet
-    recycle_slot(slot);
-    ++count;
-  }
-  if (now_ < bound) now_ = bound;
   executed_ += count;
   return count;
 }

@@ -1,13 +1,9 @@
 // Discrete-event scheduler.
 //
-// An indexed 4-ary min-heap over virtual time. Ties are broken by the
-// instant each event's rank was claimed, then by insertion order, so runs
-// are deterministic regardless of heap internals — and so the PDES engine
-// (sim/pdes) can interleave cross-shard deliveries into ties exactly where
-// a single scheduler would have put them. For purely local scheduling the
-// claim instant is redundant (claims happen in insertion order) and lives
-// out of line in the slot, loaded only on an exact timestamp tie. Each event
-// lives in a reusable slot; its `EventId` packs the slot index with a
+// An indexed 4-ary min-heap over virtual time. Ties are broken by insertion
+// order (a per-scheduler sequence number), so runs are deterministic
+// regardless of heap internals. Each event lives in a reusable slot; its
+// `EventId` packs the slot index with a
 // generation counter, so `pending` is an O(1) array lookup and `cancel`
 // removes the entry from the heap eagerly — no dead entries are retained,
 // which matters because TCP retransmission timers cancel constantly.
@@ -71,7 +67,7 @@ class Scheduler {
   /// Schedule `fn` at absolute virtual time `when` (when >= now()).
   template <typename F>
   EventId schedule_at(Time when, F&& fn) {
-    return schedule_at_sequenced(when, now_, next_seq(), std::forward<F>(fn));
+    return schedule_at_sequenced(when, next_seq(), std::forward<F>(fn));
   }
 
   /// Claim the next tie-break sequence number without scheduling anything.
@@ -94,40 +90,14 @@ class Scheduler {
     return base;
   }
 
-  /// Claim a tie-break rank from the reserved FRONT band: it orders before
-  /// every rank `allocate_seq`/`schedule*` ever hand out AT THE SAME CLAIM
-  /// INSTANT. Used by the conservative PDES engine (sim/pdes) for
-  /// cross-shard deliveries, whose claim instants (the source-side emission
-  /// times) interleave arbitrarily with this scheduler's own claim stream —
-  /// same-timestamp ties resolve by claim instant first (see `before`), and
-  /// the front band settles the remaining exact-claim-tie in the
-  /// delivery's favour, matching the unsharded schedule where the emitting
-  /// link claimed its rank inside the event that produced the packet.
-  /// Front ranks order among themselves by claim order, which the engine
-  /// makes canonical.
-  std::uint32_t allocate_front_seq() {
-    PDOS_CHECK_MSG(front_seq_ != kSeqBandBase - 1,
-                   "front sequence space exhausted");
-    return front_seq_++;
-  }
-
   /// `schedule_at` with a caller-provided tie-break rank from
-  /// `allocate_seq` plus the virtual time the rank was claimed (the value
-  /// `now()` had at the `allocate_seq`/`allocate_seq_range` call). Ranks
-  /// must be claimed in non-decreasing event-emission order; reusing one
-  /// across two live events is undefined. The claim instant is the primary
-  /// same-timestamp tie-break (see `before`): for locally claimed ranks it
-  /// is redundant with the rank itself — claims happen in rank order as the
-  /// clock advances — but it lets the PDES engine slot a cross-shard
-  /// delivery into a tie exactly where the single-scheduler run would have,
-  /// by claiming at the source-side emission instant.
+  /// `allocate_seq`. Ranks must be claimed in non-decreasing
+  /// event-emission order; reusing one across two live events is undefined.
   template <typename F>
-  EventId schedule_at_sequenced(Time when, Time claim, std::uint32_t seq,
-                                F&& fn) {
+  EventId schedule_at_sequenced(Time when, std::uint32_t seq, F&& fn) {
     PDOS_REQUIRE(when >= now_, "Scheduler::schedule_at: time is in the past");
     const std::uint32_t slot = acquire_slot();
     Slot& s = *slot_ptr(slot);
-    s.claim = claim;
     if constexpr (std::is_same_v<std::decay_t<F>, EventFn>) {
       PDOS_CHECK(static_cast<bool>(fn));
       s.fn = std::forward<F>(fn);
@@ -172,14 +142,6 @@ class Scheduler {
   /// Returns the number of events executed.
   std::uint64_t run_until(Time horizon);
 
-  /// Half-open variant: run events with `when < bound`; events at exactly
-  /// `bound` stay pending and `now()` ends at `bound` either way. The
-  /// conservative PDES round loop (sim/pdes) advances every shard through
-  /// [T, T + lookahead) with this, so an event landing exactly on a round
-  /// boundary executes once — in the round that OWNS the boundary — never
-  /// twice. Returns the number of events executed.
-  std::uint64_t run_before(Time bound);
-
   /// Run until the queue is empty. Returns the number of events executed.
   std::uint64_t run();
 
@@ -206,7 +168,6 @@ class Scheduler {
   struct Slot {
     std::uint32_t gen = 0;  // bumped on release; stale ids never match
     std::uint32_t next_free = 0;
-    Time claim = 0.0;  // virtual time the event's tie-break rank was claimed
     InlineFn fn;
   };
 
@@ -231,21 +192,11 @@ class Scheduler {
   static constexpr std::int32_t kFreePos = -1;
   static constexpr std::int32_t kShelfBase = -2;
 
-  bool before(const HeapNode& a, const HeapNode& b) const {
-    // The due-time compare stays the whole story for almost every pair, and
-    // the branch below predicts "distinct" essentially always — event keys
-    // are effectively random, exact double ties are the rare rationally
-    // locked case. Only a genuine tie pays the slot loads for the claim
-    // instants: claim order is rank order for locally scheduled events (so
-    // this is exactly the old FIFO-by-seq rule), but it also slots PDES
-    // cross-shard deliveries — whose ranks come from the front band and
-    // whose claims happened on another scheduler's clock — into the
-    // position the single-scheduler run gave them. Exact claim ties fall
-    // through to the rank compare, where the front band orders first.
+  static bool before(const HeapNode& a, const HeapNode& b) {
+    // Exact double ties are the rare rationally locked case, so the branch
+    // predicts "distinct" essentially always.
     if (a.when != b.when) return a.when < b.when;
-    const Time ca = slot_ptr(a.slot)->claim;
-    const Time cb = slot_ptr(b.slot)->claim;
-    return (ca < cb) | ((ca == cb) & (a.seq < b.seq));
+    return a.seq < b.seq;
   }
 
   /// Index of the smallest of the up-to-four children of `pos`; `first`
@@ -283,13 +234,6 @@ class Scheduler {
     pos_.push_back(-1);
     return slot_count_++;
   }
-
-  // The normal tie-break band starts at kSeqBandBase; [0, kSeqBandBase) is
-  // reserved for allocate_front_seq. Relative order within the normal band
-  // is unchanged, and the band only decides exact (when, claim) ties, so
-  // single-scheduler runs are bit-identical to the pre-band scheduler (the
-  // digest suites pin this).
-  static constexpr std::uint32_t kSeqBandBase = 0x80000000u;
 
   std::uint32_t next_seq() {
     PDOS_CHECK_MSG(next_seq_ != 0xffffffffu, "event sequence space exhausted");
@@ -370,8 +314,7 @@ class Scheduler {
   Time now_ = 0.0;
   Time far_horizon_ = 0.0;  // heap holds everything due at or before this
   Time far_window_ = kFarWindow;  // adaptive; see pull_shelf
-  std::uint32_t next_seq_ = kSeqBandBase;
-  std::uint32_t front_seq_ = 0;  // reserved band; see allocate_front_seq
+  std::uint32_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::vector<HeapNode> heap_;
   std::vector<HeapNode> shelf_;  // unsorted; strictly beyond far_horizon_

@@ -87,8 +87,8 @@ std::uint64_t baseline_key(const SweepSpec& spec, const PointSpec& probe,
 /// `point_key`/`baseline_key` for the points of one spec, with the shared
 /// part hashed once. Everything the two keys hash before the seed (tag,
 /// schema, compiler, scenario and queue kinds, the derived ScenarioConfig,
-/// the RunControl) depends on the point only through `flows`: the seed and
-/// shard count `make_scenario` also sets are not hashed. So the FNV state
+/// the RunControl) depends on the point only through `flows`: the seed
+/// `make_scenario` also sets is left to the finishing step. So the FNV state
 /// at the seed is computed once per flow count, and each key is finished
 /// with the seed and the point axes. The keys are the free functions'
 /// keys. Immutable after construction, so pool threads share one without

@@ -1,5 +1,7 @@
 #include "sweep/spec.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -31,16 +33,29 @@ std::vector<std::string> split_list(const std::string& value) {
 double parse_double(const std::string& value, int line) {
   char* end = nullptr;
   const double parsed = std::strtod(value.c_str(), &end);
-  PDOS_REQUIRE(end != value.c_str() && *end == '\0',
+  PDOS_REQUIRE(end != value.c_str() && *end == '\0' && std::isfinite(parsed),
                "spec line " + std::to_string(line) + ": not a number: '" +
                    value + "'");
   return parsed;
 }
 
-std::vector<double> parse_list(const std::string& value, int line) {
-  std::vector<double> parsed;
+/// A whole number in Int's range, read exactly (no float round trip).
+template <typename Int>
+Int parse_integer(const std::string& value, int line) {
+  Int parsed = 0;
+  const char* end = value.data() + value.size();
+  const auto [stop, error] = std::from_chars(value.data(), end, parsed);
+  PDOS_REQUIRE(error == std::errc() && stop == end,
+               "spec line " + std::to_string(line) +
+                   ": not an integer in range: '" + value + "'");
+  return parsed;
+}
+
+template <typename T, T (*parse)(const std::string&, int)>
+std::vector<T> parse_list(const std::string& value, int line) {
+  std::vector<T> parsed;
   for (const std::string& item : split_list(value)) {
-    parsed.push_back(parse_double(item, line));
+    parsed.push_back(parse(item, line));
   }
   PDOS_REQUIRE(!parsed.empty(),
                "spec line " + std::to_string(line) + ": empty list");
@@ -89,55 +104,38 @@ SpecFile parse_spec(const std::string& text) {
                        ": backend must be full, fast, fluid or hybrid");
       file.spec.backend = *backend;
     } else if (key == "hybrid_foreground") {
-      file.spec.hybrid_foreground =
-          static_cast<int>(parse_double(value, line));
-    } else if (key == "shards") {
-      file.spec.shards = static_cast<int>(parse_double(value, line));
-      PDOS_REQUIRE(file.spec.shards >= 1,
-                   "spec line " + std::to_string(line) +
-                       ": shards must be >= 1");
-    } else if (key == "batch_replicates") {
-      if (value == "on" || value == "true" || value == "1") {
-        file.spec.batch_replicates = true;
-      } else if (value == "off" || value == "false" || value == "0") {
-        file.spec.batch_replicates = false;
-      } else {
-        PDOS_REQUIRE(false, "spec line " + std::to_string(line) +
-                                ": batch_replicates must be on or off");
-      }
+      file.spec.hybrid_foreground = parse_integer<int>(value, line);
     } else if (key == "flows") {
-      file.spec.flow_counts.clear();
-      for (double flows : parse_list(value, line)) {
-        file.spec.flow_counts.push_back(static_cast<int>(flows));
-      }
+      file.spec.flow_counts = parse_list<int, parse_integer<int>>(value, line);
     } else if (key == "textent_ms") {
       file.spec.textents.clear();
-      for (double textent : parse_list(value, line)) {
+      for (double textent : parse_list<double, parse_double>(value, line)) {
         file.spec.textents.push_back(ms(textent));
       }
     } else if (key == "rattack_mbps") {
       file.spec.rattacks.clear();
-      for (double rattack : parse_list(value, line)) {
+      for (double rattack : parse_list<double, parse_double>(value, line)) {
         file.spec.rattacks.push_back(mbps(rattack));
       }
     } else if (key == "gamma") {
       file.spec.gammas.clear();
-      if (value != "auto") file.spec.gammas = parse_list(value, line);
+      if (value != "auto") {
+        file.spec.gammas = parse_list<double, parse_double>(value, line);
+      }
     } else if (key == "gamma_points") {
-      file.spec.gamma_points = static_cast<int>(parse_double(value, line));
+      file.spec.gamma_points = parse_integer<int>(value, line);
     } else if (key == "kappa") {
       file.spec.kappa = parse_double(value, line);
     } else if (key == "replicates") {
-      file.spec.replicates = static_cast<int>(parse_double(value, line));
+      file.spec.replicates = parse_integer<int>(value, line);
     } else if (key == "base_seed") {
-      file.spec.base_seed =
-          static_cast<std::uint64_t>(parse_double(value, line));
+      file.spec.base_seed = parse_integer<std::uint64_t>(value, line);
     } else if (key == "warmup_s") {
       file.spec.control.warmup = sec(parse_double(value, line));
     } else if (key == "measure_s") {
       file.spec.control.measure = sec(parse_double(value, line));
     } else if (key == "threads") {
-      file.options.threads = static_cast<int>(parse_double(value, line));
+      file.options.threads = parse_integer<int>(value, line);
     } else if (key == "csv") {
       file.csv_path = value;
     } else if (key == "json") {

@@ -10,12 +10,6 @@
 //   backend      = full         # full | fast | fluid | hybrid (tier, see
 //                               # DESIGN.md §12; default full)
 //   hybrid_foreground = 4       # hybrid only: packet-level flows per point
-//   shards       = 1            # PDES shards per point (DESIGN.md §13);
-//                               # results are bit-identical at any K, so
-//                               # cache keys ignore it
-//   batch_replicates = on       # on | off: run a point's replicates as one
-//                               # co-resident batch (DESIGN.md §14); bit-
-//                               # identical either way, cache keys ignore it
 //   flows        = 15,25,35,45
 //   textent_ms   = 50,75,100
 //   rattack_mbps = 25,30,35,40
@@ -33,7 +27,9 @@
 //   store        = campaign.d   # optional sharded campaign store directory
 //                               # (multi-process; overrides `cache`)
 //
-// Unknown keys are an error (they are always typos).
+// Unknown keys are an error (they are always typos). Numbers must be
+// finite; the integer keys (flows, gamma_points, replicates, base_seed,
+// threads, hybrid_foreground) take whole numbers in their type's range.
 #pragma once
 
 #include <string>

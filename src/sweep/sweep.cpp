@@ -17,7 +17,6 @@
 #include "core/planner.hpp"
 #include "io/csv.hpp"
 #include "sweep/point_cache.hpp"
-#include "sweep/replicate_batch.hpp"
 #include "sweep/thread_pool.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
@@ -72,7 +71,6 @@ ScenarioConfig SweepSpec::make_scenario(const PointSpec& point) const {
   config.queue = queue;
   config.backend = backend;
   config.hybrid_foreground = hybrid_foreground;
-  config.shards = shards;
   config.seed = replicate_seed(base_seed, point.replicate);
   return config;
 }
@@ -322,54 +320,48 @@ class ProgressMeter {
   std::mutex mutex_;
 };
 
-/// Hands out warm execution resources (ScenarioWorkspace, ReplicateBatch)
-/// to sweep tasks. Each worker thread runs tasks serially, so the pool
-/// never holds more resources than threads; a released resource keeps its
-/// arena blocks, scheduler slabs, and container capacities hot for the next
-/// point.
-template <typename T>
-class ResourcePool {
+/// Hands out warm ScenarioWorkspaces to sweep tasks. Each worker thread
+/// runs tasks serially, so the pool never holds more workspaces than
+/// threads; a released workspace keeps its arena blocks, scheduler slabs,
+/// and container capacities hot for the next point.
+class WorkspacePool {
  public:
-  std::unique_ptr<T> acquire() {
+  std::unique_ptr<ScenarioWorkspace> acquire() {
     {
       std::lock_guard<std::mutex> lock(mutex_);
       if (!idle_.empty()) {
-        auto resource = std::move(idle_.back());
+        auto workspace = std::move(idle_.back());
         idle_.pop_back();
-        return resource;
+        return workspace;
       }
     }
-    return std::make_unique<T>();
+    return std::make_unique<ScenarioWorkspace>();
   }
 
-  void release(std::unique_ptr<T> resource) {
+  void release(std::unique_ptr<ScenarioWorkspace> workspace) {
     std::lock_guard<std::mutex> lock(mutex_);
-    idle_.push_back(std::move(resource));
+    idle_.push_back(std::move(workspace));
   }
 
  private:
   std::mutex mutex_;
-  std::vector<std::unique_ptr<T>> idle_;
+  std::vector<std::unique_ptr<ScenarioWorkspace>> idle_;
 };
 
-/// RAII acquire/release so exception paths return the resource too.
-template <typename T>
-class Lease {
+/// RAII acquire/release so exception paths return the workspace too.
+class WorkspaceLease {
  public:
-  explicit Lease(ResourcePool<T>& pool) : pool_(pool), res_(pool.acquire()) {}
-  ~Lease() { pool_.release(std::move(res_)); }
-  Lease(const Lease&) = delete;
-  Lease& operator=(const Lease&) = delete;
-  T& operator*() { return *res_; }
-  T* operator->() { return res_.get(); }
+  explicit WorkspaceLease(WorkspacePool& pool)
+      : pool_(pool), workspace_(pool.acquire()) {}
+  ~WorkspaceLease() { pool_.release(std::move(workspace_)); }
+  WorkspaceLease(const WorkspaceLease&) = delete;
+  WorkspaceLease& operator=(const WorkspaceLease&) = delete;
+  ScenarioWorkspace* operator->() { return workspace_.get(); }
 
  private:
-  ResourcePool<T>& pool_;
-  std::unique_ptr<T> res_;
+  WorkspacePool& pool_;
+  std::unique_ptr<ScenarioWorkspace> workspace_;
 };
-
-using WorkspacePool = ResourcePool<ScenarioWorkspace>;
-using WorkspaceLease = Lease<ScenarioWorkspace>;
 
 /// A contiguous run of tasks that differ only in their replicate index.
 struct TaskGroup {
@@ -535,7 +527,6 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& options) {
   std::atomic<std::size_t> cache_hits{0};
   std::atomic<std::size_t> simulated{0};
   WorkspacePool workspaces;
-  ResourcePool<ReplicateBatch> batches;
   std::unique_ptr<PointCache> owned_cache;
   PointStore* store = options.store;
   if (store == nullptr && !options.cache_path.empty()) {
@@ -556,179 +547,65 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& options) {
   using ClaimStatus = PointStore::ClaimStatus;
   const auto start = std::chrono::steady_clock::now();
 
-  // Batched replicate execution (DESIGN.md §14): group the R seed-varied
-  // replicates of each grid point into one co-resident ReplicateBatch per
-  // worker. Results (and cache records) are bit-identical to the sequential
-  // path, so the knob changes only how the work is scheduled.
-  const bool batched = spec.batch_replicates && spec.replicates > 1;
-
   // Phase 1: baselines. Each runs the no-attack scenario with the same
   // seed as the attack points it will normalize.
-  if (!batched) {
-    parallel_for(pool, baselines.size(), [&](std::size_t i) {
-      BaselineSlot& slot = baselines[i];
-      if (cancel.load(std::memory_order_relaxed)) {
-        slot.error = "skipped: sweep cancelled";
-        meter.tick(false);
-        return;
-      }
-      const std::uint64_t seed =
-          replicate_seed(spec.base_seed, slot.probe.replicate);
-      const std::uint64_t key =
-          store ? keys->baseline(slot.probe, seed) : 0;
-      bool hit = false;
-      bool claimed = false;
-      try {
-        double cached = 0.0;
-        if (store && store->lookup_baseline(key, cached)) {
-          slot.goodput = cached;
-          hit = true;
-          cache_hits.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          if (store) {
-            const ClaimStatus st = store->claim_baseline(key);
-            if (st == ClaimStatus::kBusy) {
-              // A peer process is simulating this baseline; the drain pass
-              // resolves it (and ticks the meter).
-              std::lock_guard<std::mutex> lock(deferred_mutex);
-              deferred_baselines.push_back(i);
-              return;
-            }
-            if (st == ClaimStatus::kDone &&
-                store->lookup_baseline(key, cached)) {
-              slot.goodput = cached;
-              hit = true;
-              cache_hits.fetch_add(1, std::memory_order_relaxed);
-            } else {
-              claimed = true;
-            }
+  parallel_for(pool, baselines.size(), [&](std::size_t i) {
+    BaselineSlot& slot = baselines[i];
+    if (cancel.load(std::memory_order_relaxed)) {
+      slot.error = "skipped: sweep cancelled";
+      meter.tick(false);
+      return;
+    }
+    const std::uint64_t seed =
+        replicate_seed(spec.base_seed, slot.probe.replicate);
+    const std::uint64_t key =
+        store ? keys->baseline(slot.probe, seed) : 0;
+    bool hit = false;
+    bool claimed = false;
+    try {
+      double cached = 0.0;
+      if (store && store->lookup_baseline(key, cached)) {
+        slot.goodput = cached;
+        hit = true;
+        cache_hits.fetch_add(1, std::memory_order_relaxed);
+      } else {
+        if (store) {
+          const ClaimStatus st = store->claim_baseline(key);
+          if (st == ClaimStatus::kBusy) {
+            // A peer process is simulating this baseline; the drain pass
+            // resolves it (and ticks the meter).
+            std::lock_guard<std::mutex> lock(deferred_mutex);
+            deferred_baselines.push_back(i);
+            return;
           }
-          if (!hit) {
-            const ScenarioConfig scenario = spec.make_scenario(slot.probe);
-            WorkspaceLease ws(workspaces);
-            slot.goodput = ws->baseline(scenario, spec.control);
-            if (store) store->store_baseline(key, slot.goodput);
-            simulated.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-        PDOS_REQUIRE(slot.goodput > 0.0, "baseline goodput is zero");
-        slot.ok = true;
-      } catch (const std::exception& e) {
-        if (claimed) store->release_baseline(key);
-        slot.error = e.what();
-        if (options.cancel_on_failure) {
-          cancel.store(true, std::memory_order_relaxed);
-        }
-      }
-      meter.tick(hit);
-    });
-  } else {
-    // Baselines batch over their own (flows, replicate) slots: the probes
-    // for one flows value are adjacent (replicate is the innermost
-    // enumeration axis), so each group is one warm batch of R no-attack
-    // replicates.
-    const std::vector<TaskGroup> groups = group_consecutive(
-        baselines.size(),
-        [&](std::size_t i) -> const PointSpec& { return baselines[i].probe; });
-    parallel_for(pool, groups.size(), [&](std::size_t gi) {
-      const TaskGroup group = groups[gi];
-      if (cancel.load(std::memory_order_relaxed)) {
-        for (std::size_t j = 0; j < group.count; ++j) {
-          baselines[group.first + j].error = "skipped: sweep cancelled";
-          meter.tick(false);
-        }
-        return;
-      }
-      std::vector<std::size_t> miss;
-      std::vector<std::uint64_t> miss_keys;
-      for (std::size_t j = 0; j < group.count; ++j) {
-        const std::size_t bi = group.first + j;
-        BaselineSlot& slot = baselines[bi];
-        try {
-          const std::uint64_t seed =
-              replicate_seed(spec.base_seed, slot.probe.replicate);
-          const std::uint64_t key =
-              store ? keys->baseline(slot.probe, seed) : 0;
-          double cached = 0.0;
-          if (store && store->lookup_baseline(key, cached)) {
+          if (st == ClaimStatus::kDone &&
+              store->lookup_baseline(key, cached)) {
             slot.goodput = cached;
+            hit = true;
             cache_hits.fetch_add(1, std::memory_order_relaxed);
-            PDOS_REQUIRE(slot.goodput > 0.0, "baseline goodput is zero");
-            slot.ok = true;
-            meter.tick(true);
-            continue;
+          } else {
+            claimed = true;
           }
-          if (store) {
-            const ClaimStatus st = store->claim_baseline(key);
-            if (st == ClaimStatus::kBusy) {
-              std::lock_guard<std::mutex> lock(deferred_mutex);
-              deferred_baselines.push_back(bi);
-              continue;
-            }
-            if (st == ClaimStatus::kDone &&
-                store->lookup_baseline(key, cached)) {
-              slot.goodput = cached;
-              cache_hits.fetch_add(1, std::memory_order_relaxed);
-              PDOS_REQUIRE(slot.goodput > 0.0, "baseline goodput is zero");
-              slot.ok = true;
-              meter.tick(true);
-              continue;
-            }
-          }
-          miss.push_back(bi);
-          miss_keys.push_back(key);
-        } catch (const std::exception& e) {
-          slot.error = e.what();
-          if (options.cancel_on_failure) {
-            cancel.store(true, std::memory_order_relaxed);
-          }
-          meter.tick(false);
+        }
+        if (!hit) {
+          const ScenarioConfig scenario = spec.make_scenario(slot.probe);
+          WorkspaceLease ws(workspaces);
+          slot.goodput = ws->baseline(scenario, spec.control);
+          if (store) store->store_baseline(key, slot.goodput);
+          simulated.fetch_add(1, std::memory_order_relaxed);
         }
       }
-      if (miss.empty()) return;
-      std::vector<std::uint64_t> seeds;
-      seeds.reserve(miss.size());
-      for (std::size_t bi : miss) {
-        seeds.push_back(
-            replicate_seed(spec.base_seed, baselines[bi].probe.replicate));
+      PDOS_REQUIRE(slot.goodput > 0.0, "baseline goodput is zero");
+      slot.ok = true;
+    } catch (const std::exception& e) {
+      if (claimed) store->release_baseline(key);
+      slot.error = e.what();
+      if (options.cancel_on_failure) {
+        cancel.store(true, std::memory_order_relaxed);
       }
-      try {
-        const ScenarioConfig scenario =
-            spec.make_scenario(baselines[miss.front()].probe);
-        Lease<ReplicateBatch> batch(batches);
-        const std::vector<BitRate> goodputs =
-            batch->baseline(scenario, spec.control, seeds);
-        for (std::size_t k = 0; k < miss.size(); ++k) {
-          BaselineSlot& slot = baselines[miss[k]];
-          try {
-            slot.goodput = goodputs[k];
-            if (store) store->store_baseline(miss_keys[k], slot.goodput);
-            simulated.fetch_add(1, std::memory_order_relaxed);
-            PDOS_REQUIRE(slot.goodput > 0.0, "baseline goodput is zero");
-            slot.ok = true;
-          } catch (const std::exception& e) {
-            slot.error = e.what();
-            if (options.cancel_on_failure) {
-              cancel.store(true, std::memory_order_relaxed);
-            }
-          }
-        }
-      } catch (const std::exception& e) {
-        // The batch itself failed: every un-run replicate inherits the error
-        // and gives up its claim so a peer can retry immediately.
-        for (std::size_t k = 0; k < miss.size(); ++k) {
-          if (store) store->release_baseline(miss_keys[k]);
-          if (!baselines[miss[k]].ok && baselines[miss[k]].error.empty()) {
-            baselines[miss[k]].error = e.what();
-          }
-        }
-        if (options.cancel_on_failure) {
-          cancel.store(true, std::memory_order_relaxed);
-        }
-      }
-      for (std::size_t k = 0; k < miss.size(); ++k) meter.tick(false);
-    });
-  }
+    }
+    meter.tick(hit);
+  });
 
   // Drain baselines leased to peer processes: poll the store for their
   // results; once a lease expires unfulfilled (crashed peer) the claim
@@ -806,8 +683,8 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& options) {
     // evaluations, kFluidBatchWidth at a time — and every replicate is
     // finished against its own baseline. The records this path stores are
     // bit-identical to the point-at-a-time path's: solve_batch's identity
-    // contract plus the seed-invariance fan-out the batched replicate
-    // runner already relies on (replicate_batch.cpp).
+    // contract plus seed invariance (run_fluid_backend never reads
+    // config.seed), so one solve serves every replicate of a plan.
     const std::vector<TaskGroup> groups =
         group_by_flows(points.size(), [&](std::size_t i) -> const PointSpec& {
           return points[i];
@@ -929,7 +806,7 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& options) {
         }
       }
     });
-  } else if (!batched) {
+  } else {
     parallel_for(pool, points.size(), [&](std::size_t i) {
       PointResult& slot = result.points[i];
       if (cancel.load(std::memory_order_relaxed)) {
@@ -993,121 +870,6 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& options) {
         }
       }
       meter.tick(hit);
-    });
-  } else {
-    const std::vector<TaskGroup> groups = group_consecutive(
-        points.size(),
-        [&](std::size_t i) -> const PointSpec& { return points[i]; });
-    parallel_for(pool, groups.size(), [&](std::size_t gi) {
-      const TaskGroup group = groups[gi];
-      if (cancel.load(std::memory_order_relaxed)) {
-        for (std::size_t j = 0; j < group.count; ++j) {
-          meter.tick(false);  // slots stay kSkipped
-        }
-        return;
-      }
-      // Cached replicates complete individually; replicates leased to a
-      // peer process defer to the drain pass; the rest run as one batch.
-      std::vector<std::size_t> miss;
-      std::vector<std::uint64_t> miss_keys;
-      for (std::size_t j = 0; j < group.count; ++j) {
-        const std::size_t i = group.first + j;
-        PointResult& slot = result.points[i];
-        const std::uint64_t key =
-            store ? keys->point(slot.point, slot.seed) : 0;
-        CachedPoint cached;
-        if (store && store->lookup_point(key, cached)) {
-          fill_cached_point(slot, cached);
-          cache_hits.fetch_add(1, std::memory_order_relaxed);
-          meter.tick(true);
-          continue;
-        }
-        if (store) {
-          const ClaimStatus st = store->claim_point(key);
-          if (st == ClaimStatus::kBusy) {
-            std::lock_guard<std::mutex> lock(deferred_mutex);
-            deferred_points.push_back(i);
-            continue;
-          }
-          if (st == ClaimStatus::kDone && store->lookup_point(key, cached)) {
-            fill_cached_point(slot, cached);
-            cache_hits.fetch_add(1, std::memory_order_relaxed);
-            meter.tick(true);
-            continue;
-          }
-        }
-        miss.push_back(i);
-        miss_keys.push_back(key);
-      }
-      if (miss.empty()) return;
-      try {
-        // Shared immutable per-point work, computed ONCE for the group:
-        // the derived scenario and the analytic attack plan are pure
-        // functions of the axes (seed excluded), identical across
-        // replicates — the sequential path recomputes them per replicate.
-        const ScenarioConfig scenario =
-            spec.make_scenario(points[miss.front()]);
-        const AttackPlan plan =
-            plan_point_attack(scenario, points[miss.front()]);
-        std::vector<std::size_t> runnable;
-        std::vector<std::uint64_t> runnable_keys;
-        std::vector<std::uint64_t> seeds;
-        std::vector<BitRate> base_goodputs;
-        for (std::size_t k = 0; k < miss.size(); ++k) {
-          const std::size_t i = miss[k];
-          PointResult& slot = result.points[i];
-          const BaselineSlot& baseline = baselines[baseline_index.at(
-              slot.point.flows, slot.point.replicate)];
-          if (!baseline.ok) {
-            if (store) store->release_point(miss_keys[k]);
-            slot.status = PointStatus::kFailed;
-            slot.error = "baseline failed: " + baseline.error;
-            if (options.cancel_on_failure) {
-              cancel.store(true, std::memory_order_relaxed);
-            }
-            meter.tick(false);
-            continue;
-          }
-          runnable.push_back(i);
-          runnable_keys.push_back(miss_keys[k]);
-          seeds.push_back(slot.seed);
-          base_goodputs.push_back(baseline.goodput);
-        }
-        if (!runnable.empty()) {
-          std::vector<GainMeasurement> measured;
-          {
-            Lease<ReplicateBatch> batch(batches);
-            measured = batch->gain(scenario, plan.train,
-                                   points[runnable.front()].kappa,
-                                   spec.control, base_goodputs, seeds);
-          }
-          for (std::size_t k = 0; k < runnable.size(); ++k) {
-            PointResult& slot = result.points[runnable[k]];
-            fill_plan(slot, plan);
-            fill_measured(slot, measured[k], base_goodputs[k]);
-            if (store) {
-              store->store_point(runnable_keys[k], to_cached_point(slot));
-            }
-            simulated.fetch_add(1, std::memory_order_relaxed);
-            meter.tick(false);
-          }
-        }
-      } catch (const std::exception& e) {
-        // Planning or the batch run failed: every replicate that has not
-        // been resolved yet (still kSkipped) inherits the error and gives
-        // up its claim so a peer can retry immediately.
-        for (std::size_t k = 0; k < miss.size(); ++k) {
-          PointResult& slot = result.points[miss[k]];
-          if (slot.status != PointStatus::kSkipped) continue;
-          if (store) store->release_point(miss_keys[k]);
-          slot.status = PointStatus::kFailed;
-          slot.error = e.what();
-          meter.tick(false);
-        }
-        if (options.cancel_on_failure) {
-          cancel.store(true, std::memory_order_relaxed);
-        }
-      }
     });
   }
 

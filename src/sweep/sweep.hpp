@@ -53,20 +53,6 @@ struct SweepSpec {
   Backend backend = Backend::kFull;
   /// Hybrid tier only: packet-level flows per point (see ScenarioConfig).
   int hybrid_foreground = 4;
-  /// Conservative PDES sharding per point (ScenarioConfig::shards); spec
-  /// files select it with `shards = K`. Results are bit-identical to
-  /// shards = 1 (DESIGN.md §13), so cache keys deliberately EXCLUDE it —
-  /// a cache written at one shard count replays at any other. Workers run
-  /// the shard rounds inline (they are already one-per-core).
-  int shards = 1;
-  /// Batched replicate execution (DESIGN.md §14): when replicates > 1, each
-  /// worker leases one ReplicateBatch and runs a point's R seed-varied
-  /// replicates as co-resident simulations (shared attack plan, warm slots,
-  /// time-sliced event loops; the fluid tier solves once per point). Spec
-  /// files select it with `batch_replicates = on|off`. Results are
-  /// bit-identical to sequential execution — like `shards`, this is an
-  /// execution-strategy knob, so cache keys deliberately EXCLUDE it.
-  bool batch_replicates = true;
 
   // Cartesian axes (ignored when `explicit_points` is non-empty).
   std::vector<int> flow_counts = {15};

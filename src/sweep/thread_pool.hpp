@@ -29,7 +29,6 @@
 
 #include "net/packet_ring.hpp"
 #include "sim/event.hpp"
-#include "sim/pdes/engine.hpp"
 
 namespace pdos::sweep {
 
@@ -89,19 +88,5 @@ class ThreadPool {
 /// failing iteration (remaining iterations still run).
 void parallel_for(ThreadPool& pool, std::size_t n,
                   const std::function<void(std::size_t)>& fn);
-
-/// A PDES shard executor backed by `pool`: per-round shard tasks fan out
-/// across the workers and the round barrier is parallel_for's join. Install
-/// with ScenarioWorkspace::set_shard_executor when ONE sharded scenario
-/// should use the whole machine (scenario_runner, benches). Sweep workers
-/// deliberately do NOT install one — they are already one-per-core, and the
-/// engine's inline default keeps nested parallelism out (results are
-/// bit-identical either way, DESIGN.md §13). The pool must outlive the
-/// returned executor.
-inline pdes::ShardExecutor pool_shard_executor(ThreadPool& pool) {
-  return [&pool](std::size_t n, const pdes::ShardTask& fn) {
-    parallel_for(pool, n, fn);
-  };
-}
 
 }  // namespace pdos::sweep

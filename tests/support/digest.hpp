@@ -1,8 +1,8 @@
-// Shared RunResult serialization + FNV-1a digest helpers for the golden
-// determinism suites (tests/sweep/golden_figures_test.cpp and
-// tests/pdes/pdes_test.cpp). Every numeric field is rendered at full
-// precision (%.17g round-trips doubles exactly) so a digest match means the
-// results are bit-identical, not merely close.
+// RunResult serialization + FNV-1a digest helpers and the pinned digests of
+// the golden determinism suite (tests/sweep/golden_figures_test.cpp). Every
+// numeric field is rendered at full precision (%.17g round-trips doubles
+// exactly) so a digest match means the results are bit-identical, not
+// merely close.
 #pragma once
 
 #include <cinttypes>
@@ -36,10 +36,7 @@ inline void append(std::string& out, const char* key, std::uint64_t value) {
 }
 
 /// Serialize every observable field of a RunResult at full precision.
-/// `include_events` = false drops the scheduler event count: sharded fast
-/// runs match the unsharded fast path on every counter, bin, and trace but
-/// not on events (cross-shard links cannot fuse — DESIGN.md §13).
-inline std::string serialize(const RunResult& r, bool include_events = true) {
+inline std::string serialize(const RunResult& r) {
   std::string out;
   append(out, "goodput_bytes", static_cast<std::uint64_t>(r.goodput_bytes));
   append(out, "goodput_rate", r.goodput_rate);
@@ -66,7 +63,7 @@ inline std::string serialize(const RunResult& r, bool include_events = true) {
   append(out, "retransmits", r.total_retransmits);
   append(out, "jitter", r.mean_delivery_jitter);
   append(out, "attack_packets", r.attack_packets_sent);
-  if (include_events) append(out, "events", r.events_executed);
+  append(out, "events", r.events_executed);
   for (const auto& [t, w] : r.cwnd_trace) {
     append(out, "cwnd_t", t);
     append(out, "cwnd_w", w);

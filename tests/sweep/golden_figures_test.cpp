@@ -30,8 +30,7 @@ namespace pdos {
 namespace {
 
 // Serialization, hashing, and the pinned digests live in
-// tests/support/digest.hpp, shared with the sharded-run identity suite
-// (tests/pdes/pdes_test.cpp) so both pin the SAME constants.
+// tests/support/digest.hpp.
 using testsupport::fnv1a64;
 using testsupport::kFig03Digest;
 using testsupport::kFig12DropTailDigest;

@@ -232,102 +232,6 @@ TEST(PointCacheKeyTest, BackendIsPartOfTheKey) {
   EXPECT_NE(point_key(hybrid, point, 1), point_key(fluid, point, 1));
 }
 
-TEST(PointCacheKeyTest, ShardCountDoesNotChangeTheKey) {
-  // The inverse of BackendIsPartOfTheKey: the conservative PDES partition
-  // is bit-result-invariant (DESIGN.md §13, pinned by tests/pdes), so the
-  // shard count must NOT fork the cache — a campaign swept at shards = 1
-  // must replay all-hit when resumed at shards = 4, and vice versa. The
-  // executor behind the shards never enters the key either (it is not even
-  // a spec field). hash_common in point_cache.cpp documents the deliberate
-  // exclusion; this test keeps it from regressing silently.
-  const SweepSpec spec = quick_spec();
-  PointSpec point;
-  const std::uint64_t base_point = point_key(spec, point, 1);
-  const std::uint64_t base_baseline = baseline_key(spec, point, 1);
-
-  for (int shards : {2, 4, 8}) {
-    SweepSpec sharded = spec;
-    sharded.shards = shards;
-    EXPECT_EQ(point_key(sharded, point, 1), base_point)
-        << "shards=" << shards;
-    EXPECT_EQ(baseline_key(sharded, point, 1), base_baseline)
-        << "shards=" << shards;
-  }
-}
-
-TEST(PointCacheKeyTest, BatchReplicatesDoesNotChangeTheKey) {
-  // Like the shard count, batched replicate execution (DESIGN.md §14) is an
-  // execution-strategy knob: every replicate keeps its own scheduler and
-  // seed streams, so batched and sequential sweeps compute byte-identical
-  // records and must share one cache.
-  const SweepSpec spec = quick_spec();
-  PointSpec point;
-  SweepSpec batched = spec;
-  batched.batch_replicates = true;
-  SweepSpec sequential = spec;
-  sequential.batch_replicates = false;
-  EXPECT_EQ(point_key(batched, point, 1), point_key(sequential, point, 1));
-  EXPECT_EQ(baseline_key(batched, point, 1),
-            baseline_key(sequential, point, 1));
-}
-
-TEST(PointCacheResumeTest, BatchedAndSequentialSweepsShareOneCache) {
-  // The end-to-end form of the key-invariance guarantee: a sweep run in
-  // either execution mode must resume ALL-HIT from a cache written by the
-  // other. A miss here means some input that differs between the modes
-  // leaked into hash_common, or the modes stored different bytes.
-  SweepSpec spec;
-  spec.flow_counts = {3};
-  spec.textents = {ms(50)};
-  spec.rattacks = {mbps(25)};
-  spec.gammas = {0.5};
-  spec.replicates = 2;
-  spec.control.warmup = sec(0.5);
-  spec.control.measure = sec(1.0);
-
-  SweepSpec batched = spec;
-  batched.batch_replicates = true;
-  SweepSpec sequential = spec;
-  sequential.batch_replicates = false;
-
-  const std::size_t tasks =
-      spec.enumerate().size() + /* baselines: replicates of one flows */ 2;
-
-  {
-    // Batched writes, sequential resumes all-hit.
-    TempCacheFile file;
-    SweepOptions options;
-    options.threads = 1;
-    options.cache_path = file.path();
-    const SweepResult first = run_sweep(batched, options);
-    ASSERT_EQ(first.failures(), 0u);
-    EXPECT_EQ(first.cache_hits, 0u);
-    const SweepResult resumed = run_sweep(sequential, options);
-    EXPECT_EQ(resumed.cache_hits, tasks);
-    ASSERT_EQ(resumed.points.size(), first.points.size());
-    for (std::size_t i = 0; i < first.points.size(); ++i) {
-      EXPECT_EQ(resumed.points[i].goodput, first.points[i].goodput);
-      EXPECT_EQ(resumed.points[i].events, first.points[i].events);
-    }
-  }
-  {
-    // Sequential writes, batched resumes all-hit.
-    TempCacheFile file;
-    SweepOptions options;
-    options.threads = 1;
-    options.cache_path = file.path();
-    const SweepResult first = run_sweep(sequential, options);
-    ASSERT_EQ(first.failures(), 0u);
-    const SweepResult resumed = run_sweep(batched, options);
-    EXPECT_EQ(resumed.cache_hits, tasks);
-    ASSERT_EQ(resumed.points.size(), first.points.size());
-    for (std::size_t i = 0; i < first.points.size(); ++i) {
-      EXPECT_EQ(resumed.points[i].goodput, first.points[i].goodput);
-      EXPECT_EQ(resumed.points[i].events, first.points[i].events);
-    }
-  }
-}
-
 TEST(PointCacheKeyTest, KeysAreStableAcrossCalls) {
   const SweepSpec spec = quick_spec();
   PointSpec point;

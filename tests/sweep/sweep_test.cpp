@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <map>
 #include <random>
@@ -239,10 +240,7 @@ class ClaimFailingStore : public PointStore {
 };
 
 TEST(RunSweep, FailedBaselineClaimIsNotCountedAsCached) {
-  // replicates = 2 takes the batched-baseline path, whose error branch
-  // used to tick the progress meter as a cache hit.
   SweepSpec spec = tiny_spec();
-  ASSERT_TRUE(spec.batch_replicates);
   ASSERT_EQ(spec.replicates, 2);
   ClaimFailingStore store;
   SweepProgress last;
@@ -260,8 +258,8 @@ TEST(RunSweep, FailedBaselineClaimIsNotCountedAsCached) {
 }
 
 TEST(RunSweep, CacheHitsAreWeightedNearZeroInEta) {
-  // Satellite of DESIGN.md §14: the ETA extrapolates wall cost from the
-  // SIMULATED tasks only. An all-hit --resume replay must report eta 0 and
+  // The ETA (DESIGN.md §6) extrapolates wall cost from the SIMULATED
+  // tasks only. An all-hit --resume replay must report eta 0 and
   // cached == done at every snapshot, instead of pricing microsecond cache
   // replays at full simulation cost.
   char name[] = "/tmp/pdos_sweep_eta_test_XXXXXX";
@@ -363,6 +361,21 @@ TEST(SpecParser, RejectsUnknownKeysAndGarbage) {
   EXPECT_THROW(parse_spec("flows = abc\n"), ParameterError);
   EXPECT_THROW(parse_spec("scenario = ns3\n"), ParameterError);
   EXPECT_THROW(parse_spec("backend = warp\n"), ParameterError);
+  // Former execution-strategy knobs are unknown keys too.
+  EXPECT_THROW(parse_spec("shards = 2\n"), ParameterError);
+  EXPECT_THROW(parse_spec("batch_replicates = on\n"), ParameterError);
+  // Non-finite numbers never reach an axis.
+  EXPECT_THROW(parse_spec("gamma = nan\n"), ParameterError);
+  EXPECT_THROW(parse_spec("textent_ms = nan\n"), ParameterError);
+  EXPECT_THROW(parse_spec("rattack_mbps = inf\n"), ParameterError);
+  EXPECT_THROW(parse_spec("kappa = nan\n"), ParameterError);
+  EXPECT_THROW(parse_spec("warmup_s = nan\n"), ParameterError);
+  // Integer keys take whole numbers in range: no truncation, no
+  // out-of-range float-to-integer cast.
+  EXPECT_THROW(parse_spec("replicates = 1e12\n"), ParameterError);
+  EXPECT_THROW(parse_spec("base_seed = -1\n"), ParameterError);
+  EXPECT_THROW(parse_spec("replicates = 2.7\n"), ParameterError);
+  EXPECT_THROW(parse_spec("flows = 15.9\n"), ParameterError);
 }
 
 TEST(RunSweep, FluidBackendProducesComparableDegradation) {
@@ -434,6 +447,120 @@ TEST(RunSweep, FluidBatchedPointsMatchDirectMeasurement) {
     EXPECT_EQ(point.measured_degradation, direct.degradation);
     EXPECT_EQ(point.goodput, direct.run.goodput_rate);
   }
+}
+
+TEST(BatchedSweep, FluidReplicateDedupeKeepsCsvBytes) {
+  // The fluid tier solves each attack plan once and fans the result out to
+  // every replicate (the solver never reads the seed). The dedupe must be
+  // invisible in the output: same CSV bytes as solving every replicate on
+  // its own.
+  SweepSpec spec;
+  spec.backend = Backend::kFluid;
+  spec.flow_counts = {3};
+  spec.textents = {ms(50)};
+  spec.rattacks = {mbps(25)};
+  spec.gammas = {0.4, 0.6};
+  spec.replicates = 4;
+  spec.control.warmup = sec(0.5);
+  spec.control.measure = sec(1.0);
+
+  const SweepResult batched = run_sweep(spec, {});
+  ASSERT_EQ(batched.failures(), 0u);
+  ASSERT_EQ(batched.points.size(), 8u);
+
+  SweepResult solo = batched;
+  for (PointResult& row : solo.points) {
+    const ScenarioConfig scenario = spec.make_scenario(row.point);
+    AttackPlanRequest request;
+    request.victim = scenario.victim_profile();
+    request.textent = row.point.textent;
+    request.rattack = row.point.rattack;
+    request.kappa = row.point.kappa;
+    request.attack_packet_bytes = scenario.attack_packet_bytes;
+    request.victim_min_rto = scenario.tcp.rto_min;
+    const PulseTrain train =
+        plan_attack_at_gamma(request, row.point.gamma).train;
+    const BitRate baseline = measure_baseline(scenario, spec.control);
+    const GainMeasurement m =
+        measure_gain(scenario, train, row.point.kappa, spec.control, baseline);
+    row.baseline_goodput = baseline;
+    row.goodput = m.run.goodput_rate;
+    row.measured_degradation = m.degradation;
+    row.measured_gain = m.gain;
+    row.utilization = m.run.utilization;
+    row.fairness = m.run.fairness_index;
+    row.timeouts = m.run.total_timeouts;
+    row.fast_recoveries = m.run.total_fast_recoveries;
+    row.attack_packets = m.run.attack_packets_sent;
+    row.events = m.run.events_executed;
+  }
+
+  std::ostringstream a, b;
+  solo.write_csv(a);
+  batched.write_csv(b);
+  EXPECT_EQ(b.str(), a.str());
+}
+
+TEST(AggregateReplicates, MeanStddevAndCiOverReplicates) {
+  // Hand-checkable statistics: two axes groups, one with gains {1, 2, 3}
+  // (mean 2, sample stddev 1), one with a failed replicate excluded.
+  SweepResult result;
+  auto push = [&result](double gamma, int replicate, double gain,
+                        PointStatus status) {
+    PointResult r;
+    r.index = result.points.size();
+    r.point.gamma = gamma;
+    r.point.replicate = replicate;
+    r.status = status;
+    r.measured_gain = gain;
+    r.measured_degradation = gain / 2.0;
+    r.goodput = gain * 1e6;
+    result.points.push_back(r);
+  };
+  push(0.3, 0, 1.0, PointStatus::kOk);
+  push(0.3, 1, 2.0, PointStatus::kOk);
+  push(0.3, 2, 3.0, PointStatus::kOk);
+  push(0.6, 0, 5.0, PointStatus::kOk);
+  push(0.6, 1, 0.0, PointStatus::kFailed);
+  push(0.6, 2, 7.0, PointStatus::kOk);
+
+  const std::vector<AggregateRow> rows = aggregate_replicates(result);
+  ASSERT_EQ(rows.size(), 2u);
+
+  EXPECT_EQ(rows[0].replicates, 3u);
+  EXPECT_DOUBLE_EQ(rows[0].mean_gain, 2.0);
+  EXPECT_DOUBLE_EQ(rows[0].stddev_gain, 1.0);
+  EXPECT_DOUBLE_EQ(rows[0].ci95_gain, 1.96 / std::sqrt(3.0));
+  EXPECT_DOUBLE_EQ(rows[0].mean_degradation, 1.0);
+  EXPECT_DOUBLE_EQ(rows[0].mean_goodput, 2e6);
+
+  EXPECT_EQ(rows[1].replicates, 2u);  // the failed replicate is excluded
+  EXPECT_DOUBLE_EQ(rows[1].mean_gain, 6.0);
+  EXPECT_DOUBLE_EQ(rows[1].stddev_gain, std::sqrt(2.0));
+
+  std::ostringstream csv;
+  write_aggregate_csv(rows, csv);
+  EXPECT_NE(csv.str().find("mean_gain"), std::string::npos);
+  EXPECT_NE(csv.str().find("ci95_gain"), std::string::npos);
+
+  std::ostringstream json;
+  write_aggregate_json(rows, json);
+  EXPECT_EQ(json.str().front(), '[');
+  EXPECT_NE(json.str().find("\"replicates\": 3"), std::string::npos);
+}
+
+TEST(AggregateReplicates, SingleReplicateHasZeroSpread) {
+  SweepResult result;
+  PointResult r;
+  r.status = PointStatus::kOk;
+  r.measured_gain = 4.2;
+  result.points.push_back(r);
+  const auto rows = aggregate_replicates(result);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].replicates, 1u);
+  EXPECT_DOUBLE_EQ(rows[0].mean_gain, 4.2);
+  EXPECT_DOUBLE_EQ(rows[0].stddev_gain, 0.0);
+  EXPECT_DOUBLE_EQ(rows[0].ci95_gain, 0.0);
 }
 
 TEST(SweepResult, CsvHasHeaderAndOneRowPerPoint) {

@@ -1,24 +1,21 @@
-// Engine + data-path + sweep + scale + fluid + pdes + replicate
-// performance report: measures the scheduler and packet data-path
-// micro-benchmarks, scenario setup (fresh vs warm-reset), the LargeScale
-// fast-path scenarios (interleaved fast/full A/B), the fluid-surrogate vs
-// packet A/B on a fig. 6 quick grid point, the sharded-vs-single PDES A/B
-// on a 10 Gbps LargeScale scenario, the sequential-vs-batched replicate
-// A/B at R = 8 (DESIGN.md §14), the 1-worker vs K-worker multi-process
-// campaign A/B over a shared CampaignStore (DESIGN.md §15), and a fixed
-// fig. 6 quick-mode sweep (cold and cache-resumed), and writes
-// BENCH_engine.json, BENCH_datapath.json, BENCH_sweep.json,
-// BENCH_scale.json, BENCH_fluid.json, BENCH_pdes.json,
-// BENCH_replicate.json, and BENCH_campaign.json.
+// Engine + data-path + sweep + scale + fluid + campaign performance
+// report: measures the scheduler and packet data-path micro-benchmarks,
+// scenario setup (fresh vs warm-reset), the LargeScale fast-path scenarios
+// (interleaved fast/full A/B), the fluid-surrogate vs packet A/B on a
+// fig. 6 quick grid point, the 1-worker vs K-worker multi-process campaign
+// A/B over a shared CampaignStore (DESIGN.md §15), and a fixed fig. 6
+// quick-mode sweep (cold and cache-resumed), and writes BENCH_engine.json,
+// BENCH_datapath.json, BENCH_sweep.json, BENCH_scale.json,
+// BENCH_fluid.json, and BENCH_campaign.json.
 //
 // This is the tracked-baseline half of the perf story: google-benchmark
 // (bench/micro_engine, bench/micro_datapath, bench/micro_setup,
-// bench/micro_largescale, bench/micro_fluid, bench/micro_replicate) is for
-// interactive work, while this tool emits stable, machine-readable
-// snapshots that CI diffs against the committed bench/baseline_engine.json,
+// bench/micro_largescale, bench/micro_fluid) is for interactive work,
+// while this tool emits stable, machine-readable snapshots that CI diffs
+// against the committed bench/baseline_engine.json,
 // bench/baseline_datapath.json, bench/baseline_sweep.json,
 // bench/baseline_scale.json, bench/baseline_fluid.json, and
-// bench/baseline_replicate.json. The JSON is flat `"key": number` pairs so
+// bench/baseline_campaign.json. The JSON is flat `"key": number` pairs so
 // the reader below stays a 30-line scanner instead of a JSON library.
 //
 // Usage:
@@ -26,9 +23,7 @@
 //                [--datapath-baseline FILE] [--sweep-out FILE]
 //                [--sweep-baseline FILE] [--scale-out FILE]
 //                [--scale-baseline FILE] [--fluid-out FILE]
-//                [--fluid-baseline FILE] [--pdes-out FILE]
-//                [--pdes-baseline FILE] [--fluid-surface-out FILE]
-//                [--replicate-out FILE] [--replicate-baseline FILE]
+//                [--fluid-baseline FILE] [--fluid-surface-out FILE]
 //                [--campaign-out FILE] [--campaign-baseline FILE]
 //                [--check] [--reps N] [--skip-sweep]
 //
@@ -61,38 +56,9 @@
 //                             solve; measured 1.45-1.6x) — SIMD builds
 //                             only; scalar builds skip those two floors
 //                             out loud (DESIGN.md §16)
-//   --pdes-out FILE           PDES sharding output (default BENCH_pdes.json)
-//   --pdes-baseline FILE      committed PDES reference; the sharded run's
-//                             event throughput is gated against it, and
-//                             under --check the shards=4 vs shards=1
-//                             speedup must clear the >= 3x floor
-//                             (DESIGN.md §13) — but ONLY on hosts with
-//                             at least 4 hardware threads. Single-core CI
-//                             runners print a skip line instead: the
-//                             sharded run cannot beat the single scheduler
-//                             without parallel hardware.
 //   --fluid-surface-out FILE  also emit the fluid-tier attack-gain surface
 //                             (γ × T_extent grid, long-format CSV:
 //                             textent_ms,gamma,degradation,gain) to FILE
-//   --replicate-out FILE      replicate-batching output (default
-//                             BENCH_replicate.json)
-//   --replicate-baseline FILE committed replicate reference; the batched
-//                             replicate throughputs (packet and fluid tier)
-//                             are gated against it, and under --check the
-//                             fluid tier's batched-vs-sequential replicate
-//                             speedup at R = 8 must additionally clear the
-//                             >= 1.3x floor (DESIGN.md §14). The packet
-//                             tier's speedup rides along as information:
-//                             co-resident packet replicates execute the
-//                             same events as sequential ones, so their win
-//                             is locality, not work elimination — the fluid
-//                             tier is where batching eliminates R - 1
-//                             solves outright. The committed baseline's
-//                             throughput values are deliberately
-//                             conservative: the fluid batched wall is
-//                             microseconds and jitters well past the 30%
-//                             tolerance run to run; the 1.3x same-machine
-//                             floor (measured ~8x) is the real promise.
 //   --campaign-out FILE       multi-process campaign output (default
 //                             BENCH_campaign.json)
 //   --campaign-baseline FILE  committed campaign reference; the K-worker
@@ -139,9 +105,7 @@
 #include "sim/timer.hpp"
 #include "stats/stats_hub.hpp"
 #include "sweep/campaign.hpp"
-#include "sweep/replicate_batch.hpp"
 #include "sweep/sweep.hpp"
-#include "sweep/thread_pool.hpp"
 #include "util/units.hpp"
 
 namespace pdos {
@@ -181,31 +145,10 @@ constexpr double kFluidBatchSpeedupFloor = 1.10;
 constexpr double kFluidBinnedSpeedupFloor = 1.25;
 constexpr int kFluidBatchWidth = 8;
 
-// The PDES sharding contract (DESIGN.md §13): a shards=4 LargeScale run on
-// a ThreadPool executor must beat the same run on one scheduler by at
-// least this much — but only where the hardware can possibly deliver it.
-// Hosts with fewer than kPdesFloorMinThreads hardware threads (single-core
-// CI runners in particular) skip the floor: the measurement still runs and
-// the speedup still rides along in the artifact, it just cannot gate.
-constexpr double kPdesSpeedupFloor = 3.0;
-constexpr unsigned kPdesFloorMinThreads = 4;
-constexpr int kPdesShards = 4;
-
-// The replicate-batching contract (DESIGN.md §14): running the fig. 6
-// quick grid point's R = 8 seed-varied replicates through a warm
-// ReplicateBatch must beat R sequential runs by at least this much on the
-// fluid tier, where the batch solves the seed-invariant system once and
-// fans the result out. A same-machine ratio, gated directly under --check.
-// The packet tier has no equivalent floor: its replicates execute the same
-// events batched or not (the batch wins shared planning and workspace
-// reuse, not event work), so only its baseline-gated throughput is tracked.
-constexpr double kReplicateSpeedupFloor = 1.3;
-constexpr int kReplicateCount = 8;
-
 // The multi-process campaign contract (DESIGN.md §15): a cold
 // kCampaignWorkers-process campaign over a shared CampaignStore must beat
-// the same campaign run by one process by at least this much — but, like
-// the PDES floor, only where the hardware can deliver it. Hosts with fewer
+// the same campaign run by one process by at least this much — but only
+// where the hardware can deliver it. Hosts with fewer
 // than kCampaignFloorMinThreads hardware threads skip the floor out loud;
 // the speedup still rides along in the artifact. The resume half of the
 // contract (all-hit, byte-identical merged CSV) is hardware-independent
@@ -579,117 +522,6 @@ FluidSimdMeasurement measure_fluid_simd(int reps) {
   return m;
 }
 
-// --- replicate batching (DESIGN.md §14) ----------------------------------
-
-/// Sequential-vs-batched A/B of the fig. 6 quick grid point's R = 8
-/// replicates, per backend tier. Both arms run warm (a throwaway first
-/// pass sizes the arenas) and interleaved best-of-reps, like the other
-/// same-machine A/Bs in this tool.
-struct ReplicateMeasurement {
-  double sequential_wall = 0.0;  // R replicates, one warm workspace
-  double batched_wall = 0.0;     // R replicates, one warm ReplicateBatch
-};
-
-ReplicateMeasurement measure_replicates(Backend backend, int reps) {
-  ScenarioConfig config = ScenarioConfig::ns2_dumbbell(15);
-  config.backend = backend;
-  const PulseTrain train =
-      PulseTrain::from_gamma(ms(50), mbps(25), 0.5, config.bottleneck);
-  RunControl control;
-  control.warmup = sec(5);
-  control.measure = sec(15);
-  std::vector<std::uint64_t> seeds;
-  for (int r = 0; r < kReplicateCount; ++r) {
-    seeds.push_back(sweep::replicate_seed(1, r));
-  }
-
-  ScenarioWorkspace ws;
-  sweep::ReplicateBatch batch;
-  const auto sequential_pass = [&] {
-    for (std::uint64_t seed : seeds) {
-      ScenarioConfig replicate = config;
-      replicate.seed = seed;
-      const RunResult result = ws.run(replicate, train, control);
-      g_sink += static_cast<long long>(result.events_executed);
-    }
-  };
-  const auto batched_pass = [&] {
-    const std::vector<RunResult> results =
-        batch.run(config, train, control, seeds);
-    g_sink += static_cast<long long>(results.front().events_executed);
-  };
-  sequential_pass();  // warm both arms outside the clock
-  batched_pass();
-
-  ReplicateMeasurement m;
-  m.sequential_wall = std::numeric_limits<double>::infinity();
-  m.batched_wall = std::numeric_limits<double>::infinity();
-  for (int r = 0; r < reps; ++r) {
-    auto start = Clock::now();
-    sequential_pass();
-    m.sequential_wall = std::min(m.sequential_wall, seconds_since(start));
-    start = Clock::now();
-    batched_pass();
-    m.batched_wall = std::min(m.batched_wall, seconds_since(start));
-  }
-  return m;
-}
-
-// --- PDES sharded-run A/B (mirror tests/pdes, DESIGN.md §13) -------------
-
-/// The intra-run parallelism target scenario: 10k flows on a 10 Gbps
-/// bottleneck, fast path, short horizon. Big enough that per-round shard
-/// work dwarfs the barrier cost, short enough for a CI smoke.
-ScaleSample run_pdes_point(ScenarioWorkspace& ws, int shards) {
-  ScenarioConfig config = ScenarioConfig::large_scale(10000, gbps(10));
-  config.shards = shards;
-  RunControl control;
-  control.warmup = sec(0.25);
-  control.measure = sec(0.5);
-  const auto start = Clock::now();
-  const RunResult result =
-      ws.run(config, large_scale_train(config.bottleneck), control);
-  return ScaleSample{result.events_executed, seconds_since(start)};
-}
-
-struct PdesMeasurement {
-  std::uint64_t single_events = 0;   // shards=1 event count (deterministic)
-  std::uint64_t sharded_events = 0;  // shards=4 event count (deterministic)
-  double single_wall = 0.0;          // best-of-reps
-  double sharded_wall = 0.0;
-  std::uint64_t rounds = 0;    // engine telemetry from the sharded arm
-  std::uint64_t messages = 0;  // cross-shard packets per run
-  int executor_threads = 1;    // 1 = inline executor (no pool)
-};
-
-/// Interleaved A/B: alternate shards=1 and shards=4 samples, each in its
-/// own warm workspace, best-of per arm. The sharded arm runs on a
-/// ThreadPool executor when the host has more than one hardware thread;
-/// on a single-core host it runs the rounds inline — same results (the
-/// outputs are executor-invariant), honest wall time.
-PdesMeasurement measure_pdes(int reps) {
-  PdesMeasurement m;
-  std::unique_ptr<sweep::ThreadPool> pool;
-  if (std::thread::hardware_concurrency() > 1) {
-    pool = std::make_unique<sweep::ThreadPool>();
-    m.executor_threads = pool->size();
-  }
-  ScenarioWorkspace single_ws;
-  ScenarioWorkspace sharded_ws;
-  if (pool) sharded_ws.set_shard_executor(sweep::pool_shard_executor(*pool));
-  m.single_events = run_pdes_point(single_ws, 1).events;            // warm
-  m.sharded_events = run_pdes_point(sharded_ws, kPdesShards).events;  // warm
-  m.rounds = sharded_ws.pdes_rounds();
-  m.messages = sharded_ws.pdes_messages();
-  m.single_wall = m.sharded_wall = std::numeric_limits<double>::infinity();
-  for (int r = 0; r < reps; ++r) {
-    m.single_wall = std::min(m.single_wall, run_pdes_point(single_ws, 1).wall);
-    m.sharded_wall =
-        std::min(m.sharded_wall, run_pdes_point(sharded_ws, kPdesShards).wall);
-  }
-  return m;
-}
-
 // --- multi-process campaign A/B (mirror tests/sweep, DESIGN.md §15) ------
 
 /// The campaign target grid: one fast-backend fig. 6 slice with enough
@@ -981,10 +813,6 @@ int main(int argc, char** argv) {
   std::string scale_baseline_path;
   std::string fluid_out_path = "BENCH_fluid.json";
   std::string fluid_baseline_path;
-  std::string pdes_out_path = "BENCH_pdes.json";
-  std::string pdes_baseline_path;
-  std::string replicate_out_path = "BENCH_replicate.json";
-  std::string replicate_baseline_path;
   std::string campaign_out_path = "BENCH_campaign.json";
   std::string campaign_baseline_path;
   std::string fluid_surface_path;
@@ -1013,15 +841,6 @@ int main(int argc, char** argv) {
       fluid_out_path = argv[++i];
     } else if (std::strcmp(argv[i], "--fluid-baseline") == 0 && i + 1 < argc) {
       fluid_baseline_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--pdes-out") == 0 && i + 1 < argc) {
-      pdes_out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--pdes-baseline") == 0 && i + 1 < argc) {
-      pdes_baseline_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--replicate-out") == 0 && i + 1 < argc) {
-      replicate_out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--replicate-baseline") == 0 &&
-               i + 1 < argc) {
-      replicate_baseline_path = argv[++i];
     } else if (std::strcmp(argv[i], "--campaign-out") == 0 && i + 1 < argc) {
       campaign_out_path = argv[++i];
     } else if (std::strcmp(argv[i], "--campaign-baseline") == 0 &&
@@ -1043,8 +862,6 @@ int main(int argc, char** argv) {
                    "[--sweep-out FILE] [--sweep-baseline FILE] "
                    "[--scale-out FILE] [--scale-baseline FILE] "
                    "[--fluid-out FILE] [--fluid-baseline FILE] "
-                   "[--pdes-out FILE] [--pdes-baseline FILE] "
-                   "[--replicate-out FILE] [--replicate-baseline FILE] "
                    "[--campaign-out FILE] [--campaign-baseline FILE] "
                    "[--fluid-surface-out FILE] "
                    "[--check] [--reps N] [--skip-sweep]\n");
@@ -1053,8 +870,7 @@ int main(int argc, char** argv) {
   }
   if (check && baseline_path.empty() && datapath_baseline_path.empty() &&
       sweep_baseline_path.empty() && scale_baseline_path.empty() &&
-      fluid_baseline_path.empty() && pdes_baseline_path.empty() &&
-      replicate_baseline_path.empty() && campaign_baseline_path.empty()) {
+      fluid_baseline_path.empty() && campaign_baseline_path.empty()) {
     std::fprintf(stderr, "bench_report: --check requires a baseline\n");
     return 2;
   }
@@ -1160,46 +976,6 @@ int main(int argc, char** argv) {
           ? fluid_simd.ref_binned_wall / fluid_simd.vec_binned_wall
           : 0.0;
 
-  // PDES family: the same 10 Gbps / 10k-flow scenario on one scheduler and
-  // on four shards (interleaved A/B). The gated metric is the sharded arm's
-  // event throughput; the walls, event counts, engine telemetry, and the
-  // speedup ride along. The >= 3x floor gates only on >= 4-thread hosts.
-  const PdesMeasurement pdes = measure_pdes(std::max(2, reps / 2));
-  const double pdes_speedup =
-      pdes.sharded_wall > 0.0 ? pdes.single_wall / pdes.sharded_wall : 0.0;
-  std::vector<Micro> pdes_micros = {
-      {"pdes_shard4_10000f_10g_events_per_sec",
-       static_cast<double>(pdes.sharded_events)},
-  };
-  pdes_micros[0].rate =
-      static_cast<double>(pdes.sharded_events) / pdes.sharded_wall;
-
-  // Replicate family: the fig. 6 quick grid point's R = 8 replicates,
-  // sequential vs one warm ReplicateBatch, on the packet and fluid tiers.
-  // The gated metrics are the batched replicate throughputs; the walls and
-  // speedups ride along, and under --check the fluid-tier speedup must
-  // clear kReplicateSpeedupFloor.
-  const ReplicateMeasurement replicate_packet =
-      measure_replicates(Backend::kFull, std::max(2, reps / 2));
-  const ReplicateMeasurement replicate_fluid =
-      measure_replicates(Backend::kFluid, reps);
-  const double replicate_packet_speedup =
-      replicate_packet.batched_wall > 0.0
-          ? replicate_packet.sequential_wall / replicate_packet.batched_wall
-          : 0.0;
-  const double replicate_fluid_speedup =
-      replicate_fluid.batched_wall > 0.0
-          ? replicate_fluid.sequential_wall / replicate_fluid.batched_wall
-          : 0.0;
-  std::vector<Micro> replicate_micros = {
-      {"replicate_packet_batched_items_per_sec", kReplicateCount},
-      {"replicate_fluid_batched_items_per_sec", kReplicateCount},
-  };
-  replicate_micros[0].rate =
-      static_cast<double>(kReplicateCount) / replicate_packet.batched_wall;
-  replicate_micros[1].rate =
-      static_cast<double>(kReplicateCount) / replicate_fluid.batched_wall;
-
   // Campaign family: cold 1-worker vs cold kCampaignWorkers-worker campaign
   // over a shared CampaignStore, plus an all-hit resume. The gated metric
   // is the multi-worker cold campaign's task throughput; the walls, the
@@ -1275,67 +1051,6 @@ int main(int argc, char** argv) {
       Entry{"fluid_binned_speedup_vs_ref", fluid_binned_speedup});
   fluid_entries.push_back(
       Entry{"fluid_binned_speedup_floor", kFluidBinnedSpeedupFloor});
-  std::vector<Entry> pdes_entries;
-  for (const Micro& m : pdes_micros) {
-    std::printf("%-36s %12.0f events/s\n", m.key, m.rate);
-    pdes_entries.push_back(Entry{m.key, m.rate});
-  }
-  std::printf("pdes_10000f_10g: shards=1 %.3f s (%llu events), shards=%d "
-              "%.3f s (%llu events, %llu rounds, %llu messages, %d-thread "
-              "executor), speedup %.2fx (floor %.0fx on >= %u threads)\n",
-              pdes.single_wall,
-              static_cast<unsigned long long>(pdes.single_events), kPdesShards,
-              pdes.sharded_wall,
-              static_cast<unsigned long long>(pdes.sharded_events),
-              static_cast<unsigned long long>(pdes.rounds),
-              static_cast<unsigned long long>(pdes.messages),
-              pdes.executor_threads, pdes_speedup, kPdesSpeedupFloor,
-              kPdesFloorMinThreads);
-  pdes_entries.push_back(Entry{"pdes_shard1_wall_seconds", pdes.single_wall});
-  pdes_entries.push_back(
-      Entry{"pdes_shard4_wall_seconds", pdes.sharded_wall});
-  pdes_entries.push_back(Entry{"pdes_shard1_events",
-                               static_cast<double>(pdes.single_events)});
-  pdes_entries.push_back(Entry{"pdes_shard4_events",
-                               static_cast<double>(pdes.sharded_events)});
-  pdes_entries.push_back(
-      Entry{"pdes_rounds", static_cast<double>(pdes.rounds)});
-  pdes_entries.push_back(
-      Entry{"pdes_messages", static_cast<double>(pdes.messages)});
-  pdes_entries.push_back(Entry{"pdes_executor_threads",
-                               static_cast<double>(pdes.executor_threads)});
-  pdes_entries.push_back(Entry{"pdes_speedup_vs_shard1", pdes_speedup});
-  pdes_entries.push_back(Entry{"pdes_speedup_floor", kPdesSpeedupFloor});
-  std::vector<Entry> replicate_entries;
-  for (const Micro& m : replicate_micros) {
-    std::printf("%-36s %12.2f replicates/s\n", m.key, m.rate);
-    replicate_entries.push_back(Entry{m.key, m.rate});
-  }
-  std::printf("replicate_packet R=%d: sequential %.3f s, batched %.3f s, "
-              "speedup %.2fx (informational)\n",
-              kReplicateCount, replicate_packet.sequential_wall,
-              replicate_packet.batched_wall, replicate_packet_speedup);
-  std::printf("replicate_fluid  R=%d: sequential %.6f s, batched %.6f s, "
-              "speedup %.2fx (floor %.1fx)\n",
-              kReplicateCount, replicate_fluid.sequential_wall,
-              replicate_fluid.batched_wall, replicate_fluid_speedup,
-              kReplicateSpeedupFloor);
-  replicate_entries.push_back(Entry{"replicate_count",
-                                    static_cast<double>(kReplicateCount)});
-  replicate_entries.push_back(Entry{"replicate_packet_sequential_wall_seconds",
-                                    replicate_packet.sequential_wall});
-  replicate_entries.push_back(Entry{"replicate_packet_batched_wall_seconds",
-                                    replicate_packet.batched_wall});
-  replicate_entries.push_back(Entry{"replicate_packet_batched_speedup",
-                                    replicate_packet_speedup});
-  replicate_entries.push_back(Entry{"replicate_fluid_sequential_wall_seconds",
-                                    replicate_fluid.sequential_wall});
-  replicate_entries.push_back(Entry{"replicate_fluid_batched_wall_seconds",
-                                    replicate_fluid.batched_wall});
-  replicate_entries.push_back(Entry{"replicate_fluid_batched_speedup",
-                                    replicate_fluid_speedup});
-  replicate_entries.push_back(Entry{"replicate_speedup_floor",
-                                    kReplicateSpeedupFloor});
   std::vector<Entry> campaign_entries;
   for (const Micro& m : campaign_micros) {
     std::printf("%-36s %12.2f tasks/s\n", m.key, m.rate);
@@ -1454,22 +1169,14 @@ int main(int argc, char** argv) {
     regressions += apply_baseline(fluid_baseline_path, fluid_micros, check,
                                   fluid_entries);
   }
-  if (!pdes_baseline_path.empty()) {
-    regressions += apply_baseline(pdes_baseline_path, pdes_micros, check,
-                                  pdes_entries);
-  }
-  if (!replicate_baseline_path.empty()) {
-    regressions += apply_baseline(replicate_baseline_path, replicate_micros,
-                                  check, replicate_entries);
-  }
   if (!campaign_baseline_path.empty()) {
     regressions += apply_baseline(campaign_baseline_path, campaign_micros,
                                   check, campaign_entries);
   }
   if (check) {
-    // The campaign contract (DESIGN.md §15). The speedup half mirrors the
-    // PDES floor: same-machine ratio, gated directly, skipped out loud on
-    // hosts that cannot run 4 workers in parallel. The resume half —
+    // The campaign contract (DESIGN.md §15). The speedup half is a
+    // same-machine ratio, gated directly, skipped out loud on hosts that
+    // cannot run 4 workers in parallel. The resume half —
     // all-hit, byte-identical merged CSV, no failures — is pure protocol
     // correctness and gates everywhere.
     const unsigned threads = std::thread::hardware_concurrency();
@@ -1492,34 +1199,6 @@ int main(int argc, char** argv) {
                    "resume simulated %zu, csv %s)\n",
                    campaign.ok ? 1 : 0, campaign.resume_simulated,
                    campaign.csv_identical ? "identical" : "diverged");
-      ++regressions;
-    }
-  }
-  if (check && replicate_fluid_speedup < kReplicateSpeedupFloor) {
-    // Same-machine floor like the fluid and PDES ones (DESIGN.md §14): the
-    // batch's once-per-point fluid solve must actually pay off.
-    std::fprintf(stderr,
-                 "REGRESSION: fluid-tier batched replicates are only %.2fx "
-                 "faster than sequential at R=%d (floor: %.1fx)\n",
-                 replicate_fluid_speedup, kReplicateCount,
-                 kReplicateSpeedupFloor);
-    ++regressions;
-  }
-  if (check) {
-    // Satellite gate (DESIGN.md §13): the sharded run must actually be
-    // parallel where the hardware allows it. A same-machine ratio like the
-    // fluid floor, so it gates directly rather than via the baseline — and
-    // a single-core runner (hardware_concurrency < kPdesFloorMinThreads)
-    // skips it out loud instead of failing on physics.
-    const unsigned threads = std::thread::hardware_concurrency();
-    if (threads < kPdesFloorMinThreads) {
-      std::printf("pdes speedup floor skipped: %u hardware thread(s) < %u\n",
-                  threads, kPdesFloorMinThreads);
-    } else if (pdes_speedup < kPdesSpeedupFloor) {
-      std::fprintf(stderr,
-                   "REGRESSION: shards=%d run is only %.2fx faster than "
-                   "shards=1 (floor: %.0fx on %u threads)\n",
-                   kPdesShards, pdes_speedup, kPdesSpeedupFloor, threads);
       ++regressions;
     }
   }
@@ -1570,11 +1249,6 @@ int main(int argc, char** argv) {
   std::printf("wrote %s\n", scale_out_path.c_str());
   write_json(fluid_out_path, "pdos-bench-fluid-v1", fluid_entries);
   std::printf("wrote %s\n", fluid_out_path.c_str());
-  write_json(pdes_out_path, "pdos-bench-pdes-v1", pdes_entries);
-  std::printf("wrote %s\n", pdes_out_path.c_str());
-  write_json(replicate_out_path, "pdos-bench-replicate-v1",
-             replicate_entries);
-  std::printf("wrote %s\n", replicate_out_path.c_str());
   write_json(campaign_out_path, "pdos-bench-campaign-v1", campaign_entries);
   std::printf("wrote %s\n", campaign_out_path.c_str());
   if (!fluid_surface_path.empty()) {
