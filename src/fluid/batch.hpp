@@ -1,7 +1,7 @@
 // Lane-batched fluid evaluation (DESIGN.md §16): solve W independent
 // grid points that share one topology (FluidConfig classes, links, AQM)
-// and one measurement window, in lockstep, with class-major × lane-minor
-// SIMD state.
+// and one measurement window, in lockstep, with chunk-major SIMD state
+// (one vector holds four lanes of one class).
 //
 // Each lane is one (attack plan) grid point — per-lane γ/T_extent/
 // R_attack via its own FluidAttack, or an unattacked baseline lane — and
@@ -16,8 +16,10 @@
 // bit for bit, on every backend (pinned by tests/fluid/batch_test.cpp).
 // The win is throughput: the per-class kernel work of all W lanes runs
 // through the same 4-wide SIMD kernels the single-point path uses for
-// its classes (kernels.hpp), amortizing the scalar driver across the
-// batch — this is what `search_confirm_gamma`'s fluid phase, run_sweep's
+// its classes (kernels.hpp), and the per-step driver (pulse phase, step
+// clipping, RED/queue balance) runs four lanes at a time from the same
+// templates the single-point path instantiates on one (solve_detail.hpp)
+// — this is what `search_confirm_gamma`'s fluid phase, run_sweep's
 // fluid tier, and bench_report's gain-surface emitter batch through.
 #pragma once
 

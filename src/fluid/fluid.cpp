@@ -36,6 +36,22 @@ void FluidConfig::validate() const {
                "FluidConfig: integration steps must be > 0");
 }
 
+void FluidAttack::validate() const {
+  PDOS_REQUIRE(textent > 0.0 && rattack > 0.0 && tspace >= 0.0 &&
+                   packet_bytes > 0,
+               "FluidAttack: invalid pulse train");
+}
+
+void FluidControl::validate(std::size_t classes) const {
+  PDOS_REQUIRE(warmup >= 0.0 && measure > 0.0,
+               "FluidControl: need warmup >= 0 and measure > 0");
+  PDOS_REQUIRE(bin_width > 0.0, "FluidControl: bin_width must be > 0");
+  if (traced_class >= 0) {
+    PDOS_REQUIRE(static_cast<std::size_t>(traced_class) < classes,
+                 "FluidControl: traced_class out of range");
+  }
+}
+
 std::vector<FluidClass> bin_classes(std::vector<FluidClass> classes,
                                     std::size_t max_classes) {
   PDOS_REQUIRE(max_classes >= 1, "bin_classes: max_classes must be >= 1");
@@ -121,20 +137,7 @@ std::vector<FluidClass> bin_classes(std::vector<FluidClass> classes,
 }
 
 double red_drop_probability(const RedParams& params, double avg) {
-  double pb;
-  if (avg < params.min_th) return 0.0;
-  if (avg < params.max_th) {
-    pb = params.max_p * (avg - params.min_th) /
-         (params.max_th - params.min_th);
-  } else if (params.gentle && avg < 2.0 * params.max_th) {
-    pb = params.max_p +
-         (1.0 - params.max_p) * (avg - params.max_th) / params.max_th;
-  } else {
-    return 1.0;
-  }
-  // Expectation of ns-2's count-spread drops: uniformized gaps of mean
-  // (1 + 1/p_b)/2 packets realize 2 p_b / (1 + p_b) drops per arrival.
-  return std::min(1.0, 2.0 * pb / (1.0 + pb));
+  return detail::red_drop_probability(params, avg);
 }
 
 AimdBank::AimdBank(const FluidConfig& config)
@@ -287,18 +290,8 @@ FluidResult solve(const FluidConfig& config,
                   const std::optional<FluidAttack>& attack,
                   const FluidControl& control) {
   config.validate();
-  PDOS_REQUIRE(control.warmup >= 0.0 && control.measure > 0.0,
-               "FluidControl: need warmup >= 0 and measure > 0");
-  if (attack) {
-    PDOS_REQUIRE(attack->textent > 0.0 && attack->rattack > 0.0 &&
-                     attack->tspace >= 0.0 && attack->packet_bytes > 0,
-                 "FluidAttack: invalid pulse train");
-  }
-  if (control.traced_class >= 0) {
-    PDOS_REQUIRE(static_cast<std::size_t>(control.traced_class) <
-                     config.classes.size(),
-                 "FluidControl: traced_class out of range");
-  }
+  control.validate(config.classes.size());
+  if (attack) attack->validate();
 
   AimdBank bank(config);
   const double capacity = config.capacity_pps();
@@ -309,6 +302,9 @@ FluidResult solve(const FluidConfig& config,
              : 0.0;
   const double atk_bytes = attack ? static_cast<double>(attack->packet_bytes)
                                   : 0.0;
+  const detail::PulseShape<double> shape{
+      attack ? attack->period() : 1.0, attack ? attack->textent : 0.0,
+      attack.has_value()};
   const double tcp_bytes = static_cast<double>(config.spacket);
   const Time horizon = control.horizon();
   // (1 - w_q)^n per arrival batch, via exp(n log(1 - w_q)) with the log
@@ -346,8 +342,7 @@ FluidResult solve(const FluidConfig& config,
       marked = true;
     }
 
-    const detail::PulsePhase phase =
-        detail::pulse_phase(attack ? &*attack : nullptr, t);
+    const detail::PulsePhase<double> phase = detail::pulse_phase(shape, t);
     const Time dt = detail::clip_step(
         t, config, phase.in_pulse, horizon, phase.next_boundary, next_sample,
         bank.next_rto_expiry(), marked, control.warmup, control.bin_width);
@@ -357,7 +352,7 @@ FluidResult solve(const FluidConfig& config,
     const double atk_rate = phase.in_pulse ? atk_pps : 0.0;
     const double total_in = offered + atk_rate;
 
-    const detail::QueueStep qs = detail::queue_step(
+    const detail::QueueStep<double> qs = detail::queue_step(
         config, ewma_log_keep, capacity, buffer, q, avg, total_in, dt);
     avg = qs.avg;
 

@@ -103,6 +103,8 @@ struct FluidAttack {
   Bytes packet_bytes = 1040;
 
   Time period() const { return textent + tspace; }
+  /// Throws ParameterError unless every field is positive (tspace >= 0).
+  void validate() const;
 };
 
 /// Measurement window, mirroring core/experiment's RunControl.
@@ -112,6 +114,10 @@ struct FluidControl {
   Time bin_width = ms(100);
   int traced_class = -1;  // >= 0: record (t, W) for that class
   Time horizon() const { return warmup + measure; }
+  /// Throws ParameterError unless warmup >= 0, measure > 0 and
+  /// bin_width > 0 (NaN fails each) and traced_class is -1 or one of the
+  /// `classes` classes. Both fluid solvers check their control with it.
+  void validate(std::size_t classes) const;
 };
 
 struct FluidResult {

@@ -18,6 +18,24 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kDupackFloor = 4.0;
 constexpr double kTimeEps = 1e-9;
 
+// The branchy scalar RED ramp fluid::red_drop_probability had at the
+// snapshot; the live one is now the shared lane template. Same values,
+// kept here so the reference's arithmetic stays frozen too.
+double ref_red_drop_probability(const RedParams& params, double avg) {
+  double pb;
+  if (avg < params.min_th) return 0.0;
+  if (avg < params.max_th) {
+    pb = params.max_p * (avg - params.min_th) /
+         (params.max_th - params.min_th);
+  } else if (params.gentle && avg < 2.0 * params.max_th) {
+    pb = params.max_p +
+         (1.0 - params.max_p) * (avg - params.max_th) / params.max_th;
+  } else {
+    return 1.0;
+  }
+  return std::min(1.0, 2.0 * pb / (1.0 + pb));
+}
+
 class RefAimdBank {
  public:
   explicit RefAimdBank(const FluidConfig& config)
@@ -250,7 +268,7 @@ FluidResult solve(const FluidConfig& config,
       avg = q + (avg - q) * std::exp(total_in * dt * ewma_log_keep);
     }
     const double p_early =
-        config.droptail ? 0.0 : red_drop_probability(config.red, avg);
+        config.droptail ? 0.0 : ref_red_drop_probability(config.red, avg);
 
     const double admitted = (1.0 - p_early) * total_in;
     double q_next = q + (admitted - capacity) * dt;

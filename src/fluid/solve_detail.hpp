@@ -1,17 +1,24 @@
-// Shared scalar per-step driver pieces of the fluid solver, factored out
-// so the single-point driver (fluid.cpp solve) and the lane-batched
-// driver (batch.cpp solve_batch) execute bit-identical arithmetic for
-// one lane's step schedule: pulse phase, step clipping, and the RED
-// EWMA / queue-balance update. Internal to src/fluid — each function is
-// inline and compiled with the same flags in both TUs, which is what
-// makes "each lane keeps its exact single-point step schedule" a bitwise
-// statement rather than an approximation (DESIGN.md §16).
+// Shared per-step driver math of the fluid solver: pulse phase, step
+// clipping, and the RED EWMA / queue-balance update, written once as
+// templates over the value type. The single-point driver (fluid.cpp
+// solve) instantiates them on `double`, one lane; the lane-batched driver
+// (batch.cpp solve_batch) on `simd::DVec`, four lanes at a time. Branches
+// of the scalar schedule are masks and blends (a blend passes the picked
+// operand's bits through untouched), every min keeps the scalar operand
+// order, and each instantiation runs the same IEEE operation sequence per
+// lane — which is what makes "each lane keeps its exact single-point step
+// schedule" a bitwise statement rather than an approximation (DESIGN.md
+// §16). Internal to src/fluid, and like kernels.hpp only for the TUs
+// compiled with the fluid SIMD flags.
 #pragma once
 
 #include <cmath>
 #include <limits>
+#include <type_traits>
+#include <utility>
 
 #include "fluid/fluid.hpp"
+#include "util/simd.hpp"
 
 namespace pdos::fluid::detail {
 
@@ -23,87 +30,166 @@ inline constexpr double kDupackFloor = 4.0;
 // discontinuity they precede.
 inline constexpr double kTimeEps = 1e-9;
 
-/// Square-wave phase at time t: inside a pulse or not, and the next
-/// discontinuity the step must not straddle.
-struct PulsePhase {
-  bool in_pulse = false;
-  Time next_boundary = kInf;
+/// Mask type of value type V: bool for double, a whole-lane DVec mask for
+/// DVec.
+template <class V>
+using MaskOf =
+    decltype(simd::cmp_lt(std::declval<V>(), std::declval<V>()));
+
+/// The constant x in every lane of V.
+template <class V>
+V bcast(double x) {
+  if constexpr (std::is_same_v<V, double>) {
+    return x;
+  } else {
+    return simd::splat(x);
+  }
+}
+
+/// libm exp, lane by lane, so every lane rounds exactly as a scalar call.
+inline double lane_exp(double x) { return std::exp(x); }
+inline simd::DVec lane_exp(simd::DVec x) {
+  double v[simd::kLanes];
+  simd::store(v, x);
+  for (double& e : v) e = std::exp(e);
+  return simd::load(v);
+}
+
+/// RED early-drop probability for an average queue of `avg` packets (see
+/// fluid::red_drop_probability, which is this on a double).
+template <class V>
+V red_drop_probability(const RedParams& p, V avg) {
+  const V zero = bcast<V>(0.0);
+  const MaskOf<V> below = simd::cmp_lt(avg, bcast<V>(p.min_th));
+  // Below min_th in every lane: nothing to ramp (the common light-load
+  // case), so skip the ramp's divisions outright.
+  if (simd::all(below)) return zero;
+  const V one = bcast<V>(1.0);
+  const V max_th = bcast<V>(p.max_th);
+  const V max_p = bcast<V>(p.max_p);
+  const MaskOf<V> linear = simd::cmp_lt(avg, max_th);
+  MaskOf<V> ramp = linear;
+  if (p.gentle) {
+    ramp = simd::vor(linear, simd::cmp_lt(avg, bcast<V>(2.0 * p.max_th)));
+  }
+  // The linear ramp max_p (avg - min_th) / (max_th - min_th) and the
+  // gentle one max_p + (1 - max_p)(avg - max_th) / max_th share one
+  // division: each lane divides its own branch's operands.
+  const V ratio =
+      simd::blend(linear, max_p * (avg - bcast<V>(p.min_th)),
+                  (one - max_p) * (avg - max_th)) /
+      simd::blend(linear, bcast<V>(p.max_th - p.min_th), max_th);
+  const V pb = simd::blend(linear, ratio, max_p + ratio);
+  // Expectation of ns-2's count-spread drops: uniformized gaps of mean
+  // (1 + 1/p_b)/2 packets realize 2 p_b / (1 + p_b) drops per arrival.
+  const V spread = simd::vmin(bcast<V>(2.0) * pb / (one + pb), one);
+  return simd::blend(below, zero, simd::blend(ramp, spread, one));
+}
+
+/// Per-lane pulse train: period textent + tspace, and which lanes are
+/// attacked at all (an unattacked lane is never in a pulse).
+template <class V>
+struct PulseShape {
+  V period;
+  V textent;
+  MaskOf<V> attacked;
 };
 
-inline PulsePhase pulse_phase(const FluidAttack* attack, Time t) {
-  PulsePhase ph;
-  if (attack != nullptr) {
-    const Time period = attack->period();
-    const double k = std::floor((t + kTimeEps) / period);
-    const Time pulse_start = k * period;
-    if (t < pulse_start + attack->textent - kTimeEps) {
-      ph.in_pulse = true;
-      ph.next_boundary = pulse_start + attack->textent;
-    } else {
-      ph.next_boundary = (k + 1.0) * period;
-    }
-  }
+/// Square-wave phase at time t: inside a pulse or not, and the next
+/// discontinuity the step must not straddle.
+template <class V>
+struct PulsePhase {
+  MaskOf<V> in_pulse;
+  V next_boundary;
+};
+
+template <class V>
+PulsePhase<V> pulse_phase(const PulseShape<V>& shape, V t) {
+  // No lane attacked (a baseline solve): never in a pulse, no pulse edge.
+  if (!simd::any(shape.attacked)) return {shape.attacked, bcast<V>(kInf)};
+  const V eps = bcast<V>(kTimeEps);
+  const V k = simd::vfloor((t + eps) / shape.period);
+  const V pulse_start = k * shape.period;
+  PulsePhase<V> ph;
+  ph.in_pulse = simd::vand(
+      shape.attacked, simd::cmp_lt(t, pulse_start + shape.textent - eps));
+  ph.next_boundary = simd::blend(
+      shape.attacked,
+      simd::blend(ph.in_pulse, pulse_start + shape.textent,
+                  (k + bcast<V>(1.0)) * shape.period),
+      bcast<V>(kInf));
   return ph;
 }
 
 /// Step size for the current phase, clipped so no step straddles a pulse
 /// edge, an RTO expiry, a sample instant, a bin edge, the warmup mark, or
 /// the horizon.
-inline Time clip_step(Time t, const FluidConfig& config, bool in_pulse,
-                      Time horizon, Time next_boundary, Time next_sample,
-                      Time rto_expiry, bool marked, Time warmup,
-                      Time bin_width) {
-  Time dt = in_pulse ? config.dt_pulse : config.dt_idle;
-  dt = std::min(dt, horizon - t);
-  dt = std::min(dt, next_boundary - t);
-  dt = std::min(dt, next_sample - t);
-  if (rto_expiry > t + kTimeEps) dt = std::min(dt, rto_expiry - t);
-  if (!marked) dt = std::min(dt, warmup - t);
-  const Time next_edge =
-      (std::floor(t / bin_width + kTimeEps) + 1.0) * bin_width;
-  dt = std::min(dt, next_edge - t);
-  if (dt < kTimeEps) dt = kTimeEps;
-  return dt;
+template <class V>
+V clip_step(V t, const FluidConfig& config, MaskOf<V> in_pulse,
+            Time horizon, V next_boundary, V next_sample, V rto_expiry,
+            MaskOf<V> marked, Time warmup, Time bin_width) {
+  const V eps = bcast<V>(kTimeEps);
+  const V width = bcast<V>(bin_width);
+  V dt = simd::blend(in_pulse, bcast<V>(config.dt_pulse),
+                     bcast<V>(config.dt_idle));
+  dt = simd::vmin(bcast<V>(horizon) - t, dt);
+  dt = simd::vmin(next_boundary - t, dt);
+  dt = simd::vmin(next_sample - t, dt);
+  dt = simd::blend(simd::cmp_gt(rto_expiry, t + eps),
+                   simd::vmin(rto_expiry - t, dt), dt);
+  dt = simd::blend(marked, dt, simd::vmin(bcast<V>(warmup) - t, dt));
+  const V next_edge =
+      (simd::vfloor(t / width + eps) + bcast<V>(1.0)) * width;
+  dt = simd::vmin(next_edge - t, dt);
+  return simd::blend(simd::cmp_lt(dt, eps), eps, dt);
 }
 
 /// RED EWMA + queue balance over one step: updated average, early-drop
 /// probability, admitted rate, next queue level, and the forced-drop
 /// fraction the overflow converts into.
+template <class V>
 struct QueueStep {
-  double avg = 0.0;
-  double p_early = 0.0;
-  double admitted = 0.0;
-  double q_next = 0.0;
-  double forced_frac = 0.0;
+  V avg;
+  V p_early;
+  V admitted;
+  V q_next;
+  V forced_frac;
 };
 
-inline QueueStep queue_step(const FluidConfig& config, double ewma_log_keep,
-                            double capacity, double buffer, double q,
-                            double avg, double total_in, Time dt) {
-  QueueStep s;
-  // RED's estimator sees every arrival at the current backlog: n arrivals
-  // move avg toward q by (1 - w_q)^n.
-  if (!config.droptail && total_in > 0.0) {
-    avg = q + (avg - q) * std::exp(total_in * dt * ewma_log_keep);
+template <class V>
+QueueStep<V> queue_step(const FluidConfig& config, double ewma_log_keep,
+                        double capacity, double buffer, V q, V avg,
+                        V total_in, V dt) {
+  const V zero = bcast<V>(0.0);
+  const V cap = bcast<V>(buffer);
+  QueueStep<V> s;
+  if (!config.droptail) {
+    // RED's estimator sees every arrival at the current backlog: n
+    // arrivals move avg toward q by (1 - w_q)^n.
+    avg = simd::blend(
+        simd::cmp_gt(total_in, zero),
+        q + (avg - q) *
+                lane_exp(total_in * dt * bcast<V>(ewma_log_keep)),
+        avg);
+    s.p_early = red_drop_probability(config.red, avg);
+  } else {
+    s.p_early = zero;
   }
   s.avg = avg;
-  s.p_early =
-      config.droptail ? 0.0 : red_drop_probability(config.red, avg);
   // Queue balance over the step; overflow converts into a forced-drop
   // fraction applied uniformly to the step's admitted fluid.
-  s.admitted = (1.0 - s.p_early) * total_in;
-  double q_next = q + (s.admitted - capacity) * dt;
-  double forced_frac = 0.0;
-  if (q_next > buffer) {
-    const double inflow = s.admitted * dt;
-    if (inflow > 0.0) {
-      forced_frac = std::min(1.0, (q_next - buffer) / inflow);
-    }
-    q_next = buffer;
+  s.admitted = (bcast<V>(1.0) - s.p_early) * total_in;
+  V q_next = q + (s.admitted - bcast<V>(capacity)) * dt;
+  s.forced_frac = zero;
+  const MaskOf<V> over = simd::cmp_gt(q_next, cap);
+  if (simd::any(over)) {  // else every lane keeps q_next and no forced drop
+    const V inflow = s.admitted * dt;
+    s.forced_frac = simd::blend(
+        simd::vand(over, simd::cmp_gt(inflow, zero)),
+        simd::vmin((q_next - cap) / inflow, bcast<V>(1.0)), zero);
+    q_next = simd::blend(over, cap, q_next);
   }
-  if (q_next < 0.0) q_next = 0.0;
-  s.q_next = q_next;
-  s.forced_frac = forced_frac;
+  s.q_next = simd::blend(simd::cmp_lt(q_next, zero), zero, q_next);
   return s;
 }
 

@@ -28,6 +28,7 @@
 // ambient flags would enable AVX2/NEON.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -68,6 +69,9 @@ inline DVec operator*(DVec a, DVec b) { return {_mm256_mul_pd(a.v, b.v)}; }
 inline DVec operator/(DVec a, DVec b) { return {_mm256_div_pd(a.v, b.v)}; }
 inline DVec vmin(DVec a, DVec b) { return {_mm256_min_pd(a.v, b.v)}; }
 inline DVec vmax(DVec a, DVec b) { return {_mm256_max_pd(a.v, b.v)}; }
+inline DVec vfloor(DVec a) {
+  return {_mm256_round_pd(a.v, _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC)};
+}
 
 inline DVec cmp_lt(DVec a, DVec b) {
   return {_mm256_cmp_pd(a.v, b.v, _CMP_LT_OQ)};
@@ -134,6 +138,7 @@ inline DVec vmin(DVec a, DVec b) {
 inline DVec vmax(DVec a, DVec b) {
   return {vmaxq_f64(a.lo, b.lo), vmaxq_f64(a.hi, b.hi)};
 }
+inline DVec vfloor(DVec a) { return {vrndmq_f64(a.lo), vrndmq_f64(a.hi)}; }
 
 inline DVec cmp_lt(DVec a, DVec b) {
   return {vreinterpretq_f64_u64(vcltq_f64(a.lo, b.lo)),
@@ -248,6 +253,11 @@ inline DVec vmax(DVec a, DVec b) {
   }
   return r;
 }
+inline DVec vfloor(DVec a) {
+  DVec r;
+  for (std::size_t i = 0; i < kLanes; ++i) r.v[i] = std::floor(a.v[i]);
+  return r;
+}
 
 inline DVec cmp_lt(DVec a, DVec b) {
   DVec r;
@@ -331,5 +341,26 @@ inline unsigned mask_count(unsigned bits) {
   for (; bits != 0; bits &= bits - 1) ++n;
   return n;
 }
+
+// One lane on a plain double, masks as bool: the same surface, so code
+// templated over the value type (src/fluid/solve_detail.hpp) runs one
+// lane as `double` and four as `DVec` from one source. Each overload is
+// the scalar statement its vector twin computes per lane; vmin(a, b) is
+// `a < b ? a : b`, the operand order _mm256_min_pd picks by, so the
+// scalar `std::min(x, y)` (which keeps x unless y < x) is vmin(y, x).
+inline double vmin(double a, double b) { return a < b ? a : b; }
+inline double vfloor(double a) { return std::floor(a); }
+inline bool cmp_lt(double a, double b) { return a < b; }
+inline bool cmp_gt(double a, double b) { return a > b; }
+inline bool vand(bool a, bool b) { return a && b; }
+inline bool vor(bool a, bool b) { return a || b; }
+inline double blend(bool mask, double a, double b) { return mask ? a : b; }
+
+/// Whether any / every lane of a mask is true: the guards for skipping
+/// arithmetic that every lane would blend away.
+inline bool any(bool mask) { return mask; }
+inline bool any(DVec mask) { return mask_bits(mask) != 0; }
+inline bool all(bool mask) { return mask; }
+inline bool all(DVec mask) { return mask_bits(mask) == (1u << kLanes) - 1; }
 
 }  // namespace pdos::simd

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 
 #include "core/model.hpp"
@@ -182,6 +183,17 @@ TEST(RunScenarioTest, InvalidControlRejected) {
   control = quick_control();
   control.traced_flow = 99;
   EXPECT_THROW(run_scenario(config, std::nullopt, control), ParameterError);
+}
+
+TEST(RunScenarioTest, FluidBackendRejectsNonPositiveOrNanBinWidth) {
+  ScenarioConfig config = ScenarioConfig::ns2_dumbbell(5);
+  config.backend = Backend::kFluid;
+  for (Time width : {0.0, -0.1, std::nan("")}) {
+    RunControl control = quick_control();
+    control.bin_width = width;
+    EXPECT_THROW(run_scenario(config, std::nullopt, control), ParameterError)
+        << "bin_width " << width;
+  }
 }
 
 TEST(MeasureGainTest, GainComposesDegradationAndRisk) {

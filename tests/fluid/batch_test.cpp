@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <random>
 #include <sstream>
@@ -15,12 +16,16 @@
 
 #include "core/experiment.hpp"
 #include "fluid/fluid.hpp"
+#include "util/assert.hpp"
 
 namespace pdos::fluid {
 namespace {
 
-FluidConfig dumbbell_config(int flows) {
-  return make_fluid_config(ScenarioConfig::ns2_dumbbell(flows));
+FluidConfig dumbbell_config(int flows, bool droptail = false) {
+  FluidConfig config =
+      make_fluid_config(ScenarioConfig::ns2_dumbbell(flows));
+  config.droptail = droptail;
+  return config;
 }
 
 FluidControl quick_control() {
@@ -95,22 +100,35 @@ void expect_batch_matches_single(const FluidConfig& config,
 }
 
 TEST(SolveBatchTest, GammaGridLanesMatchSinglePointBitForBit) {
-  const FluidConfig config = dumbbell_config(15);
   std::vector<BatchLane> lanes;
   for (double gamma : {0.15, 0.3, 0.45, 0.6, 0.75, 0.85, 0.9, 0.95}) {
     lanes.push_back({attack_at(ms(50), mbps(25), gamma)});
   }
-  expect_batch_matches_single(config, lanes, quick_control());
+  for (bool droptail : {false, true}) {
+    SCOPED_TRACE(droptail ? "DropTail" : "RED");
+    expect_batch_matches_single(dumbbell_config(15, droptail), lanes,
+                                quick_control());
+  }
 }
 
 TEST(SolveBatchTest, BaselineAndAttackLanesMix) {
-  const FluidConfig config = dumbbell_config(9);
   std::vector<BatchLane> lanes;
   lanes.push_back({std::nullopt});  // unattacked baseline lane
   lanes.push_back({attack_at(ms(50), mbps(25), 0.5)});
   lanes.push_back({std::nullopt});
   lanes.push_back({attack_at(ms(100), mbps(40), 0.8)});
-  expect_batch_matches_single(config, lanes, quick_control());
+  // warmup = 0 marks every lane before its first step.
+  FluidControl no_warmup = quick_control();
+  no_warmup.warmup = 0.0;
+  for (bool droptail : {false, true}) {
+    for (const FluidControl& control : {quick_control(), no_warmup}) {
+      SCOPED_TRACE(testing::Message()
+                   << (droptail ? "DropTail" : "RED") << " warmup "
+                   << control.warmup);
+      expect_batch_matches_single(dumbbell_config(9, droptail), lanes,
+                                  control);
+    }
+  }
 }
 
 TEST(SolveBatchTest, PaddedTailWidthsMatch) {
@@ -168,6 +186,12 @@ TEST(SolveBatchTest, RtoAndDupackFloorBranchesCovered) {
   EXPECT_GT(batch[0].timeouts, 0u)
       << "severe lane must actually hit the RTO branch for this test to "
          "cover it";
+  // The severe lane also overflows the buffer (the forced-drop blend) and
+  // drives RED's average past max_th (the gentle ramp).
+  EXPECT_GT(batch[0].forced_dropped_packets, 0.0);
+  EXPECT_GE(*std::max_element(batch[0].red_avg_samples.begin(),
+                              batch[0].red_avg_samples.end()),
+            config.red.max_th);
   expect_batch_matches_single(config, lanes, quick_control());
 }
 
@@ -235,6 +259,18 @@ TEST(SolveBatchTest, DeterministicAcrossCalls) {
   const auto b = solve_batch(config, lanes, quick_control());
   for (std::size_t l = 0; l < lanes.size(); ++l) {
     expect_result_bits_equal(a[l], b[l], l);
+  }
+}
+
+TEST(SolveBatchTest, RejectsNonPositiveOrNanBinWidth) {
+  const FluidConfig config = dumbbell_config(5);
+  const std::vector<BatchLane> lanes = {{std::nullopt},
+                                        {attack_at(ms(50), mbps(25), 0.5)}};
+  for (Time width : {0.0, -0.1, std::nan("")}) {
+    FluidControl control = quick_control();
+    control.bin_width = width;
+    EXPECT_THROW(solve_batch(config, lanes, control), ParameterError)
+        << "bin_width " << width;
   }
 }
 

@@ -268,6 +268,21 @@ TEST(FluidConfigTest, ValidateRejectsNonsense) {
   EXPECT_THROW(config.validate(), ParameterError);
 }
 
+TEST(FluidControlTest, SolveRejectsNonPositiveOrNanBinWidth) {
+  // A zero width never advances the sampling instant and a negative one
+  // sizes the bin vectors from a negative count: the control check must
+  // stop both (and NaN) before the solver starts.
+  const FluidConfig config = dumbbell_config(5);
+  for (Time width : {0.0, -0.1, std::nan("")}) {
+    FluidControl control;
+    control.warmup = sec(1);
+    control.measure = sec(2);
+    control.bin_width = width;
+    EXPECT_THROW(solve(config, std::nullopt, control), ParameterError)
+        << "bin_width " << width;
+  }
+}
+
 TEST(AimdBankTest, WindowsGrowWithoutLossAndHalveUnderPressure) {
   FluidConfig config = dumbbell_config(15);
   AimdBank bank(config);

@@ -132,15 +132,14 @@ constexpr double kFluidSpeedupFloor = 100.0;
 // measure and report the pair, and print a skip line instead of gating:
 // without lane hardware the scalar kernels cannot owe a vector win.
 //
-// The floors are deliberately far below the naive 4-lane ideal, because
-// the ratios are Amdahl-bound, not kernel-bound (DESIGN.md §16): every
-// lane-step pays a ~50-60 ns scalar driver (libm exp, RED bookkeeping,
-// step clipping) that vectorization cannot touch — half the step at the
-// γ-grid's 15 classes — and the refbench denominator is itself SSE2
-// auto-vectorized with branchy fast paths, so the marginal per-class
-// ratio saturates near 1.6x at 64+ classes. Measured on the 1-core AVX2
-// host: grid 1.20-1.31x, binned 1.38-1.58x across runs; the floors sit
-// under the worst observed run with margin for host noise.
+// The floors are deliberately far below the naive 4-lane ideal
+// (DESIGN.md §16): every lane-step still pays a per-step driver (libm exp
+// per lane, RED bookkeeping, step clipping) and the single-point binned
+// solve runs it one lane at a time, and the refbench denominator is
+// itself SSE2 auto-vectorized with branchy fast paths. Measured on the
+// 1-core AVX2 host when the floors were set: grid 1.20-1.31x, binned
+// 1.38-1.58x across runs; the floors sit under the worst observed run
+// with margin for host noise.
 constexpr double kFluidBatchSpeedupFloor = 1.10;
 constexpr double kFluidBinnedSpeedupFloor = 1.25;
 constexpr int kFluidBatchWidth = 8;
