@@ -36,7 +36,6 @@
 #include "detect/rate_detector.hpp"
 #include "io/csv.hpp"
 #include "io/gnuplot.hpp"
-#include "io/trace.hpp"
 #include "net/droptail.hpp"
 #include "net/link.hpp"
 #include "net/node.hpp"

@@ -19,24 +19,6 @@ namespace pdos::sweep {
 
 namespace {
 
-void fill_from_cache(PointResult& slot, const CachedPoint& hit) {
-  slot.c_psi = hit.c_psi;
-  slot.analytic_degradation = hit.analytic_degradation;
-  slot.analytic_gain = hit.analytic_gain;
-  slot.shrew = hit.shrew;
-  slot.baseline_goodput = hit.baseline_goodput;
-  slot.goodput = hit.goodput;
-  slot.measured_degradation = hit.measured_degradation;
-  slot.measured_gain = hit.measured_gain;
-  slot.utilization = hit.utilization;
-  slot.fairness = hit.fairness;
-  slot.timeouts = hit.timeouts;
-  slot.fast_recoveries = hit.fast_recoveries;
-  slot.attack_packets = hit.attack_packets;
-  slot.events = hit.events;
-  slot.status = PointStatus::kOk;
-}
-
 /// Insert every task key of `spec` (points + deduped baselines) into `keys`.
 void collect_task_keys(const SweepSpec& spec,
                        std::unordered_set<std::uint64_t>& keys) {
@@ -140,9 +122,8 @@ SweepResult replay_from_store(const SweepSpec& spec, const PointStore& store) {
     slot.index = i;
     slot.point = points[i];
     slot.seed = replicate_seed(spec.base_seed, points[i].replicate);
-    CachedPoint hit;
-    if (store.lookup_point(keys.point(slot.point, slot.seed), hit)) {
-      fill_from_cache(slot, hit);
+    if (store.lookup_point(keys.point(slot.point, slot.seed), slot)) {
+      slot.status = PointStatus::kOk;
       ++result.cache_hits;
     }
   }

@@ -9,13 +9,14 @@
 // shared memory, no sockets, so workers can be independent OS processes
 // (or, later, NFS peers).
 //
-// Layout: a directory of 16 append-only segment files, `seg-0` … `seg-f`,
-// keyed by the top 4 bits of the 64-bit content hash. Sharding bounds
-// lock contention (two workers only collide when their keys share a
-// prefix) and keeps each file small enough that compaction and re-scans
-// stay cheap. Each segment is line-oriented with the same P/B record
-// format (and the same %.17g bit-exact doubles) as the single-file cache,
-// plus two coordination record kinds:
+// Layout: a directory of 16 append-only segment files, `seg-0` … `seg-f`
+// (header `pdos-campaign-seg-v1`), keyed by the top 4 bits of the 64-bit
+// content hash. Sharding bounds lock contention (two workers only collide
+// when their keys share a prefix) and keeps each file small enough that
+// compaction and re-scans stay cheap. The files, their scans and appends
+// and the in-memory index are `SegmentStore`'s (point_cache.hpp), shared
+// with the single-file cache: the same P/B record format (and the same
+// %.17g bit-exact doubles), plus two coordination record kinds:
 //
 //   P <key> <outputs…>          completed point        (point_cache.hpp)
 //   B <key> <goodput>           completed baseline
@@ -41,27 +42,23 @@
 // longer goodput) load as a wrong result and mark the key done. A killed
 // worker thus loses its one unfinished record, never a finished one.
 //
-// An in-memory index (maps keyed by the content hash) answers lookups
-// without I/O; `refresh()` incrementally folds in segment bytes appended
-// by other processes since the last scan (tracked by per-segment offset).
-// `compact()` rewrites each segment in place, dropping lease/release
-// records and duplicate results — run it when the campaign is quiescent
-// (concurrent appends are serialized by the lock and survive, but a crash
-// mid-compaction can lose records, which only costs re-simulation).
+// The in-memory index answers lookups without I/O; `refresh()`
+// incrementally folds in segment bytes appended by other processes since
+// the last scan (tracked by per-segment offset). `compact()` rewrites each
+// segment in place, dropping lease/release records and duplicate results —
+// run it when the campaign is quiescent (concurrent appends are serialized
+// by the lock and survive, but a crash mid-compaction can lose records,
+// which only costs re-simulation).
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <string_view>
-#include <unordered_map>
-#include <vector>
 
 #include "sweep/point_cache.hpp"
 
 namespace pdos::sweep {
 
-class CampaignStore : public PointStore {
+class CampaignStore : public SegmentStore {
  public:
   /// Open (creating if needed) the store directory at `dir`. `lease_ttl`
   /// is the wall-clock lifetime of a work claim in seconds: a worker that
@@ -70,16 +67,6 @@ class CampaignStore : public PointStore {
   /// slowest expected single point; expiry only costs duplicated work,
   /// never wrong results (both workers compute identical bytes).
   explicit CampaignStore(std::string dir, double lease_ttl_seconds = 120.0);
-  ~CampaignStore() override;
-
-  CampaignStore(const CampaignStore&) = delete;
-  CampaignStore& operator=(const CampaignStore&) = delete;
-
-  bool lookup_point(std::uint64_t key, CachedPoint& out) const override;
-  bool lookup_baseline(std::uint64_t key, double& goodput) const override;
-  void store_point(std::uint64_t key, const CachedPoint& value) override;
-  void store_baseline(std::uint64_t key, double goodput) override;
-  std::size_t size() const override;
 
   ClaimStatus claim_point(std::uint64_t key) override;
   ClaimStatus claim_baseline(std::uint64_t key) override;
@@ -97,44 +84,19 @@ class CampaignStore : public PointStore {
   const std::string& dir() const { return dir_; }
   /// This process's lease owner token (pid ⊕ random), for tests/logs.
   std::uint64_t owner() const { return owner_; }
-  std::size_t segments() const;
+  std::size_t segments() const { return segments_.size(); }
   /// Path of the segment file holding `key`.
-  std::string segment_path(std::uint64_t key) const;
-
- private:
-  struct Lease {
-    std::uint64_t owner = 0;
-    double expiry = 0.0;  // epoch seconds
-  };
-  struct Segment {
-    std::string path;
-    int fd = -1;          // append fd, opened lazily
-    std::uint64_t scanned = 0;  // bytes consumed by incremental scans
-    bool header_ok = false;     // header line verified (or written by us)
-    bool rewrite = false;       // foreign header: truncate on first append
-  };
-
-  static constexpr int kSegments = 16;
-  static int segment_of(std::uint64_t key) {
-    return static_cast<int>(key >> 60);
+  std::string segment_path(std::uint64_t key) const {
+    return segments_[segment_index(key)].path;
   }
 
-  // All private helpers assume mutex_ is held.
-  bool ensure_open(Segment& seg);
-  void scan_segment(Segment& seg);
-  void apply_line(std::string_view line);
-  void append_locked(Segment& seg, const std::string& line);
+ private:
   ClaimStatus claim(std::uint64_t key, bool baseline);
   void release(std::uint64_t key);
 
   std::string dir_;
   double lease_ttl_;
   std::uint64_t owner_;
-  mutable std::mutex mutex_;
-  std::vector<Segment> segments_;
-  std::unordered_map<std::uint64_t, CachedPoint> points_;
-  std::unordered_map<std::uint64_t, double> baselines_;
-  std::unordered_map<std::uint64_t, Lease> leases_;
 };
 
 }  // namespace pdos::sweep

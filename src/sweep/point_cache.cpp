@@ -11,8 +11,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 
 #include "util/assert.hpp"
 
@@ -304,6 +302,13 @@ bool parse_release_record(std::string_view text, std::uint64_t& key,
   return FieldReader(text).hex(key).hex(owner).done();
 }
 
+namespace {
+
+/// Cut a torn final line (a writer killed mid-record) back to the file's
+/// last '\n', or to empty when it has none, so the next record starts a
+/// fresh line and the fragment can never load as a record. Returns the
+/// resulting file size, or -1 on an I/O error. Call it under the file's
+/// exclusive flock(2).
 std::int64_t cut_torn_tail(int fd) {
   struct stat st;
   if (::fstat(fd, &st) != 0) return -1;
@@ -326,6 +331,8 @@ std::int64_t cut_torn_tail(int fd) {
   return end;
 }
 
+}  // namespace
+
 bool write_all(int fd, std::string_view bytes) {
   while (!bytes.empty()) {
     const ssize_t n = ::write(fd, bytes.data(), bytes.size());
@@ -335,53 +342,174 @@ bool write_all(int fd, std::string_view bytes) {
   return true;
 }
 
-namespace {
-
-constexpr char kHeader[] = "pdos-point-cache-v1";
-
-}  // namespace
-
-PointCache::PointCache(std::string path) : path_(std::move(path)) {
-  std::ifstream in(path_, std::ios::binary);
-  if (!in) return;  // no cache yet: start empty
-  const std::string data{std::istreambuf_iterator<char>(in),
-                         std::istreambuf_iterator<char>()};
-  std::string_view rest(data);
-  std::size_t nl = rest.find('\n');
-  if (nl == std::string_view::npos || rest.substr(0, nl) != kHeader) {
-    // Foreign or pre-v1 file: ignore it and rewrite from scratch on the
-    // first append (appending records after a bad header would make them
-    // invisible to the next load).
-    rewrite_ = true;
-    return;
+SegmentStore::SegmentStore(std::vector<std::string> paths, const char* header)
+    : header_(header), segments_(paths.size()) {
+  std::error_code ec;
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    Segment& seg = segments_[i];
+    seg.path = std::move(paths[i]);
+    // Load only files that already exist; the rest are created by the
+    // first append that lands in them.
+    if (std::filesystem::exists(seg.path, ec) && open(seg)) scan(seg);
   }
-  // Whole lines only: a final line without its '\n' is torn.
-  for (rest.remove_prefix(nl + 1);
-       (nl = rest.find('\n')) != std::string_view::npos;
-       rest.remove_prefix(nl + 1)) {
-    const std::string_view line = rest.substr(0, nl);
-    if (line.size() < 2 || line[1] != ' ') continue;
-    std::uint64_t key = 0;
-    if (line[0] == 'P') {
+}
+
+SegmentStore::~SegmentStore() {
+  for (Segment& seg : segments_) {
+    if (seg.fd >= 0) ::close(seg.fd);
+  }
+}
+
+bool SegmentStore::open(Segment& seg) {
+  if (seg.fd >= 0) return true;
+  const std::filesystem::path parent =
+      std::filesystem::path(seg.path).parent_path();
+  if (!parent.empty()) {
+    std::error_code ec;
+    std::filesystem::create_directories(parent, ec);  // best effort
+  }
+  // O_RDWR (not O_WRONLY): scans and the torn-tail cut pread(2) through the
+  // fd the appends go through, so there is exactly one handle to lock.
+  seg.fd = ::open(seg.path.c_str(), O_RDWR | O_CREAT | O_APPEND | O_CLOEXEC,
+                  0644);
+  if (seg.fd < 0) seg.fd = ::open(seg.path.c_str(), O_RDONLY | O_CLOEXEC);
+  return seg.fd >= 0;
+}
+
+void SegmentStore::apply_line(std::string_view line) {
+  if (line.size() < 2 || line[1] != ' ') return;
+  const std::string_view fields = line.substr(2);
+  std::uint64_t key = 0;
+  switch (line[0]) {
+    case 'P': {
       CachedPoint value;
-      if (parse_point_record(line.substr(2), key, value)) {
+      if (parse_point_record(fields, key, value)) {
         points_[key] = value;
+        leases_.erase(key);  // result supersedes any claim
       }
-    } else if (line[0] == 'B') {
-      double goodput = 0.0;
-      if (parse_baseline_record(line.substr(2), key, goodput)) {
-        baselines_[key] = goodput;
-      }
+      break;
     }
-    // Unknown record kinds and malformed lines are skipped, not fatal.
+    case 'B': {
+      double goodput = 0.0;
+      if (parse_baseline_record(fields, key, goodput)) {
+        baselines_[key] = goodput;
+        leases_.erase(key);
+      }
+      break;
+    }
+    case 'L': {
+      std::uint64_t owner = 0;
+      double expiry = 0.0;
+      if (parse_lease_record(fields, key, owner, expiry)) {
+        // Last lease wins: a re-claim after expiry replaces the dead one.
+        // Never shadow a result that already landed.
+        if (points_.find(key) == points_.end() &&
+            baselines_.find(key) == baselines_.end()) {
+          leases_[key] = Lease{owner, expiry};
+        }
+      }
+      break;
+    }
+    case 'R': {
+      std::uint64_t owner = 0;
+      if (parse_release_record(fields, key, owner)) {
+        const auto it = leases_.find(key);
+        if (it != leases_.end() && it->second.owner == owner) {
+          leases_.erase(it);
+        }
+      }
+      break;
+    }
+    default:
+      break;  // unknown record kinds are skipped, not fatal
   }
 }
 
-PointCache::~PointCache() {
-  if (fd_ >= 0) ::close(fd_);
+void SegmentStore::scan(Segment& seg) {
+  if (seg.rewrite) return;  // foreign file: ignored until truncated
+  struct stat st;
+  if (::fstat(seg.fd, &st) != 0) return;
+  auto size = static_cast<std::uint64_t>(st.st_size);
+  if (size < seg.scanned) {
+    // The file shrank under us (a compaction pass rewrote it): rescan from
+    // the start. Result records are idempotent facts, so re-applying them
+    // is harmless; leases age out by TTL either way.
+    seg.scanned = 0;
+    seg.header_ok = false;
+  }
+  if (size == seg.scanned) return;
+
+  std::string tail(size - seg.scanned, '\0');
+  std::size_t got = 0;
+  while (got < tail.size()) {
+    const ssize_t n = ::pread(seg.fd, tail.data() + got, tail.size() - got,
+                              static_cast<off_t>(seg.scanned + got));
+    if (n <= 0) break;
+    got += static_cast<std::size_t>(n);
+  }
+  tail.resize(got);
+
+  // Consume complete lines only; a torn tail (no final newline yet) stays
+  // unconsumed and is re-read — whole — on a later scan.
+  std::size_t begin = 0;
+  while (true) {
+    const std::size_t nl = tail.find('\n', begin);
+    if (nl == std::string::npos) break;
+    const std::string_view line(tail.data() + begin, nl - begin);
+    if (seg.scanned == 0 && begin == 0 && !seg.header_ok) {
+      if (line != header_) {
+        // Foreign or pre-v1 file: load nothing from it and truncate it on
+        // the first append (records appended after a bad header would be
+        // invisible to the next load).
+        seg.rewrite = true;
+        return;
+      }
+      seg.header_ok = true;
+    } else {
+      apply_line(line);
+    }
+    begin = nl + 1;
+  }
+  seg.scanned += begin;
 }
 
-bool PointCache::lookup_point(std::uint64_t key, CachedPoint& out) const {
+void SegmentStore::append_locked(Segment& seg, const std::string& line) {
+  if (seg.rewrite) {
+    if (::ftruncate(seg.fd, 0) != 0) return;
+    seg.rewrite = false;
+    seg.scanned = 0;
+    seg.header_ok = false;
+  }
+  // A writer killed mid-record left a partial final line: cut it, so our
+  // record starts a fresh line and the fragment never loads as a record.
+  // Scans consume whole lines only, so `scanned` never passes the cut.
+  const std::int64_t end = cut_torn_tail(seg.fd);
+  if (end < 0) return;
+  std::string out;
+  if (end == 0) {
+    out = std::string(header_) + "\n";
+    seg.header_ok = true;
+  }
+  out += line;
+  // Disk full etc. degrades to in-memory only; a partial write leaves a
+  // torn line that the next append cuts. Our own bytes need no re-parse:
+  // account them as scanned if we were current with the file (the common
+  // case: we appended under the lock right after a scan).
+  if (write_all(seg.fd, out) &&
+      static_cast<std::uint64_t>(end) == seg.scanned) {
+    seg.scanned += out.size();
+  }
+}
+
+void SegmentStore::append(std::uint64_t key, const std::string& line) {
+  Segment& seg = segments_[segment_index(key)];
+  if (!open(seg)) return;  // unopenable file: in-memory only
+  ::flock(seg.fd, LOCK_EX);
+  append_locked(seg, line);
+  ::flock(seg.fd, LOCK_UN);
+}
+
+bool SegmentStore::lookup_point(std::uint64_t key, CachedPoint& out) const {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = points_.find(key);
   if (it == points_.end()) return false;
@@ -389,7 +517,7 @@ bool PointCache::lookup_point(std::uint64_t key, CachedPoint& out) const {
   return true;
 }
 
-bool PointCache::lookup_baseline(std::uint64_t key, double& goodput) const {
+bool SegmentStore::lookup_baseline(std::uint64_t key, double& goodput) const {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = baselines_.find(key);
   if (it == baselines_.end()) return false;
@@ -397,54 +525,26 @@ bool PointCache::lookup_baseline(std::uint64_t key, double& goodput) const {
   return true;
 }
 
-void PointCache::store_point(std::uint64_t key, const CachedPoint& value) {
+void SegmentStore::store_point(std::uint64_t key, const CachedPoint& value) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (!points_.emplace(key, value).second) return;  // already recorded
-  append(format_point_record(key, value));
+  leases_.erase(key);
+  append(key, format_point_record(key, value));
 }
 
-void PointCache::store_baseline(std::uint64_t key, double goodput) {
+void SegmentStore::store_baseline(std::uint64_t key, double goodput) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (!baselines_.emplace(key, goodput).second) return;
-  append(format_baseline_record(key, goodput));
+  leases_.erase(key);
+  append(key, format_baseline_record(key, goodput));
 }
 
-std::size_t PointCache::size() const {
+std::size_t SegmentStore::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return points_.size() + baselines_.size();
 }
 
-void PointCache::append(const std::string& line) {
-  if (fd_ < 0) {
-    const std::filesystem::path parent =
-        std::filesystem::path(path_).parent_path();
-    if (!parent.empty()) {
-      std::error_code ec;
-      std::filesystem::create_directories(parent, ec);  // best effort
-    }
-    // O_RDWR (not O_WRONLY): cut_torn_tail reads the tail back.
-    int flags = O_RDWR | O_CREAT | O_APPEND | O_CLOEXEC;
-    if (rewrite_) flags |= O_TRUNC;  // foreign header: start over
-    fd_ = ::open(path_.c_str(), flags, 0644);
-    if (fd_ < 0) return;  // unwritable cache degrades to in-memory only
-    rewrite_ = false;
-  }
-  // Advisory lock so a concurrent process appending to the same file
-  // cannot interleave with this record (or with the header we may need to
-  // write first). O_APPEND makes each write(2) land atomically at the
-  // current end even without the lock; the lock closes the header race and
-  // keeps the tail-cut + header-check + write sequence atomic.
-  ::flock(fd_, LOCK_EX);
-  const std::int64_t end = cut_torn_tail(fd_);
-  if (end >= 0) {
-    std::string out;
-    if (end == 0) out = std::string(kHeader) + "\n";
-    out += line;
-    // A failed write degrades to in-memory only; a partial one leaves a
-    // torn line that the next append cuts.
-    write_all(fd_, out);
-  }
-  ::flock(fd_, LOCK_UN);
-}
+PointCache::PointCache(std::string path)
+    : SegmentStore({std::move(path)}, "pdos-point-cache-v1") {}
 
 }  // namespace pdos::sweep

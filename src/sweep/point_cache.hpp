@@ -8,10 +8,10 @@
 // dispatching a point and appends after completing one, so an interrupted
 // or repeated campaign replays as cache hits (`pdos_sweep --resume`).
 //
-// Storage is a line-oriented append-only text file: one header line, then
-// one record per entry. Doubles are written with %.17g so the reloaded
-// value is bit-exact and cached CSV output stays byte-identical to a fresh
-// run. Robustness over cleverness: a missing, truncated, or corrupt file —
+// Storage is line-oriented append-only text: one header line, then one
+// record per entry. Doubles are written with %.17g so the reloaded value
+// is bit-exact and cached CSV output stays byte-identical to a fresh run.
+// Robustness over cleverness: a missing, truncated, or corrupt file —
 // including one from an older schema — loads as empty and is rewritten by
 // subsequent appends; malformed lines are skipped, a final line without
 // its '\n' (a writer killed mid-record) never loads, and the next append
@@ -22,16 +22,14 @@
 // semantics at equal parameters — bump kPointCacheSchema when making one,
 // or delete the cache file.
 //
-// Two result stores implement the `PointStore` interface the sweep engine
-// programs against:
-//   - `PointCache` (here): one append-only file, the single-process
-//     `--resume` path. Appends go through an O_APPEND fd under an advisory
-//     flock, so even two processes accidentally pointed at the same file
-//     cannot interleave a record.
-//   - `CampaignStore` (sweep/campaign_store.hpp): a directory of hash-
-//     sharded segment files with the same record format plus lease records
-//     for multi-process work claiming — the coordination substrate for
-//     `pdos_campaign`.
+// The sweep engine programs against the `PointStore` interface. Both
+// result stores are a `SegmentStore`, which owns the files and the
+// in-memory index:
+//   - `PointCache` (here): one segment file, the single-process `--resume`
+//     path. It claims nothing and writes no lease records.
+//   - `CampaignStore` (sweep/campaign_store.hpp): a directory of 16
+//     hash-sharded segments plus lease records for multi-process work
+//     claiming — the coordination substrate for `pdos_campaign`.
 #pragma once
 
 #include <cstdint>
@@ -55,25 +53,6 @@ namespace pdos::sweep {
 /// hybrid result shifts at ULP level at identical parameters, so schema-2
 /// fluid records must not replay.
 inline constexpr int kPointCacheSchema = 3;
-
-/// The measured (and analytic) outputs of one completed point — every
-/// PointResult field the CSV/JSON writers derive from a run.
-struct CachedPoint {
-  double c_psi = 0.0;
-  double analytic_degradation = 0.0;
-  double analytic_gain = 0.0;
-  bool shrew = false;
-  double baseline_goodput = 0.0;
-  double goodput = 0.0;
-  double measured_degradation = 0.0;
-  double measured_gain = 0.0;
-  double utilization = 0.0;
-  double fairness = 0.0;
-  std::uint64_t timeouts = 0;
-  std::uint64_t fast_recoveries = 0;
-  std::uint64_t attack_packets = 0;
-  std::uint64_t events = 0;
-};
 
 /// Digest of (point axes + derived ScenarioConfig + seed + control +
 /// fingerprint) for an attack point of `spec`.
@@ -123,7 +102,7 @@ std::uint64_t scenario_digest(const char* tag, const ScenarioConfig& config,
                               const RunControl& control, const double* extra,
                               std::size_t n_extra);
 
-// Record text codecs shared by PointCache and CampaignStore: one line per
+// Record text codecs of every segment file: one line per
 // record, fields separated by one space, keys and owners as 16 hex digits,
 // doubles as %.17g (bit-exact on reload), counts as unsigned decimals:
 //
@@ -152,14 +131,8 @@ bool parse_lease_record(std::string_view text, std::uint64_t& key,
 bool parse_release_record(std::string_view text, std::uint64_t& key,
                           std::uint64_t& owner);
 
-// Append-side file helpers shared by both stores. Call them under the
-// file's exclusive flock(2).
-/// Cut a torn final line (a writer killed mid-record) back to the file's
-/// last '\n', or to empty when it has none, so the next record starts a
-/// fresh line and the fragment can never load as a record. Returns the
-/// resulting file size, or -1 on an I/O error.
-std::int64_t cut_torn_tail(int fd);
-/// write(2) all of `bytes`; false on an I/O error (disk full etc.).
+/// write(2) all of `bytes`; false on an I/O error (disk full etc.). Call it
+/// under the file's exclusive flock(2).
 bool write_all(int fd, std::string_view bytes);
 
 /// What the sweep engine needs from a result store. `PointCache` is the
@@ -203,40 +176,83 @@ class PointStore {
   virtual void refresh() {}
 };
 
-class PointCache : public PointStore {
+/// Append-only segment files of the records above and the in-memory index
+/// over them: what both stores share. A key's records live in segment
+/// `(key >> 60) % segments`. Each file starts with the store's header line.
+///   - Files open lazily: an existing one when the store opens, a missing
+///     one on its first append, which creates it and its parent
+///     directories. A file the process can read but not write opens
+///     read-only: it still loads, and appends to it fail like any I/O
+///     error, which leaves the store in-memory only.
+///   - Scans are incremental (a per-file offset) and consume whole lines
+///     only. Malformed lines and unknown record kinds are skipped. A file
+///     with a foreign header loads as empty and is truncated by its first
+///     append.
+///   - An append takes the file's exclusive flock(2), cuts a torn final
+///     line back to the last '\n', and writes the whole record in one write(2)
+///     through an O_APPEND fd, so processes sharing a file never interleave
+///     a record and each sees the others' lines whole on its next scan.
+/// Lease records (`L`/`R`) load into `leases_`; only CampaignStore writes
+/// them. All public methods are thread-safe.
+class SegmentStore : public PointStore {
  public:
-  /// Load `path` if it exists (tolerating corruption); appends create it,
-  /// including missing parent directories.
-  explicit PointCache(std::string path);
-  ~PointCache() override;
+  ~SegmentStore() override;
 
-  PointCache(const PointCache&) = delete;
-  PointCache& operator=(const PointCache&) = delete;
+  SegmentStore(const SegmentStore&) = delete;
+  SegmentStore& operator=(const SegmentStore&) = delete;
 
   bool lookup_point(std::uint64_t key, CachedPoint& out) const override;
   bool lookup_baseline(std::uint64_t key, double& goodput) const override;
-
-  /// Record a completed point/baseline: insert in memory and append to the
-  /// cache file. Appends go through an O_APPEND fd with the full record in
-  /// one write(2) under an advisory flock(2), so concurrent processes
-  /// appending to the same file cannot interleave a record (each sees the
-  /// other's lines whole on its next load). Under the lock the append
-  /// first cuts a torn final line (`cut_torn_tail`). Thread-safe.
+  /// Record a result: insert it in the index and append it to its segment.
+  /// A key already recorded keeps its first result.
   void store_point(std::uint64_t key, const CachedPoint& value) override;
   void store_baseline(std::uint64_t key, double goodput) override;
-
   std::size_t size() const override;
-  const std::string& path() const { return path_; }
 
- private:
-  void append(const std::string& line);
+ protected:
+  /// Open the segment files at `paths`, loading the ones that exist.
+  SegmentStore(std::vector<std::string> paths, const char* header);
 
-  std::string path_;
-  bool rewrite_ = false;  // existing file had a foreign header: truncate it
+  struct Lease {
+    std::uint64_t owner = 0;
+    double expiry = 0.0;  // epoch seconds
+  };
+  struct Segment {
+    std::string path;
+    int fd = -1;                // opened lazily
+    std::uint64_t scanned = 0;  // bytes consumed by incremental scans
+    bool header_ok = false;     // header line verified (or written by us)
+    bool rewrite = false;       // foreign header: truncate on first append
+  };
+
+  std::size_t segment_index(std::uint64_t key) const {
+    return static_cast<std::size_t>(key >> 60) % segments_.size();
+  }
+
+  // All helpers below assume mutex_ is held.
+  bool open(Segment& seg);
+  void scan(Segment& seg);
+  /// Append `line` to an open segment; the caller holds its flock.
+  void append_locked(Segment& seg, const std::string& line);
+  /// Append `line` to `key`'s segment under its exclusive flock.
+  void append(std::uint64_t key, const std::string& line);
+
+  const char* header_;
   mutable std::mutex mutex_;
+  std::vector<Segment> segments_;
   std::unordered_map<std::uint64_t, CachedPoint> points_;
   std::unordered_map<std::uint64_t, double> baselines_;
-  int fd_ = -1;  // opened lazily on first append (O_APPEND)
+  std::unordered_map<std::uint64_t, Lease> leases_;  // keys with no result
+
+ private:
+  void apply_line(std::string_view line);
+};
+
+/// The single-file cache: one segment with header `pdos-point-cache-v1`.
+class PointCache : public SegmentStore {
+ public:
+  explicit PointCache(std::string path);
+  const std::string& path() const { return segments_.front().path; }
 };
 
 }  // namespace pdos::sweep

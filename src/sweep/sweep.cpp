@@ -262,6 +262,7 @@ namespace {
 /// Baseline goodput for one (flows, replicate) pair.
 struct BaselineSlot {
   PointSpec probe;  // flows + replicate; attack axes unused
+  std::uint64_t seed = 0;
   BitRate goodput = 0.0;
   bool ok = false;
   std::string error;
@@ -363,7 +364,7 @@ class WorkspaceLease {
   std::unique_ptr<ScenarioWorkspace> workspace_;
 };
 
-/// A contiguous run of tasks that differ only in their replicate index.
+/// A contiguous run of entries that share some axes.
 struct TaskGroup {
   std::size_t first = 0;
   std::size_t count = 0;
@@ -374,35 +375,14 @@ bool same_point_axes(const PointSpec& a, const PointSpec& b) {
          a.rattack == b.rattack && a.gamma == b.gamma && a.kappa == b.kappa;
 }
 
-/// Group consecutive entries whose axes match (`enumerate()` emits the
-/// replicate axis innermost, so a point's replicates are always adjacent).
-template <typename GetSpec>
-std::vector<TaskGroup> group_consecutive(std::size_t n, GetSpec&& spec_of) {
+/// Group consecutive entries for which `same(previous group's first, next)`
+/// holds.
+template <typename GetSpec, typename Same>
+std::vector<TaskGroup> group_consecutive(std::size_t n, GetSpec&& spec_of,
+                                         Same&& same) {
   std::vector<TaskGroup> groups;
   for (std::size_t i = 0; i < n; ++i) {
-    if (!groups.empty()) {
-      TaskGroup& last = groups.back();
-      if (same_point_axes(spec_of(last.first), spec_of(i))) {
-        ++last.count;
-        continue;
-      }
-    }
-    groups.push_back(TaskGroup{i, 1});
-  }
-  return groups;
-}
-
-/// Group consecutive entries sharing a flows value. On the fluid tier all
-/// points with the same flows share one topology (make_scenario varies only
-/// in the seed, which the fluid solver never reads), so each group is one
-/// lane-batched solve_batch workload (DESIGN.md §16). `enumerate()` emits
-/// flows as the outermost axis, so these groups cover whole flows blocks.
-template <typename GetSpec>
-std::vector<TaskGroup> group_by_flows(std::size_t n, GetSpec&& spec_of) {
-  std::vector<TaskGroup> groups;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!groups.empty() &&
-        spec_of(groups.back().first).flows == spec_of(i).flows) {
+    if (!groups.empty() && same(spec_of(groups.back().first), spec_of(i))) {
       ++groups.back().count;
       continue;
     }
@@ -416,47 +396,6 @@ std::vector<TaskGroup> group_by_flows(std::size_t n, GetSpec&& spec_of) {
 /// small enough that a ragged tail wastes little work. Not a result knob:
 /// batched lanes are bit-identical to single-point solves at any width.
 constexpr std::size_t kFluidBatchWidth = 8;
-
-}  // namespace
-
-namespace {
-
-void fill_cached_point(PointResult& slot, const CachedPoint& hit) {
-  slot.c_psi = hit.c_psi;
-  slot.analytic_degradation = hit.analytic_degradation;
-  slot.analytic_gain = hit.analytic_gain;
-  slot.shrew = hit.shrew;
-  slot.baseline_goodput = hit.baseline_goodput;
-  slot.goodput = hit.goodput;
-  slot.measured_degradation = hit.measured_degradation;
-  slot.measured_gain = hit.measured_gain;
-  slot.utilization = hit.utilization;
-  slot.fairness = hit.fairness;
-  slot.timeouts = hit.timeouts;
-  slot.fast_recoveries = hit.fast_recoveries;
-  slot.attack_packets = hit.attack_packets;
-  slot.events = hit.events;
-  slot.status = PointStatus::kOk;
-}
-
-CachedPoint to_cached_point(const PointResult& slot) {
-  CachedPoint record;
-  record.c_psi = slot.c_psi;
-  record.analytic_degradation = slot.analytic_degradation;
-  record.analytic_gain = slot.analytic_gain;
-  record.shrew = slot.shrew;
-  record.baseline_goodput = slot.baseline_goodput;
-  record.goodput = slot.goodput;
-  record.measured_degradation = slot.measured_degradation;
-  record.measured_gain = slot.measured_gain;
-  record.utilization = slot.utilization;
-  record.fairness = slot.fairness;
-  record.timeouts = slot.timeouts;
-  record.fast_recoveries = slot.fast_recoveries;
-  record.attack_packets = slot.attack_packets;
-  record.events = slot.events;
-  return record;
-}
 
 /// The analytic plan for a point. Depends on the scenario and the attack
 /// axes only — never on the seed — so a replicate group shares one plan.
@@ -491,471 +430,381 @@ void fill_measured(PointResult& slot, const GainMeasurement& measured,
   slot.fast_recoveries = measured.run.total_fast_recoveries;
   slot.attack_packets = measured.run.attack_packets_sent;
   slot.events = measured.run.events_executed;
-  slot.status = PointStatus::kOk;
 }
+
+/// One unit of sweep work: a baseline slot or a result row.
+struct Task {
+  bool baseline = false;
+  std::size_t slot = 0;
+  std::uint64_t key = 0;  // store key; set by resolve when there is a store
+  bool claimed = false;   // this process holds the store's lease on it
+};
+
+/// How a task ends. Every task reaches `SweepRun::record` exactly once.
+enum class Outcome { kHit, kResult, kFailed, kSkipped };
+
+/// One `run_sweep` call. Every task goes resolve → run → record: resolve
+/// answers it from the store, defers it to a peer process, or hands it to
+/// one of two executors — the packet executor runs it alone on a warm
+/// workspace, the fluid executor batches a flows group's misses — and the
+/// executor records what became of it.
+class SweepRun {
+ public:
+  SweepRun(const SweepSpec& spec, const SweepOptions& options)
+      : spec_(spec),
+        options_(options),
+        rows_(make_rows(spec)),
+        baselines_(make_baselines(rows_, baseline_index_)),
+        pool_(options.threads),
+        meter_(baselines_.size() + rows_.size(), options.on_progress),
+        store_(options.store) {
+    if (store_ == nullptr && !options.cache_path.empty()) {
+      owned_cache_ = std::make_unique<PointCache>(options.cache_path);
+      store_ = owned_cache_.get();
+    }
+    // Keys are hashed only when there is a store to address.
+    if (store_ != nullptr) keys_.emplace(spec);
+  }
+
+  SweepResult run() {
+    const auto start = std::chrono::steady_clock::now();
+    // Baselines first: each runs the no-attack scenario with the same seed
+    // as the attack points it normalizes.
+    for (const bool baseline : {true, false}) {
+      std::vector<Task> tasks(baseline ? baselines_.size() : rows_.size());
+      for (std::size_t i = 0; i < tasks.size(); ++i) {
+        tasks[i].baseline = baseline;
+        tasks[i].slot = i;
+      }
+      drain(pass(tasks));
+    }
+    SweepResult result;
+    result.points = std::move(rows_);
+    result.threads = pool_.size();
+    result.cache_hits = cache_hits_.load(std::memory_order_relaxed);
+    result.simulated = simulated_.load(std::memory_order_relaxed);
+    result.cancelled = cancel_.load(std::memory_order_relaxed);
+    result.wall_seconds = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+    return result;
+  }
+
+ private:
+  static std::vector<PointResult> make_rows(const SweepSpec& spec) {
+    const std::vector<PointSpec> points = spec.enumerate();
+    std::vector<PointResult> rows(points.size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      rows[i].index = i;
+      rows[i].point = points[i];
+      rows[i].seed = replicate_seed(spec.base_seed, points[i].replicate);
+    }
+    return rows;
+  }
+
+  /// Unique (flows, replicate) pairs, in stable order of first appearance.
+  static std::vector<BaselineSlot> make_baselines(
+      const std::vector<PointResult>& rows, PairIndex& index) {
+    std::vector<BaselineSlot> baselines;
+    for (const PointResult& row : rows) {
+      if (index.insert(row.point.flows, row.point.replicate, baselines.size())
+              .second) {
+        baselines.push_back(BaselineSlot{row.point, row.seed, 0.0, false, {}});
+      }
+    }
+    return baselines;
+  }
+
+  /// One pass over `tasks` on the pool. Returns the tasks a peer process
+  /// holds a live lease on.
+  std::vector<Task> pass(const std::vector<Task>& tasks) {
+    if (tasks.empty()) return {};
+    if (spec_.backend == Backend::kFluid && !tasks.front().baseline) {
+      // Fluid tier (DESIGN.md §16): all points with one flows value share
+      // one topology (make_scenario varies only in the seed, which the
+      // fluid solver never reads), so a flows group's misses are one
+      // lane-batched workload. `enumerate()` emits flows outermost.
+      const std::vector<TaskGroup> groups = group_consecutive(
+          tasks.size(),
+          [&](std::size_t i) -> const PointSpec& {
+            return rows_[tasks[i].slot].point;
+          },
+          [](const PointSpec& a, const PointSpec& b) {
+            return a.flows == b.flows;
+          });
+      parallel_for(pool_, groups.size(), [&](std::size_t g) {
+        std::vector<Task> misses;
+        for (std::size_t i = 0; i < groups[g].count; ++i) {
+          Task task = tasks[groups[g].first + i];
+          if (resolve(task)) misses.push_back(task);
+        }
+        if (!misses.empty()) run_fluid(misses);
+      });
+    } else {
+      parallel_for(pool_, tasks.size(), [&](std::size_t i) {
+        Task task = tasks[i];
+        if (resolve(task)) run_packet(task);
+      });
+    }
+    std::vector<Task> deferred;
+    deferred.swap(deferred_);  // the pass has joined: no lock needed
+    return deferred;
+  }
+
+  /// Tasks a peer holds a live lease on go through the same pass again,
+  /// back in slot order, after a poll interval and a refresh of the store:
+  /// each resolves to a hit once the peer's result lands, or runs here once
+  /// its lease expires. Every wait is bounded by the lease TTL.
+  void drain(std::vector<Task> deferred) {
+    const auto poll = std::chrono::duration<double>(
+        std::max(1e-3, options_.claim_poll_seconds));
+    while (!deferred.empty()) {
+      std::sort(deferred.begin(), deferred.end(),
+                [](const Task& a, const Task& b) { return a.slot < b.slot; });
+      if (!cancel_.load(std::memory_order_relaxed)) {
+        std::this_thread::sleep_for(poll);
+        store_->refresh();
+      }
+      deferred = pass(deferred);
+    }
+  }
+
+  /// A store hit fills the task's slot; a point's is one slice assignment.
+  bool lookup(const Task& task) {
+    return task.baseline
+               ? store_->lookup_baseline(task.key,
+                                         baselines_[task.slot].goodput)
+               : store_->lookup_point(task.key, rows_[task.slot]);
+  }
+
+  /// Resolve: lookup → claim → re-lookup on kDone. Records a hit, a skip
+  /// (the sweep is cancelled) or a store error itself and defers a task a
+  /// peer is running; returns true when the task must run here.
+  bool resolve(Task& task) {
+    if (cancel_.load(std::memory_order_relaxed)) {
+      record(task, Outcome::kSkipped);
+      return false;
+    }
+    if (store_ == nullptr) return true;
+    Outcome outcome = Outcome::kHit;
+    std::string error;
+    try {
+      task.key = task.baseline ? keys_->baseline(baselines_[task.slot].probe,
+                                                 baselines_[task.slot].seed)
+                               : keys_->point(rows_[task.slot].point,
+                                              rows_[task.slot].seed);
+      if (!lookup(task)) {
+        const PointStore::ClaimStatus status =
+            task.baseline ? store_->claim_baseline(task.key)
+                          : store_->claim_point(task.key);
+        if (status == PointStore::ClaimStatus::kBusy) {
+          std::lock_guard<std::mutex> lock(deferred_mutex_);
+          deferred_.push_back(task);
+          return false;
+        }
+        task.claimed = status == PointStore::ClaimStatus::kAcquired;
+        if (task.claimed || !lookup(task)) return true;
+      }
+    } catch (const std::exception& e) {
+      outcome = Outcome::kFailed;
+      error = e.what();
+    }
+    record(task, outcome, std::move(error));
+    return false;
+  }
+
+  /// The one record step. A result is stored first, and a store error makes
+  /// it a failure of this task; a failure gives up the task's claim so a
+  /// peer can retry it at once, and cancels the sweep unless keep-going.
+  void record(const Task& task, Outcome outcome, std::string error = {}) {
+    if (outcome == Outcome::kResult && store_ != nullptr) {
+      try {
+        if (task.baseline) {
+          store_->store_baseline(task.key, baselines_[task.slot].goodput);
+        } else {
+          store_->store_point(task.key, rows_[task.slot]);
+        }
+      } catch (const std::exception& e) {
+        outcome = Outcome::kFailed;
+        error = e.what();
+      }
+    }
+    switch (outcome) {
+      case Outcome::kHit:
+      case Outcome::kResult:
+        if (task.baseline) {
+          baselines_[task.slot].ok = true;
+        } else {
+          rows_[task.slot].status = PointStatus::kOk;
+        }
+        (outcome == Outcome::kHit ? cache_hits_ : simulated_)
+            .fetch_add(1, std::memory_order_relaxed);
+        break;
+      case Outcome::kFailed:
+        if (task.claimed) {
+          try {
+            if (task.baseline) {
+              store_->release_baseline(task.key);
+            } else {
+              store_->release_point(task.key);
+            }
+          } catch (const std::exception& e) {
+            // The lease then runs out its TTL instead.
+            error += std::string("; release failed: ") + e.what();
+          }
+        }
+        if (task.baseline) {
+          baselines_[task.slot].error = std::move(error);
+        } else {
+          rows_[task.slot].status = PointStatus::kFailed;
+          rows_[task.slot].error = std::move(error);
+        }
+        if (options_.cancel_on_failure) {
+          cancel_.store(true, std::memory_order_relaxed);
+        }
+        break;
+      case Outcome::kSkipped:
+        if (task.baseline) {
+          baselines_[task.slot].error = "skipped: sweep cancelled";
+        }
+        break;  // a row stays kSkipped
+    }
+    meter_.tick(outcome == Outcome::kHit);
+  }
+
+  /// The goodput a row is normalized by; throws if its baseline failed.
+  BitRate baseline_goodput(const PointResult& row) const {
+    const BaselineSlot& slot =
+        baselines_[baseline_index_.at(row.point.flows, row.point.replicate)];
+    if (!slot.ok) throw std::runtime_error("baseline failed: " + slot.error);
+    return slot.goodput;
+  }
+
+  /// The packet executor: one run on a warm workspace — every baseline,
+  /// and every point on the packet tiers.
+  void run_packet(const Task& task) {
+    try {
+      if (task.baseline) {
+        BaselineSlot& slot = baselines_[task.slot];
+        const ScenarioConfig scenario = spec_.make_scenario(slot.probe);
+        WorkspaceLease ws(workspaces_);
+        slot.goodput = ws->baseline(scenario, spec_.control);
+        PDOS_REQUIRE(slot.goodput > 0.0, "baseline goodput is zero");
+      } else {
+        PointResult& row = rows_[task.slot];
+        const BitRate baseline = baseline_goodput(row);
+        const ScenarioConfig scenario = spec_.make_scenario(row.point);
+        const AttackPlan plan = plan_point_attack(scenario, row.point);
+        fill_plan(row, plan);
+        WorkspaceLease ws(workspaces_);
+        fill_measured(row,
+                      ws->gain(scenario, plan.train, row.point.kappa,
+                               spec_.control, baseline),
+                      baseline);
+      }
+    } catch (const std::exception& e) {
+      record(task, Outcome::kFailed, e.what());
+      return;
+    }
+    record(task, Outcome::kResult);
+  }
+
+  /// The fluid executor, over the misses of one flows group: plans each
+  /// miss (adjacent replicates share their point's plan), solves the plans
+  /// kFluidBatchWidth lanes at a time, and finishes every replicate against
+  /// its own baseline. The rows are bit-identical to point-at-a-time
+  /// solves: solve_batch's identity contract plus seed invariance. A plan
+  /// or solve error fails only the points it belongs to.
+  void run_fluid(const std::vector<Task>& misses) {
+    std::optional<ScenarioConfig> scenario;
+    std::vector<AttackPlan> plans;
+    std::vector<Task> planned;         // the misses that got a plan
+    std::vector<std::size_t> plan_of;  // planned[k] uses plans[plan_of[k]]
+    for (const Task& task : misses) {
+      const PointResult& row = rows_[task.slot];
+      try {
+        baseline_goodput(row);  // a failed baseline fails the point first
+        if (!scenario) scenario = spec_.make_scenario(row.point);
+        if (planned.empty() ||
+            !same_point_axes(row.point, rows_[planned.back().slot].point)) {
+          plans.push_back(plan_point_attack(*scenario, row.point));
+        }
+      } catch (const std::exception& e) {
+        record(task, Outcome::kFailed, e.what());
+        continue;
+      }
+      planned.push_back(task);
+      plan_of.push_back(plans.size() - 1);
+    }
+    std::vector<RunResult> runs(plans.size());
+    std::vector<std::string> solve_errors(plans.size());
+    for (std::size_t first = 0; first < plans.size();
+         first += kFluidBatchWidth) {
+      const std::size_t last = std::min(plans.size(), first + kFluidBatchWidth);
+      std::vector<std::optional<PulseTrain>> attacks;
+      attacks.reserve(last - first);
+      for (std::size_t p = first; p < last; ++p) {
+        attacks.emplace_back(plans[p].train);
+      }
+      try {
+        std::vector<RunResult> solved =
+            run_fluid_batch(*scenario, attacks, spec_.control);
+        std::move(solved.begin(), solved.end(), runs.begin() + first);
+      } catch (const std::exception& e) {
+        std::fill(solve_errors.begin() + first, solve_errors.begin() + last,
+                  e.what());
+      }
+    }
+    for (std::size_t k = 0; k < planned.size(); ++k) {
+      const std::size_t p = plan_of[k];
+      PointResult& row = rows_[planned[k].slot];
+      try {
+        if (!solve_errors[p].empty()) throw std::runtime_error(solve_errors[p]);
+        const BitRate baseline = baseline_goodput(row);
+        fill_plan(row, plans[p]);
+        fill_measured(row,
+                      finish_gain(*scenario, plans[p].train, row.point.kappa,
+                                  baseline, RunResult(runs[p])),
+                      baseline);
+      } catch (const std::exception& e) {
+        record(planned[k], Outcome::kFailed, e.what());
+        continue;
+      }
+      record(planned[k], Outcome::kResult);
+    }
+  }
+
+  const SweepSpec& spec_;
+  const SweepOptions& options_;
+  std::vector<PointResult> rows_;
+  PairIndex baseline_index_;
+  std::vector<BaselineSlot> baselines_;
+  ThreadPool pool_;
+  ProgressMeter meter_;
+  WorkspacePool workspaces_;
+  PointStore* store_;
+  std::unique_ptr<PointCache> owned_cache_;
+  std::optional<SweepKeys> keys_;
+  std::atomic<bool> cancel_{false};
+  std::atomic<std::size_t> cache_hits_{0};
+  std::atomic<std::size_t> simulated_{0};
+  std::mutex deferred_mutex_;
+  std::vector<Task> deferred_;  // claims a peer holds; see drain()
+};
 
 }  // namespace
 
 SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& options) {
-  const std::vector<PointSpec> points = spec.enumerate();
-
-  // Unique (flows, replicate) pairs, in stable order of first appearance.
-  PairIndex baseline_index;
-  std::vector<BaselineSlot> baselines;
-  for (const PointSpec& point : points) {
-    if (baseline_index.insert(point.flows, point.replicate, baselines.size())
-            .second) {
-      BaselineSlot slot;
-      slot.probe = point;
-      baselines.push_back(slot);
-    }
-  }
-
-  SweepResult result;
-  result.points.resize(points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    PointResult& slot = result.points[i];
-    slot.index = i;
-    slot.point = points[i];
-    slot.seed = replicate_seed(spec.base_seed, points[i].replicate);
-  }
-
-  ThreadPool pool(options.threads);
-  result.threads = pool.size();
-  ProgressMeter meter(baselines.size() + points.size(), options.on_progress);
-  std::atomic<bool> cancel{false};
-  std::atomic<std::size_t> cache_hits{0};
-  std::atomic<std::size_t> simulated{0};
-  WorkspacePool workspaces;
-  std::unique_ptr<PointCache> owned_cache;
-  PointStore* store = options.store;
-  if (store == nullptr && !options.cache_path.empty()) {
-    owned_cache = std::make_unique<PointCache>(options.cache_path);
-    store = owned_cache.get();
-  }
-  // Keys are hashed only when there is a store to address.
-  std::optional<SweepKeys> keys;
-  if (store) keys.emplace(spec);
-  // Tasks another process holds a live lease on (claim returned kBusy):
-  // deferred here and drained after each phase's main pass, so a pool
-  // worker never idles waiting on a peer process.
-  std::mutex deferred_mutex;
-  std::vector<std::size_t> deferred_baselines;
-  std::vector<std::size_t> deferred_points;
-  const auto poll_interval = std::chrono::duration<double>(
-      std::max(1e-3, options.claim_poll_seconds));
-  using ClaimStatus = PointStore::ClaimStatus;
-  const auto start = std::chrono::steady_clock::now();
-
-  // Phase 1: baselines. Each runs the no-attack scenario with the same
-  // seed as the attack points it will normalize.
-  parallel_for(pool, baselines.size(), [&](std::size_t i) {
-    BaselineSlot& slot = baselines[i];
-    if (cancel.load(std::memory_order_relaxed)) {
-      slot.error = "skipped: sweep cancelled";
-      meter.tick(false);
-      return;
-    }
-    const std::uint64_t seed =
-        replicate_seed(spec.base_seed, slot.probe.replicate);
-    const std::uint64_t key =
-        store ? keys->baseline(slot.probe, seed) : 0;
-    bool hit = false;
-    bool claimed = false;
-    try {
-      double cached = 0.0;
-      if (store && store->lookup_baseline(key, cached)) {
-        slot.goodput = cached;
-        hit = true;
-        cache_hits.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        if (store) {
-          const ClaimStatus st = store->claim_baseline(key);
-          if (st == ClaimStatus::kBusy) {
-            // A peer process is simulating this baseline; the drain pass
-            // resolves it (and ticks the meter).
-            std::lock_guard<std::mutex> lock(deferred_mutex);
-            deferred_baselines.push_back(i);
-            return;
-          }
-          if (st == ClaimStatus::kDone &&
-              store->lookup_baseline(key, cached)) {
-            slot.goodput = cached;
-            hit = true;
-            cache_hits.fetch_add(1, std::memory_order_relaxed);
-          } else {
-            claimed = true;
-          }
-        }
-        if (!hit) {
-          const ScenarioConfig scenario = spec.make_scenario(slot.probe);
-          WorkspaceLease ws(workspaces);
-          slot.goodput = ws->baseline(scenario, spec.control);
-          if (store) store->store_baseline(key, slot.goodput);
-          simulated.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-      PDOS_REQUIRE(slot.goodput > 0.0, "baseline goodput is zero");
-      slot.ok = true;
-    } catch (const std::exception& e) {
-      if (claimed) store->release_baseline(key);
-      slot.error = e.what();
-      if (options.cancel_on_failure) {
-        cancel.store(true, std::memory_order_relaxed);
-      }
-    }
-    meter.tick(hit);
-  });
-
-  // Drain baselines leased to peer processes: poll the store for their
-  // results; once a lease expires unfulfilled (crashed peer) the claim
-  // succeeds here and we simulate locally. Every wait is bounded by the
-  // lease TTL, so the loop terminates.
-  while (store && !deferred_baselines.empty()) {
-    if (cancel.load(std::memory_order_relaxed)) {
-      for (std::size_t i : deferred_baselines) {
-        baselines[i].error = "skipped: sweep cancelled";
-        meter.tick(false);
-      }
-      deferred_baselines.clear();
-      break;
-    }
-    std::this_thread::sleep_for(poll_interval);
-    store->refresh();
-    std::vector<std::size_t> still;
-    for (std::size_t i : deferred_baselines) {
-      BaselineSlot& slot = baselines[i];
-      const std::uint64_t seed =
-          replicate_seed(spec.base_seed, slot.probe.replicate);
-      const std::uint64_t key = keys->baseline(slot.probe, seed);
-      bool claimed = false;
-      try {
-        double cached = 0.0;
-        if (store->lookup_baseline(key, cached)) {
-          slot.goodput = cached;
-          cache_hits.fetch_add(1, std::memory_order_relaxed);
-          PDOS_REQUIRE(slot.goodput > 0.0, "baseline goodput is zero");
-          slot.ok = true;
-          meter.tick(true);
-          continue;
-        }
-        const ClaimStatus st = store->claim_baseline(key);
-        if (st == ClaimStatus::kBusy) {
-          still.push_back(i);
-          continue;
-        }
-        if (st == ClaimStatus::kDone && store->lookup_baseline(key, cached)) {
-          slot.goodput = cached;
-          cache_hits.fetch_add(1, std::memory_order_relaxed);
-          PDOS_REQUIRE(slot.goodput > 0.0, "baseline goodput is zero");
-          slot.ok = true;
-          meter.tick(true);
-          continue;
-        }
-        claimed = (st == ClaimStatus::kAcquired);
-        const ScenarioConfig scenario = spec.make_scenario(slot.probe);
-        {
-          WorkspaceLease ws(workspaces);
-          slot.goodput = ws->baseline(scenario, spec.control);
-        }
-        store->store_baseline(key, slot.goodput);
-        simulated.fetch_add(1, std::memory_order_relaxed);
-        PDOS_REQUIRE(slot.goodput > 0.0, "baseline goodput is zero");
-        slot.ok = true;
-        meter.tick(false);
-      } catch (const std::exception& e) {
-        if (claimed) store->release_baseline(key);
-        slot.error = e.what();
-        if (options.cancel_on_failure) {
-          cancel.store(true, std::memory_order_relaxed);
-        }
-        meter.tick(false);
-      }
-    }
-    deferred_baselines.swap(still);
-  }
-
-  // Phase 2: the points themselves.
-  if (spec.backend == Backend::kFluid) {
-    // Fluid tier (DESIGN.md §16): each flows-group shares one topology and
-    // the solver is seed-invariant, so the group's cache misses collapse to
-    // their unique attack plans — solved as lanes of lane-batched fluid
-    // evaluations, kFluidBatchWidth at a time — and every replicate is
-    // finished against its own baseline. The records this path stores are
-    // bit-identical to the point-at-a-time path's: solve_batch's identity
-    // contract plus seed invariance (run_fluid_backend never reads
-    // config.seed), so one solve serves every replicate of a plan.
-    const std::vector<TaskGroup> groups =
-        group_by_flows(points.size(), [&](std::size_t i) -> const PointSpec& {
-          return points[i];
-        });
-    parallel_for(pool, groups.size(), [&](std::size_t gi) {
-      const TaskGroup group = groups[gi];
-      if (cancel.load(std::memory_order_relaxed)) {
-        for (std::size_t j = 0; j < group.count; ++j) {
-          meter.tick(false);  // slots stay kSkipped
-        }
-        return;
-      }
-      std::vector<std::size_t> miss;
-      std::vector<std::uint64_t> miss_keys;
-      for (std::size_t j = 0; j < group.count; ++j) {
-        const std::size_t i = group.first + j;
-        PointResult& slot = result.points[i];
-        const std::uint64_t key =
-            store ? keys->point(slot.point, slot.seed) : 0;
-        CachedPoint cached;
-        if (store && store->lookup_point(key, cached)) {
-          fill_cached_point(slot, cached);
-          cache_hits.fetch_add(1, std::memory_order_relaxed);
-          meter.tick(true);
-          continue;
-        }
-        if (store) {
-          const ClaimStatus st = store->claim_point(key);
-          if (st == ClaimStatus::kBusy) {
-            std::lock_guard<std::mutex> lock(deferred_mutex);
-            deferred_points.push_back(i);
-            continue;
-          }
-          if (st == ClaimStatus::kDone && store->lookup_point(key, cached)) {
-            fill_cached_point(slot, cached);
-            cache_hits.fetch_add(1, std::memory_order_relaxed);
-            meter.tick(true);
-            continue;
-          }
-        }
-        miss.push_back(i);
-        miss_keys.push_back(key);
-      }
-      if (miss.empty()) return;
-      try {
-        // One topology per group: the derived scenarios differ only in
-        // their (unread) seed.
-        const ScenarioConfig scenario =
-            spec.make_scenario(points[miss.front()]);
-        // Unique plans among the misses. Axes-equal points stay adjacent
-        // through the cache pass, so one backward comparison suffices.
-        std::vector<AttackPlan> plans;
-        std::vector<std::size_t> plan_of(miss.size());
-        std::vector<std::size_t> plan_first;
-        for (std::size_t k = 0; k < miss.size(); ++k) {
-          if (!plan_first.empty() &&
-              same_point_axes(points[miss[k]],
-                              points[miss[plan_first.back()]])) {
-            plan_of[k] = plan_first.size() - 1;
-            continue;
-          }
-          plan_first.push_back(k);
-          plan_of[k] = plans.size();
-          plans.push_back(plan_point_attack(scenario, points[miss[k]]));
-        }
-        std::vector<RunResult> plan_runs(plans.size());
-        for (std::size_t start = 0; start < plans.size();
-             start += kFluidBatchWidth) {
-          const std::size_t stop =
-              std::min(plans.size(), start + kFluidBatchWidth);
-          std::vector<std::optional<PulseTrain>> attacks;
-          attacks.reserve(stop - start);
-          for (std::size_t p = start; p < stop; ++p) {
-            attacks.emplace_back(plans[p].train);
-          }
-          std::vector<RunResult> solved =
-              run_fluid_batch(scenario, attacks, spec.control);
-          for (std::size_t p = start; p < stop; ++p) {
-            plan_runs[p] = std::move(solved[p - start]);
-          }
-        }
-        for (std::size_t k = 0; k < miss.size(); ++k) {
-          PointResult& slot = result.points[miss[k]];
-          const BaselineSlot& baseline = baselines[baseline_index.at(
-              slot.point.flows, slot.point.replicate)];
-          if (!baseline.ok) {
-            if (store) store->release_point(miss_keys[k]);
-            slot.status = PointStatus::kFailed;
-            slot.error = "baseline failed: " + baseline.error;
-            if (options.cancel_on_failure) {
-              cancel.store(true, std::memory_order_relaxed);
-            }
-            meter.tick(false);
-            continue;
-          }
-          const std::size_t p = plan_of[k];
-          const GainMeasurement measured =
-              finish_gain(scenario, plans[p].train, slot.point.kappa,
-                          baseline.goodput, RunResult(plan_runs[p]));
-          fill_plan(slot, plans[p]);
-          fill_measured(slot, measured, baseline.goodput);
-          if (store) store->store_point(miss_keys[k], to_cached_point(slot));
-          simulated.fetch_add(1, std::memory_order_relaxed);
-          meter.tick(false);
-        }
-      } catch (const std::exception& e) {
-        // Planning or a batched solve failed: every unresolved replicate
-        // inherits the error and gives up its claim.
-        for (std::size_t k = 0; k < miss.size(); ++k) {
-          PointResult& slot = result.points[miss[k]];
-          if (slot.status != PointStatus::kSkipped) continue;
-          if (store) store->release_point(miss_keys[k]);
-          slot.status = PointStatus::kFailed;
-          slot.error = e.what();
-          meter.tick(false);
-        }
-        if (options.cancel_on_failure) {
-          cancel.store(true, std::memory_order_relaxed);
-        }
-      }
-    });
-  } else {
-    parallel_for(pool, points.size(), [&](std::size_t i) {
-      PointResult& slot = result.points[i];
-      if (cancel.load(std::memory_order_relaxed)) {
-        meter.tick(false);
-        return;  // stays kSkipped
-      }
-      const std::uint64_t key =
-          store ? keys->point(slot.point, slot.seed) : 0;
-      bool hit = false;
-      bool claimed = false;
-      try {
-        // A cached point carries everything, including its baseline — it can
-        // complete even when this run's baseline task failed.
-        CachedPoint cached;
-        if (store && store->lookup_point(key, cached)) {
-          fill_cached_point(slot, cached);
-          cache_hits.fetch_add(1, std::memory_order_relaxed);
-          meter.tick(true);
-          return;
-        }
-        if (store) {
-          const ClaimStatus st = store->claim_point(key);
-          if (st == ClaimStatus::kBusy) {
-            std::lock_guard<std::mutex> lock(deferred_mutex);
-            deferred_points.push_back(i);
-            return;  // resolved (and ticked) by the drain pass
-          }
-          if (st == ClaimStatus::kDone && store->lookup_point(key, cached)) {
-            fill_cached_point(slot, cached);
-            cache_hits.fetch_add(1, std::memory_order_relaxed);
-            meter.tick(true);
-            return;
-          }
-          claimed = (st == ClaimStatus::kAcquired);
-        }
-
-        const BaselineSlot& baseline = baselines[baseline_index.at(
-            slot.point.flows, slot.point.replicate)];
-        if (!baseline.ok) {
-          throw std::runtime_error("baseline failed: " + baseline.error);
-        }
-        const ScenarioConfig scenario = spec.make_scenario(slot.point);
-        const AttackPlan plan = plan_point_attack(scenario, slot.point);
-        fill_plan(slot, plan);
-
-        GainMeasurement measured;
-        {
-          WorkspaceLease ws(workspaces);
-          measured = ws->gain(scenario, plan.train, slot.point.kappa,
-                              spec.control, baseline.goodput);
-        }
-        fill_measured(slot, measured, baseline.goodput);
-        if (store) store->store_point(key, to_cached_point(slot));
-        simulated.fetch_add(1, std::memory_order_relaxed);
-      } catch (const std::exception& e) {
-        if (claimed) store->release_point(key);
-        slot.status = PointStatus::kFailed;
-        slot.error = e.what();
-        if (options.cancel_on_failure) {
-          cancel.store(true, std::memory_order_relaxed);
-        }
-      }
-      meter.tick(hit);
-    });
-  }
-
-  // Drain points leased to peer processes (same protocol as the baseline
-  // drain above).
-  while (store && !deferred_points.empty()) {
-    if (cancel.load(std::memory_order_relaxed)) {
-      for (std::size_t i : deferred_points) {
-        (void)i;
-        meter.tick(false);  // slots stay kSkipped
-      }
-      deferred_points.clear();
-      break;
-    }
-    std::this_thread::sleep_for(poll_interval);
-    store->refresh();
-    std::vector<std::size_t> still;
-    for (std::size_t i : deferred_points) {
-      PointResult& slot = result.points[i];
-      const std::uint64_t key = keys->point(slot.point, slot.seed);
-      bool claimed = false;
-      try {
-        CachedPoint cached;
-        if (store->lookup_point(key, cached)) {
-          fill_cached_point(slot, cached);
-          cache_hits.fetch_add(1, std::memory_order_relaxed);
-          meter.tick(true);
-          continue;
-        }
-        const ClaimStatus st = store->claim_point(key);
-        if (st == ClaimStatus::kBusy) {
-          still.push_back(i);
-          continue;
-        }
-        if (st == ClaimStatus::kDone && store->lookup_point(key, cached)) {
-          fill_cached_point(slot, cached);
-          cache_hits.fetch_add(1, std::memory_order_relaxed);
-          meter.tick(true);
-          continue;
-        }
-        claimed = (st == ClaimStatus::kAcquired);
-        const BaselineSlot& baseline = baselines[baseline_index.at(
-            slot.point.flows, slot.point.replicate)];
-        if (!baseline.ok) {
-          throw std::runtime_error("baseline failed: " + baseline.error);
-        }
-        const ScenarioConfig scenario = spec.make_scenario(slot.point);
-        const AttackPlan plan = plan_point_attack(scenario, slot.point);
-        fill_plan(slot, plan);
-        GainMeasurement measured;
-        {
-          WorkspaceLease ws(workspaces);
-          measured = ws->gain(scenario, plan.train, slot.point.kappa,
-                              spec.control, baseline.goodput);
-        }
-        fill_measured(slot, measured, baseline.goodput);
-        store->store_point(key, to_cached_point(slot));
-        simulated.fetch_add(1, std::memory_order_relaxed);
-        meter.tick(false);
-      } catch (const std::exception& e) {
-        if (claimed) store->release_point(key);
-        slot.status = PointStatus::kFailed;
-        slot.error = e.what();
-        if (options.cancel_on_failure) {
-          cancel.store(true, std::memory_order_relaxed);
-        }
-        meter.tick(false);
-      }
-    }
-    deferred_points.swap(still);
-  }
-
-  result.cache_hits = cache_hits.load(std::memory_order_relaxed);
-  result.simulated = simulated.load(std::memory_order_relaxed);
-
-  result.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  result.cancelled = cancel.load(std::memory_order_relaxed);
-  return result;
+  return SweepRun(spec, options).run();
 }
 
 std::vector<AggregateRow> aggregate_replicates(const SweepResult& result) {
+  // `enumerate()` emits the replicate axis innermost, so a point's
+  // replicates are adjacent.
   const std::vector<TaskGroup> groups = group_consecutive(
       result.points.size(),
-      [&](std::size_t i) -> const PointSpec& { return result.points[i].point; });
+      [&](std::size_t i) -> const PointSpec& { return result.points[i].point; },
+      same_point_axes);
   std::vector<AggregateRow> rows;
   rows.reserve(groups.size());
   for (const TaskGroup& group : groups) {

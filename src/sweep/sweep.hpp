@@ -119,14 +119,9 @@ class PairIndex {
 
 enum class PointStatus { kOk, kFailed, kSkipped };
 
-/// One row of the result table.
-struct PointResult {
-  std::size_t index = 0;  // position in SweepSpec::enumerate()
-  PointSpec point;
-  std::uint64_t seed = 0;
-  PointStatus status = PointStatus::kSkipped;
-  std::string error;  // set when status == kFailed
-
+/// The outputs of one completed point: every row field a run produces, and
+/// everything a result store (sweep/point_cache.hpp) keeps of a row.
+struct CachedPoint {
   // Analytic predictions (Eq. 12/13) and the C_Ψ of the pulse shape.
   double c_psi = 0.0;
   double analytic_degradation = 0.0;
@@ -144,6 +139,16 @@ struct PointResult {
   std::uint64_t fast_recoveries = 0;
   std::uint64_t attack_packets = 0;
   std::uint64_t events = 0;
+};
+
+/// One row of the result table: a point, its seed and status, and its
+/// outputs. A store hit is one assignment to the CachedPoint part.
+struct PointResult : CachedPoint {
+  std::size_t index = 0;  // position in SweepSpec::enumerate()
+  PointSpec point;
+  std::uint64_t seed = 0;
+  PointStatus status = PointStatus::kSkipped;
+  std::string error;  // set when status == kFailed
 };
 
 struct SweepResult {
@@ -215,7 +220,8 @@ struct SweepProgress {
 struct SweepOptions {
   int threads = 0;  // <= 0: ThreadPool::default_threads()
   /// Stop dispatching new points after the first failure; undispatched
-  /// points are reported as kSkipped and the result as cancelled.
+  /// points are reported as kSkipped and the result as cancelled. On the
+  /// fluid tier the other points of an in-flight flows group still finish.
   bool cancel_on_failure = true;
   /// Called with the pool's progress after each task; invocations are
   /// serialized, but may come from any worker thread.

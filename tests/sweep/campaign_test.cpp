@@ -8,12 +8,15 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "sweep/campaign_store.hpp"
+#include "sweep/point_cache.hpp"
 
 namespace pdos::sweep {
 namespace {
@@ -168,6 +171,100 @@ TEST(CampaignTest, OverlappingSpecsShareTheStore) {
   EXPECT_EQ(full.failures(), 0u);
   EXPECT_EQ(full.simulated,
             count_unique_tasks(superset) - count_unique_tasks(subset));
+}
+
+/// Calls `visit(point_key, baseline_key)` for every point of `spec`.
+template <typename Visit>
+void for_each_task_key(const SweepSpec& spec, Visit&& visit) {
+  for (const PointSpec& point : spec.enumerate()) {
+    const std::uint64_t seed = replicate_seed(spec.base_seed, point.replicate);
+    visit(point_key(spec, point, seed), baseline_key(spec, point, seed));
+  }
+}
+
+/// Lease every task of `spec` to `peer`, as a worker of another process
+/// would before simulating them.
+void claim_every_task(const SweepSpec& spec, CampaignStore& peer) {
+  for_each_task_key(spec, [&](std::uint64_t point, std::uint64_t baseline) {
+    EXPECT_EQ(peer.claim_point(point), PointStore::ClaimStatus::kAcquired);
+    EXPECT_EQ(peer.claim_baseline(baseline),
+              PointStore::ClaimStatus::kAcquired);
+  });
+}
+
+// The deferred-task drain, driven without relying on two workers happening
+// to collide: a peer store in this process leases every task first, so
+// every claim of the sweep's own store comes back kBusy.
+TEST(CampaignTest, DrainWaitsOutExpiredPeerLeases) {
+  for (const Backend backend : {Backend::kFast, Backend::kFluid}) {
+    SCOPED_TRACE(backend_name(backend));
+    TempDir dir;
+    SweepSpec spec = tiny_spec();
+    spec.backend = backend;
+    SweepOptions plain;
+    plain.threads = 1;
+    const std::string reference = csv_of(run_sweep(spec, plain));
+
+    CampaignStore peer(dir.sub("store.d"), /*lease_ttl_seconds=*/0.3);
+    claim_every_task(spec, peer);
+    CampaignStore store(dir.sub("store.d"));
+    SweepOptions options;
+    options.threads = 2;
+    options.store = &store;
+    options.claim_poll_seconds = 0.01;
+    std::size_t ticks = 0;
+    options.on_progress = [&](const SweepProgress&) { ++ticks; };
+    const SweepResult result = run_sweep(spec, options);
+    // The peer never finishes: once its leases expire, this sweep claims
+    // and simulates every task itself.
+    EXPECT_EQ(result.failures(), 0u);
+    EXPECT_EQ(result.simulated, 6u);
+    EXPECT_EQ(result.cache_hits, 0u);
+    EXPECT_EQ(ticks, 6u);
+    EXPECT_EQ(csv_of(result), reference);
+  }
+}
+
+TEST(CampaignTest, DrainPicksUpResultsAPeerStores) {
+  for (const Backend backend : {Backend::kFast, Backend::kFluid}) {
+    SCOPED_TRACE(backend_name(backend));
+    TempDir dir;
+    SweepSpec spec = tiny_spec();
+    spec.backend = backend;
+    CampaignStore reference(dir.sub("reference.d"));
+    SweepOptions plain;
+    plain.threads = 1;
+    plain.store = &reference;
+    const SweepResult expected = run_sweep(spec, plain);
+    ASSERT_EQ(expected.failures(), 0u);
+
+    CampaignStore peer(dir.sub("store.d"), /*lease_ttl_seconds=*/60.0);
+    claim_every_task(spec, peer);
+    // The peer lands its results while this sweep's tasks wait on its
+    // live leases (a jthread joins on every exit path).
+    std::jthread finisher([&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(200));
+      for_each_task_key(spec, [&](std::uint64_t point, std::uint64_t baseline) {
+        CachedPoint value;
+        double goodput = 0.0;
+        if (reference.lookup_point(point, value)) peer.store_point(point, value);
+        if (reference.lookup_baseline(baseline, goodput)) {
+          peer.store_baseline(baseline, goodput);
+        }
+      });
+    });
+    CampaignStore store(dir.sub("store.d"));
+    SweepOptions options;
+    options.threads = 2;
+    options.store = &store;
+    options.claim_poll_seconds = 0.01;
+    const SweepResult result = run_sweep(spec, options);
+    finisher.join();
+    EXPECT_EQ(result.failures(), 0u);
+    EXPECT_EQ(result.simulated, 0u);
+    EXPECT_EQ(result.cache_hits, 6u);
+    EXPECT_EQ(csv_of(result), csv_of(expected));
+  }
 }
 
 TEST(CampaignTest, CountUniqueTasksIsPointsPlusUniqueBaselines) {

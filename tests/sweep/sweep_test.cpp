@@ -184,25 +184,31 @@ TEST(RunSweep, CancellationPropagates) {
 }
 
 TEST(RunSweep, KeepGoingRunsPastFailures) {
-  SweepSpec spec;
-  spec.control.warmup = sec(0.5);
-  spec.control.measure = sec(1.0);
-  PointSpec bad;
-  bad.flows = 3;
-  bad.gamma = 5.0;
-  PointSpec good;
-  good.flows = 3;
-  good.gamma = 0.5;
-  spec.explicit_points = {bad, good};
+  // On the fluid tier both points share one flows group and one batched
+  // solve; the infeasible point must still fail alone.
+  for (const Backend backend : {Backend::kFull, Backend::kFluid}) {
+    SCOPED_TRACE(backend_name(backend));
+    SweepSpec spec;
+    spec.backend = backend;
+    spec.control.warmup = sec(0.5);
+    spec.control.measure = sec(1.0);
+    PointSpec bad;
+    bad.flows = 3;
+    bad.gamma = 5.0;
+    PointSpec good;
+    good.flows = 3;
+    good.gamma = 0.5;
+    spec.explicit_points = {bad, good};
 
-  SweepOptions options;
-  options.threads = 2;
-  options.cancel_on_failure = false;
-  const SweepResult result = run_sweep(spec, options);
-  EXPECT_FALSE(result.cancelled);
-  EXPECT_EQ(result.failures(), 1u);
-  EXPECT_EQ(result.completed(), 1u);
-  EXPECT_EQ(result.points[1].status, PointStatus::kOk);
+    SweepOptions options;
+    options.threads = 2;
+    options.cancel_on_failure = false;
+    const SweepResult result = run_sweep(spec, options);
+    EXPECT_FALSE(result.cancelled);
+    EXPECT_EQ(result.failures(), 1u);
+    EXPECT_EQ(result.completed(), 1u);
+    EXPECT_EQ(result.points[1].status, PointStatus::kOk);
+  }
 }
 
 TEST(RunSweep, ProgressReachesTotal) {
@@ -224,7 +230,7 @@ TEST(RunSweep, ProgressReachesTotal) {
   EXPECT_EQ(total.load(), 2u);  // 1 baseline + 1 point
 }
 
-/// A store that misses every lookup and fails every baseline claim.
+/// A store that misses every lookup and fails every claim.
 class ClaimFailingStore : public PointStore {
  public:
   bool lookup_point(std::uint64_t, CachedPoint&) const override {
@@ -234,6 +240,9 @@ class ClaimFailingStore : public PointStore {
   void store_point(std::uint64_t, const CachedPoint&) override {}
   void store_baseline(std::uint64_t, double) override {}
   std::size_t size() const override { return 0; }
+  ClaimStatus claim_point(std::uint64_t) override {
+    throw std::runtime_error("claim failed");
+  }
   ClaimStatus claim_baseline(std::uint64_t) override {
     throw std::runtime_error("claim failed");
   }
@@ -255,6 +264,34 @@ TEST(RunSweep, FailedBaselineClaimIsNotCountedAsCached) {
   EXPECT_EQ(last.done, last.total);
   EXPECT_EQ(last.cached, result.cache_hits);
   EXPECT_EQ(result.cache_hits, 0u);
+}
+
+TEST(RunSweep, ThrowingStoreFailsEveryRowWithoutEscaping) {
+  // A store call that throws fails its own task, on every tier: the sweep
+  // returns, each row records the error, and the meter still reaches total.
+  for (const Backend backend : {Backend::kFast, Backend::kFluid}) {
+    SCOPED_TRACE(backend_name(backend));
+    SweepSpec spec = tiny_spec();
+    spec.backend = backend;
+    ClaimFailingStore store;
+    SweepProgress last;
+    SweepOptions options;
+    options.threads = 2;
+    options.cancel_on_failure = false;
+    options.store = &store;
+    options.on_progress = [&](const SweepProgress& progress) {
+      last = progress;
+    };
+    const SweepResult result = run_sweep(spec, options);
+    ASSERT_EQ(result.points.size(), 4u);
+    for (const PointResult& row : result.points) {
+      EXPECT_EQ(row.status, PointStatus::kFailed);
+      EXPECT_FALSE(row.error.empty());
+    }
+    EXPECT_EQ(last.total, 6u);  // 2 baselines + 4 points
+    EXPECT_EQ(last.done, last.total);
+    EXPECT_EQ(result.cache_hits, 0u);
+  }
 }
 
 TEST(RunSweep, CacheHitsAreWeightedNearZeroInEta) {
