@@ -4,7 +4,9 @@
 // — the figure harnesses run hundreds of packet-level simulations.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <optional>
+#include <random>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -87,6 +89,41 @@ void BM_TimerRestart(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 10000);
 }
 BENCHMARK(BM_TimerRestart);
+
+void BM_SchedulerHold(benchmark::State& state) {
+  // Hold model, the shape of the packet engine's event loop: N events stay
+  // pending, and every fired event schedules one successor at now plus a
+  // delay from a fixed pseudo-random table, from inside its callback. The
+  // delays (0.1-10 ms) stay inside the far window, so every event goes
+  // through the heap. N = 32 and 512 are about the mean heap sizes of the
+  // paper's dumbbell sweep and of the 1000-flow gigabit scenario.
+  struct Hold {
+    Scheduler sched;
+    std::vector<Time> delays;
+    std::size_t next = 0;
+    std::int64_t fired = 0;
+    void fire() {
+      ++fired;
+      sched.schedule(delays[next++ & (delays.size() - 1)], [this] { fire(); });
+    }
+  };
+  const int n = static_cast<int>(state.range(0));
+  Hold hold;
+  std::mt19937_64 rng(0x5eed);
+  hold.delays.resize(4096);
+  for (Time& d : hold.delays) d = 1e-4 * static_cast<Time>(1 + rng() % 100);
+  for (int i = 0; i < n; ++i) {
+    hold.sched.schedule(hold.delays[hold.next++], [&hold] { hold.fire(); });
+  }
+  // About 1024 events per iteration at the table's 5 ms mean delay.
+  const Time span = 5e-3 * 1024.0 / n;
+  for (auto _ : state) {
+    hold.sched.run_until(hold.sched.now() + span);
+  }
+  benchmark::DoNotOptimize(hold.fired);
+  state.SetItemsProcessed(hold.fired);
+}
+BENCHMARK(BM_SchedulerHold)->Arg(32)->Arg(512);
 
 void BM_DropTailEnqueueDequeue(benchmark::State& state) {
   DropTailQueue queue(256);

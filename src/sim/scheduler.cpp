@@ -1,6 +1,7 @@
 #include "sim/scheduler.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "util/assert.hpp"
@@ -33,23 +34,21 @@ bool Scheduler::reschedule_at(EventId id, Time when) {
     const std::size_t idx = static_cast<std::size_t>(kShelfBase - p);
     if (when > far_horizon_) {
       // Far timer pushed to another far deadline — the common TCP RTO
-      // re-arm. Two stores, no heap traffic.
-      shelf_[idx].when = when;
-      shelf_[idx].seq = seq;
+      // re-arm. One store, no heap traffic.
+      shelf_[idx] = make_node(when, seq, slot);
     } else {
       shelf_remove(idx);
-      insert_node(HeapNode{when, seq, slot});
+      insert_node(make_node(when, seq, slot));
     }
     return true;
   }
   const std::size_t pos = static_cast<std::size_t>(p);
   if (when > far_horizon_) {
     detach(pos);
-    insert_node(HeapNode{when, seq, slot});  // lands on the shelf
+    insert_node(make_node(when, seq, slot));  // lands on the shelf
     return true;
   }
-  heap_[pos].when = when;
-  heap_[pos].seq = seq;
+  heap_[pos] = make_node(when, seq, slot);
   sift_down(pos);
   sift_up(pos);
   return true;
@@ -61,7 +60,7 @@ bool Scheduler::reschedule(EventId id, Time delay) {
 }
 
 void Scheduler::reserve(std::size_t n) {
-  heap_.reserve(n);
+  heap_.reserve(n + 4);
   shelf_.reserve(n);
   pos_.reserve(n);
   while (slabs_.size() * kSlabSize < n) {
@@ -70,6 +69,7 @@ void Scheduler::reserve(std::size_t n) {
 }
 
 void Scheduler::reset() {
+  PDOS_CHECK_MSG(phase_ == Phase::kIdle, "Scheduler::reset called from inside an event");
   for (std::uint32_t slot = 0; slot < slot_count_; ++slot) {
     Slot* s = slot_ptr(slot);
     if (pos_[slot] != kFreePos) s->fn.reset();  // armed closure: destroy it
@@ -84,6 +84,7 @@ void Scheduler::reset() {
     free_head_ = kNoFreeSlot;
   }
   heap_.clear();
+  size_ = 0;
   shelf_.clear();
   now_ = 0.0;
   far_horizon_ = 0.0;
@@ -94,31 +95,44 @@ void Scheduler::reset() {
 
 void Scheduler::sift_down(std::size_t pos) {
   const HeapNode node = heap_[pos];
-  const std::size_t size = heap_.size();
-  for (;;) {
-    const std::size_t first_child = pos * 4 + 1;
-    if (first_child >= size) break;
-    const std::size_t best = min_child(first_child, size);
+  for (std::size_t first = pos * 4 + 1; first < size_; first = pos * 4 + 1) {
+    const std::size_t best = min_child(first);
     if (!before(heap_[best], node)) break;
     heap_[pos] = heap_[best];
-    pos_[heap_[pos].slot] = static_cast<std::int32_t>(pos);
+    pos_[heap_[pos].slot()] = static_cast<std::int32_t>(pos);
     pos = best;
   }
   heap_[pos] = node;
-  pos_[node.slot] = static_cast<std::int32_t>(pos);
+  pos_[node.slot()] = static_cast<std::int32_t>(pos);
 }
 
 void Scheduler::detach(std::size_t pos) {
-  const std::size_t last = heap_.size() - 1;
-  if (pos != last) {
-    heap_[pos] = heap_[last];
-    pos_[heap_[pos].slot] = static_cast<std::int32_t>(pos);
-    heap_.pop_back();
+  const HeapNode moved = heap_[--size_];
+  heap_[size_] = kSentinel;
+  if (pos != size_) {
+    heap_[pos] = moved;
     sift_down(pos);
     sift_up(pos);
-  } else {
-    heap_.pop_back();
   }
+}
+
+void Scheduler::remove_root() {
+  const HeapNode moved = heap_[--size_];
+  heap_[size_] = kSentinel;
+  if (size_ == 0) return;
+  // Floyd's hole descent: walk the root hole down the min-child path
+  // without comparing against `moved` (it came from the bottom, so it
+  // almost always belongs near a leaf), then drop it in and sift up the
+  // usually-zero distance back.
+  std::size_t pos = 0;
+  for (std::size_t first = 1; first < size_; first = pos * 4 + 1) {
+    const std::size_t best = min_child(first);
+    heap_[pos] = heap_[best];
+    pos_[heap_[pos].slot()] = static_cast<std::int32_t>(pos);
+    pos = best;
+  }
+  heap_[pos] = moved;
+  sift_up(pos);
 }
 
 void Scheduler::release_slot(std::uint32_t slot) {
@@ -129,41 +143,6 @@ void Scheduler::release_slot(std::uint32_t slot) {
   free_head_ = slot;
 }
 
-std::uint32_t Scheduler::pop_min() {
-  const HeapNode top = heap_[0];
-  ++slot_ptr(top.slot)->gen;  // ids are now stale; recycled after the invoke
-  pos_[top.slot] = -1;
-  const std::size_t size = heap_.size() - 1;
-  if (size > 0) {
-    const HeapNode moved = heap_[size];
-    heap_.pop_back();
-    // Floyd's hole descent: walk the root hole down the min-child path
-    // without comparing against `moved` (it came from the bottom, so it
-    // almost always belongs near a leaf), then drop it in and sift up the
-    // usually-zero distance back.
-    std::size_t pos = 0;
-    for (;;) {
-      const std::size_t first_child = pos * 4 + 1;
-      if (first_child >= size) break;
-      const std::size_t best = min_child(first_child, size);
-      heap_[pos] = heap_[best];
-      pos_[heap_[pos].slot] = static_cast<std::int32_t>(pos);
-      pos = best;
-    }
-    heap_[pos] = moved;
-    pos_[moved.slot] = static_cast<std::int32_t>(pos);
-    sift_up(pos);
-  } else {
-    heap_.pop_back();
-  }
-  now_ = top.when;
-  // The clock can only pass the frontier when the shelf is empty (the run
-  // loops pull first otherwise); sliding it forward keeps subsequent
-  // schedule() calls routing near events into the heap.
-  if (now_ > far_horizon_) far_horizon_ = now_;
-  return top.slot;
-}
-
 void Scheduler::pull_shelf() {
   // Advance the frontier one window past the earliest pending event and
   // migrate every shelf entry that falls inside it, with original
@@ -171,18 +150,18 @@ void Scheduler::pull_shelf() {
   // migration cannot reorder anything. One pass always restores the pop
   // invariant (heap top <= frontier, or shelf empty); the loop is belt and
   // braces.
-  while (!shelf_.empty() && (heap_.empty() || heap_[0].when > far_horizon_)) {
-    Time next = shelf_[0].when;
+  while (!shelf_.empty() && (size_ == 0 || heap_[0].when() > far_horizon_)) {
+    Time next = shelf_[0].when();
     for (std::size_t i = 1; i < shelf_.size(); ++i) {
-      next = std::min(next, shelf_[i].when);
+      next = std::min(next, shelf_[i].when());
     }
-    if (!heap_.empty()) next = std::min(next, heap_[0].when);
+    if (size_ > 0) next = std::min(next, heap_[0].when());
     far_horizon_ = std::max(far_horizon_, next) + far_window_;
     const std::size_t scanned = shelf_.size();
     std::size_t migrated = 0;
     std::size_t i = 0;
     while (i < shelf_.size()) {
-      if (shelf_[i].when <= far_horizon_) {
+      if (shelf_[i].when() <= far_horizon_) {
         const HeapNode node = shelf_[i];
         shelf_remove(i);  // swap-remove: re-examine index i
         insert_node(node);
@@ -205,49 +184,56 @@ void Scheduler::pull_shelf() {
   }
 }
 
-std::uint64_t Scheduler::run_until(Time horizon) {
+std::uint64_t Scheduler::fire(Time horizon, std::uint64_t limit) {
+  PDOS_CHECK_MSG(phase_ == Phase::kIdle, "Scheduler run called from inside an event");
   std::uint64_t count = 0;
-  for (;;) {
-    if (!shelf_.empty() && (heap_.empty() || heap_[0].when > far_horizon_)) {
+  for (; count < limit; ++count) {
+    if (!shelf_.empty() && (size_ == 0 || heap_[0].when() > far_horizon_)) {
       pull_shelf();
     }
-    if (heap_.empty() || heap_[0].when > horizon) break;
-    const std::uint32_t slot = pop_min();
-    slot_ptr(slot)->fn();  // in place: the slot cannot be re-acquired yet
-    recycle_slot(slot);
-    ++count;
+    if (size_ == 0 || heap_[0].when() > horizon) break;
+    const std::uint32_t slot = heap_[0].slot();
+    Slot* s = slot_ptr(slot);
+    ++s->gen;  // the firing id is dead, so its slot cannot be handed out
+    pos_[slot] = kFreePos;
+    now_ = heap_[0].when();
+    // The clock can only pass the frontier when the shelf is empty (pulled
+    // above otherwise); sliding it forward keeps later schedule() calls
+    // routing near events into the heap.
+    if (now_ > far_horizon_) far_horizon_ = now_;
+    phase_ = Phase::kRootOpen;
+    // Closes the step on every exit, a throwing closure's included: drop
+    // the root if the closure left it open, then recycle the slot.
+    struct Close {
+      Scheduler& sched;
+      Slot* s;
+      std::uint32_t slot;
+      ~Close() {
+        if (sched.phase_ == Phase::kRootOpen) sched.remove_root();
+        sched.phase_ = Phase::kIdle;
+        s->fn.reset();
+        s->next_free = sched.free_head_;
+        sched.free_head_ = slot;
+      }
+    } close{*this, s, slot};
+    s->fn();  // in place: the slot cannot be re-acquired yet
   }
-  if (now_ < horizon) now_ = horizon;
   executed_ += count;
+  return count;
+}
+
+std::uint64_t Scheduler::run_until(Time horizon) {
+  const std::uint64_t count = fire(horizon, ~std::uint64_t{0});
+  if (now_ < horizon) now_ = horizon;
   return count;
 }
 
 std::uint64_t Scheduler::run() {
-  std::uint64_t count = 0;
-  for (;;) {
-    if (!shelf_.empty() && (heap_.empty() || heap_[0].when > far_horizon_)) {
-      pull_shelf();
-    }
-    if (heap_.empty()) break;
-    const std::uint32_t slot = pop_min();
-    slot_ptr(slot)->fn();  // in place: the slot cannot be re-acquired yet
-    recycle_slot(slot);
-    ++count;
-  }
-  executed_ += count;
-  return count;
+  return fire(std::numeric_limits<Time>::infinity(), ~std::uint64_t{0});
 }
 
 bool Scheduler::step() {
-  if (!shelf_.empty() && (heap_.empty() || heap_[0].when > far_horizon_)) {
-    pull_shelf();
-  }
-  if (heap_.empty()) return false;
-  const std::uint32_t slot = pop_min();
-  slot_ptr(slot)->fn();
-  recycle_slot(slot);
-  ++executed_;
-  return true;
+  return fire(std::numeric_limits<Time>::infinity(), 1) == 1;
 }
 
 }  // namespace pdos

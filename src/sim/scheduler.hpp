@@ -10,15 +10,27 @@
 // `reschedule_at` moves a pending event in place (fresh tie-break sequence,
 // same slot), the primitive behind `Timer`'s restart-without-realloc path.
 //
-// Layout: the heap array holds only 16-byte (when, seq, slot) keys — four
-// nodes per cache line — so sifting never touches a closure buffer. Heap
-// positions live in a flat dense array indexed by slot, not in the slots
-// themselves, so the per-move bookkeeping write lands in a small hot int
-// array instead of dragging a closure-bearing slot line through the slab
-// indirection. Slots live in fixed-size slabs with stable addresses —
-// growing the slot population never relocates a pending closure — and
-// freed slots recycle through a LIFO free list, so the steady-state event
-// loop performs no allocations at all.
+// Layout: the heap array holds only 16-byte integer (when, seq, slot) keys —
+// four nodes per cache line — so sifting never touches a closure buffer, and
+// a key compare is one unsigned 128-bit compare with no branch. Child
+// selection picks the smallest of four with flag arithmetic and masks, over
+// sentinel padding past the last node, so a sift's only key-dependent jump
+// is its loop exit. Heap positions live in a flat dense array indexed by
+// slot, not in the slots themselves, so the per-move bookkeeping write lands
+// in a small hot int array instead of dragging a closure-bearing slot line
+// through the slab indirection. Slots live in fixed-size slabs with stable
+// addresses — growing the slot population never relocates a pending
+// closure — and freed slots recycle through a LIFO free list, so the
+// steady-state event loop performs no allocations at all.
+//
+// One sift per fired event: the firing event's (dead) node keeps the heap
+// root while its closure runs, and the first heap-bound event the closure
+// schedules takes that place with one sift down — a fused pop-and-push.
+// Only a closure that schedules nothing into the heap pays a separate root
+// removal. This is exact: the refill sifts down from the root whatever its
+// key, and until then the only heap nodes that move are ones already there
+// (no smaller than the firing key, the heap minimum) and reschedules (when
+// >= now, fresh seq), so no sift can pass the open root.
 //
 // Two tiers: events due within the far horizon live in the heap; events
 // beyond it (TCP retransmit timers, delayed ACKs, pulse periods — the bulk
@@ -26,12 +38,13 @@
 // unsorted shelf and migrate heap-ward in batches as the clock approaches.
 // Every pop therefore sifts a heap of the handful of imminent events, not
 // of every armed timer in the simulation, and rescheduling a shelved timer
-// is two stores instead of two sifts. Ordering is unaffected: the heap
+// is one store instead of two sifts. Ordering is unaffected: the heap
 // holds every event at or before the horizon, the shelf is strictly
 // beyond it, and migration re-inserts nodes with their original
 // (when, seq) keys.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <type_traits>
@@ -104,7 +117,7 @@ class Scheduler {
     } else {
       s.fn.emplace(std::forward<F>(fn));
     }
-    insert_node(HeapNode{when, seq, slot});
+    insert_node(make_node(when, seq, slot));
     return (static_cast<EventId>(s.gen) << 32) | (slot + 1);
   }
 
@@ -139,7 +152,8 @@ class Scheduler {
 
   /// Run events until the queue empties or `horizon` is passed. Events at
   /// exactly `horizon` still run; `now()` ends at `horizon` if events remain.
-  /// Returns the number of events executed.
+  /// Returns the number of events executed. Like `run`, `step` and `reset`,
+  /// it must not be called from inside an event (InvariantError).
   std::uint64_t run_until(Time horizon);
 
   /// Run until the queue is empty. Returns the number of events executed.
@@ -148,22 +162,39 @@ class Scheduler {
   /// Execute only the next pending event (if any). Returns true if one ran.
   bool step();
 
-  std::size_t queue_size() const { return heap_.size() + shelf_.size(); }
-  bool empty() const { return heap_.empty() && shelf_.empty(); }
+  /// Pending events; a firing event's open root is not one.
+  std::size_t queue_size() const {
+    return size_ - (phase_ == Phase::kRootOpen) + shelf_.size();
+  }
+  bool empty() const { return queue_size() == 0; }
   std::uint64_t events_executed() const { return executed_; }
 
  private:
-  /// Heap node: ordering key plus the slot holding the closure. Kept apart
-  /// from the slots so sifting moves 16 bytes, never a closure buffer. The
-  /// sequence tie-breaker is 32-bit: it only has to stay unique within one
+  /// Heap node: the ordering key as two integers, plus the slot holding the
+  /// closure, kept apart from the slots so sifting moves 16 bytes, never a
+  /// closure buffer. `hi` is the bit pattern of `when`: every key's time is
+  /// a non-negative, non-NaN double (>= now() >= 0, -0.0 normalised), and
+  /// those order like their bit patterns. `lo` is seq above slot; slots are
+  /// unique among live nodes, so they never decide an order. The sequence
+  /// tie-breaker is 32-bit: it only has to stay unique within one
   /// scheduler's lifetime, and a run would need ~4.3 billion schedules to
   /// wrap — `next_seq()` checks and fails loudly long before silent reorder.
   struct HeapNode {
-    Time when;
-    std::uint32_t seq;  // tie-breaker: FIFO among simultaneous events
-    std::uint32_t slot;
+    std::uint64_t hi;  // bits of when
+    std::uint64_t lo;  // seq << 32 | slot: FIFO among simultaneous events
+    Time when() const { return std::bit_cast<Time>(hi); }
+    std::uint32_t slot() const { return static_cast<std::uint32_t>(lo); }
   };
   static_assert(sizeof(HeapNode) == 16, "heap keys should be 16 bytes");
+
+  static HeapNode make_node(Time when, std::uint32_t seq, std::uint32_t slot) {
+    // + 0.0 turns -0.0, whose bits sort after every time, into +0.0.
+    return HeapNode{std::bit_cast<std::uint64_t>(when + 0.0),
+                    (std::uint64_t{seq} << 32) | slot};
+  }
+
+  /// Fills heap_ past the last node: after every key, so it never wins.
+  static constexpr HeapNode kSentinel{~std::uint64_t{0}, ~std::uint64_t{0}};
 
   struct Slot {
     std::uint32_t gen = 0;  // bumped on release; stale ids never match
@@ -192,29 +223,22 @@ class Scheduler {
   static constexpr std::int32_t kFreePos = -1;
   static constexpr std::int32_t kShelfBase = -2;
 
+  /// Strict (when, seq) order: one unsigned 128-bit compare, no branch.
   static bool before(const HeapNode& a, const HeapNode& b) {
-    // Exact double ties are the rare rationally locked case, so the branch
-    // predicts "distinct" essentially always.
-    if (a.when != b.when) return a.when < b.when;
-    return a.seq < b.seq;
+    using U128 = unsigned __int128;
+    return ((U128{a.hi} << 64) | a.lo) < ((U128{b.hi} << 64) | b.lo);
   }
 
-  /// Index of the smallest of the up-to-four children of `pos`; `first`
-  /// is `pos * 4 + 1` (< size). Tournament order keeps the comparisons
-  /// independent so they pipeline instead of chaining.
-  std::size_t min_child(std::size_t first, std::size_t size) const {
-    if (first + 4 <= size) {
-      const std::size_t a =
-          before(heap_[first + 1], heap_[first]) ? first + 1 : first;
-      const std::size_t b =
-          before(heap_[first + 3], heap_[first + 2]) ? first + 3 : first + 2;
-      return before(heap_[b], heap_[a]) ? b : a;
-    }
-    std::size_t best = first;
-    for (std::size_t c = first + 1; c < size; ++c) {
-      if (before(heap_[c], heap_[best])) best = c;
-    }
-    return best;
+  /// Index of the smallest of the four children starting at `first`
+  /// (< size_; missing children are sentinels). Flag arithmetic and a mask,
+  /// not `?:`, which GCC turns into jumps; the two pair compares are
+  /// independent, so they pipeline.
+  std::size_t min_child(std::size_t first) const {
+    const HeapNode* c = &heap_[first];
+    const std::size_t a = first + before(c[1], c[0]);
+    const std::size_t b = first + 2 + before(c[3], c[2]);
+    const std::size_t take_b = 0 - std::size_t{before(heap_[b], heap_[a])};
+    return a ^ ((a ^ b) & take_b);
   }
 
   Slot* slot_ptr(std::uint32_t slot) const {
@@ -250,15 +274,20 @@ class Scheduler {
     return s;
   }
 
-  /// Route a fresh node to the heap or the far shelf by due time.
+  /// Route a fresh node to the heap or the far shelf by due time. The
+  /// first heap-bound node of a firing callback takes the open root.
   void insert_node(const HeapNode& node) {
-    if (node.when > far_horizon_) {
-      pos_[node.slot] = kShelfBase - static_cast<std::int32_t>(shelf_.size());
+    if (node.when() > far_horizon_) {
+      pos_[node.slot()] = kShelfBase - static_cast<std::int32_t>(shelf_.size());
       shelf_.push_back(node);
+    } else if (phase_ == Phase::kRootOpen) {
+      phase_ = Phase::kRootFilled;
+      heap_[0] = node;
+      sift_down(0);
     } else {
-      pos_[node.slot] = static_cast<std::int32_t>(heap_.size());
-      heap_.push_back(node);
-      sift_up(heap_.size() - 1);
+      if (heap_.size() < size_ + 4) heap_.resize(size_ + 4, kSentinel);
+      heap_[size_] = node;
+      sift_up(size_++);
     }
   }
 
@@ -267,7 +296,7 @@ class Scheduler {
     const std::size_t last = shelf_.size() - 1;
     if (idx != last) {
       shelf_[idx] = shelf_[last];
-      pos_[shelf_[idx].slot] = kShelfBase - static_cast<std::int32_t>(idx);
+      pos_[shelf_[idx].slot()] = kShelfBase - static_cast<std::int32_t>(idx);
     }
     shelf_.pop_back();
   }
@@ -283,40 +312,41 @@ class Scheduler {
       const std::size_t parent = (pos - 1) / 4;
       if (!before(node, heap_[parent])) break;
       heap_[pos] = heap_[parent];
-      pos_[heap_[pos].slot] = static_cast<std::int32_t>(pos);
+      pos_[heap_[pos].slot()] = static_cast<std::int32_t>(pos);
       pos = parent;
     }
     heap_[pos] = node;
-    pos_[node.slot] = static_cast<std::int32_t>(pos);
+    pos_[node.slot()] = static_cast<std::int32_t>(pos);
   }
 
   void sift_down(std::size_t pos);
   /// Detach the heap node at `pos`, restoring the heap property. The node's
   /// slot is left untouched.
   void detach(std::size_t pos);
+  /// Remove the heap root (Floyd's hole descent).
+  void remove_root();
   /// Return a slot to the free list and invalidate outstanding ids to it.
   void release_slot(std::uint32_t slot);
-  /// Pop the minimum event and advance the clock. The slot is made stale
-  /// (ids to it are dead) but NOT yet recycled, so the caller can invoke
-  /// the closure in place — even a callback that schedules new events
-  /// cannot be handed this slot. The caller must run `recycle_slot` on the
-  /// returned slot afterwards. Precondition: heap non-empty.
-  std::uint32_t pop_min();
-  /// Destroy an invoked closure and return its (already stale) slot to the
-  /// free list. Second half of the pop_min contract.
-  void recycle_slot(std::uint32_t slot) {
-    Slot* s = slot_ptr(slot);
-    s->fn.reset();
-    s->next_free = free_head_;
-    free_head_ = slot;
-  }
+  /// The one event loop behind run_until, run and step: fire due events in
+  /// (when, seq) order, each in place in its slot, until none is due by
+  /// `horizon` or `limit` have run.
+  std::uint64_t fire(Time horizon, std::uint64_t limit);
+
+  // Where the fire loop stands. While a closure runs, its own dead node
+  // still holds the heap root: kRootOpen until the first heap-bound
+  // insert_node takes the root over, kRootFilled after.
+  enum class Phase : std::uint8_t { kIdle, kRootOpen, kRootFilled };
 
   Time now_ = 0.0;
   Time far_horizon_ = 0.0;  // heap holds everything due at or before this
   Time far_window_ = kFarWindow;  // adaptive; see pull_shelf
   std::uint32_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
+  Phase phase_ = Phase::kIdle;
+  // heap_[0, size_) is the heap; at least three sentinels follow, so
+  // min_child always reads four nodes.
   std::vector<HeapNode> heap_;
+  std::size_t size_ = 0;
   std::vector<HeapNode> shelf_;  // unsorted; strictly beyond far_horizon_
   // pos_[slot] is the slot's index into heap_, -1 while the slot is free or
   // its event is being invoked. Parallel to the slabs, always slot_count_

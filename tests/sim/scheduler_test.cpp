@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <ostream>
 #include <random>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -304,6 +306,24 @@ class ReferenceScheduler {
     return fired;
   }
 
+  /// Fire one event: remove the earliest entry in (when, id) order if it is
+  /// due at or before `horizon`, moving the clock to its time.
+  bool pop_one(double horizon, int* payload) {
+    const auto it = std::min_element(entries_.begin(), entries_.end(),
+                                     [](const Entry& a, const Entry& b) {
+                                       if (a.when != b.when) return a.when < b.when;
+                                       return a.id < b.id;
+                                     });
+    if (it == entries_.end() || it->when > horizon) return false;
+    now_ = it->when;
+    *payload = it->payload;
+    entries_.erase(it);
+    return true;
+  }
+
+  /// The end of a run_until: the clock moves up to the horizon.
+  void advance_to(double horizon) { now_ = std::max(now_, horizon); }
+
   double now() const { return now_; }
   std::size_t size() const { return entries_.size(); }
 
@@ -372,6 +392,290 @@ TEST(SchedulerPropertyTest, MatchesReferenceModelUnderRandomWorkloads) {
         EXPECT_EQ(sched.pending(h.real), ref.pending(h.ref));
       }
     }
+  }
+}
+
+// Scripted re-entrant workload for the property test below. Every fired
+// event logs what its callback observes and then runs a script seeded by its
+// tag: schedule 0-3 events (at zero delay, tied with another handle's time,
+// near, or around and beyond the 50 ms far window), maybe cancel a handle,
+// maybe reschedule one, in shuffled order. Handles are numbered in creation
+// order, so the real scheduler and the model make the same calls for as long
+// as they agree, and any divergence shows up in the fire logs.
+struct ScriptOp {
+  enum Kind { kSchedule, kCancel, kReschedule } kind;
+  double when;
+  std::size_t target;
+};
+
+struct FireRecord {
+  int tag;
+  double now;
+  std::size_t size_in;   // queue_size() as the callback starts
+  std::size_t size_out;  // ... and as it returns
+  // pending() of the firing handle, then per cancel or reschedule its
+  // return value and the target's pending() after it.
+  std::vector<int> results;
+  bool operator==(const FireRecord&) const = default;
+};
+
+void PrintTo(const FireRecord& r, std::ostream* os) {
+  *os << "{tag " << r.tag << " at " << r.now << ", size " << r.size_in
+      << " -> " << r.size_out << ", results " << ::testing::PrintToString(r.results)
+      << "}";
+}
+
+constexpr double kTick = 1.0 / 1024.0;  // sums of ticks are exact, so times tie
+constexpr std::size_t kMaxHandles = 600;
+
+double draw_when(std::mt19937& rng, double now, const std::vector<double>& when_of) {
+  switch (rng() % 4) {
+    case 0:
+      return now;
+    case 1:
+      return when_of.empty() ? now : std::max(now, when_of[rng() % when_of.size()]);
+    case 2:
+      return now + kTick * static_cast<double>(1 + rng() % 8);
+    default:
+      return now + kTick * static_cast<double>(40 + rng() % 1000);
+  }
+}
+
+std::vector<ScriptOp> script_for(std::uint32_t seed, int tag, double now,
+                                 const std::vector<double>& when_of) {
+  std::mt19937 rng(seed ^ (0x9e3779b9u * static_cast<std::uint32_t>(tag + 1)));
+  static constexpr int kSpawn[8] = {0, 0, 0, 1, 1, 1, 2, 3};  // one child on average
+  std::vector<ScriptOp> ops;
+  const int spawn = when_of.size() < kMaxHandles ? kSpawn[rng() % 8] : 0;
+  for (int i = 0; i < spawn; ++i) {
+    ops.push_back({ScriptOp::kSchedule, draw_when(rng, now, when_of), 0});
+  }
+  if (rng() % 3 == 0) ops.push_back({ScriptOp::kCancel, 0.0, rng() % when_of.size()});
+  if (rng() % 3 == 0) {
+    ops.push_back({ScriptOp::kReschedule, draw_when(rng, now, when_of),
+                   rng() % when_of.size()});
+  }
+  std::shuffle(ops.begin(), ops.end(), rng);
+  return ops;
+}
+
+/// Apply one op; cancels and reschedules append their results to `out`.
+template <typename World>
+void apply_op(World& w, const ScriptOp& op, std::vector<int>* out) {
+  if (op.kind == ScriptOp::kSchedule) {
+    w.schedule(op.when);
+    return;
+  }
+  out->push_back(op.kind == ScriptOp::kCancel ? w.cancel(op.target)
+                                              : w.reschedule(op.target, op.when));
+  out->push_back(w.pending(op.target));
+}
+
+/// The body of every fired event, on either side.
+template <typename World>
+void fire_scripted(World& w, int tag) {
+  FireRecord r{tag, w.now(), w.size(), 0, {w.pending(static_cast<std::size_t>(tag))}};
+  for (const ScriptOp& op : script_for(w.seed, tag, w.now(), w.when_of)) {
+    apply_op(w, op, &r.results);
+  }
+  r.size_out = w.size();
+  w.log.push_back(std::move(r));
+}
+
+struct RealWorld {
+  explicit RealWorld(std::uint32_t s) : seed(s) {}
+  std::uint32_t seed;
+  Scheduler sched;
+  std::vector<EventId> ids;
+  std::vector<double> when_of;
+  std::vector<FireRecord> log;
+
+  double now() const { return sched.now(); }
+  std::size_t size() const { return sched.queue_size(); }
+  bool pending(std::size_t h) const { return sched.pending(ids[h]); }
+  void schedule(double when) {
+    const int tag = static_cast<int>(ids.size());
+    ids.push_back(sched.schedule_at(when, [this, tag] { fire_scripted(*this, tag); }));
+    when_of.push_back(when);
+  }
+  bool cancel(std::size_t h) { return sched.cancel(ids[h]); }
+  bool reschedule(std::size_t h, double when) {
+    if (!sched.reschedule_at(ids[h], when)) return false;
+    when_of[h] = when;
+    return true;
+  }
+};
+
+struct ModelWorld {
+  explicit ModelWorld(std::uint32_t s) : seed(s) {}
+  std::uint32_t seed;
+  ReferenceScheduler ref;
+  std::vector<std::uint64_t> ids;
+  std::vector<double> when_of;
+  std::vector<FireRecord> log;
+
+  double now() const { return ref.now(); }
+  std::size_t size() const { return ref.size(); }
+  bool pending(std::size_t h) const { return ref.pending(ids[h]); }
+  void schedule(double when) {
+    ids.push_back(ref.schedule(when, static_cast<int>(ids.size())));
+    when_of.push_back(when);
+  }
+  bool cancel(std::size_t h) { return ref.cancel(ids[h]); }
+  bool reschedule(std::size_t h, double when) {  // cancel plus a fresh schedule
+    if (!ref.cancel(ids[h])) return false;
+    ids[h] = ref.schedule(when, static_cast<int>(h));
+    when_of[h] = when;
+    return true;
+  }
+  bool step(double horizon) {
+    int tag = 0;
+    if (!ref.pop_one(horizon, &tag)) return false;
+    fire_scripted(*this, tag);
+    return true;
+  }
+};
+
+TEST(SchedulerPropertyTest, MatchesReferenceModelWhenCallbacksScheduleCancelAndReschedule) {
+  // The path every packet event takes: callbacks that schedule, cancel and
+  // reschedule while they fire, driven through run_until, step and run.
+  // Checked against the model after every batch: the firing order, now()
+  // and queue_size() inside each callback, the results of its cancels and
+  // reschedules, and pending() on every handle.
+  constexpr double kForever = 1e300;
+  for (std::uint32_t trial = 0; trial < 40; ++trial) {
+    const std::uint32_t seed = 20261017u + trial;
+    std::mt19937 rng(seed);
+    RealWorld real(seed);
+    ModelWorld model(seed);
+    for (int batch = 0; batch < 30; ++batch) {
+      const int ops = static_cast<int>(rng() % 6) + 1;
+      for (int op = 0; op < ops; ++op) {  // from outside the loop
+        const std::uint32_t kind = rng() % 4;
+        std::vector<int> real_out, model_out;
+        if (kind < 2 || real.ids.empty()) {
+          const ScriptOp s{ScriptOp::kSchedule, draw_when(rng, real.now(), real.when_of), 0};
+          apply_op(real, s, &real_out);
+          apply_op(model, s, &model_out);
+        } else {
+          const ScriptOp s{kind == 2 ? ScriptOp::kCancel : ScriptOp::kReschedule,
+                           draw_when(rng, real.now(), real.when_of),
+                           rng() % real.ids.size()};
+          apply_op(real, s, &real_out);
+          apply_op(model, s, &model_out);
+        }
+        EXPECT_EQ(real_out, model_out) << "trial " << trial;
+      }
+      const std::uint32_t drive = rng() % 8;
+      if (drive < 4) {
+        const double horizon = real.now() + kTick * static_cast<double>(rng() % 64);
+        real.sched.run_until(horizon);
+        while (model.step(horizon)) {
+        }
+        model.ref.advance_to(horizon);
+      } else if (drive < 7) {
+        for (std::uint32_t k = rng() % 8 + 1; k > 0; --k) {
+          EXPECT_EQ(real.sched.step(), model.step(kForever)) << "trial " << trial;
+        }
+      } else {
+        real.sched.run();
+        while (model.step(kForever)) {
+        }
+      }
+      ASSERT_EQ(real.log, model.log) << "trial " << trial << " batch " << batch;
+      real.log.clear();
+      model.log.clear();
+      EXPECT_EQ(real.now(), model.now());
+      EXPECT_EQ(real.size(), model.size());
+      ASSERT_EQ(real.ids.size(), model.ids.size());
+      for (std::size_t h = 0; h < real.ids.size(); ++h) {
+        EXPECT_EQ(real.pending(h), model.pending(h)) << "trial " << trial << " handle " << h;
+      }
+    }
+    real.sched.run();
+    while (model.step(kForever)) {
+    }
+    EXPECT_EQ(real.log, model.log) << "trial " << trial;
+    EXPECT_TRUE(real.sched.empty());
+  }
+}
+
+TEST(SchedulerTest, NegativeZeroTimeTiesWithZeroInFifoOrder) {
+  // -0.0 passes the when >= now() check at time 0 and equals 0.0, so it
+  // must tie with it in schedule order, not sort after every other time.
+  Scheduler sched;
+  std::vector<int> order;
+  sched.schedule_at(-0.0, [&order] { order.push_back(0); });
+  sched.schedule_at(0.0, [&order] { order.push_back(1); });
+  sched.schedule_at(-0.0, [&order] { order.push_back(2); });
+  sched.schedule_at(1.0, [&order] { order.push_back(3); });
+  const EventId moved = sched.schedule_at(2.0, [&order] { order.push_back(4); });
+  EXPECT_TRUE(sched.reschedule_at(moved, -0.0));
+  sched.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 4, 3}));
+}
+
+TEST(SchedulerTest, EarlierClaimedRankScheduledFromACallbackKeepsItsPlace) {
+  // A rank claimed before other events were scheduled keeps its place when
+  // its event is materialized later from inside a callback, even though its
+  // key is then smaller than the firing event's own.
+  Scheduler sched;
+  std::vector<int> order;
+  const std::uint32_t early = sched.allocate_seq();
+  sched.schedule(1.0, [&sched, &order, early] {
+    sched.schedule_at_sequenced(1.0, early, [&order] { order.push_back(0); });
+  });
+  sched.schedule(1.0, [&order] { order.push_back(1); });
+  sched.schedule(1.0, [&order] { order.push_back(2); });
+  sched.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(SchedulerTest, ThrowingEventLeavesSchedulerUsable) {
+  // An exception out of a callback propagates out of the run, and the
+  // scheduler stays consistent: whether the callback threw before or after
+  // scheduling, the remaining events still fire in order, and reset works.
+  Scheduler sched;
+  std::vector<int> order;
+  sched.schedule(1.0, [] { throw std::runtime_error("first"); });
+  sched.schedule(2.0, [&sched, &order] {
+    sched.schedule(0.5, [&order] { order.push_back(25); });
+    throw std::runtime_error("second");
+  });
+  sched.schedule(3.0, [&order] { order.push_back(30); });
+  EXPECT_THROW(sched.run(), std::runtime_error);
+  EXPECT_EQ(sched.queue_size(), 2u);
+  EXPECT_THROW(sched.run(), std::runtime_error);
+  EXPECT_EQ(sched.queue_size(), 2u);
+  EXPECT_EQ(sched.run(), 2u);
+  EXPECT_EQ(order, (std::vector<int>{25, 30}));
+  sched.schedule(1.0, [&order] { order.push_back(40); });
+  sched.reset();
+  EXPECT_TRUE(sched.empty());
+  sched.schedule(1.0, [&order] { order.push_back(1); });
+  EXPECT_EQ(sched.run(), 1u);
+  EXPECT_EQ(order, (std::vector<int>{25, 30, 1}));
+}
+
+TEST(SchedulerTest, RunningFromInsideAnEventThrows) {
+  // A firing event's node holds the heap root while its callback runs, so
+  // a nested run_until, run, step or reset would corrupt the heap. Each
+  // fails with InvariantError, which leaves the outer run and the
+  // scheduler usable.
+  for (int call = 0; call < 4; ++call) {
+    Scheduler sched;
+    int later = 0;
+    sched.schedule(1.0, [&sched, call] {
+      if (call == 0) sched.run_until(5.0);
+      if (call == 1) sched.run();
+      if (call == 2) sched.step();
+      if (call == 3) sched.reset();
+    });
+    sched.schedule(2.0, [&later] { ++later; });
+    EXPECT_THROW(sched.run(), InvariantError) << "call " << call;
+    EXPECT_EQ(sched.queue_size(), 1u);
+    EXPECT_EQ(sched.run(), 1u);
+    EXPECT_EQ(later, 1);
   }
 }
 
