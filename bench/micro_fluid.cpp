@@ -1,8 +1,8 @@
 // Fluid surrogate benchmarks (google-benchmark): the fig. 6 quick-mode
 // grid point (15-flow ns-2 dumbbell, T_extent 50 ms, R_attack 25 Mbps,
-// γ = 0.5, 5 s warmup + 15 s measure) evaluated on the fluid backend, the
-// full packet backend, and the hybrid split, plus the bare fluid::solve
-// kernel without the experiment wrapper, the lane-batched W = 8 γ-grid
+// γ = 0.5, 5 s warmup + 15 s measure) evaluated on the fluid backend and
+// the full packet backend, plus the bare fluid::solve kernel without the
+// experiment wrapper, the lane-batched W = 8 γ-grid
 // (fluid::solve_batch, DESIGN.md §16), and the frozen pre-vectorization
 // scalar reference (fluid::refbench::solve) as the same-machine A/B arm
 // for the vectorized paths. These are for interactive work on the
@@ -60,11 +60,6 @@ void BM_PacketPoint(benchmark::State& state) {
   run_backend_point(state, Backend::kFull);
 }
 BENCHMARK(BM_PacketPoint)->Unit(benchmark::kMillisecond);
-
-void BM_HybridPoint(benchmark::State& state) {
-  run_backend_point(state, Backend::kHybrid);
-}
-BENCHMARK(BM_HybridPoint)->Unit(benchmark::kMillisecond);
 
 /// The binned million-flow system shared by the vectorized and reference
 /// binned arms. The class list spreads the ns-2 dumbbell's 20-460 ms RTT

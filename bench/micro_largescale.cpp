@@ -1,6 +1,6 @@
 // Gigabit-scale scenario benchmarks (google-benchmark): the LargeScale
-// dumbbell family (250 flows @ 155 Mbps, 1000 flows @ 1 Gbps) with the
-// express-lane/fused fast path on and off. These are for interactive
+// dumbbell family (250 flows @ 155 Mbps, 1000 flows @ 1 Gbps) on the
+// express-lane/fused `fast` backend and on `full`. These are for interactive
 // work on the large-N data path — the tracked, gated numbers live in
 // tools/bench_report (BENCH_scale.json vs bench/baseline_scale.json).
 #include <benchmark/benchmark.h>
@@ -35,7 +35,7 @@ RunControl short_horizon() {
 void run_large_scale(benchmark::State& state, bool fast) {
   ScenarioConfig config = ScenarioConfig::large_scale(
       static_cast<int>(state.range(0)), mbps(static_cast<double>(state.range(1))));
-  config.fast_path = fast;
+  config.backend = fast ? Backend::kFast : Backend::kFull;
   const PulseTrain train = large_scale_train(config.bottleneck);
   const RunControl control = short_horizon();
   ScenarioWorkspace ws;

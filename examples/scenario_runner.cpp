@@ -7,7 +7,7 @@
 //                   [--rtomin MS] [--textent MS] [--rattack MBPS]
 //                   [--gamma G | --no-attack] [--kappa K]
 //                   [--warmup S] [--measure S] [--seed N]
-//                   [--backend full|fast|fluid|hybrid] [--foreground N]
+//                   [--backend full|fast|fluid]
 //   scenario_runner --sweep SPECFILE [--threads N]
 //
 // The first form prints baseline and attacked goodput, measured vs
@@ -109,14 +109,11 @@ int main(int argc, char** argv) {
   const auto parsed_backend = parse_backend(backend);
   if (!parsed_backend) {
     std::fprintf(stderr,
-                 "unknown --backend '%s' (want full|fast|fluid|hybrid)\n",
+                 "unknown --backend '%s' (want full|fast|fluid)\n",
                  backend.c_str());
     return 2;
   }
   scenario.backend = *parsed_backend;
-  scenario.hybrid_foreground = static_cast<int>(
-      arg_of(argc, argv, "--foreground",
-             static_cast<double>(scenario.hybrid_foreground)));
 
   RunControl control;
   control.warmup = sec(arg_of(argc, argv, "--warmup", 5.0));

@@ -1,14 +1,12 @@
 #include "core/experiment.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 #include <utility>
 
 #include "attack/distributed.hpp"
 #include "core/model.hpp"
 #include "fluid/batch.hpp"
-#include "fluid/hybrid.hpp"
 #include "net/droptail.hpp"
 #include "net/link.hpp"
 #include "net/node.hpp"
@@ -28,7 +26,6 @@ const char* backend_name(Backend backend) {
     case Backend::kFull: return "full";
     case Backend::kFast: return "fast";
     case Backend::kFluid: return "fluid";
-    case Backend::kHybrid: return "hybrid";
   }
   return "?";
 }
@@ -37,7 +34,6 @@ std::optional<Backend> parse_backend(const std::string& name) {
   if (name == "full") return Backend::kFull;
   if (name == "fast") return Backend::kFast;
   if (name == "fluid") return Backend::kFluid;
-  if (name == "hybrid") return Backend::kHybrid;
   return std::nullopt;
 }
 
@@ -94,7 +90,7 @@ ScenarioConfig ScenarioConfig::large_scale(int num_flows,
   config.tcp = TcpSenderConfig{};
   config.tcp.aimd = AimdParams::new_reno();
   config.tcp.rto_min = sec(1.0);
-  config.fast_path = true;
+  config.backend = Backend::kFast;
   return config;
 }
 
@@ -114,22 +110,11 @@ void ScenarioConfig::validate() const {
     PDOS_REQUIRE(rtt > 2.0 * bottleneck_delay,
                  "Scenario: RTT must exceed bottleneck propagation");
   }
-  if (backend == Backend::kFluid || backend == Backend::kHybrid) {
-    PDOS_REQUIRE(fluid_dt_pulse > 0.0 && fluid_dt_idle > 0.0,
-                 "Scenario: fluid integration steps must be > 0");
-  }
   if (backend == Backend::kFluid) {
     PDOS_REQUIRE(cross_traffic_rate == 0.0,
                  "Scenario: fluid backend does not model cross traffic");
     PDOS_REQUIRE(attacker_phase_spread == 0.0,
                  "Scenario: fluid backend needs in-phase attackers");
-  }
-  if (backend == Backend::kHybrid) {
-    PDOS_REQUIRE(queue == QueueKind::kRed,
-                 "Scenario: hybrid backend requires a RED bottleneck");
-    PDOS_REQUIRE(hybrid_foreground >= 1 && hybrid_foreground < num_flows,
-                 "Scenario: hybrid needs 1 <= hybrid_foreground < num_flows");
-    PDOS_REQUIRE(hybrid_tick > 0.0, "Scenario: hybrid_tick must be > 0");
   }
   tcp.validate();
 }
@@ -159,8 +144,6 @@ fluid::FluidConfig make_fluid_config(const ScenarioConfig& config) {
   fc.initial_ssthresh = config.tcp.initial_ssthresh;
   fc.max_cwnd = config.tcp.max_cwnd;
   fc.rto_min = config.tcp.rto_min;
-  fc.dt_pulse = config.fluid_dt_pulse;
-  fc.dt_idle = config.fluid_dt_idle;
   return fc;
 }
 
@@ -302,7 +285,7 @@ void ScenarioWorkspace::build(const ScenarioConfig& config,
   const NodeId router_s_id = 2 * m;
   const NodeId router_r_id = 2 * m + 1;
   const NodeId attacker_id = 2 * m + 2;
-  const bool fast = config.fast_path || config.backend == Backend::kFast;
+  const bool fast = config.backend == Backend::kFast;
   Simulator& sim = sim_;
 
   router_s_ = sim.make<Node>(router_s_id, "routerS", sim.memory());
@@ -323,8 +306,8 @@ void ScenarioWorkspace::build(const ScenarioConfig& config,
   // Fast path: the reverse direction carries only 40-byte ACKs paced by the
   // forward bottleneck — it can never congest, so it gets the queue-less
   // express lane (one sequenced delivery event per link, no service
-  // events). Scenarios that queue or tap the reverse path keep fast_path
-  // off and get the full link.
+  // events). Scenarios that queue or tap the reverse path stay on
+  // Backend::kFull and get the full link.
   Link* bottleneck_rev =
       fast ? sim.make<Link>(sim, "bottleneck.rev", config.bottleneck,
                             config.bottleneck_delay,
@@ -472,34 +455,6 @@ RunResult ScenarioWorkspace::run(const ScenarioConfig& config,
     return run_fluid_backend(config, attack, control);
   }
 
-  // Hybrid: carve the packet-level foreground out of the flow list; the
-  // complement becomes the fluid background aggregate attached after build.
-  const bool hybrid = config.backend == Backend::kHybrid;
-  ScenarioConfig active = config;
-  std::vector<Time> background_rtts;
-  if (hybrid) {
-    const int m = config.num_flows;
-    const int f = config.hybrid_foreground;
-    std::vector<char> is_foreground(static_cast<std::size_t>(m), 0);
-    for (int i = 0; i < f; ++i) {
-      // Spread the packet flows evenly across the RTT list (f == 1 keeps
-      // the shortest-RTT flow). Strictly increasing for f <= m, no dupes.
-      const int idx =
-          f == 1 ? 0
-                 : static_cast<int>(std::lround(static_cast<double>(i) *
-                                                (m - 1) / (f - 1)));
-      is_foreground[static_cast<std::size_t>(idx)] = 1;
-    }
-    active.num_flows = f;
-    active.rtts.clear();
-    for (int i = 0; i < m; ++i) {
-      auto& dst = is_foreground[static_cast<std::size_t>(i)]
-                      ? active.rtts
-                      : background_rtts;
-      dst.push_back(config.rtts[i]);
-    }
-  }
-
   // Rewind the simulator to the run seed: the previous run's object graph
   // is destroyed, but every block of memory it occupied is retained and
   // reused by the rebuild below.
@@ -508,26 +463,11 @@ RunResult ScenarioWorkspace::run(const ScenarioConfig& config,
   router_r_ = nullptr;
   bottleneck_ = nullptr;
   cross_traffic_ = nullptr;
-  background_ = nullptr;
   sender_hot_ = nullptr;
   receiver_hot_ = nullptr;
   connections_.clear();
   attackers_.clear();
-  build(active, attack);
-
-  if (hybrid) {
-    auto* red = dynamic_cast<RedQueue*>(&bottleneck_->queue());
-    PDOS_CHECK(red != nullptr);  // validate() enforced QueueKind::kRed
-    fluid::FluidConfig bg = make_fluid_config(config);
-    bg.classes.clear();
-    bg.classes.reserve(background_rtts.size());
-    for (Time rtt : background_rtts) {
-      bg.classes.push_back(fluid::FluidClass{rtt, 1.0});
-    }
-    background_ = sim_.make<fluid::FluidBackgroundSource>(
-        sim_, bottleneck_, red, std::move(bg), config.hybrid_tick);
-    background_->start(0.0);
-  }
+  build(config, attack);
 
   // Instrument the bottleneck's arrivals (the paper's "incoming traffic").
   // StatsHub batches the per-bin sums and is pre-sized to the horizon, so
@@ -556,12 +496,8 @@ RunResult ScenarioWorkspace::run(const ScenarioConfig& config,
     // Lazy fused links drain analytically between packets; flush services
     // completed by now so the occupancy sample matches the eager schedule.
     ctx->bottleneck->settle();
-    // Hybrid runs count the fluid background's virtual backlog as
-    // occupancy; with no background the term is exactly 0.0 and the sample
-    // is bit-identical to the packet-only path.
     ctx->result.queue_occupancy.push_back(
-        static_cast<double>(ctx->bottleneck->queue().length()) +
-        (ctx->red_queue != nullptr ? ctx->red_queue->fluid_backlog() : 0.0));
+        static_cast<double>(ctx->bottleneck->queue().length()));
     ctx->result.red_avg_samples.push_back(
         ctx->red_queue != nullptr ? ctx->red_queue->avg() : 0.0);
     if (ctx->sim.now() + ctx->control.bin_width <= ctx->control.horizon()) {
@@ -588,7 +524,7 @@ RunResult ScenarioWorkspace::run(const ScenarioConfig& config,
   }
 
   if (control.traced_flow >= 0) {
-    PDOS_REQUIRE(control.traced_flow < active.num_flows,
+    PDOS_REQUIRE(control.traced_flow < config.num_flows,
                  "RunControl: traced_flow out of range");
     connections_[control.traced_flow].sender->set_cwnd_tracer(
         [trace = &result.cwnd_trace](Time t, double w) {
@@ -622,10 +558,6 @@ RunResult ScenarioWorkspace::run(const ScenarioConfig& config,
   for (const auto& conn : connections_) {
     goodput_marks_.push_back(conn.receiver->goodput_bytes());
   }
-  std::vector<double> background_mark;
-  if (background_ != nullptr) {
-    background_mark = background_->bank().delivered_packets();
-  }
   sim_.run_until(control.horizon());
 
   for (std::size_t i = 0; i < connections_.size(); ++i) {
@@ -637,20 +569,6 @@ RunResult ScenarioWorkspace::run(const ScenarioConfig& config,
     result.total_timeouts += stats.timeouts;
     result.total_fast_recoveries += stats.fast_recoveries;
     result.total_retransmits += stats.retransmits;
-  }
-  if (background_ != nullptr) {
-    // Fold the fluid background's delivered mass into the aggregate: one
-    // per-flow entry per background class, appended after the packet flows.
-    const auto window = background_->bank().delivered_since(background_mark);
-    const double spacket_bytes =
-        static_cast<double>(background_->spacket());
-    for (double pkts : window) {
-      const Bytes bytes = static_cast<Bytes>(pkts * spacket_bytes);
-      result.per_flow_goodput.push_back(bytes);
-      result.goodput_bytes += bytes;
-    }
-    result.total_timeouts += background_->bank().timeouts;
-    result.total_fast_recoveries += background_->bank().loss_events;
   }
   {
     std::vector<double> shares(result.per_flow_goodput.begin(),

@@ -34,30 +34,24 @@ namespace pdos {
 
 class Link;
 class OnOffSource;
-namespace fluid {
-class FluidBackgroundSource;
-}
 
 enum class QueueKind { kDropTail, kRed };
 
 /// Simulation tier a scenario runs on (DESIGN.md §12, "Choosing a backend"
 /// in README.md):
-///   kFull   — the packet engine's default event path (golden-digest
-///             pinned; the paper figures run here).
-///   kFast   — the same packet engine with the express ACK lane and event
-///             fusion (DESIGN.md §11); bit-identical packet timings,
-///             different event counts. Equivalent to fast_path = true.
-///   kFluid  — no packets at all: the fluid AIMD solver (src/fluid)
-///             integrates per-class window ODEs and RED occupancy,
-///             microseconds per run.
-///   kHybrid — `hybrid_foreground` flows stay packet-level; the remaining
-///             flows become a fluid aggregate coupled into the RED
-///             bottleneck through a FluidBackgroundSource.
-enum class Backend { kFull, kFast, kFluid, kHybrid };
+///   kFull  — the packet engine's default event path (golden-digest
+///            pinned; the paper figures run here).
+///   kFast  — the same packet engine with the express ACK lane and event
+///            fusion (DESIGN.md §11); bit-identical packet timings,
+///            different event counts.
+///   kFluid — no packets at all: the fluid AIMD solver (src/fluid)
+///            integrates per-class window ODEs and RED occupancy,
+///            microseconds per run.
+enum class Backend { kFull, kFast, kFluid };
 
 const char* backend_name(Backend backend);
 
-/// Parse "full" | "fast" | "fluid" | "hybrid"; nullopt on anything else.
+/// Parse "full" | "fast" | "fluid"; nullopt on anything else.
 std::optional<Backend> parse_backend(const std::string& name);
 
 struct ScenarioConfig {
@@ -84,28 +78,18 @@ struct ScenarioConfig {
   /// 0 disables it (the paper's scenarios).
   BitRate cross_traffic_rate = 0.0;
   std::uint64_t seed = 1;
-  /// Large-scale event plumbing (DESIGN.md §11): reverse-path links become
+  /// Which simulation tier runs the scenario (see Backend above). kFull
+  /// keeps every default-path digest byte-identical. kFast turns on the
+  /// large-scale event plumbing (DESIGN.md §11): reverse-path links become
   /// queue-less express ACK lanes and forward links fuse idle serves into
   /// zero service events. Packet-level behaviour (timings, drops, RNG
   /// draws) is unchanged, but the scheduler's event count and tie-break
   /// rank stream are not — and the golden figure digests pin event counts —
-  /// so this is opt-in and the paper scenarios leave it off. A scenario
-  /// that installs reverse-path queues or taps must also leave it off.
-  bool fast_path = false;
-  /// Which simulation tier runs the scenario (see Backend above). kFull
-  /// keeps every default-path digest byte-identical; kFast implies
-  /// fast_path; kFluid and kHybrid trade packet-level fidelity for speed.
+  /// so the paper scenarios stay on kFull. A scenario that installs
+  /// reverse-path queues or taps must stay on kFull too. kFluid trades
+  /// packet-level fidelity for speed; its integration steps are
+  /// `fluid::FluidConfig::dt_pulse/dt_idle`.
   Backend backend = Backend::kFull;
-  /// Hybrid tier: how many flows (spread evenly across the RTT list) stay
-  /// packet-level. The other num_flows - hybrid_foreground flows form the
-  /// fluid background aggregate.
-  int hybrid_foreground = 4;
-  /// Hybrid tier: background integration tick.
-  Time hybrid_tick = ms(1.0);
-  /// Fluid tier: base integration step inside / between pulses. The solver
-  /// additionally snaps steps to pulse edges and RTO expiries.
-  Time fluid_dt_pulse = ms(10.0);
-  Time fluid_dt_idle = ms(20.0);
 
   /// §4.1 ns-2 scenario. The paper reuses Kuzmanovic & Knightly's scripts;
   /// parameters it does not restate (buffer size, RED thresholds) follow
@@ -119,8 +103,8 @@ struct ScenarioConfig {
   /// Beyond-the-paper scaling family (DESIGN.md §11): the ns-2 dumbbell
   /// stretched to `num_flows` victims on a `bottleneck` of up to 1 Gbps,
   /// with the buffer scaled in proportion to the rate (240 packets at
-  /// 15 Mbps) so the queueing dynamics stay comparable. Enables
-  /// `fast_path`: the express ACK lane and event fusion, which leave
+  /// 15 Mbps) so the queueing dynamics stay comparable. Runs on
+  /// `Backend::kFast`: the express ACK lane and event fusion, which leave
   /// packet-level behaviour untouched.
   static ScenarioConfig large_scale(int num_flows,
                                     BitRate bottleneck = gbps(1));
@@ -224,7 +208,6 @@ class ScenarioWorkspace {
   std::vector<TcpConnection> connections_;
   std::vector<PulseAttacker*> attackers_;
   OnOffSource* cross_traffic_ = nullptr;
-  fluid::FluidBackgroundSource* background_ = nullptr;  // hybrid tier only
   // Flat hot-state tables (tcp/flow_state.hpp), one slot per flow, laid out
   // contiguously in the simulator arena by build().
   TcpSenderHot* sender_hot_ = nullptr;
@@ -288,9 +271,8 @@ std::vector<GainMeasurement> fluid_gain_batch(const ScenarioConfig& config,
 
 /// Translate a scenario to the fluid tier's system description: one class
 /// per flow, the same RED parameterization `make_queue` builds, the TCP
-/// stack's AIMD/slow-start/RTO knobs. Used by the kFluid backend, the
-/// hybrid background (with the class list cut down to the background
-/// flows), and the agreement tests.
+/// stack's AIMD/slow-start/RTO knobs, with FluidConfig's default
+/// integration steps. Used by the kFluid backend and the agreement tests.
 fluid::FluidConfig make_fluid_config(const ScenarioConfig& config);
 
 }  // namespace pdos

@@ -116,7 +116,7 @@ GammaSearchResult run_gamma_search(const GammaSearch& search,
   // The confirm tier is the packet engine; a surrogate tier handed in by
   // the caller would make "confirm" meaningless.
   ScenarioConfig packet_cfg = search.scenario;
-  if (packet_cfg.backend != Backend::kFast) {
+  if (packet_cfg.backend == Backend::kFluid) {
     packet_cfg.backend = Backend::kFull;
   }
   ScenarioConfig fluid_cfg = search.scenario;

@@ -94,7 +94,7 @@ class FluidGainCache {
 /// gain G = Γ(1−γ)^κ.
 struct GammaSearch {
   ScenarioConfig scenario;   // `scenario.backend` selects the confirm tier
-                             // (kFluid/kHybrid are coerced to kFull)
+                             // (kFluid is coerced to kFull)
   Time textent = ms(50);
   BitRate rattack = mbps(25);
   double kappa = 1.0;

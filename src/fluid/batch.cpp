@@ -135,7 +135,10 @@ std::vector<FluidResult> solve_batch(const FluidConfig& config,
   std::vector<double> atk_bytes_a(wpad, 0.0);
   std::vector<std::uint64_t> loss_events(wpad, 0);
   std::vector<std::uint64_t> timeouts(wpad, 0);
-  std::vector<std::vector<double>> warmup_mark(width);
+  // Sized by resize(), not the count constructor: at -O3 GCC 12 cannot
+  // bound `width` on the constructor path and warns -Walloc-size-larger-than.
+  std::vector<std::vector<double>> warmup_mark;
+  warmup_mark.resize(width);
   std::vector<FluidResult> results(width);
 
   kernels::AimdConsts consts;

@@ -146,13 +146,12 @@ struct FluidResult {
 /// RED early-drop probability for an average queue of `avg` packets, with
 /// ns-2's count-based spreading folded in as its expectation: the marking
 /// ramp gives p_b, uniformized inter-drop gaps make the realized drop rate
-/// 2 p_b / (1 + p_b). Shared by the pure solver and the hybrid background
-/// source (which reads `avg` from the live RedQueue instead).
+/// 2 p_b / (1 + p_b). The scalar form of the ramp `solve` and `solve_batch`
+/// evaluate every step.
 double red_drop_probability(const RedParams& params, double avg);
 
-/// A bank of fluid AIMD classes: the per-class window state and its
-/// response to loss pressure, factored out so the pure solver and the
-/// hybrid FluidBackgroundSource integrate identical dynamics.
+/// A bank of fluid AIMD classes: the per-class window state of `solve` and
+/// its response to loss pressure.
 class AimdBank {
  public:
   AimdBank() = default;

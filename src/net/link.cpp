@@ -117,7 +117,7 @@ void Link::serve_next() {
   // the simulation (Simulator arena), so no Timer cancel-on-destroy
   // indirection is needed on this path.
   Packet pkt = queue_->dequeue_nonempty();
-  const Time tx = transmission_time(pkt.size_bytes, rate_) * service_scale_;
+  const Time tx = transmission_time(pkt.size_bytes, rate_);
   const Time fin = sim_.now() + tx;
   service_done_ = fin;
   if (lazy_) {
@@ -163,8 +163,7 @@ void Link::catch_up(Time now, bool include_now) {
          (service_done_ < now || (include_now && service_done_ == now))) {
     --queued_;
     Packet pkt = queue_->dequeue_nonempty_at(service_done_);
-    const Time fin = service_done_ +
-                     transmission_time(pkt.size_bytes, rate_) * service_scale_;
+    const Time fin = service_done_ + transmission_time(pkt.size_bytes, rate_);
     service_done_ = fin;
     emit(std::move(pkt), fin);
   }
@@ -177,8 +176,7 @@ void Link::inject_at(Packet pkt, Time arrival) {
   // non-decreasing order (single upstream, constant delay), so chaining
   // off service_done_ reproduces FIFO exactly.
   const Time start = arrival < service_done_ ? service_done_ : arrival;
-  const Time fin =
-      start + transmission_time(pkt.size_bytes, rate_) * service_scale_;
+  const Time fin = start + transmission_time(pkt.size_bytes, rate_);
   service_done_ = fin;
   emit(std::move(pkt), fin);
 }

@@ -144,17 +144,6 @@ class Link : public PacketHandler {
   /// True for the queue-less express lane.
   bool express() const { return queue_ == nullptr; }
 
-  /// Hybrid fluid coupling (DESIGN.md §12): scale every subsequent service
-  /// time by `scale` (>= 1), modelling the link capacity claimed by a fluid
-  /// background aggregate — the packets this link serves drain at the
-  /// residual rate `rate / scale`. The default 1.0 multiplies exactly, so
-  /// an unscaled link stays bit-identical to the pre-hook service path.
-  void set_service_scale(double scale) {
-    PDOS_REQUIRE(scale >= 1.0, "Link: service scale must be >= 1");
-    service_scale_ = scale;
-  }
-  double service_scale() const { return service_scale_; }
-
   /// Express only: hand emitted packets straight to the express link that
   /// `hop` routes them to, with the analytic arrival time, instead of
   /// scheduling this link's own delivery event. The target is resolved per
@@ -228,7 +217,6 @@ class Link : public PacketHandler {
   std::string name_;
   BitRate rate_;
   Time delay_;
-  double service_scale_ = 1.0;  // hybrid residual-capacity governor
   std::unique_ptr<QueueDiscipline> owned_queue_;  // legacy ctor only
   QueueDiscipline* queue_;  // null on the express lane
   PacketHandler* downstream_;

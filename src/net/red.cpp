@@ -43,9 +43,7 @@ void RedQueue::bind(const Scheduler* clock, BitRate service_rate,
 }
 
 void RedQueue::update_avg() {
-  // Fluid backlog counts as occupancy: with it at 0.0 (no hybrid source)
-  // every expression here is bit-identical to the packet-only queue.
-  const double q = static_cast<double>(buffer_.size()) + fluid_backlog_;
+  const double q = static_cast<double>(buffer_.size());
   if (!idle_ || q > 0.0) {
     avg_ = (1.0 - params_.wq) * avg_ + params_.wq * q;
     return;
@@ -102,8 +100,7 @@ bool RedQueue::enqueue(Packet pkt) {
     stats_.note_drop(pkt);
     return false;
   }
-  if (static_cast<double>(buffer_.size()) + fluid_backlog_ >=
-      static_cast<double>(params_.capacity)) {
+  if (buffer_.size() >= params_.capacity) {
     ++forced_drops_;
     count_ = 0;
     stats_.note_drop(pkt);
@@ -121,7 +118,7 @@ Packet RedQueue::dequeue_nonempty() {
 Packet RedQueue::dequeue_nonempty_at(Time service_start) {
   Packet pkt = buffer_.pop_front();
   ++stats_.dequeued;
-  if (buffer_.empty() && fluid_backlog_ == 0.0) {
+  if (buffer_.empty()) {
     // The idle interval the next arrival decays over starts when service of
     // the last buffered packet begins, which is the time the caller hands
     // in — under lazy fusion the wall clock has already moved past it.
@@ -129,38 +126,6 @@ Packet RedQueue::dequeue_nonempty_at(Time service_start) {
     idle_start_ = service_start;
   }
   return pkt;
-}
-
-double RedQueue::fluid_arrive(double arrivals, double admitted) {
-  PDOS_REQUIRE(arrivals >= 0.0 && admitted >= 0.0 && admitted <= arrivals,
-               "RedQueue: need 0 <= admitted <= arrivals");
-  if (arrivals > 0.0) {
-    // The EWMA sees every arrival (as per-packet RED does, drop or not):
-    // n arrivals at occupancy q move avg toward q by (1 - wq)^n.
-    const double q = static_cast<double>(buffer_.size()) + fluid_backlog_;
-    if (idle_ && q == 0.0 && clock_ != nullptr && mean_service_time_ > 0.0) {
-      const double m =
-          std::max(0.0, (clock_->now() - idle_start_) / mean_service_time_);
-      avg_ *= std::pow(1.0 - params_.wq, m);
-    }
-    avg_ = q + (avg_ - q) * std::pow(1.0 - params_.wq, arrivals);
-    idle_ = false;
-  }
-  const double space = static_cast<double>(params_.capacity) -
-                       static_cast<double>(buffer_.size()) - fluid_backlog_;
-  const double taken = std::clamp(admitted, 0.0, std::max(0.0, space));
-  fluid_backlog_ += taken;
-  return taken;
-}
-
-void RedQueue::fluid_drain(double packets) {
-  PDOS_REQUIRE(packets >= 0.0, "RedQueue: drain must be >= 0");
-  fluid_backlog_ = std::max(0.0, fluid_backlog_ - packets);
-  if (fluid_backlog_ == 0.0 && buffer_.empty() && !idle_ &&
-      clock_ != nullptr) {
-    idle_ = true;
-    idle_start_ = clock_->now();
-  }
 }
 
 }  // namespace pdos

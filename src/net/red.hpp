@@ -61,29 +61,6 @@ class RedQueue : public QueueDiscipline {
   std::uint64_t early_drops() const { return early_drops_; }
   std::uint64_t forced_drops() const { return forced_drops_; }
 
-  // --- Fluid coupling (hybrid tier, DESIGN.md §12) ----------------------
-  //
-  // A FluidBackgroundSource models a mass of background flows as a fluid
-  // aggregate sharing this queue. Its packets are a real-valued *virtual
-  // backlog*: they occupy buffer space (the forced-drop check sees real +
-  // virtual occupancy), they feed the EWMA average, and they drain at the
-  // share of the service rate the source grants them. With the backlog at
-  // its default 0.0 every arithmetic below is exact, so a queue that never
-  // sees fluid behaves bit-identically to one built before this hook
-  // existed — the golden digests pin that.
-
-  /// Virtual fluid occupancy, packets (real-valued).
-  double fluid_backlog() const { return fluid_backlog_; }
-
-  /// Offer fluid to the queue: `arrivals` packets update the EWMA average
-  /// (dropped-or-not, as per-packet RED would), and up to `admitted` of
-  /// them claim buffer space. Returns the mass actually buffered — the
-  /// shortfall is the aggregate's forced-drop share.
-  double fluid_arrive(double arrivals, double admitted);
-
-  /// Serve `packets` of the virtual backlog.
-  void fluid_drain(double packets);
-
  private:
   void update_avg();
   bool should_early_drop();
@@ -97,7 +74,6 @@ class RedQueue : public QueueDiscipline {
   const Scheduler* clock_ = nullptr;  // may be null in unit tests
   double mean_service_time_ = 0.0;    // seconds per average packet
   double avg_ = 0.0;
-  double fluid_backlog_ = 0.0;  // virtual fluid occupancy, packets
   int count_ = -1;        // packets since last drop while avg in [min_th, ...)
   bool idle_ = true;      // queue empty, awaiting next arrival
   Time idle_start_ = 0.0;

@@ -5,9 +5,9 @@ namespace pdos::sweep {
 namespace {
 
 /// The scenario whose fluid tier the cached values describe. The search's
-/// own backend field selects the CONFIRM tier (and is coerced kFull/kFast
-/// by the optimizer); the fluid phase always runs kFluid, so two searches
-/// that differ only in confirm tier share their surrogate scores.
+/// own backend field selects the CONFIRM tier (kFull or kFast; the optimizer
+/// coerces kFluid to kFull); the fluid phase always runs kFluid, so two
+/// searches that differ only in confirm tier share their surrogate scores.
 ScenarioConfig fluid_scenario(const GammaSearch& search) {
   ScenarioConfig config = search.scenario;
   config.backend = Backend::kFluid;

@@ -71,13 +71,9 @@ void hash_scenario(Fnv1a& h, const ScenarioConfig& c) {
   h.f64(c.attacker_phase_spread).f64(c.flow_start_spread);
   h.f64(c.cross_traffic_rate);
 
-  // Simulation tier: the backend (and its tuning knobs) changes what a
-  // "result" means, so full/fast/fluid/hybrid points must never alias in a
-  // --resume replay.
+  // Simulation tier: the backend changes what a "result" means, so
+  // full/fast/fluid points must never alias in a --resume replay.
   h.i64(static_cast<std::int64_t>(c.backend));
-  h.i64(c.fast_path ? 1 : 0);
-  h.i64(c.hybrid_foreground).f64(c.hybrid_tick);
-  h.f64(c.fluid_dt_pulse).f64(c.fluid_dt_idle);
   // The store BACKING (single file vs sharded campaign directory) and the
   // worker process and thread counts are not hashed: none of them changes
   // a result, and the same keys address both stores, which is what lets K

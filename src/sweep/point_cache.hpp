@@ -52,7 +52,10 @@ namespace pdos::sweep {
 /// cross-class reductions onto a fixed-shape block tree — every fluid and
 /// hybrid result shifts at ULP level at identical parameters, so schema-2
 /// fluid records must not replay.
-inline constexpr int kPointCacheSchema = 3;
+/// Schema 4: the tier section hashes `backend` alone — the hybrid tier,
+/// the fast_path flag (now Backend::kFast) and the scenario-level fluid
+/// steps are gone. Outputs are unchanged, but every key moves.
+inline constexpr int kPointCacheSchema = 4;
 
 /// Digest of (point axes + derived ScenarioConfig + seed + control +
 /// fingerprint) for an attack point of `spec`.

@@ -101,10 +101,8 @@ SpecFile parse_spec(const std::string& text) {
       const auto backend = parse_backend(value);
       PDOS_REQUIRE(backend.has_value(),
                    "spec line " + std::to_string(line) +
-                       ": backend must be full, fast, fluid or hybrid");
+                       ": backend must be full, fast or fluid");
       file.spec.backend = *backend;
-    } else if (key == "hybrid_foreground") {
-      file.spec.hybrid_foreground = parse_integer<int>(value, line);
     } else if (key == "flows") {
       file.spec.flow_counts = parse_list<int, parse_integer<int>>(value, line);
     } else if (key == "textent_ms") {

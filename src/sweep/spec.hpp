@@ -7,9 +7,8 @@
 //   # full Figs. 6-9 grid
 //   scenario     = ns2          # ns2 | testbed
 //   queue        = red          # red | droptail
-//   backend      = full         # full | fast | fluid | hybrid (tier, see
+//   backend      = full         # full | fast | fluid (tier, see
 //                               # DESIGN.md §12; default full)
-//   hybrid_foreground = 4       # hybrid only: packet-level flows per point
 //   flows        = 15,25,35,45
 //   textent_ms   = 50,75,100
 //   rattack_mbps = 25,30,35,40
@@ -29,7 +28,7 @@
 //
 // Unknown keys are an error (they are always typos). Numbers must be
 // finite; the integer keys (flows, gamma_points, replicates, base_seed,
-// threads, hybrid_foreground) take whole numbers in their type's range.
+// threads) take whole numbers in their type's range.
 #pragma once
 
 #include <string>

@@ -70,7 +70,6 @@ ScenarioConfig SweepSpec::make_scenario(const PointSpec& point) const {
                               : ScenarioConfig::testbed(point.flows);
   config.queue = queue;
   config.backend = backend;
-  config.hybrid_foreground = hybrid_foreground;
   config.seed = replicate_seed(base_seed, point.replicate);
   return config;
 }

@@ -48,11 +48,9 @@ struct SweepSpec {
   ScenarioKind scenario = ScenarioKind::kNs2Dumbbell;
   QueueKind queue = QueueKind::kRed;
   /// Simulation tier every point (and baseline) runs on; spec files select
-  /// it with `backend = full|fast|fluid|hybrid`. Cache keys include it, so
+  /// it with `backend = full|fast|fluid`. Cache keys include it, so
   /// switching tiers never replays another tier's points.
   Backend backend = Backend::kFull;
-  /// Hybrid tier only: packet-level flows per point (see ScenarioConfig).
-  int hybrid_foreground = 4;
 
   // Cartesian axes (ignored when `explicit_points` is non-empty).
   std::vector<int> flow_counts = {15};

@@ -25,7 +25,7 @@ namespace pdos {
 
 class MonotonicArena final : public std::pmr::memory_resource {
  public:
-  /// `first_block_bytes` sizes the first block; later blocks double up to
+  /// `first_block_bytes` sizes the first block; later blocks grow 4x up to
   /// a cap, and oversized requests get a block of their own.
   explicit MonotonicArena(std::size_t first_block_bytes = kDefaultBlockBytes);
   ~MonotonicArena() override = default;

@@ -315,5 +315,16 @@ TEST(MeasureGainTest, RejectsZeroBaseline) {
                ParameterError);
 }
 
+TEST(BackendNamesTest, RoundTrip) {
+  for (Backend b : {Backend::kFull, Backend::kFast, Backend::kFluid}) {
+    const auto parsed = parse_backend(backend_name(b));
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_EQ(*parsed, b);
+  }
+  EXPECT_FALSE(parse_backend("hybrid").has_value());
+  EXPECT_FALSE(parse_backend("warp").has_value());
+  EXPECT_FALSE(parse_backend("").has_value());
+}
+
 }  // namespace
 }  // namespace pdos

@@ -1,8 +1,8 @@
 // Large-scale fast path: express ACK lane, event fusion, flat hot state.
 //
 // Two contracts from DESIGN.md §11:
-//   1. `fast_path` changes the event plumbing, never the packets — a
-//      scenario run with and without it must agree on every packet-level
+//   1. `Backend::kFast` changes the event plumbing, never the packets — a
+//      scenario run on it and on kFull must agree on every packet-level
 //      output (goodput, drops, timeouts, jitter), while executing far
 //      fewer scheduler events.
 //   2. The per-flow hot path at N = 1000 — hot-slot updates, delivery
@@ -67,7 +67,7 @@ TEST(LargeScaleTest, FastPathIsPacketIdenticalToFullPath) {
   control.measure = sec(6.0);
 
   ScenarioConfig full = config;
-  full.fast_path = false;
+  full.backend = Backend::kFull;
   const RunResult fast = run_scenario(config, train, control);
   const RunResult slow = run_scenario(full, train, control);
 
@@ -90,7 +90,7 @@ TEST(LargeScaleTest, FastPathIsPacketIdenticalToFullPath) {
 
 TEST(LargeScaleTest, LargeScaleConfigScalesBufferWithRate) {
   const ScenarioConfig base = ScenarioConfig::large_scale(250, mbps(155));
-  EXPECT_TRUE(base.fast_path);
+  EXPECT_EQ(base.backend, Backend::kFast);
   EXPECT_EQ(base.num_flows, 250);
   EXPECT_EQ(base.buffer_packets,
             static_cast<std::size_t>(240.0 * mbps(155) / mbps(15)));

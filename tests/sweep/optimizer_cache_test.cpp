@@ -154,11 +154,6 @@ TEST(OptimizerCacheTest, GainKeySensitivity) {
     s.scenario = ScenarioConfig::ns2_dumbbell(16);
     EXPECT_NE(key, fluid_gain_key(s, 0.5)) << "scenario must key";
   }
-  {
-    GammaSearch s = base;
-    s.scenario.fluid_dt_pulse = ms(5);
-    EXPECT_NE(key, fluid_gain_key(s, 0.5)) << "fluid step must key";
-  }
   // The confirm tier is NOT part of the fluid value: kFull and kFast
   // searches share their surrogate scores.
   {

@@ -201,7 +201,7 @@ TEST(PointCacheKeyTest, BaselineKeyIgnoresAttackAxes) {
 }
 
 TEST(PointCacheKeyTest, BackendIsPartOfTheKey) {
-  // A --resume replay must never answer a fluid (or hybrid/fast) point
+  // A --resume replay must never answer a fluid (or fast) point
   // from a cache populated by a full-packet campaign, or vice versa: the
   // tiers measure different things at identical parameters.
   const SweepSpec spec = quick_spec();
@@ -209,8 +209,7 @@ TEST(PointCacheKeyTest, BackendIsPartOfTheKey) {
   const std::uint64_t base_point = point_key(spec, point, 1);
   const std::uint64_t base_baseline = baseline_key(spec, point, 1);
 
-  for (Backend backend :
-       {Backend::kFast, Backend::kFluid, Backend::kHybrid}) {
+  for (Backend backend : {Backend::kFast, Backend::kFluid}) {
     SweepSpec tier = spec;
     tier.backend = backend;
     EXPECT_NE(point_key(tier, point, 1), base_point)
@@ -219,17 +218,12 @@ TEST(PointCacheKeyTest, BackendIsPartOfTheKey) {
         << backend_name(backend);
   }
 
-  // The tier tuning knobs are covered too.
-  SweepSpec hybrid = spec;
-  hybrid.backend = Backend::kHybrid;
-  SweepSpec hybrid_wider = hybrid;
-  hybrid_wider.hybrid_foreground = hybrid.hybrid_foreground + 2;
-  EXPECT_NE(point_key(hybrid, point, 1), point_key(hybrid_wider, point, 1));
-
-  // And the four backends are pairwise distinct.
+  // And the three backends are pairwise distinct.
+  SweepSpec fast = spec;
+  fast.backend = Backend::kFast;
   SweepSpec fluid = spec;
   fluid.backend = Backend::kFluid;
-  EXPECT_NE(point_key(hybrid, point, 1), point_key(fluid, point, 1));
+  EXPECT_NE(point_key(fast, point, 1), point_key(fluid, point, 1));
 }
 
 TEST(PointCacheKeyTest, KeysAreStableAcrossCalls) {

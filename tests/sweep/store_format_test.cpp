@@ -407,8 +407,8 @@ TEST(SweepKeysTest, MatchTheFreeKeyFunctionsOnEveryPoint) {
   for (ScenarioKind scenario :
        {ScenarioKind::kNs2Dumbbell, ScenarioKind::kTestbed}) {
     for (QueueKind queue : {QueueKind::kRed, QueueKind::kDropTail}) {
-      for (Backend backend : {Backend::kFull, Backend::kFast, Backend::kFluid,
-                              Backend::kHybrid}) {
+      for (Backend backend :
+           {Backend::kFull, Backend::kFast, Backend::kFluid}) {
         for (bool explicit_points : {false, true}) {
           SweepSpec spec;
           spec.scenario = scenario;

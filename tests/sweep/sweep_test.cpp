@@ -356,7 +356,6 @@ TEST(SpecParser, ParsesTheFullGrammar) {
 scenario     = ns2
 queue        = droptail
 backend      = fluid
-hybrid_foreground = 6
 flows        = 3, 5
 textent_ms   = 50, 75
 rattack_mbps = 25
@@ -373,7 +372,6 @@ json         = out.json
   EXPECT_EQ(file.spec.scenario, ScenarioKind::kNs2Dumbbell);
   EXPECT_EQ(file.spec.queue, QueueKind::kDropTail);
   EXPECT_EQ(file.spec.backend, Backend::kFluid);
-  EXPECT_EQ(file.spec.hybrid_foreground, 6);
   EXPECT_EQ(file.spec.flow_counts, (std::vector<int>{3, 5}));
   ASSERT_EQ(file.spec.textents.size(), 2u);
   EXPECT_DOUBLE_EQ(file.spec.textents[1], ms(75));
@@ -401,6 +399,9 @@ TEST(SpecParser, RejectsUnknownKeysAndGarbage) {
   // Former execution-strategy knobs are unknown keys too.
   EXPECT_THROW(parse_spec("shards = 2\n"), ParameterError);
   EXPECT_THROW(parse_spec("batch_replicates = on\n"), ParameterError);
+  // So is the deleted hybrid tier, by name and by its tuning key.
+  EXPECT_THROW(parse_spec("backend = hybrid\n"), ParameterError);
+  EXPECT_THROW(parse_spec("hybrid_foreground = 4\n"), ParameterError);
   // Non-finite numbers never reach an axis.
   EXPECT_THROW(parse_spec("gamma = nan\n"), ParameterError);
   EXPECT_THROW(parse_spec("textent_ms = nan\n"), ParameterError);

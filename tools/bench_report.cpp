@@ -321,7 +321,7 @@ struct ScaleSample {
 ScaleSample run_large_scale(ScenarioWorkspace& ws, int flows, BitRate rate,
                             bool fast) {
   ScenarioConfig config = ScenarioConfig::large_scale(flows, rate);
-  config.fast_path = fast;
+  config.backend = fast ? Backend::kFast : Backend::kFull;
   const RunControl control = large_scale_control();
   const auto start = Clock::now();
   const RunResult result = ws.run(config, large_scale_train(rate), control);
