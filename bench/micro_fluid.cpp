@@ -183,7 +183,7 @@ void BM_FluidBatchGammaGridW8(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(lanes.size()));
   state.SetLabel(std::string("items = grid points, W=8 lanes, ") +
-                 fluid::simd_backend());
+                 fluid::batch_simd_backend() + " lane variant");
 }
 BENCHMARK(BM_FluidBatchGammaGridW8)->Unit(benchmark::kMicrosecond);
 

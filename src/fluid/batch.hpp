@@ -1,7 +1,7 @@
 // Lane-batched fluid evaluation (DESIGN.md §16): solve W independent
 // grid points that share one topology (FluidConfig classes, links, AQM)
 // and one measurement window, in lockstep, with chunk-major SIMD state
-// (one vector holds four lanes of one class).
+// (one vector holds four or eight lanes of one class).
 //
 // Each lane is one (attack plan) grid point — per-lane γ/T_extent/
 // R_attack via its own FluidAttack, or an unattacked baseline lane — and
@@ -15,12 +15,14 @@
 //
 // bit for bit, on every backend (pinned by tests/fluid/batch_test.cpp).
 // The win is throughput: the per-class kernel work of all W lanes runs
-// through the same 4-wide SIMD kernels the single-point path uses for
-// its classes (kernels.hpp), and the per-step driver (pulse phase, step
-// clipping, RED/queue balance) runs four lanes at a time from the same
-// templates the single-point path instantiates on one (solve_detail.hpp)
-// — this is what `search_confirm_gamma`'s fluid phase, run_sweep's
-// fluid tier, and bench_report's gain-surface emitter batch through.
+// through the same SIMD kernels the single-point path uses for its
+// classes (kernels.hpp), and the per-step driver (pulse phase, step
+// clipping, RED/queue balance) runs a vector of lanes at a time from the
+// same templates the single-point path instantiates on one
+// (solve_detail.hpp). The vector is 8 lanes on x86-64 CPUs with AVX-512F
+// and DQ and 4 elsewhere, picked at run time (batch_simd_backend()) —
+// this is what `search_confirm_gamma`'s fluid phase, run_sweep's fluid
+// tier, and bench_report's gain-surface emitter batch through.
 #pragma once
 
 #include <optional>
@@ -44,5 +46,10 @@ struct BatchLane {
 std::vector<FluidResult> solve_batch(const FluidConfig& config,
                                      const std::vector<BatchLane>& lanes,
                                      const FluidControl& control);
+
+/// The SIMD backend solve_batch steps its lanes with on this CPU: "avx512"
+/// (8 lanes per vector) on x86-64 CPUs with AVX-512F and DQ, else
+/// simd_backend()'s 4-lane one. The results are the same bits either way.
+const char* batch_simd_backend();
 
 }  // namespace pdos::fluid

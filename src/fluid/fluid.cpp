@@ -13,6 +13,7 @@ namespace pdos::fluid {
 using detail::kDupackFloor;
 using detail::kInf;
 using detail::kTimeEps;
+using simd::DVec;
 
 const char* simd_backend() { return simd::kBackendName; }
 
@@ -176,22 +177,21 @@ AimdBank::AimdBank(const FluidConfig& config)
 
 double AimdBank::refresh_rates(Time now, Time queue_delay) const {
   if (now == x_now_ && queue_delay == x_delay_) return x_offered_;
-  using simd::DVec;
-  const DVec vnow = simd::splat(now);
-  const DVec vqd = simd::splat(queue_delay);
-  const DVec vaccess = simd::splat(access_pps_);
+  const DVec vnow = DVec::splat(now);
+  const DVec vqd = DVec::splat(queue_delay);
+  const DVec vaccess = DVec::splat(access_pps_);
   // Fixed-shape block tree: accumulator lane j holds classes ≡ j (mod 4)
   // in class order, combined (a0+a1)+(a2+a3) — the identical tree the
   // lane-batched path builds per lane, so offered rates never depend on
   // the vectorization axis.
-  DVec acc = simd::zero();
+  DVec acc = DVec::splat(0.0);
   for (std::size_t k = 0; k < n_pad_; k += simd::kLanes) {
-    const kernels::RateOut r = kernels::rate_kernel(
-        simd::load(w_.data() + k), simd::load(rto_until_.data() + k), vnow,
-        simd::load(rtt_.data() + k), vqd, vaccess);
+    const kernels::RateOut<DVec> r = kernels::rate_kernel(
+        DVec::load(w_.data() + k), DVec::load(rto_until_.data() + k), vnow,
+        DVec::load(rtt_.data() + k), vqd, vaccess);
     simd::store(x_.data() + k, r.x);
     simd::store(inv_.data() + k, r.inv_rtt);
-    const DVec cx = simd::load(count_.data() + k) * r.x;
+    const DVec cx = DVec::load(count_.data() + k) * r.x;
     simd::store(cx_.data() + k, cx);
     acc = acc + cx;
   }
@@ -219,25 +219,25 @@ double AimdBank::step(Time now, Time dt, double p_early, double forced_frac,
   c.max_cwnd = max_cwnd_;
   c.rto_min = rto_min_;
   c.dupack_floor = kDupackFloor;
-  kernels::StepIn in;
-  in.now = simd::splat(now);
-  in.dt = simd::splat(dt);
-  in.p_total = simd::splat(p_total);
-  in.queue_delay = simd::splat(queue_delay);
-  in.inactive = simd::zero();
-  in.omp_dt = simd::splat((1.0 - p_total) * dt);
+  kernels::StepIn<DVec> in;
+  in.now = DVec::splat(now);
+  in.dt = DVec::splat(dt);
+  in.p_total = DVec::splat(p_total);
+  in.queue_delay = DVec::splat(queue_delay);
+  in.inactive = DVec::splat(simd::mask_false());
+  in.omp_dt = DVec::splat((1.0 - p_total) * dt);
   for (std::size_t k = 0; k < n_pad_; k += simd::kLanes) {
-    kernels::BankChunk s;
-    s.w = simd::load(w_.data() + k);
-    s.ssthresh = simd::load(ssthresh_.data() + k);
-    s.accum = simd::load(accum_.data() + k);
-    s.md_gate = simd::load(md_gate_.data() + k);
-    s.rto_until = simd::load(rto_until_.data() + k);
-    s.delivered = simd::load(delivered_.data() + k);
-    in.rtt = simd::load(rtt_.data() + k);
-    in.x = simd::load(x_.data() + k);
-    in.cx = simd::load(cx_.data() + k);
-    in.inv_rtt = simd::load(inv_.data() + k);
+    kernels::BankChunk<DVec> s;
+    s.w = DVec::load(w_.data() + k);
+    s.ssthresh = DVec::load(ssthresh_.data() + k);
+    s.accum = DVec::load(accum_.data() + k);
+    s.md_gate = DVec::load(md_gate_.data() + k);
+    s.rto_until = DVec::load(rto_until_.data() + k);
+    s.delivered = DVec::load(delivered_.data() + k);
+    in.rtt = DVec::load(rtt_.data() + k);
+    in.x = DVec::load(x_.data() + k);
+    in.cx = DVec::load(cx_.data() + k);
+    in.inv_rtt = DVec::load(inv_.data() + k);
     const kernels::StepOut out = kernels::step_kernel(s, in, c);
     simd::store(w_.data() + k, s.w);
     simd::store(ssthresh_.data() + k, s.ssthresh);
@@ -272,18 +272,16 @@ Time AimdBank::next_rto_expiry() const {
   // Vectorized min over positive rto_until entries. Min is
   // order-independent, so this matches the scalar scan bitwise; pad
   // classes hold rto_until = 0 and blend to +inf like real idle ones.
-  const simd::DVec vinf = simd::splat(kInf);
-  simd::DVec next = vinf;
+  const DVec vinf = DVec::splat(kInf);
+  DVec next = vinf;
   for (std::size_t k = 0; k < n_pad_; k += simd::kLanes) {
-    const simd::DVec r = simd::load(rto_until_.data() + k);
-    next = simd::vmin(next,
-                      simd::blend(simd::cmp_gt(r, simd::zero()), r, vinf));
+    const DVec r = DVec::load(rto_until_.data() + k);
+    next = simd::vmin(
+        next, simd::blend(simd::cmp_gt(r, DVec::splat(0.0)), r, vinf));
   }
-  Time best = kInf;
-  for (std::size_t l = 0; l < simd::kLanes; ++l) {
-    best = std::min(best, simd::lane(next, l));
-  }
-  return best;
+  double lanes[simd::kLanes];
+  simd::store(lanes, next);
+  return *std::min_element(lanes, lanes + simd::kLanes);
 }
 
 FluidResult solve(const FluidConfig& config,

@@ -234,9 +234,9 @@ FluidResult solve(const FluidConfig& config,
                   const std::optional<FluidAttack>& attack,
                   const FluidControl& control);
 
-/// Name of the SIMD backend the fluid kernels were compiled against:
-/// "avx2", "neon", or "scalar" (portable fallback, also what
-/// PDOS_SIMD=OFF forces). Results are bit-identical across backends by
+/// Name of the SIMD backend of the class axis (solve's AimdBank): "avx2",
+/// "neon", or "scalar" (also what PDOS_SIMD=OFF forces); solve_batch's
+/// lanes may run wider (batch_simd_backend()). Results are the same bits by
 /// construction (fixed 4-wide block-tree reductions, no FMA contraction
 /// — DESIGN.md §16); this is for bench gating and test skip messages.
 const char* simd_backend();

@@ -1,47 +1,34 @@
 // Width-agnostic SIMD kernels for the fluid AIMD bank (DESIGN.md §16).
 //
 // The per-element arithmetic of AimdBank::refresh_rates / AimdBank::step
-// lives here as 4-wide masked kernels over simd::DVec, consumed by two
-// callers with orthogonal vectorization axes:
+// lives here as masked kernels templated on the vector type V, consumed
+// by two callers with orthogonal vectorization axes:
 //
-//   * AimdBank (fluid.cpp): vectorizes ACROSS CLASSES of one solve —
-//     step parameters (now, dt, p_total, queue_delay) are broadcast,
-//     rtt/count vary per lane.
-//   * solve_batch (batch.cpp): vectorizes ACROSS LANES (independent grid
-//     points) — rtt/count are broadcast per class, step parameters vary
-//     per lane.
+//   * AimdBank (fluid.cpp): vectorizes ACROSS CLASSES of one solve, on the
+//     4-lane simd::DVec — step parameters (now, dt, p_total, queue_delay)
+//     are broadcast, rtt/count vary per lane.
+//   * solve_batch (batch_driver.hpp): vectorizes ACROSS LANES (independent
+//     grid points), 4 or 8 to a vector — rtt/count are broadcast per
+//     class, step parameters vary per lane.
 //
 // Both instantiate the exact same expression graph, so any element's
-// arithmetic sequence is IEEE-identical whichever axis it was vectorized
-// along; that is the whole bit-identity contract between single-point
-// and batched fluid solves. Branches of the original scalar loops become
-// whole-lane masks and blends: a blend picks one operand's unmodified
-// bit pattern, so masked-off elements keep bit-frozen state exactly as
-// the scalar `continue` did.
+// arithmetic sequence is IEEE-identical whichever axis and width it was
+// vectorized along; that is the whole bit-identity contract between
+// single-point and batched fluid solves. Branches of the original scalar
+// loops become whole-lane masks and blends: a blend picks one operand's
+// unmodified bit pattern, so masked-off elements keep bit-frozen state
+// exactly as the scalar `continue` did.
 //
-// This header must only be included from TUs of the pdos_fluid target
-// that are compiled with the fluid SIMD flags (fluid.cpp, batch.cpp):
-// the DVec backend is chosen per-TU by simd.hpp, and mixing TUs with
-// different backends would be an ODR violation.
+// Only for the pdos_fluid TUs compiled with the fluid SIMD flags. The
+// kernels only run on vectors: argument-dependent lookup finds every simd
+// function they call.
 #pragma once
 
 #include "util/simd.hpp"
 
 namespace pdos::fluid::kernels {
 
-using simd::blend;
-using simd::cmp_ge;
-using simd::cmp_gt;
-using simd::cmp_lt;
-using simd::DVec;
-using simd::mask_bits;
-using simd::splat;
-using simd::vand;
-using simd::vandnot;
-using simd::vmax;
-using simd::vmin;
-using simd::vor;
-using simd::zero;
+using simd::MaskOf;
 
 /// Scalar AIMD constants shared by every element of a bank.
 struct AimdConsts {
@@ -56,30 +43,32 @@ struct AimdConsts {
   double dupack_floor = 4.0;
 };
 
-/// One 4-wide chunk of mutable bank state, loaded by the caller.
+/// One vector's worth of mutable bank state, loaded by the caller.
+template <class V>
 struct BankChunk {
-  DVec w;
-  DVec ssthresh;
-  DVec accum;
-  DVec md_gate;
-  DVec rto_until;
-  DVec delivered;
+  V w;
+  V ssthresh;
+  V accum;
+  V md_gate;
+  V rto_until;
+  V delivered;
 };
 
 /// Per-element step inputs. `inactive` is an extra caller-supplied skip
 /// mask (all-ones lanes are bit-frozen); the kernel ors it with the RTO
 /// freeze mask it derives itself.
+template <class V>
 struct StepIn {
-  DVec now;
-  DVec dt;
-  DVec p_total;
-  DVec queue_delay;
-  DVec inactive;
-  DVec omp_dt;   // (1 - p_total) * dt, precomputed once per step
-  DVec rtt;      // propagation RTT per element
-  DVec x;        // arrival rate per element, from rate_kernel
-  DVec cx;       // count * x, the rate pass's reduction term, reused here
-  DVec inv_rtt;  // 1 / (rtt + queue_delay), from the same rate_kernel call
+  V now;
+  V dt;
+  V p_total;
+  V queue_delay;
+  MaskOf<V> inactive;
+  V omp_dt;   // (1 - p_total) * dt, precomputed once per step
+  V rtt;      // propagation RTT per element
+  V x;        // arrival rate per element, from rate_kernel
+  V cx;       // count * x, the rate pass's reduction term, reused here
+  V inv_rtt;  // 1 / (rtt + queue_delay), from the same rate_kernel call
 };
 
 /// Episode masks raised by one step_kernel call (simd::mask_bits layout).
@@ -89,9 +78,10 @@ struct StepOut {
 };
 
 /// Arrival rate plus the effective-RTT reciprocal it divides by.
+template <class V>
 struct RateOut {
-  DVec x;        // [now >= rto_until] * min(w * inv_rtt, access)
-  DVec inv_rtt;  // 1 / (rtt + queue_delay)
+  V x;        // [now >= rto_until] * min(w * inv_rtt, access)
+  V inv_rtt;  // 1 / (rtt + queue_delay)
 };
 
 /// Arrival rate x_i = [now >= rto_until] * min(w / (rtt + qd), access),
@@ -101,26 +91,29 @@ struct RateOut {
 /// `active * min(...)` exactly: both produce +0.0 for frozen elements
 /// (x is never negative). Pad elements carry rtt = +inf, so
 /// inv_rtt = +0.0 and their rate and window motion stay exactly zero.
-inline RateOut rate_kernel(DVec w, DVec rto_until, DVec now, DVec rtt,
-                           DVec queue_delay, DVec access) {
-  const DVec frozen = cmp_lt(now, rto_until);
-  RateOut out;
-  out.inv_rtt = splat(1.0) / (rtt + queue_delay);
+template <class V>
+RateOut<V> rate_kernel(V w, V rto_until, V now, V rtt, V queue_delay,
+                       V access) {
+  const MaskOf<V> frozen = cmp_lt(now, rto_until);
+  RateOut<V> out;
+  out.inv_rtt = V::splat(1.0) / (rtt + queue_delay);
   out.x = vandnot(frozen, vmin(w * out.inv_rtt, access));
   return out;
 }
 
-/// Advance one 4-wide chunk by its per-element dt: delivered accounting,
+/// Advance one vector of elements by its per-element dt: delivered accounting,
 /// loss-pressure integration/decay, NewReno episode (RTO freeze below the
 /// dupack floor, multiplicative decrease above it), and slow-start/AIMD
 /// growth — a masked transcription of the scalar per-class loop, same
 /// operation order per element.
-inline StepOut step_kernel(BankChunk& s, const StepIn& in,
-                           const AimdConsts& c) {
-  const DVec one = splat(1.0);
-  const DVec frozen = cmp_lt(in.now, s.rto_until);
-  const DVec skip = vor(frozen, in.inactive);
-  const DVec dt_rtts = in.dt * in.inv_rtt;
+template <class V>
+StepOut step_kernel(BankChunk<V>& s, const StepIn<V>& in,
+                    const AimdConsts& c) {
+  const V zero = V::splat(0.0);
+  const V one = V::splat(1.0);
+  const MaskOf<V> frozen = cmp_lt(in.now, s.rto_until);
+  const MaskOf<V> skip = vor(frozen, in.inactive);
+  const V dt_rtts = in.dt * in.inv_rtt;
 
   // delivered += (count * x) * ((1 - p_total) * dt); adding a masked
   // +0.0 leaves skipped elements bit-identical (delivered is never
@@ -134,17 +127,17 @@ inline StepOut step_kernel(BankChunk& s, const StepIn& in,
   // lane, so skip the integration arithmetic outright — the episode
   // masks below are then all-false too (accum < 1 everywhere), which is
   // the common idle-phase case.
-  const DVec pressure =
-      vor(cmp_gt(in.p_total, zero()), cmp_gt(s.accum, zero()));
-  DVec accum_next = s.accum;
+  const MaskOf<V> pressure =
+      vor(cmp_gt(in.p_total, zero), cmp_gt(s.accum, zero));
+  V accum_next = s.accum;
   unsigned episode_bits = 0;
-  DVec episode = zero();
+  MaskOf<V> episode{};
   if (mask_bits(pressure) != 0) {
-    const DVec grow_acc = s.accum + (in.p_total * in.x) * in.dt;
-    const DVec decay_acc =
-        s.accum * (one - vmin(one, splat(0.5) * dt_rtts));
-    accum_next = blend(cmp_gt(in.p_total, zero()), grow_acc,
-                       blend(cmp_gt(s.accum, zero()), decay_acc,
+    const V grow_acc = s.accum + (in.p_total * in.x) * in.dt;
+    const V decay_acc =
+        s.accum * (one - vmin(one, V::splat(0.5) * dt_rtts));
+    accum_next = blend(cmp_gt(in.p_total, zero), grow_acc,
+                       blend(cmp_gt(s.accum, zero), decay_acc,
                              s.accum));
     accum_next = blend(skip, s.accum, accum_next);
 
@@ -159,9 +152,9 @@ inline StepOut step_kernel(BankChunk& s, const StepIn& in,
   // factor, not the summed result, so each element's arithmetic is
   // exactly w + slope*dt_rtts either way — same bits as computing both
   // branches in full.
-  const DVec slope = blend(cmp_lt(s.w, s.ssthresh),
-                           s.w * splat(c.ss_log), splat(c.a_over_d));
-  const DVec capped = vmin(s.w + slope * dt_rtts, splat(c.max_cwnd));
+  const V slope = blend(cmp_lt(s.w, s.ssthresh), s.w * V::splat(c.ss_log),
+                        V::splat(c.a_over_d));
+  const V capped = vmin(s.w + slope * dt_rtts, V::splat(c.max_cwnd));
 
   StepOut out;
   if (episode_bits == 0) {
@@ -176,16 +169,17 @@ inline StepOut step_kernel(BankChunk& s, const StepIn& in,
 
   // Below the dupack floor the episode is an RTO freeze; otherwise one
   // NewReno multiplicative decrease.
-  const DVec to = vand(episode, cmp_lt(s.w, splat(c.dupack_floor)));
-  const DVec md = vandnot(to, episode);
+  const MaskOf<V> to =
+      vand(episode, cmp_lt(s.w, V::splat(c.dupack_floor)));
+  const MaskOf<V> md = vandnot(to, episode);
 
-  const DVec rtt_eff = in.rtt + in.queue_delay;
-  const DVec ssthresh_to = vmax(splat(2.0), splat(0.5) * s.w);
-  const DVec rto_to =
-      in.now + vmax(splat(c.rto_min), splat(2.0) * rtt_eff);
-  const DVec ssthresh_md = vmax(splat(2.0), splat(c.b) * s.w);
-  const DVec w_md = vmax(one, splat(c.b) * s.w);
-  const DVec gate_md = in.now + rtt_eff;
+  const V two = V::splat(2.0);
+  const V rtt_eff = in.rtt + in.queue_delay;
+  const V ssthresh_to = vmax(two, V::splat(0.5) * s.w);
+  const V rto_to = in.now + vmax(V::splat(c.rto_min), two * rtt_eff);
+  const V ssthresh_md = vmax(two, V::splat(c.b) * s.w);
+  const V w_md = vmax(one, V::splat(c.b) * s.w);
+  const V gate_md = in.now + rtt_eff;
 
   s.w = blend(skip, s.w,
               blend(episode, blend(to, one, w_md), capped));
@@ -193,7 +187,7 @@ inline StepOut step_kernel(BankChunk& s, const StepIn& in,
                      s.ssthresh);
   s.md_gate = blend(episode, blend(to, rto_to, gate_md), s.md_gate);
   s.rto_until = blend(to, rto_to, s.rto_until);
-  s.accum = blend(episode, zero(), accum_next);
+  s.accum = blend(episode, zero, accum_next);
 
   out.timeout_bits = mask_bits(to);
   out.loss_bits = mask_bits(md);
@@ -204,9 +198,10 @@ inline StepOut step_kernel(BankChunk& s, const StepIn& in,
 /// Every cross-class reduction uses accumulators indexed i & 3 and this
 /// combine, in the class-vectorized and lane-vectorized paths alike, so
 /// the summation tree never depends on how the loop was vectorized.
-inline double tree_total(DVec acc) {
-  return (simd::lane(acc, 0) + simd::lane(acc, 1)) +
-         (simd::lane(acc, 2) + simd::lane(acc, 3));
+inline double tree_total(simd::DVec acc) {
+  double a[simd::kLanes];
+  store(a, acc);
+  return (a[0] + a[1]) + (a[2] + a[3]);
 }
 
 }  // namespace pdos::fluid::kernels

@@ -2,7 +2,7 @@
 // clipping, and the RED EWMA / queue-balance update, written once as
 // templates over the value type. The single-point driver (fluid.cpp
 // solve) instantiates them on `double`, one lane; the lane-batched driver
-// (batch.cpp solve_batch) on `simd::DVec`, four lanes at a time. Branches
+// (batch_driver.hpp) on a vector, four or eight lanes at a time. Branches
 // of the scalar schedule are masks and blends (a blend passes the picked
 // operand's bits through untouched), every min keeps the scalar operand
 // order, and each instantiation runs the same IEEE operation sequence per
@@ -15,7 +15,6 @@
 #include <cmath>
 #include <limits>
 #include <type_traits>
-#include <utility>
 
 #include "fluid/fluid.hpp"
 #include "util/simd.hpp"
@@ -30,11 +29,18 @@ inline constexpr double kDupackFloor = 4.0;
 // discontinuity they precede.
 inline constexpr double kTimeEps = 1e-9;
 
-/// Mask type of value type V: bool for double, a whole-lane DVec mask for
-/// DVec.
-template <class V>
-using MaskOf =
-    decltype(simd::cmp_lt(std::declval<V>(), std::declval<V>()));
+// Unqualified below: these find the double overloads, and argument-
+// dependent lookup a vector backend's.
+using simd::all;
+using simd::any;
+using simd::blend;
+using simd::cmp_gt;
+using simd::cmp_lt;
+using simd::MaskOf;
+using simd::vand;
+using simd::vfloor;
+using simd::vmin;
+using simd::vor;
 
 /// The constant x in every lane of V.
 template <class V>
@@ -42,17 +48,18 @@ V bcast(double x) {
   if constexpr (std::is_same_v<V, double>) {
     return x;
   } else {
-    return simd::splat(x);
+    return V::splat(x);
   }
 }
 
 /// libm exp, lane by lane, so every lane rounds exactly as a scalar call.
 inline double lane_exp(double x) { return std::exp(x); }
-inline simd::DVec lane_exp(simd::DVec x) {
-  double v[simd::kLanes];
-  simd::store(v, x);
+template <class V>
+V lane_exp(V x) {
+  double v[V::kLanes];
+  store(v, x);
   for (double& e : v) e = std::exp(e);
-  return simd::load(v);
+  return V::load(v);
 }
 
 /// RED early-drop probability for an average queue of `avg` packets (see
@@ -60,30 +67,30 @@ inline simd::DVec lane_exp(simd::DVec x) {
 template <class V>
 V red_drop_probability(const RedParams& p, V avg) {
   const V zero = bcast<V>(0.0);
-  const MaskOf<V> below = simd::cmp_lt(avg, bcast<V>(p.min_th));
+  const MaskOf<V> below = cmp_lt(avg, bcast<V>(p.min_th));
   // Below min_th in every lane: nothing to ramp (the common light-load
   // case), so skip the ramp's divisions outright.
-  if (simd::all(below)) return zero;
+  if (all(below)) return zero;
   const V one = bcast<V>(1.0);
   const V max_th = bcast<V>(p.max_th);
   const V max_p = bcast<V>(p.max_p);
-  const MaskOf<V> linear = simd::cmp_lt(avg, max_th);
+  const MaskOf<V> linear = cmp_lt(avg, max_th);
   MaskOf<V> ramp = linear;
   if (p.gentle) {
-    ramp = simd::vor(linear, simd::cmp_lt(avg, bcast<V>(2.0 * p.max_th)));
+    ramp = vor(linear, cmp_lt(avg, bcast<V>(2.0 * p.max_th)));
   }
   // The linear ramp max_p (avg - min_th) / (max_th - min_th) and the
   // gentle one max_p + (1 - max_p)(avg - max_th) / max_th share one
   // division: each lane divides its own branch's operands.
   const V ratio =
-      simd::blend(linear, max_p * (avg - bcast<V>(p.min_th)),
+      blend(linear, max_p * (avg - bcast<V>(p.min_th)),
                   (one - max_p) * (avg - max_th)) /
-      simd::blend(linear, bcast<V>(p.max_th - p.min_th), max_th);
-  const V pb = simd::blend(linear, ratio, max_p + ratio);
+      blend(linear, bcast<V>(p.max_th - p.min_th), max_th);
+  const V pb = blend(linear, ratio, max_p + ratio);
   // Expectation of ns-2's count-spread drops: uniformized gaps of mean
   // (1 + 1/p_b)/2 packets realize 2 p_b / (1 + p_b) drops per arrival.
-  const V spread = simd::vmin(bcast<V>(2.0) * pb / (one + pb), one);
-  return simd::blend(below, zero, simd::blend(ramp, spread, one));
+  const V spread = vmin(bcast<V>(2.0) * pb / (one + pb), one);
+  return blend(below, zero, blend(ramp, spread, one));
 }
 
 /// Per-lane pulse train: period textent + tspace, and which lanes are
@@ -106,16 +113,16 @@ struct PulsePhase {
 template <class V>
 PulsePhase<V> pulse_phase(const PulseShape<V>& shape, V t) {
   // No lane attacked (a baseline solve): never in a pulse, no pulse edge.
-  if (!simd::any(shape.attacked)) return {shape.attacked, bcast<V>(kInf)};
+  if (!any(shape.attacked)) return {shape.attacked, bcast<V>(kInf)};
   const V eps = bcast<V>(kTimeEps);
-  const V k = simd::vfloor((t + eps) / shape.period);
+  const V k = vfloor((t + eps) / shape.period);
   const V pulse_start = k * shape.period;
   PulsePhase<V> ph;
-  ph.in_pulse = simd::vand(
-      shape.attacked, simd::cmp_lt(t, pulse_start + shape.textent - eps));
-  ph.next_boundary = simd::blend(
+  ph.in_pulse = vand(
+      shape.attacked, cmp_lt(t, pulse_start + shape.textent - eps));
+  ph.next_boundary = blend(
       shape.attacked,
-      simd::blend(ph.in_pulse, pulse_start + shape.textent,
+      blend(ph.in_pulse, pulse_start + shape.textent,
                   (k + bcast<V>(1.0)) * shape.period),
       bcast<V>(kInf));
   return ph;
@@ -130,18 +137,18 @@ V clip_step(V t, const FluidConfig& config, MaskOf<V> in_pulse,
             MaskOf<V> marked, Time warmup, Time bin_width) {
   const V eps = bcast<V>(kTimeEps);
   const V width = bcast<V>(bin_width);
-  V dt = simd::blend(in_pulse, bcast<V>(config.dt_pulse),
+  V dt = blend(in_pulse, bcast<V>(config.dt_pulse),
                      bcast<V>(config.dt_idle));
-  dt = simd::vmin(bcast<V>(horizon) - t, dt);
-  dt = simd::vmin(next_boundary - t, dt);
-  dt = simd::vmin(next_sample - t, dt);
-  dt = simd::blend(simd::cmp_gt(rto_expiry, t + eps),
-                   simd::vmin(rto_expiry - t, dt), dt);
-  dt = simd::blend(marked, dt, simd::vmin(bcast<V>(warmup) - t, dt));
+  dt = vmin(bcast<V>(horizon) - t, dt);
+  dt = vmin(next_boundary - t, dt);
+  dt = vmin(next_sample - t, dt);
+  dt = blend(cmp_gt(rto_expiry, t + eps),
+                   vmin(rto_expiry - t, dt), dt);
+  dt = blend(marked, dt, vmin(bcast<V>(warmup) - t, dt));
   const V next_edge =
-      (simd::vfloor(t / width + eps) + bcast<V>(1.0)) * width;
-  dt = simd::vmin(next_edge - t, dt);
-  return simd::blend(simd::cmp_lt(dt, eps), eps, dt);
+      (vfloor(t / width + eps) + bcast<V>(1.0)) * width;
+  dt = vmin(next_edge - t, dt);
+  return blend(cmp_lt(dt, eps), eps, dt);
 }
 
 /// RED EWMA + queue balance over one step: updated average, early-drop
@@ -166,8 +173,8 @@ QueueStep<V> queue_step(const FluidConfig& config, double ewma_log_keep,
   if (!config.droptail) {
     // RED's estimator sees every arrival at the current backlog: n
     // arrivals move avg toward q by (1 - w_q)^n.
-    avg = simd::blend(
-        simd::cmp_gt(total_in, zero),
+    avg = blend(
+        cmp_gt(total_in, zero),
         q + (avg - q) *
                 lane_exp(total_in * dt * bcast<V>(ewma_log_keep)),
         avg);
@@ -181,15 +188,15 @@ QueueStep<V> queue_step(const FluidConfig& config, double ewma_log_keep,
   s.admitted = (bcast<V>(1.0) - s.p_early) * total_in;
   V q_next = q + (s.admitted - bcast<V>(capacity)) * dt;
   s.forced_frac = zero;
-  const MaskOf<V> over = simd::cmp_gt(q_next, cap);
-  if (simd::any(over)) {  // else every lane keeps q_next and no forced drop
+  const MaskOf<V> over = cmp_gt(q_next, cap);
+  if (any(over)) {  // else every lane keeps q_next and no forced drop
     const V inflow = s.admitted * dt;
-    s.forced_frac = simd::blend(
-        simd::vand(over, simd::cmp_gt(inflow, zero)),
-        simd::vmin((q_next - cap) / inflow, bcast<V>(1.0)), zero);
-    q_next = simd::blend(over, cap, q_next);
+    s.forced_frac = blend(
+        vand(over, cmp_gt(inflow, zero)),
+        vmin((q_next - cap) / inflow, bcast<V>(1.0)), zero);
+    q_next = blend(over, cap, q_next);
   }
-  s.q_next = simd::blend(simd::cmp_lt(q_next, zero), zero, q_next);
+  s.q_next = blend(cmp_lt(q_next, zero), zero, q_next);
   return s;
 }
 

@@ -390,10 +390,12 @@ std::vector<TaskGroup> group_consecutive(std::size_t n, GetSpec&& spec_of,
   return groups;
 }
 
-/// Lanes per fluid solve_batch call in the fluid-tier point path: two
-/// full SIMD chunks — wide enough to amortize the per-step scalar driver,
-/// small enough that a ragged tail wastes little work. Not a result knob:
-/// batched lanes are bit-identical to single-point solves at any width.
+/// Lanes per fluid solve_batch call in the fluid-tier point path: one
+/// 8-lane AVX-512 vector or two 4-lane ones — wide enough to amortize the
+/// per-step driver, small enough that a ragged tail wastes little work.
+/// 16 was no faster on a 4-vCPU AVX-512 Xeon (fluid_campaign, 4 interleaved
+/// pairs: 5,002 against 5,001 points/s). Not a result knob: batched lanes
+/// are bit-identical to single-point solves at any width.
 constexpr std::size_t kFluidBatchWidth = 8;
 
 /// The analytic plan for a point. Depends on the scenario and the attack

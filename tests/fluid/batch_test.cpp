@@ -1,20 +1,25 @@
 // Bit-identity tests for the lane-batched fluid solver (src/fluid/batch.*):
 // solve_batch must reproduce point-at-a-time fluid::solve exactly — not
-// approximately — for every lane, on every SIMD backend, including lanes
-// that hit the RTO/dupack-floor masked branches and pad lanes/tails. This
-// is the determinism contract of DESIGN.md §16: the batched path may only
-// ever change *when* arithmetic runs, never *what* arithmetic runs.
+// approximately — for every lane, on every SIMD backend and every lane
+// variant the CPU runs (4 and, on AVX-512 hosts, 8 lanes per vector),
+// including lanes that hit the RTO/dupack-floor masked branches and pad
+// lanes/tails. This is the determinism contract of DESIGN.md §16: the
+// batched path may only ever change *when* arithmetic runs, never *what*
+// arithmetic runs.
 #include "fluid/batch.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <random>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "fluid/batch_lanes.hpp"
 #include "fluid/fluid.hpp"
 #include "util/assert.hpp"
 
@@ -88,14 +93,31 @@ void expect_result_bits_equal(const FluidResult& batch,
   }
 }
 
+// Every lane variant the running CPU supports.
+std::vector<detail::LaneVariant> runnable_variants() {
+  std::vector<detail::LaneVariant> variants;
+  for (const detail::LaneVariant& v : detail::lane_variants()) {
+    if (v.cpu_supports()) variants.push_back(v);
+  }
+  return variants;
+}
+
 void expect_batch_matches_single(const FluidConfig& config,
                                  const std::vector<BatchLane>& lanes,
                                  const FluidControl& control) {
-  const std::vector<FluidResult> batch = solve_batch(config, lanes, control);
-  ASSERT_EQ(batch.size(), lanes.size());
-  for (std::size_t l = 0; l < lanes.size(); ++l) {
-    const FluidResult single = solve(config, lanes[l].attack, control);
-    expect_result_bits_equal(batch[l], single, l);
+  std::vector<FluidResult> single;
+  for (const BatchLane& lane : lanes) {
+    single.push_back(solve(config, lane.attack, control));
+  }
+  for (const detail::LaneVariant& variant : runnable_variants()) {
+    SCOPED_TRACE(testing::Message() << variant.backend << " lanes, "
+                                    << variant.lanes << " per vector");
+    const std::vector<FluidResult> batch =
+        detail::solve_batch_on(variant, config, lanes, control);
+    ASSERT_EQ(batch.size(), lanes.size());
+    for (std::size_t l = 0; l < lanes.size(); ++l) {
+      expect_result_bits_equal(batch[l], single[l], l);
+    }
   }
 }
 
@@ -132,14 +154,15 @@ TEST(SolveBatchTest, BaselineAndAttackLanesMix) {
 }
 
 TEST(SolveBatchTest, PaddedTailWidthsMatch) {
-  // Widths that exercise every pad-tail residue (1..5 mod 4), including
-  // the W=1 degenerate batch.
+  // Widths 1..17: every pad-tail residue mod 4 and mod 8, the W=1
+  // degenerate batch, and batches of one, two and three 8-lane vectors.
   const FluidConfig config = dumbbell_config(7);
   const FluidControl control = quick_control();
-  for (std::size_t width : {1u, 2u, 3u, 5u, 6u}) {
+  for (std::size_t width = 1; width <= 17; ++width) {
+    SCOPED_TRACE(testing::Message() << "width " << width);
     std::vector<BatchLane> lanes;
     for (std::size_t l = 0; l < width; ++l) {
-      const double gamma = 0.2 + 0.1 * static_cast<double>(l);
+      const double gamma = 0.05 + 0.05 * static_cast<double>(l);
       lanes.push_back({attack_at(ms(50), mbps(25), gamma)});
     }
     expect_batch_matches_single(config, lanes, control);
@@ -147,9 +170,10 @@ TEST(SolveBatchTest, PaddedTailWidthsMatch) {
 }
 
 TEST(SolveBatchTest, GridNotMultipleOfBatchWidthChunks) {
-  // Caller-side chunking shape: a 10-point γ grid evaluated in W=4
-  // chunks leaves a ragged 2-lane tail; every chunk must still match the
-  // single-point results.
+  // Caller-side chunking shape: a 10-point γ grid evaluated in chunks of
+  // one 4-lane vector and of run_sweep's batch width (kFluidBatchWidth =
+  // 8, one AVX-512 vector) leaves ragged 2-lane tails; every chunk must
+  // still match the single-point results.
   const FluidConfig config = dumbbell_config(15);
   const FluidControl control = quick_control();
   std::vector<BatchLane> grid;
@@ -157,11 +181,15 @@ TEST(SolveBatchTest, GridNotMultipleOfBatchWidthChunks) {
     grid.push_back(
         {attack_at(ms(50), mbps(25), 0.08 + 0.09 * static_cast<double>(i))});
   }
-  for (std::size_t start = 0; start < grid.size(); start += 4) {
-    const std::size_t stop = std::min(grid.size(), start + 4);
-    const std::vector<BatchLane> chunk(grid.begin() + start,
-                                       grid.begin() + stop);
-    expect_batch_matches_single(config, chunk, control);
+  for (std::size_t chunk_width : {std::size_t{4}, std::size_t{8}}) {
+    for (std::size_t start = 0; start < grid.size(); start += chunk_width) {
+      SCOPED_TRACE(testing::Message()
+                   << "chunks of " << chunk_width << " from " << start);
+      const std::size_t stop = std::min(grid.size(), start + chunk_width);
+      const std::vector<BatchLane> chunk(grid.begin() + start,
+                                         grid.begin() + stop);
+      expect_batch_matches_single(config, chunk, control);
+    }
   }
 }
 
@@ -275,12 +303,43 @@ TEST(SolveBatchTest, RejectsNonPositiveOrNanBinWidth) {
 }
 
 TEST(SolveBatchTest, ReportsCompiledBackend) {
-  // Not an assertion on which backend — just that the query is wired and
-  // returns one of the three contracted names (CI runs both a SIMD and a
-  // PDOS_SIMD=OFF scalar build of this test).
+  // Not an assertion on which backend — just that the queries are wired:
+  // the class axis names one of the three 4-lane backends, and the lane
+  // axis that one or "avx512" (CI runs both a SIMD and a PDOS_SIMD=OFF
+  // scalar build of this test).
   const std::string backend = simd_backend();
   EXPECT_TRUE(backend == "avx2" || backend == "neon" || backend == "scalar")
       << backend;
+  const std::string lanes = batch_simd_backend();
+  EXPECT_TRUE(lanes == backend || (backend == "avx2" && lanes == "avx512"))
+      << lanes << " lanes on " << backend << " classes";
+  EXPECT_EQ(detail::lane_variants().front().backend, backend);
+  EXPECT_EQ(detail::lane_variants().front().lanes, 4u);
+}
+
+TEST(SolveBatchTest, DispatchFollowsTheCpu) {
+  // solve_batch runs the widest variant the CPU supports. On x86-64 SIMD
+  // builds that is the 8-lane one exactly when the CPU has AVX-512F and
+  // DQ: a detection slip would cost the speed-up silently, not fail.
+  const detail::LaneVariant& picked = detail::selected_lane_variant();
+  EXPECT_STREQ(picked.backend, batch_simd_backend());
+  EXPECT_TRUE(picked.cpu_supports());
+  for (const detail::LaneVariant& v : detail::lane_variants()) {
+    if (v.cpu_supports()) {
+      EXPECT_GE(picked.lanes, v.lanes) << v.backend;
+    }
+  }
+#if defined(__x86_64__)
+  if (std::string(simd_backend()) == "avx2") {
+    __builtin_cpu_init();
+    const bool avx512 = __builtin_cpu_supports("avx512f") &&
+                        __builtin_cpu_supports("avx512dq");
+    EXPECT_EQ(picked.lanes == 8, avx512) << picked.backend;
+    EXPECT_EQ(std::string(picked.backend) == "avx512", avx512);
+  }
+#endif
+  std::printf("solve_batch lane variant: %s, %zu lanes per vector\n",
+              picked.backend, picked.lanes);
 }
 
 }  // namespace

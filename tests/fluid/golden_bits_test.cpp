@@ -5,15 +5,18 @@
 // build and the agreement tests only bound |ΔΓ|, so this is the test that
 // fails when an edit to the shared driver or kernel arithmetic moves a
 // single bit. One constant pins every SIMD backend: the AVX2/NEON and
-// -DPDOS_SIMD=OFF scalar builds must all reproduce it (DESIGN.md §16).
+// -DPDOS_SIMD=OFF scalar builds must all reproduce it, through every
+// solve_batch lane variant the CPU runs (DESIGN.md §16).
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <optional>
 #include <vector>
 
 #include "core/experiment.hpp"
 #include "fluid/batch.hpp"
+#include "fluid/batch_lanes.hpp"
 #include "fluid/fluid.hpp"
 
 namespace pdos::fluid {
@@ -135,16 +138,23 @@ TEST(FluidGoldenBitsTest, SolveMatchesRecordedDigest) {
 }
 
 TEST(FluidGoldenBitsTest, SolveBatchMatchesRecordedDigest) {
+  // Every lane variant the CPU runs, the one solve_batch picks included.
   const std::vector<BatchLane> lanes = golden_lanes();
-  Fnv1a h;
-  for (const GoldenCase& c : golden_cases()) {
-    for (const FluidResult& r : solve_batch(c.config, lanes, c.control)) {
-      hash_result(h, r);
+  for (const detail::LaneVariant& variant : detail::lane_variants()) {
+    if (!variant.cpu_supports()) continue;
+    Fnv1a h;
+    for (const GoldenCase& c : golden_cases()) {
+      for (const FluidResult& r :
+           detail::solve_batch_on(variant, c.config, lanes, c.control)) {
+        hash_result(h, r);
+      }
     }
+    EXPECT_EQ(h.value(), kGoldenDigest)
+        << std::hex << "digest 0x" << h.value() << " on " << variant.backend
+        << " lanes, " << simd_backend() << " classes";
   }
-  EXPECT_EQ(h.value(), kGoldenDigest)
-      << std::hex << "digest 0x" << h.value() << " on the "
-      << simd_backend() << " backend";
+  std::printf("solve_batch runs the %s lane variant on this CPU\n",
+              batch_simd_backend());
 }
 
 }  // namespace
