@@ -4,9 +4,9 @@
 // polls with (DESIGN.md §15). Each runs against a throwaway store
 // directory under /tmp, so the numbers include the real flock + append
 // syscall cost. These are for interactive work on the store layer — the
-// tracked, gated campaign numbers (including the ≥2.5x 4-worker cold
-// campaign floor) live in tools/bench_report (BENCH_campaign.json vs
-// bench/baseline_campaign.json).
+// gated ≥2.5x 4-worker cold campaign floor lives in tools/bench_report,
+// and perfbench's fluid_campaign workload reports store.claim_us_p50 and
+// store.append_us_p50.
 #include <benchmark/benchmark.h>
 
 #include <unistd.h>

@@ -1,7 +1,7 @@
 // Data-path microbenchmarks (google-benchmark): the packet ring, the queue
 // disciplines' ring-backed enqueue/dequeue, link service with and without
 // taps, and the batched StatsHub sink. These isolate the per-packet layers
-// under the end-to-end sweep numbers tracked by tools/bench_report.
+// under perfbench's end-to-end numbers and its traced net.events_per_pkt.
 #include <benchmark/benchmark.h>
 
 #include <memory>

@@ -6,10 +6,10 @@
 // (fluid::solve_batch, DESIGN.md §16), and the frozen pre-vectorization
 // scalar reference (fluid::refbench::solve) as the same-machine A/B arm
 // for the vectorized paths. These are for interactive work on the
-// surrogate tier — the tracked, gated numbers (the ≥100x fluid-vs-packet
-// floor and the ≥1.10x batched-grid / ≥1.25x binned-solve SIMD floors)
-// live in tools/bench_report (BENCH_fluid.json vs
-// bench/baseline_fluid.json).
+// surrogate tier — the gated same-run floors (≥100x fluid-vs-packet,
+// ≥1.10x batched grid and ≥1.25x binned solve over the reference) live in
+// tools/bench_report, and perfbench's fluid_campaign workload reports
+// fluid.ns_per_lane_step.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>

@@ -1,8 +1,8 @@
 // Gigabit-scale scenario benchmarks (google-benchmark): the LargeScale
 // dumbbell family (250 flows @ 155 Mbps, 1000 flows @ 1 Gbps) on the
 // express-lane/fused `fast` backend and on `full`. These are for interactive
-// work on the large-N data path — the tracked, gated numbers live in
-// tools/bench_report (BENCH_scale.json vs bench/baseline_scale.json).
+// work on the large-N data path; perfbench's gigabit_fast workload runs the
+// 1000-flow scenario end to end.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>

@@ -1,8 +1,8 @@
 // Scenario setup microbenchmarks (google-benchmark): fresh-construct vs
 // warm-reset scenario builds, and the arena vs heap construction paths.
-// These isolate what the sweep engine's workspace reuse saves per point —
-// the end-to-end cold/resume wall-clock lives in tools/bench_report
-// (BENCH_sweep.json).
+// These isolate what the sweep engine's workspace reuse saves per point;
+// perfbench reports the same builds as core.cold_build_us and
+// core.warm_build_us.
 #include <benchmark/benchmark.h>
 
 #include "core/experiment.hpp"

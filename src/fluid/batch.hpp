@@ -21,8 +21,8 @@
 // same templates the single-point path instantiates on one
 // (solve_detail.hpp). The vector is 8 lanes on x86-64 CPUs with AVX-512F
 // and DQ and 4 elsewhere, picked at run time (batch_simd_backend()) —
-// this is what `search_confirm_gamma`'s fluid phase, run_sweep's fluid
-// tier, and bench_report's gain-surface emitter batch through.
+// this is what `search_confirm_gamma`'s fluid phase and run_sweep's fluid
+// tier batch through.
 #pragma once
 
 #include <optional>

@@ -5,8 +5,8 @@
 // linear (non-tree) offered-rate reduction, no lane padding. It is
 // compiled without any SIMD arch flags (see src/fluid/CMakeLists.txt) so
 // bench_report and micro_fluid can measure an honest same-machine
-// "pre-PR scalar" arm against the vectorized paths — the ≥3x binned and
-// ≥4x batched γ-grid floors in bench-smoke are in-run ratios against
+// "pre-PR scalar" arm against the vectorized paths — bench_report's
+// ≥1.25x binned and ≥1.10x batched γ-grid floors are in-run ratios against
 // this solver, not cross-host wall-clock comparisons.
 //
 // Nothing outside bench/ and tools/ may depend on this header. The

@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -133,6 +134,9 @@ SweepResult replay_from_store(const SweepSpec& spec, const PointStore& store) {
 CampaignResult run_campaign(const std::vector<CampaignSpec>& specs,
                             const CampaignOptions& options) {
   PDOS_REQUIRE(!specs.empty(), "run_campaign: no specs");
+  PDOS_REQUIRE(std::isfinite(options.lease_ttl_seconds) &&
+                   options.lease_ttl_seconds > 0.0,
+               "run_campaign: lease_ttl_seconds must be finite and > 0");
   const int workers = std::max(1, options.workers);
   const auto start = std::chrono::steady_clock::now();
 

@@ -59,7 +59,7 @@ struct CampaignOptions {
   /// Threads per worker (<= 0: ThreadPool::default_threads() in each).
   int threads = 0;
   bool keep_going = false;  // workers keep dispatching after a failure
-  double lease_ttl_seconds = 120.0;
+  double lease_ttl_seconds = 120.0;  // finite and > 0
   double claim_poll_seconds = 0.05;
   /// When > 0 and a spec has a csv_path, the parent writes a lookup-only
   /// snapshot to `<csv_path>.partial` at this cadence while workers run.

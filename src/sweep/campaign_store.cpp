@@ -5,9 +5,12 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <random>
+
+#include "util/assert.hpp"
 
 namespace pdos::sweep {
 
@@ -49,7 +52,12 @@ CampaignStore::CampaignStore(std::string dir, double lease_ttl_seconds)
     : SegmentStore(segment_paths(dir), "pdos-campaign-seg-v1"),
       dir_(std::move(dir)),
       lease_ttl_(lease_ttl_seconds),
-      owner_(make_owner_token()) {}
+      owner_(make_owner_token()) {
+  // A NaN or negative expiry is never `> now`: every lease would read as
+  // expired and claiming would stop deduplicating work.
+  PDOS_REQUIRE(std::isfinite(lease_ttl_) && lease_ttl_ > 0.0,
+               "CampaignStore: lease TTL must be finite and > 0");
+}
 
 CampaignStore::ClaimStatus CampaignStore::claim(std::uint64_t key,
                                                 bool baseline) {

@@ -65,7 +65,8 @@ class CampaignStore : public SegmentStore {
   /// neither stores a result nor releases within the TTL is presumed
   /// crashed and its key becomes claimable again. Size it well above the
   /// slowest expected single point; expiry only costs duplicated work,
-  /// never wrong results (both workers compute identical bytes).
+  /// never wrong results (both workers compute identical bytes). Throws
+  /// ParameterError unless the TTL is finite and > 0.
   explicit CampaignStore(std::string dir, double lease_ttl_seconds = 120.0);
 
   ClaimStatus claim_point(std::uint64_t key) override;

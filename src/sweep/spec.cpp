@@ -30,39 +30,38 @@ std::vector<std::string> split_list(const std::string& value) {
   return items;
 }
 
-double parse_double(const std::string& value, int line) {
-  char* end = nullptr;
-  const double parsed = std::strtod(value.c_str(), &end);
-  PDOS_REQUIRE(end != value.c_str() && *end == '\0' && std::isfinite(parsed),
-               "spec line " + std::to_string(line) + ": not a number: '" +
-                   value + "'");
-  return parsed;
-}
-
-/// A whole number in Int's range, read exactly (no float round trip).
-template <typename Int>
-Int parse_integer(const std::string& value, int line) {
-  Int parsed = 0;
-  const char* end = value.data() + value.size();
-  const auto [stop, error] = std::from_chars(value.data(), end, parsed);
-  PDOS_REQUIRE(error == std::errc() && stop == end,
-               "spec line " + std::to_string(line) +
-                   ": not an integer in range: '" + value + "'");
-  return parsed;
-}
-
-template <typename T, T (*parse)(const std::string&, int)>
-std::vector<T> parse_list(const std::string& value, int line) {
+template <typename T, T (*parse)(const std::string&, const std::string&)>
+std::vector<T> parse_list(const std::string& value, const std::string& at) {
   std::vector<T> parsed;
   for (const std::string& item : split_list(value)) {
-    parsed.push_back(parse(item, line));
+    parsed.push_back(parse(item, at));
   }
-  PDOS_REQUIRE(!parsed.empty(),
-               "spec line " + std::to_string(line) + ": empty list");
+  PDOS_REQUIRE(!parsed.empty(), at + ": empty list");
   return parsed;
 }
 
 }  // namespace
+
+double parse_double(const std::string& value, const std::string& at) {
+  char* end = nullptr;
+  const double parsed = std::strtod(value.c_str(), &end);
+  PDOS_REQUIRE(end != value.c_str() && *end == '\0' && std::isfinite(parsed),
+               at + ": not a number: '" + value + "'");
+  return parsed;
+}
+
+template <typename Int>
+Int parse_integer(const std::string& value, const std::string& at) {
+  Int parsed = 0;
+  const char* end = value.data() + value.size();
+  const auto [stop, error] = std::from_chars(value.data(), end, parsed);
+  PDOS_REQUIRE(error == std::errc() && stop == end,
+               at + ": not an integer in range: '" + value + "'");
+  return parsed;
+}
+template int parse_integer<int>(const std::string&, const std::string&);
+template std::uint64_t parse_integer<std::uint64_t>(const std::string&,
+                                                    const std::string&);
 
 SpecFile parse_spec(const std::string& text) {
   SpecFile file;
@@ -81,6 +80,7 @@ SpecFile parse_spec(const std::string& text) {
                      ": expected 'key = value', got '" + raw + "'");
     const std::string key = trim(raw.substr(0, eq));
     const std::string value = trim(raw.substr(eq + 1));
+    const std::string at = "spec line " + std::to_string(line);
     PDOS_REQUIRE(!key.empty() && !value.empty(),
                  "spec line " + std::to_string(line) +
                      ": empty key or value");
@@ -104,36 +104,36 @@ SpecFile parse_spec(const std::string& text) {
                        ": backend must be full, fast or fluid");
       file.spec.backend = *backend;
     } else if (key == "flows") {
-      file.spec.flow_counts = parse_list<int, parse_integer<int>>(value, line);
+      file.spec.flow_counts = parse_list<int, parse_integer<int>>(value, at);
     } else if (key == "textent_ms") {
       file.spec.textents.clear();
-      for (double textent : parse_list<double, parse_double>(value, line)) {
+      for (double textent : parse_list<double, parse_double>(value, at)) {
         file.spec.textents.push_back(ms(textent));
       }
     } else if (key == "rattack_mbps") {
       file.spec.rattacks.clear();
-      for (double rattack : parse_list<double, parse_double>(value, line)) {
+      for (double rattack : parse_list<double, parse_double>(value, at)) {
         file.spec.rattacks.push_back(mbps(rattack));
       }
     } else if (key == "gamma") {
       file.spec.gammas.clear();
       if (value != "auto") {
-        file.spec.gammas = parse_list<double, parse_double>(value, line);
+        file.spec.gammas = parse_list<double, parse_double>(value, at);
       }
     } else if (key == "gamma_points") {
-      file.spec.gamma_points = parse_integer<int>(value, line);
+      file.spec.gamma_points = parse_integer<int>(value, at);
     } else if (key == "kappa") {
-      file.spec.kappa = parse_double(value, line);
+      file.spec.kappa = parse_double(value, at);
     } else if (key == "replicates") {
-      file.spec.replicates = parse_integer<int>(value, line);
+      file.spec.replicates = parse_integer<int>(value, at);
     } else if (key == "base_seed") {
-      file.spec.base_seed = parse_integer<std::uint64_t>(value, line);
+      file.spec.base_seed = parse_integer<std::uint64_t>(value, at);
     } else if (key == "warmup_s") {
-      file.spec.control.warmup = sec(parse_double(value, line));
+      file.spec.control.warmup = sec(parse_double(value, at));
     } else if (key == "measure_s") {
-      file.spec.control.measure = sec(parse_double(value, line));
+      file.spec.control.measure = sec(parse_double(value, at));
     } else if (key == "threads") {
-      file.options.threads = parse_integer<int>(value, line);
+      file.options.threads = parse_integer<int>(value, at);
     } else if (key == "csv") {
       file.csv_path = value;
     } else if (key == "json") {

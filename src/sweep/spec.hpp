@@ -55,4 +55,12 @@ SpecFile parse_spec(const std::string& text);
 /// Read and parse a spec file from disk.
 SpecFile load_spec_file(const std::string& path);
 
+/// The spec's number readers, shared with the command-line tools' flags:
+/// all of `value` must be a finite number, or a whole number in Int's range
+/// (int or std::uint64_t) read exactly. Anything else throws ParameterError
+/// "<at>: ...", where `at` names the source ("spec line 3", "--workers").
+double parse_double(const std::string& value, const std::string& at);
+template <typename Int>
+Int parse_integer(const std::string& value, const std::string& at);
+
 }  // namespace pdos::sweep

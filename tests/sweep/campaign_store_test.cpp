@@ -9,11 +9,14 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
+
+#include "util/assert.hpp"
 
 namespace pdos::sweep {
 namespace {
@@ -216,6 +219,16 @@ TEST(CampaignStoreTest, ExpiredLeaseIsReclaimable) {
   // The "crashed" worker never stored a result; its lease aged out and the
   // key is claimable again — crash recovery with no fsck pass.
   EXPECT_EQ(survivor.claim_point(key), PointStore::ClaimStatus::kAcquired);
+}
+
+// A NaN or negative expiry is never `> now`, so every lease would read as
+// expired and claiming would stop deduplicating: such TTLs are rejected.
+TEST(CampaignStoreTest, RejectsNonFiniteOrNonPositiveLeaseTtl) {
+  TempStoreDir dir;
+  for (double ttl : {0.0, -1.0, std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    EXPECT_THROW(CampaignStore(dir.path(), ttl), ParameterError) << ttl;
+  }
+  EXPECT_NO_THROW(CampaignStore(dir.path(), 0.05));
 }
 
 TEST(CampaignStoreTest, RefreshFoldsInPeerAppendsIncrementally) {

@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -17,6 +18,7 @@
 
 #include "sweep/campaign_store.hpp"
 #include "sweep/point_cache.hpp"
+#include "util/assert.hpp"
 
 namespace pdos::sweep {
 namespace {
@@ -265,6 +267,20 @@ TEST(CampaignTest, DrainPicksUpResultsAPeerStores) {
     EXPECT_EQ(result.cache_hits, 6u);
     EXPECT_EQ(csv_of(result), csv_of(expected));
   }
+}
+
+TEST(CampaignTest, RejectsBadLeaseTtlBeforeForking) {
+  TempDir dir;
+  CampaignSpec spec;
+  spec.spec = tiny_spec();
+  CampaignOptions options;
+  options.store_dir = dir.sub("store.d");
+  for (double ttl : {0.0, -1.0, std::nan(""), HUGE_VAL}) {
+    options.lease_ttl_seconds = ttl;
+    EXPECT_THROW(run_campaign({spec}, options), ParameterError) << ttl;
+  }
+  // No worker ran: workers create the store directory when they open it.
+  EXPECT_FALSE(std::filesystem::exists(options.store_dir));
 }
 
 TEST(CampaignTest, CountUniqueTasksIsPointsPlusUniqueBaselines) {

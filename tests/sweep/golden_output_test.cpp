@@ -1,7 +1,7 @@
 // Golden-output determinism pin for the packet data path.
 //
-// Runs the fig. 6 quick-mode sweep (the same fixed spec tools/bench_report
-// times) single-threaded and checksums the CSV it would write. The digest
+// Runs the fig. 6 quick-mode sweep (15-45 flows x T_extent 50/75/100 ms x
+// 7 auto-γ) single-threaded and checksums the CSV it would write. The digest
 // below was generated from the pre-overhaul data path (std::deque buffers,
 // std::function taps, per-packet BinnedSeries::add), so any change to
 // packet handling that alters simulation results for identical seeds —

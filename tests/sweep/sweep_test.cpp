@@ -416,6 +416,33 @@ TEST(SpecParser, RejectsUnknownKeysAndGarbage) {
   EXPECT_THROW(parse_spec("flows = 15.9\n"), ParameterError);
 }
 
+// The same readers check the CLIs' numeric flags (pdos_sweep --threads;
+// pdos_campaign --workers, --threads, --lease-ttl, --partial-interval):
+// the whole value, finite, in range, and the message names the flag.
+TEST(SpecParser, NumberReadersRejectBadFlagValues) {
+  for (const char* bad : {"", "abc", "2x", "nan", "inf", "1e400"}) {
+    EXPECT_THROW(parse_double(bad, "--lease-ttl"), ParameterError) << bad;
+    EXPECT_THROW(parse_integer<int>(bad, "--workers"), ParameterError) << bad;
+    EXPECT_THROW(parse_integer<std::uint64_t>(bad, "--x"), ParameterError)
+        << bad;
+  }
+  EXPECT_THROW(parse_integer<int>("2.5", "--threads"), ParameterError);
+  EXPECT_THROW(parse_integer<int>("4294967296", "--threads"), ParameterError);
+  EXPECT_THROW(parse_integer<std::uint64_t>("-1", "--x"), ParameterError);
+  try {
+    parse_double("0.3s", "--partial-interval");
+    ADD_FAILURE() << "trailing junk accepted";
+  } catch (const ParameterError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "--partial-interval: not a number: '0.3s'");
+  }
+  EXPECT_EQ(parse_integer<int>("-1", "--threads"), -1);
+  EXPECT_EQ(parse_integer<std::uint64_t>("18446744073709551615", "--x"),
+            18446744073709551615ull);
+  EXPECT_EQ(parse_double("0.05", "--lease-ttl"), 0.05);
+  EXPECT_EQ(parse_double("1e-3", "--lease-ttl"), 1e-3);
+}
+
 TEST(RunSweep, FluidBackendProducesComparableDegradation) {
   SweepSpec spec;
   spec.flow_counts = {15};

@@ -17,22 +17,25 @@
 //   --store DIR          CampaignStore directory (default
 //                        .pdos-cache/campaign; spec `store =` overrides the
 //                        default, the flag overrides the spec)
-//   --workers K          worker processes (default 2)
+//   --workers K          worker processes, >= 1 (default 2)
 //   --threads N          threads per worker (default: all hardware threads)
 //   --csv-dir DIR        write each spec's merged CSV to DIR/<spec-stem>.csv
 //                        (overrides the spec's `csv =`)
-//   --lease-ttl S        work-claim lifetime in seconds (default 120)
+//   --lease-ttl S        work-claim lifetime in seconds, > 0 (default 120)
 //   --partial-interval S stream lookup-only partial CSVs to
-//                        <csv>.partial every S seconds while workers run
+//                        <csv>.partial every S >= 0 seconds while workers
+//                        run (0, the default: none)
 //   --keep-going         workers keep dispatching after a point failure
 //   --assert-no-dup      exit 1 if total simulations exceeded the unique
 //                        task count (i.e. claiming failed to dedup)
 //   --compact            compact the store segments after the run
 //
+// Numbers are read exactly, as in spec files: a malformed or out-of-range
+// value exits 2, naming the flag, before any worker is forked.
+//
 // Exit status: 0 on success; 1 when any point failed, a worker crashed, or
-// an --assert-no-dup check tripped.
+// an --assert-no-dup check tripped; 2 on a usage or spec error.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -41,6 +44,7 @@
 #include "sweep/campaign.hpp"
 #include "sweep/campaign_store.hpp"
 #include "sweep/spec.hpp"
+#include "util/assert.hpp"
 
 using namespace pdos;
 
@@ -66,33 +70,46 @@ int main(int argc, char** argv) {
   bool compact = false;
   bool quiet = false;
 
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--store") == 0 && i + 1 < argc) {
-      store_flag = argv[++i];
-    } else if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
-      options.workers = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      options.threads = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--csv-dir") == 0 && i + 1 < argc) {
-      csv_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--lease-ttl") == 0 && i + 1 < argc) {
-      options.lease_ttl_seconds = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--partial-interval") == 0 &&
-               i + 1 < argc) {
-      options.partial_interval_seconds = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--keep-going") == 0) {
-      options.keep_going = true;
-    } else if (std::strcmp(argv[i], "--assert-no-dup") == 0) {
-      assert_no_dup = true;
-    } else if (std::strcmp(argv[i], "--compact") == 0) {
-      compact = true;
-    } else if (std::strcmp(argv[i], "--quiet") == 0) {
-      quiet = true;
-    } else if (argv[i][0] == '-') {
-      return usage();
-    } else {
-      spec_paths.push_back(argv[i]);
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const bool has_value = i + 1 < argc;
+      if (std::strcmp(argv[i], "--store") == 0 && has_value) {
+        store_flag = argv[++i];
+      } else if (std::strcmp(argv[i], "--workers") == 0 && has_value) {
+        options.workers = sweep::parse_integer<int>(argv[++i], "--workers");
+        PDOS_REQUIRE(options.workers >= 1, "--workers: must be >= 1");
+      } else if (std::strcmp(argv[i], "--threads") == 0 && has_value) {
+        options.threads = sweep::parse_integer<int>(argv[++i], "--threads");
+      } else if (std::strcmp(argv[i], "--csv-dir") == 0 && has_value) {
+        csv_dir = argv[++i];
+      } else if (std::strcmp(argv[i], "--lease-ttl") == 0 && has_value) {
+        options.lease_ttl_seconds =
+            sweep::parse_double(argv[++i], "--lease-ttl");
+        PDOS_REQUIRE(options.lease_ttl_seconds > 0.0,
+                     "--lease-ttl: must be > 0");
+      } else if (std::strcmp(argv[i], "--partial-interval") == 0 &&
+                 has_value) {
+        options.partial_interval_seconds =
+            sweep::parse_double(argv[++i], "--partial-interval");
+        PDOS_REQUIRE(options.partial_interval_seconds >= 0.0,
+                     "--partial-interval: must be >= 0");
+      } else if (std::strcmp(argv[i], "--keep-going") == 0) {
+        options.keep_going = true;
+      } else if (std::strcmp(argv[i], "--assert-no-dup") == 0) {
+        assert_no_dup = true;
+      } else if (std::strcmp(argv[i], "--compact") == 0) {
+        compact = true;
+      } else if (std::strcmp(argv[i], "--quiet") == 0) {
+        quiet = true;
+      } else if (argv[i][0] == '-') {
+        return usage();
+      } else {
+        spec_paths.push_back(argv[i]);
+      }
     }
+  } catch (const ParameterError& e) {
+    std::fprintf(stderr, "pdos_campaign: %s\n", e.what());
+    return 2;
   }
   if (spec_paths.empty()) return usage();
 
@@ -140,7 +157,7 @@ int main(int argc, char** argv) {
       if (p.done == p.total) std::fprintf(stderr, "\n");
     };
     std::fprintf(stderr, "pdos_campaign: %zu spec(s), %d workers, store %s\n",
-                 specs.size(), std::max(1, options.workers),
+                 specs.size(), options.workers,
                  options.store_dir.c_str());
   }
 

@@ -19,10 +19,11 @@
 // pdos_sweep processes pointed at the same DIR partition a cold grid via
 // work claiming and share every result (see README.md, "Running
 // campaigns"). `--progress-json` emits machine-readable JSON-lines
-// progress on stderr for orchestrators and CI logs.
-// Exit status: 0 on success, 1 when any point failed.
+// progress on stderr for orchestrators and CI logs. `--threads` is read
+// exactly, like the spec's `threads =` key.
+// Exit status: 0 on success, 1 when any point failed, 2 on a usage or spec
+// error.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -63,7 +64,13 @@ int main(int argc, char** argv) {
   std::string aggregate_path;
   for (int i = 2; i < argc; ++i) {
     if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      file.options.threads = std::atoi(argv[++i]);
+      try {
+        file.options.threads =
+            sweep::parse_integer<int>(argv[++i], "--threads");
+      } catch (const ParameterError& e) {
+        std::fprintf(stderr, "pdos_sweep: %s\n", e.what());
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--csv") == 0 && i + 1 < argc) {
       file.csv_path = argv[++i];
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
