@@ -1,16 +1,18 @@
-// Data-path microbenchmarks (google-benchmark): the packet ring, the queue
-// disciplines' ring-backed enqueue/dequeue, link service with and without
-// taps, and the batched StatsHub sink. These isolate the per-packet layers
-// under perfbench's end-to-end numbers and its traced net.events_per_pkt.
+// Data-path microbenchmarks (google-benchmark): the chunked packet FIFO
+// over the simulator's arena, the queue disciplines' FIFO-backed
+// enqueue/dequeue, link service with and without taps, and the batched
+// StatsHub sink. These isolate the per-packet layers under perfbench's
+// end-to-end numbers and its traced net.events_per_pkt.
 #include <benchmark/benchmark.h>
 
 #include <memory>
 
 #include "net/droptail.hpp"
 #include "net/link.hpp"
-#include "net/packet_ring.hpp"
 #include "sim/simulator.hpp"
 #include "stats/stats_hub.hpp"
+#include "util/arena.hpp"
+#include "util/fifo.hpp"
 
 namespace pdos {
 namespace {
@@ -22,34 +24,37 @@ Packet attack_packet() {
   return pkt;
 }
 
-void BM_PacketRingChurn(benchmark::State& state) {
-  // Steady-state FIFO churn at a queue-like occupancy: push a burst, drain
-  // it, never reallocating after the first lap.
-  PacketRing ring;
-  ring.reserve(256);
-  const Packet pkt = attack_packet();
-  for (auto _ : state) {
-    for (int i = 0; i < 128; ++i) ring.push_back(pkt);
-    while (!ring.empty()) benchmark::DoNotOptimize(ring.pop_front());
-  }
-  state.SetItemsProcessed(state.iterations() * 256);
-}
-BENCHMARK(BM_PacketRingChurn);
+constexpr int kChunkSlots = static_cast<int>(Fifo<Packet>::kChunkSlots);
 
-void BM_PacketRingWrappedChurn(benchmark::State& state) {
-  // One-in-one-out around the wrap point: the link's propagation pipeline
-  // shape, where head and tail chase each other across the mask boundary.
-  PacketRing ring;
-  ring.reserve(8);
+void BM_FifoChurnWithinChunk(benchmark::State& state) {
+  // Fill one chunk and drain it: a drained FIFO keeps its chunk and
+  // restarts at its front, so this arm never reaches the arena.
+  MonotonicArena arena;
+  Fifo<Packet> fifo(&arena);
   const Packet pkt = attack_packet();
-  for (int i = 0; i < 5; ++i) ring.push_back(pkt);
   for (auto _ : state) {
-    ring.push_back(pkt);
-    benchmark::DoNotOptimize(ring.pop_front());
+    for (int i = 0; i < kChunkSlots; ++i) fifo.push_back(pkt);
+    while (!fifo.empty()) benchmark::DoNotOptimize(fifo.pop_front());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * kChunkSlots);
+}
+BENCHMARK(BM_FifoChurnWithinChunk);
+
+void BM_FifoChurnAcrossChunks(benchmark::State& state) {
+  // One-in-one-out at a standing depth: the link's propagation pipe shape.
+  // Head and tail cross a chunk boundary every kChunkSlots packets, so each
+  // crossing takes one chunk from the arena's free list and returns one.
+  MonotonicArena arena;
+  Fifo<Packet> fifo(&arena);
+  const Packet pkt = attack_packet();
+  for (int i = 0; i < 5; ++i) fifo.push_back(pkt);
+  for (auto _ : state) {
+    fifo.push_back(pkt);
+    benchmark::DoNotOptimize(fifo.pop_front());
   }
   state.SetItemsProcessed(state.iterations() * 2);
 }
-BENCHMARK(BM_PacketRingWrappedChurn);
+BENCHMARK(BM_FifoChurnAcrossChunks);
 
 struct NullSink : PacketHandler {
   long long received = 0;
@@ -131,10 +136,11 @@ void BM_StatsHubArrival(benchmark::State& state) {
 }
 BENCHMARK(BM_StatsHubArrival);
 
-void BM_DropTailRingPath(benchmark::State& state) {
-  // Queue discipline over the ring, via the virtual interface the link
-  // uses: enqueue to capacity, drain through dequeue_nonempty.
-  DropTailQueue queue(256);
+void BM_DropTailFifoPath(benchmark::State& state) {
+  // Queue discipline over its arena-backed FIFO, via the virtual interface
+  // the link uses: enqueue a burst, drain through dequeue_nonempty.
+  MonotonicArena arena;
+  DropTailQueue queue(256, &arena);
   QueueDiscipline& q = queue;
   const Packet pkt = attack_packet();
   for (auto _ : state) {
@@ -143,7 +149,7 @@ void BM_DropTailRingPath(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 256);
 }
-BENCHMARK(BM_DropTailRingPath);
+BENCHMARK(BM_DropTailFifoPath);
 
 }  // namespace
 }  // namespace pdos

@@ -2,7 +2,8 @@
 // dumbbell family (250 flows @ 155 Mbps, 1000 flows @ 1 Gbps) on the
 // express-lane/fused `fast` backend and on `full`. These are for interactive
 // work on the large-N data path; perfbench's gigabit_fast workload runs the
-// 1000-flow scenario end to end.
+// 1000-flow scenario end to end. The `arena_mb` counter is the workspace
+// arena's footprint (bytes reserved) after the timed runs.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -47,6 +48,9 @@ void run_large_scale(benchmark::State& state, bool fast) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
   state.SetLabel("items = scheduler events");
+  state.counters["arena_mb"] =
+      static_cast<double>(ws.simulator().arena().bytes_reserved()) /
+      (1024.0 * 1024.0);
 }
 
 void BM_LargeScaleFastPath(benchmark::State& state) {

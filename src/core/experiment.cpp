@@ -367,22 +367,19 @@ void ScenarioWorkspace::build(const ScenarioConfig& config,
     router_r_->add_route(rcv_id, rcv_fwd);
     router_r_->add_route(snd_id, bottleneck_rev);
 
+    // A per-flow link carries exactly one flow, so every hop it feeds
+    // resolves to one handler: wire the agents and links point-to-point and
+    // skip the Node dispatch on both edge rows. The routers keep their
+    // tables (the bottleneck fan-out and the reverse chain handoff still
+    // resolve through them); packet timings, queue decisions, and events
+    // are untouched by call-path shortcuts (DESIGN.md §8).
     connections_.push_back(make_tcp_connection(
         sim, *snd, *rcv, /*flow=*/i, config.tcp, &sender_hot_[i],
-        &receiver_hot_[i],
-        // Fast path: a per-flow link carries exactly one flow, so every hop
-        // it feeds resolves to one handler — wire the agents and links
-        // point-to-point and skip the Node dispatch on both edge rows. The
-        // routers keep their tables (the bottleneck fan-out and the reverse
-        // chain handoff still resolve through them); packet timings, queue
-        // decisions, and events are untouched by call-path shortcuts.
-        fast ? snd_fwd : nullptr, fast ? rcv_rev : nullptr));
-    if (fast) {
-      snd_fwd->set_downstream(bottleneck_);
-      rcv_fwd->set_downstream(connections_.back().receiver);
-      rcv_rev->set_downstream(bottleneck_rev);
-      snd_rev->set_downstream(connections_.back().sender);
-    }
+        &receiver_hot_[i], snd_fwd, rcv_rev));
+    snd_fwd->set_downstream(bottleneck_);
+    rcv_fwd->set_downstream(connections_.back().receiver);
+    rcv_rev->set_downstream(bottleneck_rev);
+    snd_rev->set_downstream(connections_.back().sender);
   }
   router_s_->add_route(router_r_id, bottleneck_);
 

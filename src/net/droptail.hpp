@@ -3,16 +3,16 @@
 
 #include <memory_resource>
 
-#include "net/packet_ring.hpp"
 #include "net/queue.hpp"
+#include "util/fifo.hpp"
 
 namespace pdos {
 
 class DropTailQueue : public QueueDiscipline {
  public:
   /// `capacity_packets` is the buffer size in packets (> 0). The packet
-  /// buffer allocates from `memory` (default: the global heap; pass the
-  /// Simulator's arena for warm-reuse scenarios).
+  /// buffer takes its chunks from `memory` (default: the global heap; pass
+  /// the Simulator's arena for warm-reuse scenarios).
   explicit DropTailQueue(std::size_t capacity_packets,
                          std::pmr::memory_resource* memory =
                              std::pmr::get_default_resource());
@@ -24,10 +24,10 @@ class DropTailQueue : public QueueDiscipline {
 
  private:
   std::size_t capacity_;
-  // Grows on demand up to `capacity_` and never shrinks: once the queue has
-  // filled once, enqueue/dequeue are allocation-free. Starting small keeps
-  // construction cheap for sweeps that build thousands of queues.
-  PacketRing buffer_;
+  // Chunked, so it holds memory for the packets queued now, not for
+  // `capacity_`; construction allocates nothing, which keeps sweeps that
+  // build thousands of queues cheap.
+  Fifo<Packet> buffer_;
 };
 
 }  // namespace pdos

@@ -65,13 +65,11 @@ QueueDiscipline& Link::queue() {
 void Link::add_arrival_tap(PacketTap tap) {
   PDOS_REQUIRE(queue_ != nullptr, "Link: cannot tap an express lane");
   arrival_taps_.push_back(std::move(tap));
-  tapped_ = true;
 }
 
 void Link::add_departure_tap(PacketTap tap) {
   PDOS_REQUIRE(queue_ != nullptr, "Link: cannot tap an express lane");
   departure_taps_.push_back(std::move(tap));
-  tapped_ = true;
   lazy_ = false;  // the tap must observe departures at their exact instants
 }
 
@@ -89,11 +87,7 @@ void Link::handle(Packet pkt) {
   // first there (see catch_up) — and is served right after the enqueue via
   // the serve_next() fall-through below.
   if (lazy_ && queued_ != 0) catch_up(sim_.now(), /*include_now=*/false);
-  // Tapless fast path: no observer can see the enqueue stamp, so skip it.
-  if (tapped_) {
-    for (auto& tap : arrival_taps_) tap(pkt);
-    pkt.enqueue_time = sim_.now();
-  }
+  for (auto& tap : arrival_taps_) tap(pkt);
   if (!queue_->enqueue(std::move(pkt))) return;  // dropped; stats in queue
   ++queued_;
   if (service_event_pending_) return;  // a service event will drain the queue
@@ -146,7 +140,7 @@ void Link::catch_up(Time now, bool include_now) {
   // arrived while the wire was busy, so its service starts the instant the
   // previous serialization ends. Each emission's due falls strictly after
   // every due already in flight (fin grows monotonically), so the delivery
-  // ring stays FIFO and nothing is scheduled in the past; and whenever a
+  // pipe stays FIFO and nothing is scheduled in the past; and whenever a
   // backlog survives this loop the packet that set service_done_ is still
   // propagating, so a delivery event is pending to drive the next call.
   //
@@ -190,7 +184,7 @@ void Link::emit(Packet pkt, Time fin) {
   }
   // Propagation is pipelined: hand off `delay_` after serialization ends,
   // then the next buffered packet starts. Same delay for every packet means
-  // deliveries happen in departure order, so FIFO rings carry them and the
+  // deliveries happen in departure order, so one FIFO carries them and the
   // delivery timer only ever tracks the head — it is armed here when the
   // pipeline was empty and re-armed in deliver() while packets remain.
   const Time when = fin + delay_;

@@ -7,20 +7,20 @@
 // Propagation is pipelined: several packets can be in flight concurrently.
 //
 // Hot-path layout: the packet being serialized sits in `in_service_` and
-// packets in propagation sit in a `PacketRing`, so the per-packet events —
-// the service timer and the delivery timer — capture only `this` and stay
-// within InlineFn's inline storage. Because the propagation delay is the
-// same for every packet, deliveries complete in departure order, so the
-// propagation pipeline is one ring of cache-line-sized (packet, deadline,
-// rank) slots drained by a single restartable timer: the scheduler holds
-// ONE delivery event per link
-// no matter how many packets are in flight, which keeps the event heap —
-// the simulator's hottest structure — proportional to the number of links,
-// not to the bandwidth-delay product. Taps are `PacketTap`s — the same
-// inline-closure machinery as events, one function-pointer call per packet,
-// no heap-held std::function state — and are only consulted when
-// registered; the untapped fast path skips the loops and the
-// `enqueue_time` stamp entirely.
+// packets in propagation sit in a chunked `Fifo`, so the per-packet events
+// — the service timer and the delivery timer — capture only `this` and
+// stay within InlineFn's inline storage. Because the propagation delay is
+// the same for every packet, deliveries complete in departure order, so
+// the propagation pipe is one FIFO of 56-byte (packet, deadline, rank)
+// slots drained by a single restartable timer: the scheduler holds ONE
+// delivery event per link no matter how many packets are in flight, which
+// keeps the event heap — the simulator's hottest structure — proportional
+// to the number of links, not to the bandwidth-delay product, and the
+// pipe's chunks come from and go back to the simulator's arena, so its
+// memory follows the packets in flight. Taps are `PacketTap`s — the same
+// inline-closure machinery as events, one function-pointer call per
+// packet, no heap-held std::function state — and an untapped link's tap
+// loops run over empty vectors.
 //
 // Large-scale modes (see DESIGN.md §11):
 //
@@ -75,10 +75,10 @@
 #include <vector>
 
 #include "net/packet.hpp"
-#include "net/packet_ring.hpp"
 #include "net/queue.hpp"
 #include "sim/simulator.hpp"
 #include "util/assert.hpp"
+#include "util/fifo.hpp"
 #include "util/units.hpp"
 
 namespace pdos {
@@ -116,11 +116,11 @@ class Link : public PacketHandler {
   /// Packet arrival from the upstream node.
   void handle(Packet pkt) override;
 
-  /// Rewire the delivery target. Fast-path scenarios use this to skip
+  /// Rewire the delivery target. The dumbbell builder uses this to skip
   /// per-hop Node dispatch on links whose every packet resolves to the same
   /// next handler anyway (a per-flow access link carries exactly one flow),
   /// which changes the call path but no packet timing, event, queue
-  /// decision, or RNG draw (DESIGN.md §11). `downstream` must be non-null
+  /// decision, or RNG draw (DESIGN.md §8). `downstream` must be non-null
   /// and outlive the link.
   void set_downstream(PacketHandler* downstream) {
     PDOS_REQUIRE(downstream != nullptr, "Link: downstream must be non-null");
@@ -184,14 +184,14 @@ class Link : public PacketHandler {
   // A departed, still-propagating packet with its delivery deadline and the
   // tie-break rank it claimed when it departed, so materializing its heap
   // node late cannot reorder it against other events at the same timestamp.
-  // One cache line, so the propagation pipeline is a single ring touched
-  // once per departure and once per delivery.
+  // 56 bytes (the 40-byte Packet plus deadline and rank), written once per
+  // departure and read once per delivery.
   struct InFlight {
     Packet pkt;
     Time when = 0.0;
     std::uint32_t seq = 0;
   };
-  static_assert(sizeof(InFlight) <= 64, "InFlight must stay one cache line");
+  static_assert(sizeof(InFlight) == 56, "InFlight is a Packet plus 16 bytes");
 
   void serve_next();
   void finish_service();
@@ -221,7 +221,6 @@ class Link : public PacketHandler {
   QueueDiscipline* queue_;  // null on the express lane
   PacketHandler* downstream_;
   Node* chain_hop_ = nullptr;  // express chain handoff router, or null
-  bool tapped_ = false;     // any tap registered; gates the slow arrival path
   bool fused_ = false;      // idle serves skip the service event
   // Cached `queue_ != nullptr && fused_ && departure_taps_.empty()`: fused
   // links drain their queue analytically (no boundary event exists), and the
@@ -240,7 +239,7 @@ class Link : public PacketHandler {
   Time service_done_ = 0.0;
 
   Packet in_service_;       // owned by the pending service event
-  Ring<InFlight> pipe_;     // departed, still propagating (FIFO)
+  Fifo<InFlight> pipe_;     // departed, still propagating
   std::pmr::vector<PacketTap> arrival_taps_;
   std::pmr::vector<PacketTap> departure_taps_;
   // chain_via: resolved express next hop per destination, so the per-packet

@@ -4,10 +4,11 @@
 // segments, not bytes. Wire size still carries real byte counts so link
 // serialization and rate accounting are exact.
 //
-// Layout matters: a simulated packet is copied through queue rings, the
-// link's in-service slot, and the propagation ring several times per hop,
-// so the struct is packed to 48 bytes (three quarters of a cache line, down
-// from 64) — doubles first, then the 32-bit lane, then the byte-wide flags.
+// Layout matters: a simulated packet is copied through queue FIFOs, the
+// link's in-service slot, and the propagation pipe several times per hop,
+// so the struct is packed to 40 bytes (five eighths of a cache line, down
+// from 64) — the double first, then the 32-bit lane, then the byte-wide
+// flags.
 // Segment counters are 32-bit on the wire: the packet-counting model tops
 // out at cwnd * simulated-seconds / RTT segments per flow, orders of
 // magnitude below 2^31 for any horizon this library runs, while the TCP
@@ -42,8 +43,7 @@ inline constexpr NodeId kInvalidNode = -1;
 
 struct Packet {
   // --- 64-bit lane ---
-  Time ts_echo = 0.0;       // sender timestamp echoed by the receiver (RTTM)
-  Time enqueue_time = 0.0;  // set on tapped links for delay accounting
+  Time ts_echo = 0.0;  // sender timestamp echoed by the receiver (RTTM)
 
   // --- 32-bit lane ---
   SeqNum seq = 0;  // data: segment index; ack: echoed highest seq
@@ -63,8 +63,8 @@ struct Packet {
   }
 };
 
-static_assert(sizeof(Packet) == 48,
-              "Packet is copied per hop through rings and service slots — "
+static_assert(sizeof(Packet) == 40,
+              "Packet is copied per hop through FIFOs and service slots — "
               "keep it packed (see layout note)");
 static_assert(alignof(Packet) == 8, "Packet should align to its Time lane");
 

@@ -13,8 +13,8 @@
 
 #include <memory_resource>
 
-#include "net/packet_ring.hpp"
 #include "net/queue.hpp"
+#include "util/fifo.hpp"
 #include "util/rng.hpp"
 
 namespace pdos {
@@ -38,8 +38,8 @@ struct RedParams {
 
 class RedQueue : public QueueDiscipline {
  public:
-  /// The packet buffer allocates from `memory` (default: the global heap;
-  /// pass the Simulator's arena for warm-reuse scenarios).
+  /// The packet buffer takes its chunks from `memory` (default: the global
+  /// heap; pass the Simulator's arena for warm-reuse scenarios).
   RedQueue(RedParams params, Rng rng,
            std::pmr::memory_resource* memory =
                std::pmr::get_default_resource());
@@ -67,9 +67,9 @@ class RedQueue : public QueueDiscipline {
 
   RedParams params_;
   Rng rng_;
-  // Grows on demand up to `params_.capacity` and never shrinks; once the
-  // queue has filled once, enqueue/dequeue are allocation-free.
-  PacketRing buffer_;
+  // Chunked: holds memory for the packets queued now, not for
+  // `params_.capacity`.
+  Fifo<Packet> buffer_;
 
   const Scheduler* clock_ = nullptr;  // may be null in unit tests
   double mean_service_time_ = 0.0;    // seconds per average packet

@@ -101,7 +101,7 @@ class Simulator {
   }
 
   /// The arena components and their internal containers live in. Pass to
-  /// pmr-aware members (`Ring`, route tables, reorder buffers) so a
+  /// pmr-aware members (packet `Fifo`s, route tables, reorder buffers) so a
   /// component's working set shares the component's own blocks.
   std::pmr::memory_resource* memory() { return &arena_; }
   const MonotonicArena& arena() const { return arena_; }

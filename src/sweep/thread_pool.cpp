@@ -10,7 +10,7 @@ namespace pdos::sweep {
 namespace {
 
 // Which pool/worker the current thread belongs to, so nested submits can
-// target the submitting worker's own deque.
+// target the submitting worker's own FIFO.
 thread_local const ThreadPool* tl_pool = nullptr;
 thread_local std::size_t tl_worker = 0;
 
@@ -23,7 +23,7 @@ int ThreadPool::default_threads() {
 
 ThreadPool::ThreadPool(int threads) {
   if (threads <= 0) threads = default_threads();
-  workers_ = std::vector<Worker>(static_cast<std::size_t>(threads));
+  for (int i = 0; i < threads; ++i) workers_.emplace_back(&task_memory_);
   threads_.reserve(workers_.size());
   for (std::size_t i = 0; i < workers_.size(); ++i) {
     threads_.emplace_back([this, i] { worker_loop(i); });

@@ -3,16 +3,18 @@
 // Simulations are CPU-bound and embarrassingly parallel — every sweep
 // point is an independent `Simulator` with its own seed — so the pool is
 // optimized for coarse tasks (milliseconds to seconds each), not
-// micro-tasks: each worker owns a ring protected by a small mutex, pops
-// from the front of its own ring, and steals from the front of a victim's
-// ring (the oldest, coldest task) when it runs dry. External submits are
-// distributed round-robin; submits from inside a worker go to that
-// worker's own ring, so task trees stay mostly local.
+// micro-tasks: each worker owns a task FIFO protected by a small mutex,
+// pops from the front of its own FIFO, and steals from the front of a
+// victim's FIFO (the oldest, coldest task) when it runs dry. External
+// submits are distributed round-robin; submits from inside a worker go to
+// that worker's own FIFO, so task trees stay mostly local.
 //
 // Tasks are `InlineFn`s — the same fixed-capacity inline closure as
-// scheduler events — so a submitted task is a 48-byte ring slot, not a
-// heap-held std::function: once each worker's ring has grown to its
-// high-water mark, the submit/pop/steal cycle performs zero allocations.
+// scheduler events — so a submitted task is a 48-byte FIFO slot, not a
+// heap-held std::function. The FIFOs take their chunks from an
+// `unsynchronized_pool_resource` owned by the pool, which keeps every chunk
+// returned to it: once a submit burst has been queued once, the same
+// burst's submit/pop/steal cycle performs zero allocations.
 // A task capturing more than kInlineFnCapacity bytes is a compile error;
 // sweep tasks capture a handful of pointers (see parallel_for).
 //
@@ -22,13 +24,15 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <deque>
 #include <functional>
+#include <memory_resource>
 #include <mutex>
 #include <thread>
 #include <vector>
 
-#include "net/packet_ring.hpp"
 #include "sim/event.hpp"
+#include "util/fifo.hpp"
 
 namespace pdos::sweep {
 
@@ -48,7 +52,7 @@ class ThreadPool {
 
   /// Enqueue a task (any callable whose captures fit kInlineFnCapacity).
   /// Thread-safe; callable from worker threads (nested submits land on the
-  /// submitting worker's own ring).
+  /// submitting worker's own FIFO).
   void submit(InlineFn task);
 
   /// Block until every submitted task (including tasks submitted by other
@@ -59,11 +63,12 @@ class ThreadPool {
   static int default_threads();
 
  private:
-  // One ring per worker; all guarded by state_mutex_. Tasks are coarse
+  // One FIFO per worker; all guarded by state_mutex_. Tasks are coarse
   // (whole simulations), so a single lock is cheaper than getting lock-free
   // deques right — the *stealing policy* is what matters for balance.
   struct Worker {
-    Ring<InlineFn> tasks;
+    explicit Worker(std::pmr::memory_resource* memory) : tasks(memory) {}
+    Fifo<InlineFn> tasks;
   };
 
   // Pop from own front, else steal the oldest task from a victim. Caller
@@ -71,7 +76,10 @@ class ThreadPool {
   bool try_pop_locked(std::size_t self, InlineFn& task);
   void worker_loop(std::size_t index);
 
-  std::vector<Worker> workers_;
+  // Chunk source of every worker's FIFO, used under state_mutex_ only.
+  // Declared first so it outlives the FIFOs that return chunks to it.
+  std::pmr::unsynchronized_pool_resource task_memory_;
+  std::deque<Worker> workers_;  // a deque: Workers are not movable
   std::vector<std::thread> threads_;
 
   std::mutex state_mutex_;

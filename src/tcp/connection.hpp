@@ -23,7 +23,7 @@ struct TcpConnection {
 /// `receiver_hot`, when non-null, are externally owned hot-state slots (flat
 /// per-class arrays built by the scenario; see tcp/flow_state.hpp).
 /// `sender_out` / `receiver_out`, when non-null, replace the node as the
-/// agent's egress — fast-path scenarios pass the flow's access link directly
+/// agent's egress — the dumbbell builder passes the flow's access link
 /// so emissions skip the node's route dispatch (a pure call-path shortcut;
 /// packets, timings, and events are unchanged).
 TcpConnection make_tcp_connection(Simulator& sim, Node& src, Node& dst,

@@ -9,6 +9,8 @@
 //      tracers into StatsHub's flat meter table, delayed-ACK timer churn,
 //      express-lane ACK carriage — performs ZERO heap allocations at
 //      steady state, verified with a counting global operator new.
+// A third test holds the arena's live bytes at the end of a 250-flow run
+// to the packets alive then (DESIGN.md §10).
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -86,6 +88,26 @@ TEST(LargeScaleTest, FastPathIsPacketIdenticalToFullPath) {
   EXPECT_EQ(fast.attack_packets_sent, slow.attack_packets_sent);
   // The point of the exercise: the same packets, far fewer events.
   EXPECT_LT(fast.events_executed, slow.events_executed);
+}
+
+TEST(LargeScaleTest, ArenaHoldsLivePacketsNotEveryBuffersPeak) {
+  // 250 flows on 250 Mbps under a γ = 0.3 pulse: about a thousand links
+  // and queues, each of which once kept the capacity of its own busiest
+  // instant (plus every outgrown buffer) in the arena for the whole run.
+  // With chunked FIFOs over a recycling arena the live bytes at the end of
+  // the run follow the packets in flight and queued.
+  ScenarioConfig config = ScenarioConfig::large_scale(250, mbps(250));
+  config.seed = 1;
+  const PulseTrain train = PulseTrain::from_gamma(
+      ms(50), config.bottleneck * (25.0 / 15.0), 0.3, config.bottleneck);
+  RunControl control;
+  control.warmup = sec(1.0);
+  control.measure = sec(2.0);
+
+  ScenarioWorkspace ws;
+  const RunResult result = ws.run(config, train, control);
+  EXPECT_EQ(result.events_executed, 283121u) << "the same events must fire";
+  EXPECT_LE(ws.simulator().arena().bytes_in_use(), 2'500'000u);
 }
 
 TEST(LargeScaleTest, LargeScaleConfigScalesBufferWithRate) {
