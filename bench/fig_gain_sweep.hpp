@@ -3,10 +3,10 @@
 // per subplot (T_extent = 50/75/100 ms).
 //
 // The grid runs on the sweep engine (src/sweep): every (flows, T_extent,
-// gamma) point is an independent simulation executed across a
-// work-stealing thread pool, then printed in the figure's order from the
-// stable result table. Thread count comes from PDOS_SWEEP_THREADS (0 or
-// unset = all hardware threads); output is byte-identical regardless.
+// gamma) point is an independent simulation executed in the sweep's
+// parallel loop, then printed in the figure's order from the stable result
+// table. Thread count comes from PDOS_SWEEP_THREADS (0 or unset = all
+// hardware threads); output is byte-identical regardless.
 #pragma once
 
 #include "common.hpp"

@@ -4,7 +4,7 @@
 // optimal gain, and the pulse spacing mu (exact and the paper's Eq. 16
 // approximation), verifying Corollaries 1-4 at the grid edges.
 //
-// The grid is evaluated across the sweep subsystem's thread pool: each
+// The grid is evaluated in the sweep subsystem's parallel loop: each
 // (C_Psi, kappa) cell is independent, results land in preallocated slots,
 // and rows print in grid order — output is identical at any thread count.
 #include <cstdio>
@@ -12,7 +12,7 @@
 
 #include "core/model.hpp"
 #include "core/optimizer.hpp"
-#include "sweep/thread_pool.hpp"
+#include "sweep/parallel_for.hpp"
 #include "util/units.hpp"
 
 using namespace pdos;
@@ -41,8 +41,7 @@ int main() {
   const std::vector<double> kappas = {0.1, 0.5, 1.0, 2.0, 5.0, 20.0};
 
   std::vector<SurfaceRow> rows(cpsis.size() * kappas.size());
-  sweep::ThreadPool pool;
-  sweep::parallel_for(pool, rows.size(), [&](std::size_t i) {
+  sweep::parallel_for(0, rows.size(), [&](std::size_t i, std::size_t) {
     SurfaceRow& row = rows[i];
     row.cpsi = cpsis[i / kappas.size()];
     row.kappa = kappas[i % kappas.size()];

@@ -66,9 +66,9 @@ double optimal_gain(double cpsi, double kappa);
 struct GammaSearch;
 
 /// Cache hook for the fluid phase of `search_confirm_gamma`: lets callers
-/// persist surrogate gains and baselines (e.g. in a sweep's PointStore, see
-/// sweep/optimizer_cache.hpp) so a resumed search skips already-solved γ
-/// lanes. The optimizer consults the cache before solving, batches only the
+/// keep surrogate gains and baselines across searches so a resumed search
+/// skips already-solved γ lanes, or observe each lookup and store (the
+/// benchmark's phase clock times the search's phases at these calls). The optimizer consults the cache before solving, batches only the
 /// misses through the lane-batched fluid tier, and stores what it solved.
 /// Key derivation is the implementation's business — the optimizer hands
 /// over exactly the (search, γ) pair it would otherwise evaluate. Because

@@ -47,9 +47,9 @@
 #include "stats/fairness.hpp"
 #include "stats/jitter.hpp"
 #include "stats/timeseries.hpp"
+#include "sweep/parallel_for.hpp"
 #include "sweep/spec.hpp"
 #include "sweep/sweep.hpp"
-#include "sweep/thread_pool.hpp"
 #include "tcp/aimd.hpp"
 #include "traffic/sources.hpp"
 #include "tcp/connection.hpp"

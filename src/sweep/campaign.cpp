@@ -13,6 +13,7 @@
 #include <unordered_set>
 
 #include "sweep/campaign_store.hpp"
+#include "sweep/parallel_for.hpp"
 #include "sweep/point_cache.hpp"
 #include "util/assert.hpp"
 
@@ -133,6 +134,8 @@ SweepResult replay_from_store(const SweepSpec& spec, const PointStore& store) {
 
 CampaignResult run_campaign(const std::vector<CampaignSpec>& specs,
                             const CampaignOptions& options) {
+  check_worker_count(options.workers, "run_campaign: workers");
+  check_worker_count(options.threads, "run_campaign: threads");
   PDOS_REQUIRE(!specs.empty(), "run_campaign: no specs");
   PDOS_REQUIRE(std::isfinite(options.lease_ttl_seconds) &&
                    options.lease_ttl_seconds > 0.0,
@@ -154,7 +157,7 @@ CampaignResult run_campaign(const std::vector<CampaignSpec>& specs,
   }
 
   // Fork the workers, each with a report pipe. Fork happens before this
-  // process creates any thread; each child builds its own ThreadPool.
+  // process creates any thread; each child starts its own sweep threads.
   std::vector<pid_t> pids;
   std::vector<int> report_fds;
   for (int w = 0; w < workers; ++w) {

@@ -16,7 +16,7 @@
 // store records, and only the first campaign simulates them.
 //
 // Worker processes are forked before any thread is created in the child
-// (each child builds its own ThreadPool afterwards), communicate over a
+// (each child starts its own sweep threads afterwards), communicate over a
 // pipe with one short text line per event, and `_exit` without running
 // parent atexit handlers. A worker that crashes mid-task simply leaves a
 // lease to expire: the surviving workers (or the parent's final replay
@@ -55,8 +55,10 @@ struct CampaignProgress {
 struct CampaignOptions {
   /// CampaignStore directory shared by all workers (created if missing).
   std::string store_dir = ".pdos-cache/campaign";
+  /// Worker processes; like `threads`, more than kMaxWorkers
+  /// (sweep/parallel_for.hpp) is a ParameterError, raised before any fork.
   int workers = 2;
-  /// Threads per worker (<= 0: ThreadPool::default_threads() in each).
+  /// Threads per worker (<= 0: default_threads() in each).
   int threads = 0;
   bool keep_going = false;  // workers keep dispatching after a failure
   double lease_ttl_seconds = 120.0;  // finite and > 0

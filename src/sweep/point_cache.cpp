@@ -50,8 +50,7 @@ class Fnv1a {
 };
 
 /// Every ScenarioConfig field that shapes a run (including the TCP stack);
-/// field order is part of the schema. Shared by the sweep keys below and
-/// by `scenario_digest` (the fluid-surrogate keys of optimizer_cache.hpp).
+/// field order is part of the schema. Hashed into both sweep keys below.
 void hash_scenario(Fnv1a& h, const ScenarioConfig& c) {
   h.i64(c.num_flows).f64(c.bottleneck).f64(c.access).f64(c.bottleneck_delay);
   h.i64(static_cast<std::int64_t>(c.rtts.size()));
@@ -122,19 +121,6 @@ std::uint64_t finish_baseline_key(std::uint64_t prefix, const PointSpec& probe,
 }
 
 }  // namespace
-
-std::uint64_t scenario_digest(const char* tag, const ScenarioConfig& config,
-                              const RunControl& control, const double* extra,
-                              std::size_t n_extra) {
-  Fnv1a h;
-  h.str(tag);
-  h.i64(kPointCacheSchema);
-  h.str(__VERSION__);
-  hash_scenario(h, config);
-  hash_control(h, control);
-  for (std::size_t i = 0; i < n_extra; ++i) h.f64(extra[i]);
-  return h.value();
-}
 
 std::uint64_t point_key(const SweepSpec& spec, const PointSpec& point,
                         std::uint64_t seed) {

@@ -95,16 +95,6 @@ class SweepKeys {
   std::vector<Prefix> prefixes_;  // sorted by flows
 };
 
-/// Digest of (tag + schema/compiler fingerprint + full ScenarioConfig +
-/// RunControl + `extra` doubles, in order). The key core of the fluid
-/// surrogate-gain cache (sweep/optimizer_cache.hpp), exposed here so every
-/// store key shares one hash discipline (and one schema bump). No seed
-/// parameter on purpose: the callers cache fluid-tier results, which are
-/// seed-invariant.
-std::uint64_t scenario_digest(const char* tag, const ScenarioConfig& config,
-                              const RunControl& control, const double* extra,
-                              std::size_t n_extra);
-
 // Record text codecs of every segment file: one line per
 // record, fields separated by one space, keys and owners as 16 hex digits,
 // doubles as %.17g (bit-exact on reload), counts as unsigned decimals:

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "sweep/parallel_for.hpp"
 #include "util/assert.hpp"
 
 namespace pdos::sweep {
@@ -134,6 +135,7 @@ SpecFile parse_spec(const std::string& text) {
       file.spec.control.measure = sec(parse_double(value, at));
     } else if (key == "threads") {
       file.options.threads = parse_integer<int>(value, at);
+      check_worker_count(file.options.threads, at + ": threads");
     } else if (key == "csv") {
       file.csv_path = value;
     } else if (key == "json") {

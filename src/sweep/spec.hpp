@@ -19,7 +19,7 @@
 //   base_seed    = 1
 //   warmup_s     = 5
 //   measure_s    = 15
-//   threads      = 0            # 0 = all hardware threads
+//   threads      = 0            # 0 = all hardware threads, at most 1024
 //   csv          = sweep.csv    # optional output paths
 //   json         = sweep.json
 //   cache        = points.cache # optional persistent point cache

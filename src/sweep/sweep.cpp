@@ -16,8 +16,8 @@
 #include "core/model.hpp"
 #include "core/planner.hpp"
 #include "io/csv.hpp"
+#include "sweep/parallel_for.hpp"
 #include "sweep/point_cache.hpp"
-#include "sweep/thread_pool.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -320,49 +320,6 @@ class ProgressMeter {
   std::mutex mutex_;
 };
 
-/// Hands out warm ScenarioWorkspaces to sweep tasks. Each worker thread
-/// runs tasks serially, so the pool never holds more workspaces than
-/// threads; a released workspace keeps its arena blocks, scheduler slabs,
-/// and container capacities hot for the next point.
-class WorkspacePool {
- public:
-  std::unique_ptr<ScenarioWorkspace> acquire() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (!idle_.empty()) {
-        auto workspace = std::move(idle_.back());
-        idle_.pop_back();
-        return workspace;
-      }
-    }
-    return std::make_unique<ScenarioWorkspace>();
-  }
-
-  void release(std::unique_ptr<ScenarioWorkspace> workspace) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    idle_.push_back(std::move(workspace));
-  }
-
- private:
-  std::mutex mutex_;
-  std::vector<std::unique_ptr<ScenarioWorkspace>> idle_;
-};
-
-/// RAII acquire/release so exception paths return the workspace too.
-class WorkspaceLease {
- public:
-  explicit WorkspaceLease(WorkspacePool& pool)
-      : pool_(pool), workspace_(pool.acquire()) {}
-  ~WorkspaceLease() { pool_.release(std::move(workspace_)); }
-  WorkspaceLease(const WorkspaceLease&) = delete;
-  WorkspaceLease& operator=(const WorkspaceLease&) = delete;
-  ScenarioWorkspace* operator->() { return workspace_.get(); }
-
- private:
-  WorkspacePool& pool_;
-  std::unique_ptr<ScenarioWorkspace> workspace_;
-};
-
 /// A contiguous run of entries that share some axes.
 struct TaskGroup {
   std::size_t first = 0;
@@ -446,19 +403,22 @@ enum class Outcome { kHit, kResult, kFailed, kSkipped };
 
 /// One `run_sweep` call. Every task goes resolve → run → record: resolve
 /// answers it from the store, defers it to a peer process, or hands it to
-/// one of two executors — the packet executor runs it alone on a warm
-/// workspace, the fluid executor batches a flows group's misses — and the
-/// executor records what became of it.
+/// one of two executors — the packet executor runs it alone on its
+/// worker's warm workspace, the fluid executor batches a flows group's
+/// misses — and the executor records what became of it.
 class SweepRun {
  public:
   SweepRun(const SweepSpec& spec, const SweepOptions& options)
       : spec_(spec),
         options_(options),
+        threads_(options.threads > 0 ? options.threads : default_threads()),
         rows_(make_rows(spec)),
         baselines_(make_baselines(rows_, baseline_index_)),
-        pool_(options.threads),
         meter_(baselines_.size() + rows_.size(), options.on_progress),
         store_(options.store) {
+    // Before a workspace slot is made, a store opened or a thread started.
+    check_worker_count(options.threads, "run_sweep: threads");
+    workspaces_.resize(static_cast<std::size_t>(threads_));
     if (store_ == nullptr && !options.cache_path.empty()) {
       owned_cache_ = std::make_unique<PointCache>(options.cache_path);
       store_ = owned_cache_.get();
@@ -481,7 +441,7 @@ class SweepRun {
     }
     SweepResult result;
     result.points = std::move(rows_);
-    result.threads = pool_.size();
+    result.threads = threads_;
     result.cache_hits = cache_hits_.load(std::memory_order_relaxed);
     result.simulated = simulated_.load(std::memory_order_relaxed);
     result.cancelled = cancel_.load(std::memory_order_relaxed);
@@ -516,8 +476,8 @@ class SweepRun {
     return baselines;
   }
 
-  /// One pass over `tasks` on the pool. Returns the tasks a peer process
-  /// holds a live lease on.
+  /// One parallel pass over `tasks`. Returns the tasks a peer process holds
+  /// a live lease on.
   std::vector<Task> pass(const std::vector<Task>& tasks) {
     if (tasks.empty()) return {};
     if (spec_.backend == Backend::kFluid && !tasks.front().baseline) {
@@ -533,7 +493,7 @@ class SweepRun {
           [](const PointSpec& a, const PointSpec& b) {
             return a.flows == b.flows;
           });
-      parallel_for(pool_, groups.size(), [&](std::size_t g) {
+      parallel_for(threads_, groups.size(), [&](std::size_t g, std::size_t) {
         std::vector<Task> misses;
         for (std::size_t i = 0; i < groups[g].count; ++i) {
           Task task = tasks[groups[g].first + i];
@@ -542,10 +502,11 @@ class SweepRun {
         if (!misses.empty()) run_fluid(misses);
       });
     } else {
-      parallel_for(pool_, tasks.size(), [&](std::size_t i) {
-        Task task = tasks[i];
-        if (resolve(task)) run_packet(task);
-      });
+      parallel_for(threads_, tasks.size(),
+                   [&](std::size_t i, std::size_t worker) {
+                     Task task = tasks[i];
+                     if (resolve(task)) run_packet(task, worker);
+                   });
     }
     std::vector<Task> deferred;
     deferred.swap(deferred_);  // the pass has joined: no lock needed
@@ -681,14 +642,18 @@ class SweepRun {
     return slot.goodput;
   }
 
-  /// The packet executor: one run on a warm workspace — every baseline,
-  /// and every point on the packet tiers.
-  void run_packet(const Task& task) {
+  /// The packet executor: one run on `worker`'s warm workspace — every
+  /// baseline, and every point on the packet tiers. A worker's workspace is
+  /// built on its first task and keeps its arena blocks, scheduler slabs
+  /// and container capacities for the next; a worker runs one task at a
+  /// time, so it needs no lock.
+  void run_packet(const Task& task, std::size_t worker) {
     try {
+      std::unique_ptr<ScenarioWorkspace>& ws = workspaces_[worker];
+      if (!ws) ws = std::make_unique<ScenarioWorkspace>();
       if (task.baseline) {
         BaselineSlot& slot = baselines_[task.slot];
         const ScenarioConfig scenario = spec_.make_scenario(slot.probe);
-        WorkspaceLease ws(workspaces_);
         slot.goodput = ws->baseline(scenario, spec_.control);
         PDOS_REQUIRE(slot.goodput > 0.0, "baseline goodput is zero");
       } else {
@@ -697,7 +662,6 @@ class SweepRun {
         const ScenarioConfig scenario = spec_.make_scenario(row.point);
         const AttackPlan plan = plan_point_attack(scenario, row.point);
         fill_plan(row, plan);
-        WorkspaceLease ws(workspaces_);
         fill_measured(row,
                       ws->gain(scenario, plan.train, row.point.kappa,
                                spec_.control, baseline),
@@ -777,12 +741,12 @@ class SweepRun {
 
   const SweepSpec& spec_;
   const SweepOptions& options_;
+  int threads_;
   std::vector<PointResult> rows_;
   PairIndex baseline_index_;
   std::vector<BaselineSlot> baselines_;
-  ThreadPool pool_;
   ProgressMeter meter_;
-  WorkspacePool workspaces_;
+  std::vector<std::unique_ptr<ScenarioWorkspace>> workspaces_;  // by worker
   PointStore* store_;
   std::unique_ptr<PointCache> owned_cache_;
   std::optional<SweepKeys> keys_;

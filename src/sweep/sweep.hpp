@@ -3,9 +3,9 @@
 // Every figure reproduction is a loop over the paper's grid — R_attack,
 // T_extent, flow counts, γ, seeds — and each grid point is an independent
 // `Simulator`. `SweepSpec` describes the grid (Cartesian axes or an
-// explicit point list), `run_sweep` executes it across a work-stealing
-// thread pool, and `SweepResult` collects per-point Γ/G plus run
-// statistics into a stable-ordered table with CSV and JSON writers.
+// explicit point list), `run_sweep` executes it in one parallel loop
+// (sweep/parallel_for.hpp), and `SweepResult` collects per-point Γ/G plus
+// run statistics into a stable-ordered table with CSV and JSON writers.
 //
 // Determinism contract: point `i` of the enumeration runs with seed
 // `derive_seed(base_seed, replicate)` and writes into slot `i` of the
@@ -216,12 +216,14 @@ struct SweepProgress {
 };
 
 struct SweepOptions {
-  int threads = 0;  // <= 0: ThreadPool::default_threads()
+  /// Worker threads, the caller included: <= 0 means default_threads(),
+  /// and more than kMaxWorkers is a ParameterError (sweep/parallel_for.hpp).
+  int threads = 0;
   /// Stop dispatching new points after the first failure; undispatched
   /// points are reported as kSkipped and the result as cancelled. On the
   /// fluid tier the other points of an in-flight flows group still finish.
   bool cancel_on_failure = true;
-  /// Called with the pool's progress after each task; invocations are
+  /// Called with the sweep's progress after each task; invocations are
   /// serialized, but may come from any worker thread.
   std::function<void(const SweepProgress&)> on_progress;
   /// Persistent point-cache file (see sweep/point_cache.hpp). Completed
@@ -242,7 +244,7 @@ struct SweepOptions {
 };
 
 /// Execute the sweep: baselines first (one per unique (flows, replicate)),
-/// then every point, all across the pool.
+/// then every point, each phase one parallel loop over its tasks.
 SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& options = {});
 
 }  // namespace pdos::sweep

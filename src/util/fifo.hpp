@@ -1,13 +1,12 @@
 // Chunked FIFO over a `std::pmr::memory_resource`.
 //
-// The one FIFO of the packet engine and the thread pool: a link's
-// propagation pipe, the RED and DropTail packet buffers, and each
-// ThreadPool worker's task queue. Entries live in fixed chunks of
-// kChunkSlots slots linked head to tail. A push that finds the tail chunk
-// full takes a fresh chunk from the memory resource; a pop that empties the
-// head chunk hands it straight back. The memory a FIFO holds therefore
-// follows its live entries — at most kChunkSlots - 1 idle slots at each
-// end — rather than the high-water mark of its whole run. A drained FIFO
+// The one FIFO of the packet engine: a link's propagation pipe and the RED
+// and DropTail packet buffers. Entries live in fixed chunks of kChunkSlots
+// slots linked head to tail. A push that finds the tail chunk full takes a
+// fresh chunk from the memory resource; a pop that empties the head chunk
+// hands it straight back. The memory a FIFO holds therefore follows its
+// live entries — at most kChunkSlots - 1 idle slots at each end — rather
+// than the high-water mark of its whole run. A drained FIFO
 // keeps its one chunk, so a queue that empties and refills inside a chunk
 // touches no allocator. Over the simulator's arena (util/arena.hpp) a
 // returned chunk goes onto the arena's free list for its size, and the
@@ -15,7 +14,7 @@
 // warm in cache.
 //
 // FIFO only: push_back / front / pop_front. `T` must be move-constructible;
-// move-only payloads (InlineFn tasks) are fine.
+// move-only payloads are fine.
 #pragma once
 
 #include <cstddef>

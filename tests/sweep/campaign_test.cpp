@@ -17,6 +17,7 @@
 #include <thread>
 
 #include "sweep/campaign_store.hpp"
+#include "sweep/parallel_for.hpp"
 #include "sweep/point_cache.hpp"
 #include "util/assert.hpp"
 
@@ -102,6 +103,33 @@ TEST(CampaignTest, SecondProcessGetsAllHitsAndIdenticalCsv) {
   EXPECT_EQ(result.simulated, 0u);  // 100% cache hits
   EXPECT_EQ(result.cache_hits, count_unique_tasks(spec));
   EXPECT_EQ(csv_of(result), slurp(child_csv));
+}
+
+// Thread and worker counts above the bound fail before any fork: no worker
+// ever opens, and so creates, the store directory.
+TEST(CampaignTest, RejectsCountsAboveTheBoundBeforeForking) {
+  TempDir dir;
+  CampaignSpec spec;
+  spec.spec = tiny_spec();
+  spec.name = "tiny";
+  CampaignOptions options;
+  options.store_dir = dir.sub("store.d");
+  options.workers = 1;
+  options.threads = kMaxWorkers + 1;
+  EXPECT_THROW(run_campaign({spec}, options), ParameterError);
+  EXPECT_FALSE(std::filesystem::exists(options.store_dir));
+
+  // The worker bound is checked before the spec list, so this case could
+  // not fork even if the check were missing: it would fail on "no specs".
+  options.workers = kMaxWorkers + 1;
+  options.threads = 1;
+  try {
+    run_campaign({}, options);
+    ADD_FAILURE() << "workers = 1025 accepted";
+  } catch (const ParameterError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "run_campaign: workers: must be at most 1024, got 1025");
+  }
 }
 
 TEST(CampaignTest, ColdCampaignNeverDuplicatesWork) {

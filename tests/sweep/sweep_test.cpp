@@ -15,6 +15,7 @@
 #include <utility>
 
 #include "core/planner.hpp"
+#include "sweep/parallel_for.hpp"
 #include "sweep/point_cache.hpp"
 #include "sweep/spec.hpp"
 #include "util/assert.hpp"
@@ -441,6 +442,32 @@ TEST(SpecParser, NumberReadersRejectBadFlagValues) {
             18446744073709551615ull);
   EXPECT_EQ(parse_double("0.05", "--lease-ttl"), 0.05);
   EXPECT_EQ(parse_double("1e-3", "--lease-ttl"), 1e-3);
+}
+
+// One bound for every thread and worker count a user supplies: a typo such
+// as `threads = 40000` fails while parsing, before any thread starts.
+TEST(SpecParser, RejectsThreadCountsAboveTheBound) {
+  EXPECT_EQ(parse_spec("threads = 1024\n").options.threads, kMaxWorkers);
+  try {
+    parse_spec("gamma = auto\nthreads = 1025\n");
+    ADD_FAILURE() << "threads = 1025 accepted";
+  } catch (const ParameterError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "spec line 2: threads: must be at most 1024, got 1025");
+  }
+  // The CLIs' --threads and --workers go through the same check.
+  EXPECT_NO_THROW(check_worker_count(kMaxWorkers, "--workers"));
+  EXPECT_THROW(check_worker_count(kMaxWorkers + 1, "--workers"),
+               ParameterError);
+}
+
+TEST(RunSweep, RejectsThreadCountsAboveTheBound) {
+  SweepSpec spec = tiny_spec();
+  spec.gammas = {0.3};
+  spec.replicates = 1;
+  SweepOptions options;
+  options.threads = kMaxWorkers + 1;
+  EXPECT_THROW(run_sweep(spec, options), ParameterError);
 }
 
 TEST(RunSweep, FluidBackendProducesComparableDegradation) {

@@ -1,11 +1,11 @@
 // Property tests for the chunked FIFO against a std::deque reference.
 //
-// The FIFO is the link's propagation pipe, the RED and DropTail packet
-// buffers, and the thread pool's task queues. These tests pin its contract
-// where chunked buffers go wrong — pushes and pops that cross chunk
-// boundaries, drain to empty then refill, move-only payloads — and its
-// memory contract over the arena: it holds chunks for its live entries
-// only, keeps one when drained, and returns every chunk when destroyed.
+// The FIFO is the link's propagation pipe and the RED and DropTail packet
+// buffers. These tests pin its contract where chunked buffers go wrong —
+// pushes and pops that cross chunk boundaries, drain to empty then refill,
+// move-only payloads — and its memory contract over the arena: it holds
+// chunks for its live entries only, keeps one when drained, and returns
+// every chunk when destroyed.
 #include "util/fifo.hpp"
 
 #include <gtest/gtest.h>

@@ -353,8 +353,8 @@ int main(int argc, char** argv) {
   const double fluid_binned_speedup =
       fluid_simd.ref_binned_wall / fluid_simd.vec_binned_wall;
 
-  // Floor 4. run_campaign forks, which is safe here: every ThreadPool the
-  // measurements above created has been joined and destroyed by now.
+  // Floor 4. run_campaign forks, which is safe here: every thread the
+  // measurements above started has been joined by now.
   const CampaignMeasurement campaign = measure_campaign();
   const double campaign_speedup = campaign.single_wall / campaign.multi_wall;
 

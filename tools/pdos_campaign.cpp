@@ -17,8 +17,9 @@
 //   --store DIR          CampaignStore directory (default
 //                        .pdos-cache/campaign; spec `store =` overrides the
 //                        default, the flag overrides the spec)
-//   --workers K          worker processes, >= 1 (default 2)
-//   --threads N          threads per worker (default: all hardware threads)
+//   --workers K          worker processes, 1 to 1024 (default 2)
+//   --threads N          threads per worker, at most 1024 (default: all
+//                        hardware threads)
 //   --csv-dir DIR        write each spec's merged CSV to DIR/<spec-stem>.csv
 //                        (overrides the spec's `csv =`)
 //   --lease-ttl S        work-claim lifetime in seconds, > 0 (default 120)
@@ -43,6 +44,7 @@
 
 #include "sweep/campaign.hpp"
 #include "sweep/campaign_store.hpp"
+#include "sweep/parallel_for.hpp"
 #include "sweep/spec.hpp"
 #include "util/assert.hpp"
 
@@ -78,8 +80,10 @@ int main(int argc, char** argv) {
       } else if (std::strcmp(argv[i], "--workers") == 0 && has_value) {
         options.workers = sweep::parse_integer<int>(argv[++i], "--workers");
         PDOS_REQUIRE(options.workers >= 1, "--workers: must be >= 1");
+        sweep::check_worker_count(options.workers, "--workers");
       } else if (std::strcmp(argv[i], "--threads") == 0 && has_value) {
         options.threads = sweep::parse_integer<int>(argv[++i], "--threads");
+        sweep::check_worker_count(options.threads, "--threads");
       } else if (std::strcmp(argv[i], "--csv-dir") == 0 && has_value) {
         csv_dir = argv[++i];
       } else if (std::strcmp(argv[i], "--lease-ttl") == 0 && has_value) {

@@ -20,7 +20,7 @@
 // work claiming and share every result (see README.md, "Running
 // campaigns"). `--progress-json` emits machine-readable JSON-lines
 // progress on stderr for orchestrators and CI logs. `--threads` is read
-// exactly, like the spec's `threads =` key.
+// exactly, like the spec's `threads =` key, and at most 1024.
 // Exit status: 0 on success, 1 when any point failed, 2 on a usage or spec
 // error.
 #include <cstdio>
@@ -30,6 +30,7 @@
 #include <memory>
 
 #include "sweep/campaign_store.hpp"
+#include "sweep/parallel_for.hpp"
 #include "sweep/spec.hpp"
 #include "util/assert.hpp"
 
@@ -67,6 +68,7 @@ int main(int argc, char** argv) {
       try {
         file.options.threads =
             sweep::parse_integer<int>(argv[++i], "--threads");
+        sweep::check_worker_count(file.options.threads, "--threads");
       } catch (const ParameterError& e) {
         std::fprintf(stderr, "pdos_sweep: %s\n", e.what());
         return 2;
