@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -32,6 +33,39 @@ TEST(ParallelFor, CoversTheFullRange) {
             << "index " << i << " of " << n << " at " << threads << " threads";
       }
     }
+  }
+}
+
+// Every hundredth index is slow, so the workers finish their shares of the
+// range at different times; the shared counter still hands out each index
+// exactly once.
+TEST(ParallelFor, RunsEveryIndexOfAnUnevenLoop) {
+  constexpr std::size_t kN = 1000;
+  std::vector<std::atomic<int>> hits(kN);
+  std::atomic<int> count{0};
+  parallel_for(4, kN, [&](std::size_t i, std::size_t) {
+    if (i % 100 == 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    hits[i].fetch_add(1);
+    count.fetch_add(1);
+  });
+  EXPECT_EQ(count.load(), static_cast<int>(kN));
+  for (std::size_t i = 0; i < kN; ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+  }
+}
+
+TEST(ParallelFor, StressManySmallIndices) {
+  constexpr std::size_t kN = 20000;
+  std::vector<std::atomic<int>> hits(kN);
+  std::atomic<std::int64_t> sum{0};
+  parallel_for(8, kN, [&](std::size_t i, std::size_t) {
+    hits[i].fetch_add(1);
+    sum.fetch_add(static_cast<std::int64_t>(i));
+  });
+  constexpr auto n = static_cast<std::int64_t>(kN);
+  EXPECT_EQ(sum.load(), n * (n - 1) / 2);
+  for (std::size_t i = 0; i < kN; ++i) {
+    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
   }
 }
 
