@@ -5,8 +5,6 @@
 // end-to-end numbers and its traced net.events_per_pkt.
 #include <benchmark/benchmark.h>
 
-#include <memory>
-
 #include "net/droptail.hpp"
 #include "net/link.hpp"
 #include "sim/simulator.hpp"
@@ -86,7 +84,7 @@ void BM_LinkServiceUntapped(benchmark::State& state) {
     sim.reserve_events(64);
     auto* sink = sim.make<NullSink>();
     auto* link = sim.make<Link>(sim, "l", mbps(10), ms(5),
-                                std::make_unique<DropTailQueue>(64), sink);
+                                sim.make<DropTailQueue>(64), sink);
     run_link_pipeline(*link, sim, 1000);
     benchmark::DoNotOptimize(sink->received);
   }
@@ -96,24 +94,21 @@ void BM_LinkServiceUntapped(benchmark::State& state) {
 BENCHMARK(BM_LinkServiceUntapped);
 
 void BM_LinkServiceTapped(benchmark::State& state) {
-  // Same pipeline with the production instrumentation attached: a StatsHub
-  // arrival tap and a counting departure tap. The delta against the
-  // untapped run is the whole observability bill.
+  // Same pipeline with the production instrumentation attached: the
+  // StatsHub arrival tap. The delta against the untapped run is the whole
+  // observability bill.
   for (auto _ : state) {
     Simulator sim(1);
     sim.reserve_events(64);
     StatsHub hub(ms(10), sec(2));
-    long long departures = 0;
     auto* sink = sim.make<NullSink>();
     auto* link = sim.make<Link>(sim, "l", mbps(10), ms(5),
-                                std::make_unique<DropTailQueue>(64), sink);
+                                sim.make<DropTailQueue>(64), sink);
     link->add_arrival_tap([&sim, &hub](const Packet& pkt) {
       hub.on_arrival(sim.now(), pkt);
     });
-    link->add_departure_tap([&departures](const Packet&) { ++departures; });
     run_link_pipeline(*link, sim, 1000);
     benchmark::DoNotOptimize(hub.incoming_bins_until(sec(1)));
-    benchmark::DoNotOptimize(departures);
   }
   state.SetItemsProcessed(state.iterations() * 1000);
   state.SetLabel("items = packets offered");

@@ -8,18 +8,14 @@
 //                   [--gamma G | --no-attack] [--kappa K]
 //                   [--warmup S] [--measure S] [--seed N]
 //                   [--backend full|fast|fluid]
-//   scenario_runner --sweep SPECFILE [--threads N]
 //
-// The first form prints baseline and attacked goodput, measured vs
-// predicted degradation, queue drop counters and TCP state statistics for
-// a single run. The second hands a key=value campaign spec (see
-// src/sweep/spec.hpp) to the parallel sweep engine and prints its CSV
-// table to stdout (or the spec's `csv =` path).
+// Prints baseline and attacked goodput, measured vs predicted degradation,
+// queue drop counters and TCP state statistics for a single run (parameter
+// campaigns run through tools/pdos_sweep). Numbers are read exactly, as in
+// sweep spec files: a malformed value, or a scenario or attack it makes
+// invalid, exits 2 with a message naming the problem.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <iostream>
 #include <string>
 
 #include "pdos/pdos.hpp"
@@ -28,19 +24,28 @@ using namespace pdos;
 
 namespace {
 
-double arg_of(int argc, char** argv, const char* flag, double fallback) {
+const char* value_of(int argc, char** argv, const char* flag) {
   for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return std::atof(argv[i + 1]);
+    if (std::strcmp(argv[i], flag) == 0) return argv[i + 1];
   }
-  return fallback;
+  return nullptr;
+}
+
+double arg_of(int argc, char** argv, const char* flag, double fallback) {
+  const char* value = value_of(argc, argv, flag);
+  return value != nullptr ? sweep::parse_double(value, flag) : fallback;
+}
+
+template <typename Int>
+Int integer_arg_of(int argc, char** argv, const char* flag, Int fallback) {
+  const char* value = value_of(argc, argv, flag);
+  return value != nullptr ? sweep::parse_integer<Int>(value, flag) : fallback;
 }
 
 std::string arg_of(int argc, char** argv, const char* flag,
                    const std::string& fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return argv[i + 1];
-  }
-  return fallback;
+  const char* value = value_of(argc, argv, flag);
+  return value != nullptr ? value : fallback;
 }
 
 bool has_flag(int argc, char** argv, const char* flag) {
@@ -50,53 +55,34 @@ bool has_flag(int argc, char** argv, const char* flag) {
   return false;
 }
 
-}  // namespace
-
-namespace {
-
-int run_sweep_mode(const std::string& spec_path, int argc, char** argv) {
-  sweep::SpecFile file = sweep::load_spec_file(spec_path);
-  const double threads = arg_of(argc, argv, "--threads", 0.0);
-  if (threads > 0.0) file.options.threads = static_cast<int>(threads);
-  file.options.on_progress = [](const sweep::SweepProgress& progress) {
-    std::fprintf(stderr, "\r%zu/%zu done, eta %.1fs  ", progress.done,
-                 progress.total, progress.eta_seconds);
-    if (progress.done == progress.total) std::fprintf(stderr, "\n");
-  };
-  const sweep::SweepResult result = sweep::run_sweep(file.spec, file.options);
-  std::fprintf(stderr, "sweep: %zu ok, %zu failed on %d threads in %.2fs\n",
-               result.completed(), result.failures(), result.threads,
-               result.wall_seconds);
-  if (file.csv_path.empty()) {
-    result.write_csv(std::cout);
-  } else {
-    std::ofstream out(file.csv_path);
-    PDOS_REQUIRE(out.good(), "cannot open output: " + file.csv_path);
-    result.write_csv(out);
+/// Every argument must be a known flag followed by its value (or
+/// --no-attack), so a mistyped or retired flag fails instead of being
+/// silently ignored.
+void check_flags(int argc, char** argv) {
+  static constexpr const char* kValued[] = {
+      "--flows",  "--bottleneck", "--buffer", "--queue",   "--tcp",
+      "--rtomin", "--textent",    "--rattack", "--gamma",  "--kappa",
+      "--warmup", "--measure",    "--seed",    "--backend"};
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--no-attack") == 0) continue;
+    bool valued = false;
+    for (const char* flag : kValued) valued |= std::strcmp(argv[i], flag) == 0;
+    PDOS_REQUIRE(valued && i + 1 < argc,
+                 std::string("unknown flag or missing value: ") + argv[i]);
+    ++i;
   }
-  if (!file.json_path.empty()) {
-    std::ofstream out(file.json_path);
-    PDOS_REQUIRE(out.good(), "cannot open output: " + file.json_path);
-    result.write_json(out);
-  }
-  return result.failures() == 0 && !result.cancelled ? 0 : 1;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const std::string spec_path = arg_of(argc, argv, "--sweep", std::string());
-  if (!spec_path.empty()) return run_sweep_mode(spec_path, argc, argv);
-
+int run_single(int argc, char** argv) {
+  check_flags(argc, argv);
   ScenarioConfig scenario = ScenarioConfig::ns2_dumbbell(
-      static_cast<int>(arg_of(argc, argv, "--flows", 15)));
+      integer_arg_of<int>(argc, argv, "--flows", 15));
   scenario.bottleneck = mbps(arg_of(argc, argv, "--bottleneck", 15.0));
-  scenario.buffer_packets = static_cast<std::size_t>(
-      arg_of(argc, argv, "--buffer",
-             static_cast<double>(scenario.buffer_packets)));
+  scenario.buffer_packets = integer_arg_of<std::uint64_t>(
+      argc, argv, "--buffer", scenario.buffer_packets);
   scenario.tcp.rto_min =
       ms(arg_of(argc, argv, "--rtomin", to_ms(scenario.tcp.rto_min)));
-  scenario.seed = static_cast<std::uint64_t>(arg_of(argc, argv, "--seed", 1));
+  scenario.seed = integer_arg_of<std::uint64_t>(argc, argv, "--seed", 1);
 
   const std::string queue = arg_of(argc, argv, "--queue", "red");
   scenario.queue =
@@ -178,4 +164,15 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(run.events_executed),
               static_cast<unsigned long long>(run.attack_packets_sent));
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run_single(argc, argv);
+  } catch (const ParameterError& e) {
+    std::fprintf(stderr, "scenario_runner: %s\n", e.what());
+    return 2;
+  }
 }

@@ -15,8 +15,8 @@
 #include "stats/fairness.hpp"
 #include "stats/jitter.hpp"
 #include "stats/stats_hub.hpp"
+#include "tcp/tcp_receiver.hpp"
 #include "traffic/sources.hpp"
-#include "tcp/connection.hpp"
 #include "util/assert.hpp"
 
 namespace pdos {
@@ -42,7 +42,6 @@ ScenarioConfig ScenarioConfig::ns2_dumbbell(int num_flows) {
   config.num_flows = num_flows;
   config.bottleneck = mbps(15);
   config.access = mbps(50);
-  config.bottleneck_delay = ms(1);
   config.rtts = VictimProfile::even_rtts(num_flows, ms(20), ms(460));
   config.queue = QueueKind::kRed;
   // Not restated by the paper; ~0.55 x BDP at the mean RTT keeps the
@@ -60,7 +59,6 @@ ScenarioConfig ScenarioConfig::testbed(int num_flows) {
   config.num_flows = num_flows;
   config.bottleneck = mbps(10);
   config.access = mbps(100);
-  config.bottleneck_delay = ms(1);
   // Dummynet adds 150 ms of delay shared by every flow.
   config.rtts.assign(num_flows, ms(150));
   config.queue = QueueKind::kRed;
@@ -68,7 +66,7 @@ ScenarioConfig ScenarioConfig::testbed(int num_flows) {
   config.tcp.aimd = AimdParams::new_reno_delack();  // Linux: delayed ACKs
   config.tcp.rto_min = ms(200);                     // Fedora kernel 2.6.5
   // Rule-of-thumb buffer B = RTT * R_bottle, in packets.
-  const Bytes spacket = config.tcp.mss + config.tcp.header_bytes;
+  const Bytes spacket = config.tcp.mss + TcpSenderConfig::kHeaderBytes;
   config.buffer_packets = static_cast<std::size_t>(
       ms(150) * mbps(10) / 8.0 / static_cast<double>(spacket));
   return config;
@@ -80,7 +78,6 @@ ScenarioConfig ScenarioConfig::large_scale(int num_flows,
   config.num_flows = num_flows;
   config.bottleneck = bottleneck;
   config.access = mbps(50);
-  config.bottleneck_delay = ms(1);
   config.rtts = VictimProfile::even_rtts(num_flows, ms(20), ms(460));
   config.queue = QueueKind::kRed;
   // Scale the ns-2 dumbbell's 240-packet buffer with the bottleneck rate so
@@ -107,7 +104,7 @@ void ScenarioConfig::validate() const {
   PDOS_REQUIRE(cross_traffic_rate >= 0.0,
                "Scenario: cross_traffic_rate must be >= 0");
   for (Time rtt : rtts) {
-    PDOS_REQUIRE(rtt > 2.0 * bottleneck_delay,
+    PDOS_REQUIRE(rtt > 2.0 * kBottleneckDelay,
                  "Scenario: RTT must exceed bottleneck propagation");
   }
   if (backend == Backend::kFluid) {
@@ -122,7 +119,7 @@ void ScenarioConfig::validate() const {
 VictimProfile ScenarioConfig::victim_profile() const {
   VictimProfile victim;
   victim.aimd = tcp.aimd;
-  victim.spacket = tcp.mss + tcp.header_bytes;
+  victim.spacket = tcp.mss + TcpSenderConfig::kHeaderBytes;
   victim.rbottle = bottleneck;
   victim.rtts = rtts;
   return victim;
@@ -131,7 +128,7 @@ VictimProfile ScenarioConfig::victim_profile() const {
 fluid::FluidConfig make_fluid_config(const ScenarioConfig& config) {
   fluid::FluidConfig fc;
   fc.aimd = config.tcp.aimd;
-  fc.spacket = config.tcp.mss + config.tcp.header_bytes;
+  fc.spacket = config.tcp.mss + TcpSenderConfig::kHeaderBytes;
   fc.bottleneck = config.bottleneck;
   fc.access = config.access;
   // Same parameterization make_queue builds for the packet bottleneck.
@@ -281,160 +278,126 @@ std::vector<GainMeasurement> fluid_gain_batch(const ScenarioConfig& config,
 
 void ScenarioWorkspace::build(const ScenarioConfig& config,
                               const std::optional<PulseTrain>& attack) {
+  // The dumbbell's only nodes are its two routers, which fan the shared
+  // links out per flow: routerR routes data to each receiver's access link,
+  // routerS routes ACKs to each sender's. Every other hop carries one
+  // source's packets, so the agents, attackers and cross source send
+  // straight into their access links and each link is built with its final
+  // downstream. Node dispatch is a synchronous call, so wiring past a node
+  // affects the call path only, never a packet timing, event or RNG draw
+  // (DESIGN.md §8). Packets carry the node ids of a dumbbell with one node
+  // per endpoint (sender i = i, receiver i = m + i, routers 2m and 2m + 1,
+  // cross source 2m + 3, attacker a = 2m + 12 + a); the cross source's RNG
+  // stream is keyed by its id.
   const int m = config.num_flows;
   const NodeId router_s_id = 2 * m;
   const NodeId router_r_id = 2 * m + 1;
-  const NodeId attacker_id = 2 * m + 2;
   const bool fast = config.backend == Backend::kFast;
   Simulator& sim = sim_;
 
-  router_s_ = sim.make<Node>(router_s_id, "routerS", sim.memory());
-  router_r_ = sim.make<Node>(router_r_id, "routerR", sim.memory());
+  auto* router_s = sim.make<Node>(router_s_id, "routerS", sim.memory());
+  auto* router_r = sim.make<Node>(router_r_id, "routerR", sim.memory());
 
   // Flat hot-state tables: all N flows' per-ACK sender state in one arena
   // block, receivers in the next, so the ACK clock walks contiguous cache
   // lines instead of state scattered between cold component objects.
-  sender_hot_ = sim.make_array<TcpSenderHot>(static_cast<std::size_t>(m));
-  receiver_hot_ = sim.make_array<TcpReceiverHot>(static_cast<std::size_t>(m),
-                                                 sim.memory());
+  auto* sender_hot = sim.make_array<TcpSenderHot>(static_cast<std::size_t>(m));
+  auto* receiver_hot = sim.make_array<TcpReceiverHot>(
+      static_cast<std::size_t>(m), sim.memory());
 
-  const Bytes spacket = config.tcp.mss + config.tcp.header_bytes;
-  bottleneck_ = sim.make<Link>(
-      sim, "bottleneck", config.bottleneck, config.bottleneck_delay,
-      make_queue(sim, config), router_r_, spacket);
-  if (fast) bottleneck_->set_fused(true);
-  // Fast path: the reverse direction carries only 40-byte ACKs paced by the
-  // forward bottleneck — it can never congest, so it gets the queue-less
-  // express lane (one sequenced delivery event per link, no service
-  // events). Scenarios that queue or tap the reverse path stay on
+  const Bytes spacket = config.tcp.mss + TcpSenderConfig::kHeaderBytes;
+  const Time shared_delay = ScenarioConfig::kBottleneckDelay;
+  // A forward access link (data or cross traffic): queued, and fused on
+  // the fast path.
+  const auto forward_link = [&](std::string name, Time delay,
+                                PacketHandler* downstream) {
+    auto* link = sim.make<Link>(sim, std::move(name), config.access, delay,
+                                big_fifo(sim), downstream, spacket);
+    if (fast) link->set_fused(true);
+    return link;
+  };
+  // A reverse link: it carries only 40-byte ACKs paced by the forward
+  // bottleneck and can never congest, so the fast path gives it the
+  // queue-less express lane (one sequenced delivery event per link, no
+  // service events). Scenarios that queue or tap the reverse path stay on
   // Backend::kFull and get the full link.
-  Link* bottleneck_rev =
-      fast ? sim.make<Link>(sim, "bottleneck.rev", config.bottleneck,
-                            config.bottleneck_delay,
-                            static_cast<PacketHandler*>(router_s_), spacket)
-           : sim.make<Link>(sim, "bottleneck.rev", config.bottleneck,
-                            config.bottleneck_delay, big_fifo(sim), router_s_,
-                            spacket);
-  router_r_->add_route(router_s_id, bottleneck_rev);
+  const auto reverse_link = [&](std::string name, BitRate rate, Time delay,
+                                PacketHandler* downstream) {
+    return fast ? sim.make<Link>(sim, std::move(name), rate, delay,
+                                 downstream, spacket)
+                : sim.make<Link>(sim, std::move(name), rate, delay,
+                                 big_fifo(sim), downstream, spacket);
+  };
+
+  bottleneck_ =
+      sim.make<Link>(sim, "bottleneck", config.bottleneck, shared_delay,
+                     make_queue(sim, config), router_r, spacket);
+  if (fast) bottleneck_->set_fused(true);
+  Link* bottleneck_rev = reverse_link("bottleneck.rev", config.bottleneck,
+                                      shared_delay, router_s);
   // Chain the ACK lane straight through routerS: every packet the reverse
   // bottleneck emits is bound for a sender, whose per-flow reverse access
   // link is also express and fed by this link alone, so the handoff skips
   // routerS's delivery event — one scheduler event per ACK end to end
   // instead of two (see DESIGN.md §11).
-  if (fast) bottleneck_rev->chain_via(router_s_);
+  if (fast) bottleneck_rev->chain_via(router_s);
 
+  TcpReceiverConfig receiver_config;
+  receiver_config.delack_factor = config.tcp.aimd.d;  // model and sim agree
+  receiver_config.mss = config.tcp.mss;
+  receiver_config.ack_bytes = TcpSenderConfig::kHeaderBytes;
   for (int i = 0; i < m; ++i) {
     const NodeId snd_id = i;
     const NodeId rcv_id = m + i;
-    auto* snd =
-        sim.make<Node>(snd_id, "sender" + std::to_string(i), sim.memory());
-    auto* rcv =
-        sim.make<Node>(rcv_id, "receiver" + std::to_string(i), sim.memory());
-
+    const std::string tag = std::to_string(i);
     // Split the flow's propagation RTT between its two access links.
-    const Time side = (config.rtts[i] / 2.0 - config.bottleneck_delay) / 2.0;
+    const Time side = (config.rtts[i] / 2.0 - shared_delay) / 2.0;
     PDOS_CHECK(side > 0.0);
 
-    auto* snd_fwd = sim.make<Link>(sim, "acc.s" + std::to_string(i),
-                                   config.access, side, big_fifo(sim),
-                                   router_s_, spacket);
-    auto* rcv_fwd = sim.make<Link>(sim, "acc.r" + std::to_string(i),
-                                   config.access, side, big_fifo(sim), rcv,
-                                   spacket);
-    Link* snd_rev =
-        fast ? sim.make<Link>(sim, "acc.s.rev" + std::to_string(i),
-                              config.access, side,
-                              static_cast<PacketHandler*>(snd), spacket)
-             : sim.make<Link>(sim, "acc.s.rev" + std::to_string(i),
-                              config.access, side, big_fifo(sim), snd,
-                              spacket);
+    Link* snd_fwd = forward_link("acc.s" + tag, side, bottleneck_);
     Link* rcv_rev =
-        fast ? sim.make<Link>(sim, "acc.r.rev" + std::to_string(i),
-                              config.access, side,
-                              static_cast<PacketHandler*>(router_r_), spacket)
-             : sim.make<Link>(sim, "acc.r.rev" + std::to_string(i),
-                              config.access, side, big_fifo(sim), router_r_,
-                              spacket);
-    if (fast) {
-      snd_fwd->set_fused(true);
-      rcv_fwd->set_fused(true);
-    }
-
-    snd->set_default_route(snd_fwd);
-    rcv->set_default_route(rcv_rev);
-    router_s_->add_route(rcv_id, bottleneck_);
-    router_s_->add_route(snd_id, snd_rev);
-    router_r_->add_route(rcv_id, rcv_fwd);
-    router_r_->add_route(snd_id, bottleneck_rev);
-
-    // A per-flow link carries exactly one flow, so every hop it feeds
-    // resolves to one handler: wire the agents and links point-to-point and
-    // skip the Node dispatch on both edge rows. The routers keep their
-    // tables (the bottleneck fan-out and the reverse chain handoff still
-    // resolve through them); packet timings, queue decisions, and events
-    // are untouched by call-path shortcuts (DESIGN.md §8).
-    connections_.push_back(make_tcp_connection(
-        sim, *snd, *rcv, /*flow=*/i, config.tcp, &sender_hot_[i],
-        &receiver_hot_[i], snd_fwd, rcv_rev));
-    snd_fwd->set_downstream(bottleneck_);
-    rcv_fwd->set_downstream(connections_.back().receiver);
-    rcv_rev->set_downstream(bottleneck_rev);
-    snd_rev->set_downstream(connections_.back().sender);
+        reverse_link("acc.r.rev" + tag, config.access, side, bottleneck_rev);
+    auto* sender = sim.make<TcpSender>(sim, FlowId{i}, snd_id, rcv_id,
+                                       snd_fwd, config.tcp, &sender_hot[i]);
+    auto* receiver =
+        sim.make<TcpReceiver>(sim, FlowId{i}, rcv_id, snd_id, rcv_rev,
+                              receiver_config, &receiver_hot[i]);
+    router_r->add_route(rcv_id, forward_link("acc.r" + tag, side, receiver));
+    router_s->add_route(
+        snd_id, reverse_link("acc.s.rev" + tag, config.access, side, sender));
+    flows_.push_back(Flow{sender, receiver});
   }
-  router_s_->add_route(router_r_id, bottleneck_);
 
   if (config.cross_traffic_rate > 0.0) {
-    const NodeId cross_id = 2 * m + 3;
-    auto* cross_node = sim.make<Node>(cross_id, "cross", sim.memory());
-    auto* cross_link = sim.make<Link>(sim, "acc.cross", config.access, ms(1),
-                                      big_fifo(sim), router_s_, spacket);
-    if (fast) cross_link->set_fused(true);
-    cross_node->set_default_route(cross_link);
     // 50% duty cycle: peak rate of twice the requested average.
     cross_traffic_ = sim.make<OnOffSource>(
         sim, 2.0 * config.cross_traffic_rate, ms(500), ms(500), spacket,
-        cross_id, router_r_id, cross_node);
+        NodeId{2 * m + 3}, router_r_id,
+        forward_link("acc.cross", ms(1), bottleneck_));
   }
 
   if (attack) {
     const auto sub_trains = split_train(*attack, config.num_attackers);
     for (int a = 0; a < config.num_attackers; ++a) {
-      const NodeId node_id = attacker_id + 10 + a;
-      auto* attacker_node = sim.make<Node>(
-          node_id, "attacker" + std::to_string(a), sim.memory());
-      BitRate attacker_access = config.attacker_access;
-      if (attacker_access <= 0.0) {
-        attacker_access =
-            std::max(config.access, 2.0 * sub_trains[a].rattack);
-      }
-      // Fast path: with the access link at least as fast as the pulse rate
-      // it can never queue or drop, so it gets the express lane and the
+      const std::string name = "acc.attacker" + std::to_string(a);
+      // At least twice the attacker's pulse rate, so the link never queues.
+      const BitRate access =
+          std::max(config.access, 2.0 * sub_trains[a].rattack);
+      // Fast path: a link that never queues gets the express lane, and the
       // attacker injects each burst in one batched event instead of one
       // event per packet (timings are identical either way).
-      const bool express_attack =
-          fast && attacker_access >= sub_trains[a].rattack;
       Link* attack_link =
-          express_attack
-              ? sim.make<Link>(sim, "acc.attacker" + std::to_string(a),
-                               attacker_access, ms(1),
-                               static_cast<PacketHandler*>(router_s_),
-                               attack->packet_bytes)
-              : sim.make<Link>(sim, "acc.attacker" + std::to_string(a),
-                               attacker_access, ms(1), big_fifo(sim),
-                               router_s_, attack->packet_bytes);
-      if (fast && !express_attack) attack_link->set_fused(true);
-      // Every attack packet is bound for routerR across the bottleneck, so
-      // the fast path hands deliveries straight to the bottleneck link
-      // instead of bouncing through routerS's route table.
-      if (fast) attack_link->set_downstream(bottleneck_);
-      attacker_node->set_default_route(attack_link);
-      // Attack packets are addressed to routerR, which has no agent for
-      // their flow id and therefore sinks them — after they have crossed
-      // the bottleneck queue, which is all the attack needs.
-      attackers_.push_back(
-          sim.make<PulseAttacker>(sim, sub_trains[a], node_id, router_r_id,
-                                  attacker_node, FlowId{-1000 - a}));
-      if (express_attack) attackers_.back()->set_express_lane(attack_link);
+          fast ? sim.make<Link>(sim, name, access, ms(1), bottleneck_,
+                                attack->packet_bytes)
+               : sim.make<Link>(sim, name, access, ms(1), big_fifo(sim),
+                                bottleneck_, attack->packet_bytes);
+      // Attack packets are addressed to routerR, which hosts no agent and
+      // therefore sinks them — after they have crossed the bottleneck
+      // queue, which is all the attack needs.
+      attackers_.push_back(sim.make<PulseAttacker>(
+          sim, sub_trains[a], NodeId{2 * m + 12 + a}, router_r_id,
+          attack_link, FlowId{-1000 - a}));
+      if (fast) attackers_.back()->set_express_lane(attack_link);
     }
   }
 }
@@ -456,13 +419,9 @@ RunResult ScenarioWorkspace::run(const ScenarioConfig& config,
   // is destroyed, but every block of memory it occupied is retained and
   // reused by the rebuild below.
   sim_.reset(config.seed);
-  router_s_ = nullptr;
-  router_r_ = nullptr;
   bottleneck_ = nullptr;
   cross_traffic_ = nullptr;
-  sender_hot_ = nullptr;
-  receiver_hot_ = nullptr;
-  connections_.clear();
+  flows_.clear();
   attackers_.clear();
   build(config, attack);
 
@@ -514,16 +473,16 @@ RunResult ScenarioWorkspace::run(const ScenarioConfig& config,
   // Per-flow delivery jitter (§2.3's "increase in jitter"), kept in the
   // hub's flat meter table: one O(1) JitterMeter update per in-order
   // delivery, no allocation on the per-packet path.
-  arrivals.register_flows(connections_.size());
-  for (std::size_t i = 0; i < connections_.size(); ++i) {
-    connections_[i].receiver->set_delivery_tracer(
+  arrivals.register_flows(flows_.size());
+  for (std::size_t i = 0; i < flows_.size(); ++i) {
+    flows_[i].receiver->set_delivery_tracer(
         [hub = &arrivals, i](Time t, std::int64_t) { hub->on_delivery(i, t); });
   }
 
   if (control.traced_flow >= 0) {
     PDOS_REQUIRE(control.traced_flow < config.num_flows,
                  "RunControl: traced_flow out of range");
-    connections_[control.traced_flow].sender->set_cwnd_tracer(
+    flows_[control.traced_flow].sender->set_cwnd_tracer(
         [trace = &result.cwnd_trace](Time t, double w) {
           trace->emplace_back(t, w);
         });
@@ -532,10 +491,10 @@ RunResult ScenarioWorkspace::run(const ScenarioConfig& config,
   // Stagger flow starts to avoid artificial lockstep at t = 0. Each flow
   // draws from its own seed-derived stream so the offsets do not depend on
   // what else the scenario instantiates (attackers, cross traffic).
-  for (std::size_t i = 0; i < connections_.size(); ++i) {
+  for (std::size_t i = 0; i < flows_.size(); ++i) {
     Rng start_rng = sim_.stream(kFlowStartStream + i);
-    connections_[i].sender->start(
-        start_rng.uniform(0.0, config.flow_start_spread));
+    flows_[i].sender->start(
+        start_rng.uniform(0.0, ScenarioConfig::kFlowStartSpread));
   }
   if (!attackers_.empty()) {
     auto phases =
@@ -551,18 +510,18 @@ RunResult ScenarioWorkspace::run(const ScenarioConfig& config,
   // counts only what arrives after it.
   sim_.run_until(control.warmup);
   goodput_marks_.clear();
-  goodput_marks_.reserve(connections_.size());
-  for (const auto& conn : connections_) {
-    goodput_marks_.push_back(conn.receiver->goodput_bytes());
+  goodput_marks_.reserve(flows_.size());
+  for (const Flow& flow : flows_) {
+    goodput_marks_.push_back(flow.receiver->goodput_bytes());
   }
   sim_.run_until(control.horizon());
 
-  for (std::size_t i = 0; i < connections_.size(); ++i) {
+  for (std::size_t i = 0; i < flows_.size(); ++i) {
     const Bytes flow_bytes =
-        connections_[i].receiver->goodput_bytes() - goodput_marks_[i];
+        flows_[i].receiver->goodput_bytes() - goodput_marks_[i];
     result.per_flow_goodput.push_back(flow_bytes);
     result.goodput_bytes += flow_bytes;
-    const auto& stats = connections_[i].sender->stats();
+    const auto& stats = flows_[i].sender->stats();
     result.total_timeouts += stats.timeouts;
     result.total_fast_recoveries += stats.fast_recoveries;
     result.total_retransmits += stats.retransmits;

@@ -26,7 +26,6 @@
 #include "fluid/fluid.hpp"
 #include "net/queue.hpp"
 #include "net/red.hpp"
-#include "tcp/connection.hpp"
 #include "tcp/tcp_sender.hpp"
 #include "util/units.hpp"
 
@@ -34,6 +33,7 @@ namespace pdos {
 
 class Link;
 class OnOffSource;
+class TcpReceiver;
 
 enum class QueueKind { kDropTail, kRed };
 
@@ -55,24 +55,27 @@ const char* backend_name(Backend backend);
 std::optional<Backend> parse_backend(const std::string& name);
 
 struct ScenarioConfig {
+  /// One-way propagation delay of the shared bottleneck link.
+  static constexpr Time kBottleneckDelay = ms(1);
+  /// Flows start uniformly in [0, kFlowStartSpread].
+  static constexpr Time kFlowStartSpread = sec(1.0);
+
   int num_flows = 15;
   BitRate bottleneck = mbps(15);
   BitRate access = mbps(50);
-  Time bottleneck_delay = ms(1);  // one-way propagation of the shared link
   std::vector<Time> rtts;         // per-flow two-way propagation targets
   QueueKind queue = QueueKind::kRed;
   std::size_t buffer_packets = 60;  // bottleneck buffer B
   TcpSenderConfig tcp;
   Bytes attack_packet_bytes = 1040;
-  BitRate attacker_access = 0.0;  // 0 = auto: max(access, 2 x R_attack)
   /// Distributed attack: the pulse train is split evenly over this many
-  /// sources (each with its own access link). 1 = the paper's single
+  /// sources, each on its own access link at max(access, 2 x its share of
+  /// R_attack), so no attacker link ever queues. 1 = the paper's single
   /// attacker.
   int num_attackers = 1;
   /// Random per-source start offset in [0, spread]; softens the aggregate
   /// pulse edge at a small damage cost.
   Time attacker_phase_spread = 0.0;
-  Time flow_start_spread = sec(1.0);  // flows start uniformly in [0, spread]
   /// Unresponsive cross traffic sharing the bottleneck: an exponential
   /// ON/OFF source (50% duty cycle) with this long-run average rate.
   /// 0 disables it (the paper's scenarios).
@@ -201,17 +204,17 @@ class ScenarioWorkspace {
   void build(const ScenarioConfig& config,
              const std::optional<PulseTrain>& attack);
 
+  /// One bulk TCP flow's two agents, both in the simulator arena.
+  struct Flow {
+    TcpSender* sender;
+    TcpReceiver* receiver;
+  };
+
   Simulator sim_{1};  // reseeded by every run()
-  Node* router_s_ = nullptr;
-  Node* router_r_ = nullptr;
   Link* bottleneck_ = nullptr;
-  std::vector<TcpConnection> connections_;
+  std::vector<Flow> flows_;
   std::vector<PulseAttacker*> attackers_;
   OnOffSource* cross_traffic_ = nullptr;
-  // Flat hot-state tables (tcp/flow_state.hpp), one slot per flow, laid out
-  // contiguously in the simulator arena by build().
-  TcpSenderHot* sender_hot_ = nullptr;
-  TcpReceiverHot* receiver_hot_ = nullptr;
   // Per-run scratch, cleared (not freed) between runs.
   std::vector<Bytes> goodput_marks_;
 };

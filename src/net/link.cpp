@@ -8,14 +8,6 @@
 namespace pdos {
 
 Link::Link(Simulator& sim, std::string name, BitRate rate, Time delay,
-           std::unique_ptr<QueueDiscipline> queue, PacketHandler* downstream,
-           Bytes mean_packet_bytes)
-    : Link(sim, std::move(name), rate, delay, queue.get(), downstream,
-           mean_packet_bytes) {
-  owned_queue_ = std::move(queue);
-}
-
-Link::Link(Simulator& sim, std::string name, BitRate rate, Time delay,
            QueueDiscipline* queue, PacketHandler* downstream,
            Bytes mean_packet_bytes)
     : sim_(sim),
@@ -26,7 +18,6 @@ Link::Link(Simulator& sim, std::string name, BitRate rate, Time delay,
       downstream_(downstream),
       pipe_(sim.memory()),
       arrival_taps_(sim.memory()),
-      departure_taps_(sim.memory()),
       chain_cache_(sim.memory()) {
   PDOS_REQUIRE(rate_ > 0.0, "Link: rate must be positive");
   PDOS_REQUIRE(delay_ >= 0.0, "Link: delay must be non-negative");
@@ -45,7 +36,6 @@ Link::Link(Simulator& sim, std::string name, BitRate rate, Time delay,
       downstream_(downstream),
       pipe_(sim.memory()),
       arrival_taps_(sim.memory()),
-      departure_taps_(sim.memory()),
       chain_cache_(sim.memory()) {
   PDOS_REQUIRE(rate_ > 0.0, "Link: rate must be positive");
   PDOS_REQUIRE(delay_ >= 0.0, "Link: delay must be non-negative");
@@ -65,12 +55,6 @@ QueueDiscipline& Link::queue() {
 void Link::add_arrival_tap(PacketTap tap) {
   PDOS_REQUIRE(queue_ != nullptr, "Link: cannot tap an express lane");
   arrival_taps_.push_back(std::move(tap));
-}
-
-void Link::add_departure_tap(PacketTap tap) {
-  PDOS_REQUIRE(queue_ != nullptr, "Link: cannot tap an express lane");
-  departure_taps_.push_back(std::move(tap));
-  lazy_ = false;  // the tap must observe departures at their exact instants
 }
 
 void Link::handle(Packet pkt) {
@@ -129,7 +113,6 @@ void Link::serve_next() {
 
 void Link::finish_service() {
   service_event_pending_ = false;
-  for (auto& tap : departure_taps_) tap(in_service_);
   emit(std::move(in_service_), sim_.now());
   if (queued_ > 0) serve_next();
 }

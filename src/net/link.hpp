@@ -46,10 +46,9 @@
 //   `dequeue_nonempty_at`. Packet timings are bit-identical to the full
 //   path; only the scheduler's event count and tie-break rank stream
 //   differ, which is why fusion is opt-in — the golden figure digests pin
-//   event counts on the default path. Departure taps force the full
-//   service-event path (the tap must observe the packet at its departure
-//   instant). Samplers that read queue state between packets must call
-//   settle() first — RunResult's occupancy sampler does.
+//   event counts on the default path. Samplers that read queue state
+//   between packets must call settle() first — RunResult's occupancy
+//   sampler does.
 //
 //   Express (queue-less constructor): no queue object at all — admission is
 //   unconditional, serialization chains analytically off the previous
@@ -70,7 +69,6 @@
 //   it).
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -93,14 +91,10 @@ using PacketTap = BasicInlineFn<kInlineFnCapacity, const Packet&>;
 
 class Link : public PacketHandler {
  public:
-  /// `queue` must be non-null; `downstream` must outlive the link.
-  Link(Simulator& sim, std::string name, BitRate rate, Time delay,
-       std::unique_ptr<QueueDiscipline> queue, PacketHandler* downstream,
-       Bytes mean_packet_bytes = 1040);
-
-  /// Same, with a non-owned queue (typically arena-allocated via
-  /// `Simulator::make`, so it shares the link's lifetime and the link's
-  /// internal buffers ride the same arena).
+  /// `queue` must be non-null and is not owned (typically arena-allocated
+  /// via `Simulator::make`, so it shares the link's lifetime and the link's
+  /// internal buffers ride the same arena); `queue` and `downstream` must
+  /// outlive the link.
   Link(Simulator& sim, std::string name, BitRate rate, Time delay,
        QueueDiscipline* queue, PacketHandler* downstream,
        Bytes mean_packet_bytes = 1040);
@@ -116,30 +110,14 @@ class Link : public PacketHandler {
   /// Packet arrival from the upstream node.
   void handle(Packet pkt) override;
 
-  /// Rewire the delivery target. The dumbbell builder uses this to skip
-  /// per-hop Node dispatch on links whose every packet resolves to the same
-  /// next handler anyway (a per-flow access link carries exactly one flow),
-  /// which changes the call path but no packet timing, event, queue
-  /// decision, or RNG draw (DESIGN.md §8). `downstream` must be non-null
-  /// and outlive the link.
-  void set_downstream(PacketHandler* downstream) {
-    PDOS_REQUIRE(downstream != nullptr, "Link: downstream must be non-null");
-    downstream_ = downstream;
-  }
-
   /// Observe every arrival (before the queue's drop decision).
   void add_arrival_tap(PacketTap tap);
-  /// Observe every departure (after serialization completes).
-  void add_departure_tap(PacketTap tap);
 
   /// Opt in to event fusion (idle-link serialization without a service
   /// event). Packet timings are unchanged; the scheduler's event count and
   /// tie-break ranks are not, so scenarios pinned by golden digests leave
   /// this off. No-op on an express link (always fused by construction).
-  void set_fused(bool fused) {
-    fused_ = fused;
-    lazy_ = queue_ != nullptr && fused_ && departure_taps_.empty();
-  }
+  void set_fused(bool fused) { lazy_ = queue_ != nullptr && fused; }
 
   /// True for the queue-less express lane.
   bool express() const { return queue_ == nullptr; }
@@ -154,11 +132,11 @@ class Link : public PacketHandler {
   /// Flush lazy catch-up: replay every service a fused link would have
   /// completed by now, so queue().length()/stats() reflect the true state
   /// mid-run. Instrumentation that samples queue state between packets
-  /// (e.g. the occupancy sampler) calls this first; no-op on express,
-  /// unfused, or departure-tapped links. Strictly-before-now, like an
-  /// arrival: an eager boundary event tied with the sampler's timer would
-  /// fire after it (the timer's rank is a full sample period old), so the
-  /// sample must not include a tied dequeue.
+  /// (e.g. the occupancy sampler) calls this first; no-op on express or
+  /// unfused links. Strictly-before-now, like an arrival: an eager
+  /// boundary event tied with the sampler's timer would fire after it (the
+  /// timer's rank is a full sample period old), so the sample must not
+  /// include a tied dequeue.
   void settle() {
     if (lazy_ && queued_ != 0) catch_up(sim_.now(), /*include_now=*/false);
   }
@@ -217,15 +195,11 @@ class Link : public PacketHandler {
   std::string name_;
   BitRate rate_;
   Time delay_;
-  std::unique_ptr<QueueDiscipline> owned_queue_;  // legacy ctor only
   QueueDiscipline* queue_;  // null on the express lane
   PacketHandler* downstream_;
   Node* chain_hop_ = nullptr;  // express chain handoff router, or null
-  bool fused_ = false;      // idle serves skip the service event
-  // Cached `queue_ != nullptr && fused_ && departure_taps_.empty()`: fused
-  // links drain their queue analytically (no boundary event exists), and the
-  // per-packet visit sites test this bit plus `queued_` instead of walking
-  // the tap vector. Maintained by set_fused()/add_departure_tap().
+  // A fused queued link: idle serves skip the service event and the queue
+  // drains analytically (no boundary event exists). Set by set_fused().
   bool lazy_ = false;
   // True while a finish_service event is in the scheduler (the full
   // service path only; fused links never own a service event).
@@ -241,7 +215,6 @@ class Link : public PacketHandler {
   Packet in_service_;       // owned by the pending service event
   Fifo<InFlight> pipe_;     // departed, still propagating
   std::pmr::vector<PacketTap> arrival_taps_;
-  std::pmr::vector<PacketTap> departure_taps_;
   // chain_via: resolved express next hop per destination, so the per-packet
   // handoff is an array load, not a route walk plus dynamic_cast.
   std::pmr::vector<Link*> chain_cache_;

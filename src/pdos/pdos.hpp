@@ -11,7 +11,7 @@
 //       pdos::run_scenario(scenario, plan.train, pdos::RunControl{});
 //
 // Layering (each header can also be included individually):
-//   util/   — units, RNG, assertions, logging
+//   util/   — units, RNG, assertions, arena, FIFO, SIMD
 //   sim/    — discrete-event engine
 //   net/    — packets, queues (DropTail/RED), links, nodes
 //   tcp/    — AIMD(a,b) TCP: Tahoe/Reno/NewReno senders, receivers
@@ -52,10 +52,8 @@
 #include "sweep/sweep.hpp"
 #include "tcp/aimd.hpp"
 #include "traffic/sources.hpp"
-#include "tcp/connection.hpp"
 #include "tcp/tcp_receiver.hpp"
 #include "tcp/tcp_sender.hpp"
 #include "util/assert.hpp"
-#include "util/logging.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"

@@ -114,24 +114,6 @@ std::size_t count_unique_tasks(const SweepSpec& spec) {
   return keys.size();
 }
 
-SweepResult replay_from_store(const SweepSpec& spec, const PointStore& store) {
-  const std::vector<PointSpec> points = spec.enumerate();
-  const SweepKeys keys(spec);
-  SweepResult result;
-  result.points.resize(points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    PointResult& slot = result.points[i];
-    slot.index = i;
-    slot.point = points[i];
-    slot.seed = replicate_seed(spec.base_seed, points[i].replicate);
-    if (store.lookup_point(keys.point(slot.point, slot.seed), slot)) {
-      slot.status = PointStatus::kOk;
-      ++result.cache_hits;
-    }
-  }
-  return result;
-}
-
 CampaignResult run_campaign(const std::vector<CampaignSpec>& specs,
                             const CampaignOptions& options) {
   check_worker_count(options.workers, "run_campaign: workers");
@@ -212,19 +194,9 @@ CampaignResult run_campaign(const std::vector<CampaignSpec>& specs,
     options.on_progress(progress);
   };
 
-  std::unique_ptr<CampaignStore> store;  // parent's view, opened lazily
-  const auto ensure_store = [&]() -> CampaignStore& {
-    if (!store) {
-      store = std::make_unique<CampaignStore>(options.store_dir,
-                                              options.lease_ttl_seconds);
-    }
-    return *store;
-  };
-
   // Drain the report pipes until every worker closes its end.
   std::vector<std::string> buffers(static_cast<std::size_t>(workers));
   int alive = workers;
-  auto last_partial = start;
   while (alive > 0) {
     std::vector<pollfd> fds(static_cast<std::size_t>(workers));
     for (int w = 0; w < workers; ++w) {
@@ -274,22 +246,6 @@ CampaignResult run_campaign(const std::vector<CampaignSpec>& specs,
       buffers[wi].erase(0, begin);
     }
     if (saw_report) emit_progress(alive);
-
-    if (options.partial_interval_seconds > 0.0) {
-      const auto now = std::chrono::steady_clock::now();
-      if (std::chrono::duration<double>(now - last_partial).count() >=
-          options.partial_interval_seconds) {
-        last_partial = now;
-        CampaignStore& view = ensure_store();
-        view.refresh();
-        for (const CampaignSpec& spec : specs) {
-          if (spec.csv_path.empty()) continue;
-          const SweepResult partial = replay_from_store(spec.spec, view);
-          std::ofstream out = open_output(spec.csv_path + ".partial");
-          if (out.good()) partial.write_csv(out);
-        }
-      }
-    }
   }
 
   for (pid_t pid : pids) {
@@ -304,7 +260,7 @@ CampaignResult run_campaign(const std::vector<CampaignSpec>& specs,
   // joined store. All-hit when the workers finished the grid (so the CSVs
   // are byte-identical to a single-process run); stragglers from crashed
   // workers get simulated right here.
-  CampaignStore& merged = ensure_store();
+  CampaignStore merged(options.store_dir, options.lease_ttl_seconds);
   merged.refresh();
   for (const CampaignSpec& spec : specs) {
     CampaignSpecResult spec_result;

@@ -63,9 +63,6 @@ struct CampaignOptions {
   bool keep_going = false;  // workers keep dispatching after a failure
   double lease_ttl_seconds = 120.0;  // finite and > 0
   double claim_poll_seconds = 0.05;
-  /// When > 0 and a spec has a csv_path, the parent writes a lookup-only
-  /// snapshot to `<csv_path>.partial` at this cadence while workers run.
-  double partial_interval_seconds = 0.0;
   /// Serialized in the parent; called on every worker report line.
   std::function<void(const CampaignProgress&)> on_progress;
 };
@@ -99,11 +96,6 @@ struct CampaignResult {
 /// (i.e. before the caller spawns its own threads).
 CampaignResult run_campaign(const std::vector<CampaignSpec>& specs,
                             const CampaignOptions& options);
-
-/// Lookup-only replay: fill a result table from whatever the store already
-/// holds, without claiming or simulating. Unresolved rows stay kSkipped.
-/// Used for the parent's partial CSV snapshots while workers run.
-SweepResult replay_from_store(const SweepSpec& spec, const PointStore& store);
 
 /// Unique task count (baselines + points) of one spec.
 std::size_t count_unique_tasks(const SweepSpec& spec);

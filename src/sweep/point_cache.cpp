@@ -49,10 +49,34 @@ class Fnv1a {
   std::uint64_t hash_ = 0xcbf29ce484222325ULL;
 };
 
+/// An aggregate with N fields accepts at most N brace initializers, so the
+/// largest count T{AnyField...} compiles with is T's field count.
+struct AnyField {
+  template <typename T>
+  operator T() const;
+};
+
+template <typename T, typename... Fields>
+constexpr std::size_t field_count() {
+  if constexpr (requires { T{Fields{}..., AnyField{}}; }) {
+    return field_count<T, Fields..., AnyField>();
+  } else {
+    return sizeof...(Fields);
+  }
+}
+
+// A field missing from hash_scenario silently serves stale results from
+// every store. A new field must be hashed below (or made a named constant)
+// before these counts are updated. `seed` is hashed per point, not here.
+static_assert(field_count<ScenarioConfig>() == 13,
+              "ScenarioConfig changed: hash the new field in hash_scenario");
+static_assert(field_count<TcpSenderConfig>() == 9,
+              "TcpSenderConfig changed: hash the new field in hash_scenario");
+
 /// Every ScenarioConfig field that shapes a run (including the TCP stack);
 /// field order is part of the schema. Hashed into both sweep keys below.
 void hash_scenario(Fnv1a& h, const ScenarioConfig& c) {
-  h.i64(c.num_flows).f64(c.bottleneck).f64(c.access).f64(c.bottleneck_delay);
+  h.i64(c.num_flows).f64(c.bottleneck).f64(c.access);
   h.i64(static_cast<std::int64_t>(c.rtts.size()));
   for (double rtt : c.rtts) h.f64(rtt);
   h.i64(static_cast<std::int64_t>(c.queue));
@@ -61,13 +85,12 @@ void hash_scenario(Fnv1a& h, const ScenarioConfig& c) {
   const TcpSenderConfig& t = c.tcp;
   h.i64(static_cast<std::int64_t>(t.variant));
   h.f64(t.aimd.a).f64(t.aimd.b).i64(t.aimd.d);
-  h.i64(t.mss).i64(t.header_bytes);
+  h.i64(t.mss);
   h.f64(t.initial_cwnd).f64(t.initial_ssthresh).f64(t.max_cwnd);
-  h.f64(t.rto_min).f64(t.rto_max).f64(t.initial_rto);
-  h.i64(t.dupack_threshold).f64(t.rto_jitter).i64(t.total_segments);
+  h.f64(t.rto_min).f64(t.initial_rto).f64(t.rto_jitter);
 
-  h.i64(c.attack_packet_bytes).f64(c.attacker_access).i64(c.num_attackers);
-  h.f64(c.attacker_phase_spread).f64(c.flow_start_spread);
+  h.i64(c.attack_packet_bytes).i64(c.num_attackers);
+  h.f64(c.attacker_phase_spread);
   h.f64(c.cross_traffic_rate);
 
   // Simulation tier: the backend changes what a "result" means, so

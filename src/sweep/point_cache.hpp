@@ -55,7 +55,11 @@ namespace pdos::sweep {
 /// Schema 4: the tier section hashes `backend` alone — the hybrid tier,
 /// the fast_path flag (now Backend::kFast) and the scenario-level fluid
 /// steps are gone. Outputs are unchanged, but every key moves.
-inline constexpr int kPointCacheSchema = 4;
+/// Schema 5: seven one-valued settings became constants (bottleneck delay,
+/// attacker access rate, flow start spread, TCP header bytes, RTO ceiling,
+/// dupack threshold) or went (finite transfers), so hash_scenario hashes
+/// 22 values instead of 29. Outputs are unchanged, but every key moves.
+inline constexpr int kPointCacheSchema = 5;
 
 /// Digest of (point axes + derived ScenarioConfig + seed + control +
 /// fingerprint) for an attack point of `spec`.

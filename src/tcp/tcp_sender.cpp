@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "util/assert.hpp"
-#include "util/logging.hpp"
 
 namespace pdos {
 
@@ -29,14 +28,11 @@ void TcpSenderConfig::validate() const {
   aimd.validate();
   PDOS_REQUIRE(rto_jitter >= 0.0, "TcpSender: rto_jitter must be >= 0");
   PDOS_REQUIRE(mss > 0, "TcpSender: mss must be > 0");
-  PDOS_REQUIRE(header_bytes >= 0, "TcpSender: header_bytes must be >= 0");
   PDOS_REQUIRE(initial_cwnd >= 1.0, "TcpSender: initial_cwnd must be >= 1");
   PDOS_REQUIRE(max_cwnd >= initial_cwnd,
                "TcpSender: max_cwnd must be >= initial_cwnd");
-  PDOS_REQUIRE(rto_min > 0.0 && rto_min <= rto_max,
-               "TcpSender: need 0 < rto_min <= rto_max");
-  PDOS_REQUIRE(dupack_threshold >= 1,
-               "TcpSender: dupack_threshold must be >= 1");
+  PDOS_REQUIRE(rto_min > 0.0 && rto_min <= kRtoMax,
+               "TcpSender: need 0 < rto_min <= 64 s");
 }
 
 TcpSender::TcpSender(Simulator& sim, FlowId flow, NodeId self, NodeId peer,
@@ -133,7 +129,7 @@ void TcpSender::on_dup_ack() {
     trace_cwnd();
     return;
   }
-  if (hot_->dupack_count == config_.dupack_threshold) {
+  if (hot_->dupack_count == TcpSenderConfig::kDupackThreshold) {
     enter_fast_recovery();
   }
 }
@@ -154,7 +150,8 @@ void TcpSender::enter_fast_recovery() {
   }
   hot_->in_fast_recovery = true;
   hot_->recover = hot_->next_seq - 1;
-  hot_->cwnd = hot_->ssthresh + static_cast<double>(config_.dupack_threshold);
+  hot_->cwnd =
+      hot_->ssthresh + static_cast<double>(TcpSenderConfig::kDupackThreshold);
   trace_cwnd();
   emit_segment(hot_->snd_una, /*retransmit=*/true);
   arm_rto();
@@ -195,10 +192,7 @@ void TcpSender::on_timeout() {
 
 void TcpSender::send_available() {
   if (!hot_->started) return;
-  std::int64_t limit = hot_->snd_una + window();
-  if (config_.total_segments >= 0) {
-    limit = std::min(limit, config_.total_segments);
-  }
+  const std::int64_t limit = hot_->snd_una + window();
   while (hot_->next_seq < limit) {
     emit_segment(hot_->next_seq, /*retransmit=*/false);
     ++hot_->next_seq;
@@ -212,7 +206,7 @@ void TcpSender::emit_segment(std::int64_t seq, bool retransmit) {
   pkt.flow = flow_;
   pkt.src = self_;
   pkt.dst = peer_;
-  pkt.size_bytes = config_.mss + config_.header_bytes;
+  pkt.size_bytes = config_.mss + TcpSenderConfig::kHeaderBytes;
   pkt.seq = seq;
   pkt.ts_echo = sim_.now();
   pkt.retransmit = retransmit;
@@ -223,7 +217,7 @@ void TcpSender::emit_segment(std::int64_t seq, bool retransmit) {
 
 void TcpSender::arm_rto() {
   Time timeout = std::min(hot_->rto * static_cast<double>(hot_->backoff),
-                          config_.rto_max);
+                          TcpSenderConfig::kRtoMax);
   if (config_.rto_jitter > 0.0) {
     // Randomized-RTO defense [7]: the effective minimum moves per timer,
     // so a shrew attacker cannot phase-lock pulses to retransmissions.
@@ -268,7 +262,7 @@ void TcpSender::sample_rtt(const Packet& pkt) {
     hot_->srtt = 0.875 * hot_->srtt + 0.125 * r;
   }
   hot_->rto = std::clamp(hot_->srtt + std::max(4.0 * hot_->rttvar, ms(10)),
-                         config_.rto_min, config_.rto_max);
+                         config_.rto_min, TcpSenderConfig::kRtoMax);
 }
 
 void TcpSender::trace_cwnd() {

@@ -45,26 +45,26 @@ enum class TcpVariant { kTahoe, kReno, kNewReno };
 const char* tcp_variant_name(TcpVariant variant);
 
 struct TcpSenderConfig {
+  /// TCP/IP header overhead on every segment and pure ACK.
+  static constexpr Bytes kHeaderBytes = 40;
+  /// Ceiling of the backed-off retransmission timeout.
+  static constexpr Time kRtoMax = sec(64.0);
+  /// Duplicate ACKs that trigger fast retransmit.
+  static constexpr int kDupackThreshold = 3;
+
   TcpVariant variant = TcpVariant::kNewReno;
   AimdParams aimd = AimdParams::new_reno();
   Bytes mss = 1000;          // payload bytes per segment
-  Bytes header_bytes = 40;   // TCP/IP header overhead on every packet
   double initial_cwnd = 1.0;   // segments
   double initial_ssthresh = 64.0;  // segments
   double max_cwnd = 10000.0;   // receiver-window stand-in, segments
   Time rto_min = sec(1.0);     // ns-2 default; Linux test-bed uses 200 ms
-  Time rto_max = sec(64.0);
   Time initial_rto = sec(3.0);  // RFC 6298 before the first RTT sample
-  int dupack_threshold = 3;
   /// Randomized-RTO defense (Yang, Gerla & Sanadidi [7]): each timeout's
   /// minimum is drawn uniformly from [rto_min, rto_min + rto_jitter]. The
   /// paper notes this breaks the shrew attack's timing but not the
   /// AIMD-based attack, whose damage does not depend on RTO values.
   Time rto_jitter = 0.0;
-  /// Amount of application data in segments; -1 models an unbounded bulk
-  /// transfer (the paper's Iperf/FTP victims). Finite values model short
-  /// flows; the sender stops once everything is acknowledged.
-  std::int64_t total_segments = -1;
 
   void validate() const;
 };
@@ -107,11 +107,6 @@ class TcpSender : public PacketHandler {
   std::int64_t next_seq() const { return hot_->next_seq; }
   const TcpSenderStats& stats() const { return stats_; }
   FlowId flow() const { return flow_; }
-  /// True once a finite transfer is fully acknowledged.
-  bool complete() const {
-    return config_.total_segments >= 0 &&
-           hot_->snd_una >= config_.total_segments;
-  }
   const TcpSenderConfig& config() const { return config_; }
 
   /// Invoked as (time, cwnd) whenever cwnd changes; used for Fig. 1 traces.

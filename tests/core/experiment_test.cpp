@@ -50,7 +50,7 @@ TEST(ScenarioConfigTest, VictimProfileMirrorsScenario) {
   const VictimProfile victim = config.victim_profile();
   EXPECT_EQ(victim.rtts, config.rtts);
   EXPECT_DOUBLE_EQ(victim.rbottle, config.bottleneck);
-  EXPECT_EQ(victim.spacket, config.tcp.mss + config.tcp.header_bytes);
+  EXPECT_EQ(victim.spacket, config.tcp.mss + TcpSenderConfig::kHeaderBytes);
   EXPECT_NO_THROW(victim.validate());
 }
 

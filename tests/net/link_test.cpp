@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <utility>
 #include <vector>
 
 #include "net/droptail.hpp"
@@ -39,7 +39,7 @@ TEST(LinkTest, DeliversAfterSerializationPlusPropagation) {
   Simulator sim;
   RecordingSink sink(sim);
   // 1000 bytes at 8 kbps -> 1 s serialization; +0.5 s propagation.
-  Link link(sim, "l", kbps(8), sec(0.5), std::make_unique<DropTailQueue>(10),
+  Link link(sim, "l", kbps(8), sec(0.5), sim.make<DropTailQueue>(10),
             &sink);
   link.handle(make_packet(1000));
   sim.run();
@@ -50,7 +50,7 @@ TEST(LinkTest, DeliversAfterSerializationPlusPropagation) {
 TEST(LinkTest, BackToBackPacketsSerializeSequentially) {
   Simulator sim;
   RecordingSink sink(sim);
-  Link link(sim, "l", kbps(8), 0.0, std::make_unique<DropTailQueue>(10),
+  Link link(sim, "l", kbps(8), 0.0, sim.make<DropTailQueue>(10),
             &sink);
   link.handle(make_packet(1000, 0));
   link.handle(make_packet(1000, 1));
@@ -69,7 +69,7 @@ TEST(LinkTest, PropagationIsPipelined) {
   // first packet's propagation, only for its serialization.
   Simulator sim;
   RecordingSink sink(sim);
-  Link link(sim, "l", kbps(8), sec(10), std::make_unique<DropTailQueue>(10),
+  Link link(sim, "l", kbps(8), sec(10), sim.make<DropTailQueue>(10),
             &sink);
   link.handle(make_packet(1000, 0));
   link.handle(make_packet(1000, 1));
@@ -82,7 +82,7 @@ TEST(LinkTest, PropagationIsPipelined) {
 TEST(LinkTest, QueueOverflowDrops) {
   Simulator sim;
   RecordingSink sink(sim);
-  Link link(sim, "l", kbps(8), 0.0, std::make_unique<DropTailQueue>(2),
+  Link link(sim, "l", kbps(8), 0.0, sim.make<DropTailQueue>(2),
             &sink);
   // First packet goes into service immediately; two buffer slots remain.
   for (int i = 0; i < 5; ++i) link.handle(make_packet(1000, i));
@@ -94,7 +94,7 @@ TEST(LinkTest, QueueOverflowDrops) {
 TEST(LinkTest, ArrivalTapSeesDroppedPacketsToo) {
   Simulator sim;
   RecordingSink sink(sim);
-  Link link(sim, "l", kbps(8), 0.0, std::make_unique<DropTailQueue>(1),
+  Link link(sim, "l", kbps(8), 0.0, sim.make<DropTailQueue>(1),
             &sink);
   int arrivals = 0;
   link.add_arrival_tap([&](const Packet&) { ++arrivals; });
@@ -104,22 +104,10 @@ TEST(LinkTest, ArrivalTapSeesDroppedPacketsToo) {
   EXPECT_EQ(sink.packets.size(), 2u);
 }
 
-TEST(LinkTest, DepartureTapCountsOnlyTransmitted) {
-  Simulator sim;
-  RecordingSink sink(sim);
-  Link link(sim, "l", kbps(8), 0.0, std::make_unique<DropTailQueue>(1),
-            &sink);
-  int departures = 0;
-  link.add_departure_tap([&](const Packet&) { ++departures; });
-  for (int i = 0; i < 4; ++i) link.handle(make_packet(1000, i));
-  sim.run();
-  EXPECT_EQ(departures, 2);
-}
-
 TEST(LinkTest, IdleLinkResumesAfterDrain) {
   Simulator sim;
   RecordingSink sink(sim);
-  Link link(sim, "l", kbps(8), 0.0, std::make_unique<DropTailQueue>(10),
+  Link link(sim, "l", kbps(8), 0.0, sim.make<DropTailQueue>(10),
             &sink);
   link.handle(make_packet(1000));
   sim.run();
@@ -134,7 +122,7 @@ TEST(LinkTest, ThroughputMatchesRate) {
   // Saturate a 1 Mbps link for 1 second: ~125 kB should get through.
   Simulator sim;
   RecordingSink sink(sim);
-  Link link(sim, "l", mbps(1), 0.0, std::make_unique<DropTailQueue>(10000),
+  Link link(sim, "l", mbps(1), 0.0, sim.make<DropTailQueue>(10000),
             &sink);
   const Bytes pkt_size = 1250;  // 10 ms each
   for (int i = 0; i < 100; ++i) link.handle(make_packet(pkt_size, i));
@@ -149,7 +137,7 @@ TEST(LinkTest, InvalidConstructionThrows) {
   auto make_link = [&](BitRate rate, Time delay, bool with_queue,
                        PacketHandler* down) {
     Link link(sim, "l", rate, delay,
-              with_queue ? std::make_unique<DropTailQueue>(1) : nullptr,
+              with_queue ? sim.make<DropTailQueue>(1) : nullptr,
               down);
   };
   EXPECT_THROW(make_link(0.0, 0.0, true, &sink), ParameterError);
@@ -167,7 +155,7 @@ TEST(LinkTest, ExpressLaneMatchesFullLinkDeliveryTimes) {
   Simulator sim_full;
   RecordingSink full_sink(sim_full);
   Link full(sim_full, "full", kbps(8), sec(0.5),
-            std::make_unique<DropTailQueue>(1000), &full_sink);
+            sim_full.make<DropTailQueue>(1000), &full_sink);
 
   Simulator sim_express;
   RecordingSink express_sink(sim_express);
@@ -206,8 +194,6 @@ TEST(LinkTest, ExpressLaneRejectsTapsAndQueueAccess) {
   RecordingSink sink(sim);
   Link express(sim, "express", kbps(8), sec(0.5), &sink);
   EXPECT_THROW(express.add_arrival_tap([](const Packet&) {}), ParameterError);
-  EXPECT_THROW(express.add_departure_tap([](const Packet&) {}),
-               ParameterError);
   EXPECT_THROW(express.queue(), ParameterError);
 }
 
@@ -220,7 +206,7 @@ TEST(LinkTest, FusedLinkMatchesFullLinkTimingsAndDrops) {
     Simulator sim;
     RecordingSink sink(sim);
     Link link(sim, "l", kbps(8), sec(0.25),
-              std::make_unique<DropTailQueue>(2), &sink);
+              sim.make<DropTailQueue>(2), &sink);
     link.set_fused(fused);
     // Saturating burst (forces drops + pump events), then idle singles
     // (the fused zero-service-event case).
@@ -254,7 +240,7 @@ TEST(LinkTest, SettleReplaysLazyBacklogForSamplers) {
   // sampler reads the exact occupancy an eager link would report.
   Simulator sim;
   RecordingSink sink(sim);
-  Link link(sim, "l", kbps(8), sec(0.5), std::make_unique<DropTailQueue>(10),
+  Link link(sim, "l", kbps(8), sec(0.5), sim.make<DropTailQueue>(10),
             &sink);
   link.set_fused(true);
   // Five 1 s services back to back: boundaries at 1, 2, 3, 4 s.
@@ -317,7 +303,7 @@ TEST(LinkTest, ChainHandoffRequiresExpressEndpoints) {
   RecordingSink sink(sim);
   Node router(7, "router");
   Link queued(sim, "queued", kbps(8), sec(0.5),
-              std::make_unique<DropTailQueue>(10), &sink);
+              sim.make<DropTailQueue>(10), &sink);
   EXPECT_THROW(queued.chain_via(&router), ParameterError);
 
   Link express(sim, "express", kbps(8), sec(0.5),
@@ -371,46 +357,6 @@ TEST(LinkTest, InjectAtBatchMatchesEventDrivenArrivals) {
   ASSERT_EQ(ref_times.size(), 3u);
   EXPECT_EQ(batch_times, ref_times);
   EXPECT_LT(batch_events, ref_events);
-}
-
-TEST(LinkTest, SetDownstreamRewiresDeliveryTarget) {
-  // Fast-path direct wiring: retargeting the delivery handler changes the
-  // call path only — serialization and delivery instants are untouched.
-  Simulator sim;
-  RecordingSink before(sim);
-  RecordingSink after(sim);
-  Link link(sim, "l", kbps(8), sec(0.5), std::make_unique<DropTailQueue>(10),
-            &before);
-  link.handle(make_packet(1000, 0));
-  sim.schedule_at(2.0, [&link, &after] {
-    link.set_downstream(&after);
-    link.handle(make_packet(1000, 1));
-  });
-  sim.run();
-  ASSERT_EQ(before.times.size(), 1u);
-  EXPECT_NEAR(before.times[0], 1.5, 1e-9);
-  ASSERT_EQ(after.times.size(), 1u);
-  EXPECT_NEAR(after.times[0], 3.5, 1e-9);
-  EXPECT_THROW(link.set_downstream(nullptr), ParameterError);
-}
-
-TEST(LinkTest, FusedLinkWithDepartureTapKeepsServiceEvents) {
-  // A departure tap must observe the packet at its departure instant, so a
-  // fused link with one installed falls back to the full service path.
-  Simulator sim;
-  RecordingSink sink(sim);
-  Link link(sim, "l", kbps(8), sec(0.5), std::make_unique<DropTailQueue>(10),
-            &sink);
-  link.set_fused(true);
-  std::vector<Time> departures;
-  link.add_departure_tap(
-      [&departures, &sim](const Packet&) { departures.push_back(sim.now()); });
-  link.handle(make_packet(1000, 0));
-  sim.run();
-  ASSERT_EQ(departures.size(), 1u);
-  EXPECT_NEAR(departures[0], 1.0, 1e-9);  // at serialization end
-  ASSERT_EQ(sink.times.size(), 1u);
-  EXPECT_NEAR(sink.times[0], 1.5, 1e-9);
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 
 #include <cstddef>
 #include <cstdlib>
-#include <memory>
 #include <new>
 
 #include "net/droptail.hpp"
@@ -129,8 +128,8 @@ TEST(AllocTest, CancelScheduleChurnStaysAllocationFree) {
 
 TEST(AllocTest, TappedLinkPipelineStaysAllocationFree) {
   // End-to-end data path: packets burst into a tapped link faster than it
-  // drains, so the queue fills, the propagation rings wrap, and both taps
-  // fire per packet. After one warm-up burst has grown every ring to its
+  // drains, so the queue fills, the propagation rings wrap, and the arrival
+  // tap fires per packet. After one warm-up burst has grown every ring to its
   // high-water mark, a second identical burst must not touch the allocator.
   Simulator sim(7);
   sim.reserve_events(64);
@@ -141,11 +140,9 @@ TEST(AllocTest, TappedLinkPipelineStaysAllocationFree) {
   };
   auto* sink = sim.make<CountingSink>();
   auto* link = sim.make<Link>(sim, "bottleneck", mbps(10), ms(5),
-                              std::make_unique<DropTailQueue>(32), sink);
+                              sim.make<DropTailQueue>(32), sink);
   long long arrivals = 0;
-  long long departures = 0;
   link->add_arrival_tap([&arrivals](const Packet&) { ++arrivals; });
-  link->add_departure_tap([&departures](const Packet&) { ++departures; });
 
   struct BurstSource {
     Simulator& sim;
@@ -179,7 +176,6 @@ TEST(AllocTest, TappedLinkPipelineStaysAllocationFree) {
   EXPECT_EQ(sink->received, 2 * warm_received)
       << "identical bursts through an identical pipeline";
   EXPECT_EQ(arrivals, 1000);
-  EXPECT_GT(departures, 0);
   EXPECT_EQ(after - before, 0u)
       << "a warmed-up tapped link must move packets without allocating";
 }

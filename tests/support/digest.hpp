@@ -78,4 +78,10 @@ inline constexpr std::uint64_t kFig03Digest = 0xdb3c1966f47adfa2ull;
 inline constexpr std::uint64_t kFig12RedDigest = 0x328f57d94a030509ull;
 inline constexpr std::uint64_t kFig12DropTailDigest = 0xebe7d50b5a3f53cfull;
 
+// Cross traffic plus three phase-spread attackers on the ns-2 dumbbell, on
+// both packet backends. Recorded at commit 00a1abe, before the dumbbell
+// builder wired the sources straight into their access links.
+inline constexpr std::uint64_t kMixedSourcesFullDigest = 0xaa371b417887ba75ull;
+inline constexpr std::uint64_t kMixedSourcesFastDigest = 0x867e038af2428353ull;
+
 }  // namespace pdos::testsupport

@@ -180,20 +180,10 @@ TEST(CampaignTest, OverlappingSpecsShareTheStore) {
     const SweepResult r = run_sweep(subset, options);
     ASSERT_EQ(r.failures(), 0u);
   }
-  // ...then a lookup-only replay of the 2-gamma superset resolves exactly
-  // the shared sub-grid (keys are content hashes, not per-spec).
+  // ...then a sweep of the 2-gamma superset only simulates the missing
+  // gamma (keys are content hashes, not per-spec).
   CampaignStore store(dir.sub("store.d"));
   const SweepSpec superset = tiny_spec();
-  const SweepResult replay = replay_from_store(superset, store);
-  std::size_t ok = 0, skipped = 0;
-  for (const auto& point : replay.points) {
-    if (point.status == PointStatus::kOk) ++ok;
-    if (point.status == PointStatus::kSkipped) ++skipped;
-  }
-  EXPECT_EQ(ok, subset.enumerate().size());
-  EXPECT_EQ(skipped, superset.enumerate().size() - subset.enumerate().size());
-
-  // A full sweep of the superset only simulates the missing gamma.
   SweepOptions options;
   options.threads = 1;
   options.store = &store;

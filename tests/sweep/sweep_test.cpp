@@ -418,8 +418,9 @@ TEST(SpecParser, RejectsUnknownKeysAndGarbage) {
 }
 
 // The same readers check the CLIs' numeric flags (pdos_sweep --threads;
-// pdos_campaign --workers, --threads, --lease-ttl, --partial-interval):
-// the whole value, finite, in range, and the message names the flag.
+// pdos_campaign --workers, --threads, --lease-ttl; scenario_runner's
+// numbers): the whole value, finite, in range, and the message names the
+// flag.
 TEST(SpecParser, NumberReadersRejectBadFlagValues) {
   for (const char* bad : {"", "abc", "2x", "nan", "inf", "1e400"}) {
     EXPECT_THROW(parse_double(bad, "--lease-ttl"), ParameterError) << bad;
@@ -431,11 +432,11 @@ TEST(SpecParser, NumberReadersRejectBadFlagValues) {
   EXPECT_THROW(parse_integer<int>("4294967296", "--threads"), ParameterError);
   EXPECT_THROW(parse_integer<std::uint64_t>("-1", "--x"), ParameterError);
   try {
-    parse_double("0.3s", "--partial-interval");
+    parse_double("0.3s", "--lease-ttl");
     ADD_FAILURE() << "trailing junk accepted";
   } catch (const ParameterError& e) {
     EXPECT_EQ(std::string(e.what()),
-              "--partial-interval: not a number: '0.3s'");
+              "--lease-ttl: not a number: '0.3s'");
   }
   EXPECT_EQ(parse_integer<int>("-1", "--threads"), -1);
   EXPECT_EQ(parse_integer<std::uint64_t>("18446744073709551615", "--x"),

@@ -69,13 +69,13 @@ struct Loopback {
     receiver = std::make_unique<TcpReceiver>(sim, 0, 1, 0, &ack_sink,
                                              receiver_config);
     data_link = std::make_unique<Link>(sim, "data", rate, delay,
-                                       std::make_unique<DropTailQueue>(1000),
+                                       sim.make<DropTailQueue>(1000),
                                        receiver.get());
     gate = std::make_unique<LossGate>(data_link.get());
     sender = std::make_unique<TcpSender>(sim, 0, 0, 1, gate.get(),
                                          sender_config);
     ack_link = std::make_unique<Link>(sim, "ack", rate, delay,
-                                      std::make_unique<DropTailQueue>(1000),
+                                      sim.make<DropTailQueue>(1000),
                                       sender.get());
     ack_sink.next = ack_link.get();
   }
@@ -291,7 +291,7 @@ TEST(TcpTest, SenderConfigValidation) {
   EXPECT_THROW(TcpSender(loop.sim, 1, 0, 1, loop.gate.get(), bad),
                ParameterError);
   bad = TcpSenderConfig{};
-  bad.rto_min = sec(100);  // > rto_max
+  bad.rto_min = sec(100);  // > TcpSenderConfig::kRtoMax
   EXPECT_THROW(TcpSender(loop.sim, 1, 0, 1, loop.gate.get(), bad),
                ParameterError);
 }

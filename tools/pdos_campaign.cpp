@@ -3,8 +3,8 @@
 //
 // Usage:
 //   pdos_campaign SPEC... [--store DIR] [--workers K] [--threads N]
-//                 [--csv-dir DIR] [--lease-ttl S] [--partial-interval S]
-//                 [--keep-going] [--assert-no-dup] [--compact] [--quiet]
+//                 [--csv-dir DIR] [--lease-ttl S] [--keep-going]
+//                 [--assert-no-dup] [--compact] [--quiet]
 //
 // Each worker process runs every spec through the ordinary sweep engine;
 // the store's claim protocol partitions the cold grid among them with
@@ -23,9 +23,6 @@
 //   --csv-dir DIR        write each spec's merged CSV to DIR/<spec-stem>.csv
 //                        (overrides the spec's `csv =`)
 //   --lease-ttl S        work-claim lifetime in seconds, > 0 (default 120)
-//   --partial-interval S stream lookup-only partial CSVs to
-//                        <csv>.partial every S >= 0 seconds while workers
-//                        run (0, the default: none)
 //   --keep-going         workers keep dispatching after a point failure
 //   --assert-no-dup      exit 1 if total simulations exceeded the unique
 //                        task count (i.e. claiming failed to dedup)
@@ -56,8 +53,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: pdos_campaign SPEC... [--store DIR] [--workers K] "
                "[--threads N] [--csv-dir DIR] [--lease-ttl S] "
-               "[--partial-interval S] [--keep-going] [--assert-no-dup] "
-               "[--compact] [--quiet]\n");
+               "[--keep-going] [--assert-no-dup] [--compact] [--quiet]\n");
   return 2;
 }
 
@@ -91,12 +87,6 @@ int main(int argc, char** argv) {
             sweep::parse_double(argv[++i], "--lease-ttl");
         PDOS_REQUIRE(options.lease_ttl_seconds > 0.0,
                      "--lease-ttl: must be > 0");
-      } else if (std::strcmp(argv[i], "--partial-interval") == 0 &&
-                 has_value) {
-        options.partial_interval_seconds =
-            sweep::parse_double(argv[++i], "--partial-interval");
-        PDOS_REQUIRE(options.partial_interval_seconds >= 0.0,
-                     "--partial-interval: must be >= 0");
       } else if (std::strcmp(argv[i], "--keep-going") == 0) {
         options.keep_going = true;
       } else if (std::strcmp(argv[i], "--assert-no-dup") == 0) {

@@ -20,14 +20,17 @@
 // work claiming and share every result (see README.md, "Running
 // campaigns"). `--progress-json` emits machine-readable JSON-lines
 // progress on stderr for orchestrators and CI logs. `--threads` is read
-// exactly, like the spec's `threads =` key, and at most 1024.
+// exactly, like the spec's `threads =` key, and at most 1024. Every output
+// file is opened before the sweep starts, so an unwritable path simulates
+// nothing.
 // Exit status: 0 on success, 1 when any point failed, 2 on a usage or spec
-// error.
+// error (an output that cannot be opened included).
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <utility>
 
 #include "sweep/campaign_store.hpp"
 #include "sweep/parallel_for.hpp"
@@ -98,6 +101,23 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Open every output now: failing after a finished sweep would throw its
+  // results away.
+  std::ofstream csv_out;
+  std::ofstream json_out;
+  std::ofstream aggregate_out;
+  for (const auto& [path, out] : {std::pair{&file.csv_path, &csv_out},
+                                  std::pair{&file.json_path, &json_out},
+                                  std::pair{&aggregate_path, &aggregate_out}}) {
+    if (path->empty()) continue;
+    out->open(*path);
+    if (!out->good()) {
+      std::fprintf(stderr, "pdos_sweep: cannot open output: %s\n",
+                   path->c_str());
+      return 2;
+    }
+  }
+
   // A campaign store (from --campaign or `store =`) supersedes the
   // single-file cache: same keys, plus multi-process claiming.
   std::unique_ptr<sweep::CampaignStore> store;
@@ -153,32 +173,26 @@ int main(int argc, char** argv) {
   if (file.csv_path.empty()) {
     result.write_csv(std::cout);
   } else {
-    std::ofstream out(file.csv_path);
-    PDOS_REQUIRE(out.good(), "cannot open output: " + file.csv_path);
-    result.write_csv(out);
+    result.write_csv(csv_out);
     if (!quiet) {
       std::fprintf(stderr, "pdos_sweep: wrote %s\n", file.csv_path.c_str());
     }
   }
   if (!file.json_path.empty()) {
-    std::ofstream out(file.json_path);
-    PDOS_REQUIRE(out.good(), "cannot open output: " + file.json_path);
-    result.write_json(out);
+    result.write_json(json_out);
     if (!quiet) {
       std::fprintf(stderr, "pdos_sweep: wrote %s\n", file.json_path.c_str());
     }
   }
   if (!aggregate_path.empty()) {
     const auto rows = sweep::aggregate_replicates(result);
-    std::ofstream out(aggregate_path);
-    PDOS_REQUIRE(out.good(), "cannot open output: " + aggregate_path);
     const bool json = aggregate_path.size() >= 5 &&
                       aggregate_path.rfind(".json") ==
                           aggregate_path.size() - 5;
     if (json) {
-      sweep::write_aggregate_json(rows, out);
+      sweep::write_aggregate_json(rows, aggregate_out);
     } else {
-      sweep::write_aggregate_csv(rows, out);
+      sweep::write_aggregate_csv(rows, aggregate_out);
     }
     if (!quiet) {
       std::fprintf(stderr, "pdos_sweep: wrote %s (%zu aggregate rows)\n",
