@@ -35,10 +35,11 @@ std::vector<Time> spread_phases_seeded(int k, Time spread,
   constexpr std::uint64_t kPhaseStream = 0x70686173'65000000ULL;  // "phase"
   std::vector<Time> phases(static_cast<std::size_t>(k), 0.0);
   if (spread > 0.0) {
-    for (int a = 0; a < k; ++a) {
-      Rng rng(derive_seed(base_seed, kPhaseStream + static_cast<std::uint64_t>(a)));
-      phases[static_cast<std::size_t>(a)] = rng.uniform(0.0, spread);
+    std::vector<std::uint64_t> seeds(phases.size());
+    for (std::size_t a = 0; a < seeds.size(); ++a) {
+      seeds[a] = derive_seed(base_seed, kPhaseStream + a);
     }
+    one_draw_uniforms(seeds, 0.0, spread, phases);
   }
   return phases;
 }

@@ -18,6 +18,7 @@
 #include "tcp/tcp_receiver.hpp"
 #include "traffic/sources.hpp"
 #include "util/assert.hpp"
+#include "util/rng.hpp"
 
 namespace pdos {
 
@@ -391,9 +392,9 @@ void ScenarioWorkspace::build(const ScenarioConfig& config,
                                 attack->packet_bytes)
                : sim.make<Link>(sim, name, access, ms(1), big_fifo(sim),
                                 bottleneck_, attack->packet_bytes);
-      // Attack packets are addressed to routerR, which hosts no agent and
-      // therefore sinks them — after they have crossed the bottleneck
-      // queue, which is all the attack needs.
+      // Attack packets are addressed to routerR, which drops them — after
+      // they have crossed the bottleneck queue, which is all the attack
+      // needs.
       attackers_.push_back(sim.make<PulseAttacker>(
           sim, sub_trains[a], NodeId{2 * m + 12 + a}, router_r_id,
           attack_link, FlowId{-1000 - a}));
@@ -489,12 +490,18 @@ RunResult ScenarioWorkspace::run(const ScenarioConfig& config,
   }
 
   // Stagger flow starts to avoid artificial lockstep at t = 0. Each flow
-  // draws from its own seed-derived stream so the offsets do not depend on
-  // what else the scenario instantiates (attackers, cross traffic).
+  // takes the one draw of its own seed-derived stream, so the offsets do not
+  // depend on what else the scenario instantiates (attackers, cross
+  // traffic); all of them are computed in one call, building no engine.
+  start_seeds_.resize(flows_.size());
   for (std::size_t i = 0; i < flows_.size(); ++i) {
-    Rng start_rng = sim_.stream(kFlowStartStream + i);
-    flows_[i].sender->start(
-        start_rng.uniform(0.0, ScenarioConfig::kFlowStartSpread));
+    start_seeds_[i] = derive_seed(sim_.seed(), kFlowStartStream + i);
+  }
+  start_offsets_.resize(flows_.size());
+  one_draw_uniforms(start_seeds_, 0.0, ScenarioConfig::kFlowStartSpread,
+                    start_offsets_);
+  for (std::size_t i = 0; i < flows_.size(); ++i) {
+    flows_[i].sender->start(start_offsets_[i]);
   }
   if (!attackers_.empty()) {
     auto phases =

@@ -217,6 +217,8 @@ class ScenarioWorkspace {
   OnOffSource* cross_traffic_ = nullptr;
   // Per-run scratch, cleared (not freed) between runs.
   std::vector<Bytes> goodput_marks_;
+  std::vector<std::uint64_t> start_seeds_;  // one stream seed per flow
+  std::vector<Time> start_offsets_;
 };
 
 /// Build and run one scenario. If `attack` is set, the pulse train starts

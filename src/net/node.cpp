@@ -13,42 +13,9 @@ void Node::add_route(NodeId dst, PacketHandler* via) {
   routes_[static_cast<std::size_t>(dst)] = via;
 }
 
-void Node::attach(FlowId flow, PacketHandler* agent) {
-  PDOS_REQUIRE(agent != nullptr, "Node::attach: agent must be non-null");
-  for (const auto& [attached, unused] : agents_) {
-    PDOS_CHECK_MSG(attached != flow, "flow already attached to node " + name_);
-  }
-  agents_.emplace_back(flow, agent);
-}
-
-void Node::detach(FlowId flow) {
-  for (auto it = agents_.begin(); it != agents_.end(); ++it) {
-    if (it->first == flow) {
-      agents_.erase(it);
-      return;
-    }
-  }
-}
-
 void Node::handle(Packet pkt) {
-  if (pkt.dst == id_) {
-    // Local delivery: scan the (tiny) agent table. Raw sinks — e.g. the
-    // router attack packets are aimed at — fall straight through.
-    for (const auto& [flow, agent] : agents_) {
-      if (flow == pkt.flow) {
-        agent->handle(std::move(pkt));
-        return;
-      }
-    }
-    sink_bytes_ += pkt.size_bytes;
-    ++sink_packets_;
-    return;
-  }
-  PacketHandler* via =
-      pkt.dst >= 0 && static_cast<std::size_t>(pkt.dst) < routes_.size()
-          ? routes_[static_cast<std::size_t>(pkt.dst)]
-          : nullptr;
-  if (via == nullptr) via = default_route_;
+  if (pkt.dst == id_) return;  // aimed at this node: nothing to deliver to
+  PacketHandler* via = peek_route(pkt.dst);
   PDOS_CHECK_MSG(via != nullptr,
                  "node " + name_ + " has no route for destination");
   via->handle(std::move(pkt));

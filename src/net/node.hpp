@@ -1,18 +1,13 @@
-// Network node with static routing and local agent demux.
+// Network node with static routing.
 //
 // Topologies in this library are small and fixed (dumbbell, single
 // bottleneck), so routing is a static next-hop table keyed by destination
-// node, with an optional default route. Node ids are assigned densely from
-// 0 by the topology builder, so the table is a flat vector indexed by
-// destination — the per-hop lookup every forwarded packet pays is an array
-// load, not a hash probe. Packets addressed to the node itself are
-// demultiplexed to an attached agent by flow id via a flat (flow, agent)
-// vector — a node hosts at most a handful of agents, so a linear scan beats
-// any hash machinery. Deliveries with no matching agent (e.g. attack
-// packets aimed at a raw sink) are counted, not errors.
+// node. Node ids are assigned densely from 0 by the topology builder, so the
+// table is a flat vector indexed by destination — the per-hop lookup every
+// forwarded packet pays is an array load, not a hash probe. Packets
+// addressed to the node itself (attack packets aimed at a router) end here.
 #pragma once
 
-#include <cstdint>
 #include <memory_resource>
 #include <string>
 #include <utility>
@@ -25,54 +20,40 @@ namespace pdos {
 
 class Node : public PacketHandler {
  public:
-  /// The route/agent tables allocate from `memory` (default: the global
-  /// heap; pass the Simulator's arena for warm-reuse scenarios).
+  /// The route table allocates from `memory` (default: the global heap;
+  /// pass the Simulator's arena for warm-reuse scenarios).
   Node(NodeId id, std::string name,
        std::pmr::memory_resource* memory = std::pmr::get_default_resource())
-      : id_(id), name_(std::move(name)), routes_(memory), agents_(memory) {}
+      : id_(id), name_(std::move(name)), routes_(memory) {}
 
   NodeId id() const { return id_; }
   const std::string& name() const { return name_; }
 
   /// Install `via` as the next hop toward `dst`.
   void add_route(NodeId dst, PacketHandler* via);
-  /// Fallback next hop for destinations with no explicit route.
-  void set_default_route(PacketHandler* via) { default_route_ = via; }
 
   /// The hop handle() would forward a packet for `dst` to, without touching
-  /// the packet: the explicit route, else the default route, else null —
-  /// and null for the node itself (local delivery is not a hop). Express
-  /// chain handoff (Link::chain_via, DESIGN.md §11) uses this to skip the
-  /// router's delivery event when the next hop is another express lane.
+  /// the packet: the route, else null — and null for the node itself (a
+  /// self-addressed packet is not forwarded). Express chain handoff
+  /// (Link::chain_via, DESIGN.md §11) uses this to skip the router's
+  /// delivery event when the next hop is another express lane.
   PacketHandler* peek_route(NodeId dst) const {
     if (dst == id_) return nullptr;
-    PacketHandler* via =
-        dst >= 0 && static_cast<std::size_t>(dst) < routes_.size()
-            ? routes_[static_cast<std::size_t>(dst)]
-            : nullptr;
-    return via != nullptr ? via : default_route_;
+    return dst >= 0 && static_cast<std::size_t>(dst) < routes_.size()
+               ? routes_[static_cast<std::size_t>(dst)]
+               : nullptr;
   }
 
-  /// Attach a local agent for packets addressed to this node on `flow`.
-  void attach(FlowId flow, PacketHandler* agent);
-  void detach(FlowId flow);
-
+  /// Drop a self-addressed packet; forward any other by the route table.
+  /// A destination with no route is an InvariantError.
   void handle(Packet pkt) override;
-
-  /// Bytes/packets delivered to this node with no attached agent.
-  Bytes sink_bytes() const { return sink_bytes_; }
-  std::uint64_t sink_packets() const { return sink_packets_; }
 
  private:
   NodeId id_;
   std::string name_;
   // Dense next-hop table: routes_[dst] is null for destinations with no
-  // explicit route (fall through to default_route_).
+  // route.
   std::pmr::vector<PacketHandler*> routes_;
-  PacketHandler* default_route_ = nullptr;
-  std::pmr::vector<std::pair<FlowId, PacketHandler*>> agents_;
-  Bytes sink_bytes_ = 0;
-  std::uint64_t sink_packets_ = 0;
 };
 
 }  // namespace pdos

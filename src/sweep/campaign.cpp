@@ -51,13 +51,19 @@ std::size_t spec_task_total(const SweepSpec& spec) {
   return points.size() + baselines;
 }
 
+/// Open `path` for writing, creating its directory; an empty path stays
+/// closed. A path that cannot be opened is a ParameterError.
 std::ofstream open_output(const std::string& path) {
+  std::ofstream out;
+  if (path.empty()) return out;
   const std::filesystem::path parent = std::filesystem::path(path).parent_path();
   if (!parent.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(parent, ec);  // best effort
   }
-  return std::ofstream(path);
+  out.open(path);
+  PDOS_REQUIRE(out.good(), "cannot open output: " + path);
+  return out;
 }
 
 /// One worker process: run every spec through the ordinary sweep engine
@@ -136,6 +142,23 @@ CampaignResult run_campaign(const std::vector<CampaignSpec>& specs,
   std::vector<std::size_t> spec_totals(specs.size(), 0);
   for (std::size_t si = 0; si < specs.size(); ++si) {
     spec_totals[si] = spec_task_total(specs[si].spec);
+  }
+  // Open every output before the first fork, so a path that cannot be
+  // written fails here instead of after the whole grid has run. The streams
+  // hold no buffered bytes across the fork, and workers leave them alone.
+  // Two open streams on one path would interleave their tables.
+  std::unordered_set<std::string> output_paths;
+  for (const CampaignSpec& spec : specs) {
+    for (const std::string& path : {spec.csv_path, spec.json_path}) {
+      PDOS_REQUIRE(path.empty() || output_paths.insert(path).second,
+                   "output named twice: " + path);
+    }
+  }
+  std::vector<std::ofstream> csv_outs;
+  std::vector<std::ofstream> json_outs;
+  for (const CampaignSpec& spec : specs) {
+    csv_outs.push_back(open_output(spec.csv_path));
+    json_outs.push_back(open_output(spec.json_path));
   }
 
   // Fork the workers, each with a report pipe. Fork happens before this
@@ -262,7 +285,8 @@ CampaignResult run_campaign(const std::vector<CampaignSpec>& specs,
   // workers get simulated right here.
   CampaignStore merged(options.store_dir, options.lease_ttl_seconds);
   merged.refresh();
-  for (const CampaignSpec& spec : specs) {
+  for (std::size_t si = 0; si < specs.size(); ++si) {
+    const CampaignSpec& spec = specs[si];
     CampaignSpecResult spec_result;
     SweepOptions sweep_options;
     sweep_options.threads = options.threads;
@@ -272,16 +296,8 @@ CampaignResult run_campaign(const std::vector<CampaignSpec>& specs,
     spec_result.result = run_sweep(spec.spec, sweep_options);
     spec_result.unique_tasks = count_unique_tasks(spec.spec);
     campaign.final_simulated += spec_result.result.simulated;
-    if (!spec.csv_path.empty()) {
-      std::ofstream out = open_output(spec.csv_path);
-      PDOS_REQUIRE(out.good(), "cannot open output: " + spec.csv_path);
-      spec_result.result.write_csv(out);
-    }
-    if (!spec.json_path.empty()) {
-      std::ofstream out = open_output(spec.json_path);
-      PDOS_REQUIRE(out.good(), "cannot open output: " + spec.json_path);
-      spec_result.result.write_json(out);
-    }
+    if (csv_outs[si].is_open()) spec_result.result.write_csv(csv_outs[si]);
+    if (json_outs[si].is_open()) spec_result.result.write_json(json_outs[si]);
     campaign.specs.push_back(std::move(spec_result));
   }
 

@@ -93,7 +93,9 @@ struct CampaignResult {
 
 /// Fork `options.workers` processes over `specs`, join them, and replay the
 /// merged results. Must be called from a process that can fork safely
-/// (i.e. before the caller spawns its own threads).
+/// (i.e. before the caller spawns its own threads). Every CSV/JSON output is
+/// opened before the first fork: one that cannot be opened, or a path named
+/// twice, is a ParameterError and nothing runs.
 CampaignResult run_campaign(const std::vector<CampaignSpec>& specs,
                             const CampaignOptions& options);
 

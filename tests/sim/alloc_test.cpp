@@ -197,11 +197,9 @@ TEST(AllocTest, WarmResetRebuildRunsAllocationFree) {
 
   const auto build_and_run = [&](long long& received_out) {
     auto* sink = sim.make<CountingSink>();
-    auto* dst = sim.make<Node>(NodeId{1}, "dst", sim.memory());
-    dst->attach(FlowId{-2000}, sink);  // CbrSource's default flow id
     auto* red = sim.make<RedQueue>(RedParams::paper_testbed(32),
                                    sim.stream(kQueueStream), sim.memory());
-    auto* link = sim.make<Link>(sim, "bottleneck", mbps(10), ms(5), red, dst);
+    auto* link = sim.make<Link>(sim, "bottleneck", mbps(10), ms(5), red, sink);
     auto* src = sim.make<Node>(NodeId{0}, "src", sim.memory());
     src->add_route(NodeId{1}, link);
     auto* cbr = sim.make<CbrSource>(sim, mbps(12), 1040, NodeId{0}, NodeId{1},

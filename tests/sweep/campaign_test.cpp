@@ -301,6 +301,45 @@ TEST(CampaignTest, RejectsBadLeaseTtlBeforeForking) {
   EXPECT_FALSE(std::filesystem::exists(options.store_dir));
 }
 
+TEST(CampaignTest, RejectsUnopenableOutputBeforeForking) {
+  TempDir dir;
+  { std::ofstream(dir.sub("afile")) << "a regular file\n"; }
+  CampaignSpec spec;
+  spec.spec = tiny_spec();
+  spec.csv_path = dir.sub("afile/out/tiny.csv");
+  CampaignOptions options;
+  options.store_dir = dir.sub("store.d");
+  options.workers = 1;
+  options.threads = 1;
+  try {
+    run_campaign({spec}, options);
+    ADD_FAILURE() << "an output under a regular file must not open";
+  } catch (const ParameterError& e) {
+    EXPECT_NE(std::string(e.what()).find(spec.csv_path), std::string::npos)
+        << e.what();
+  }
+  // No worker ran: workers create the store directory when they open it.
+  EXPECT_FALSE(std::filesystem::exists(options.store_dir));
+}
+
+TEST(CampaignTest, RejectsOutputNamedTwiceBeforeForking) {
+  // Two specs with one stem under --csv-dir map to one path; both tables
+  // cannot land there.
+  TempDir dir;
+  CampaignSpec first;
+  first.spec = tiny_spec();
+  first.csv_path = dir.sub("out/tiny.csv");
+  CampaignSpec second = first;
+  second.spec.gammas = {0.5};
+  CampaignOptions options;
+  options.store_dir = dir.sub("store.d");
+  options.workers = 1;
+  options.threads = 1;
+  EXPECT_THROW(run_campaign({first, second}, options), ParameterError);
+  EXPECT_FALSE(std::filesystem::exists(options.store_dir));
+  EXPECT_FALSE(std::filesystem::exists(first.csv_path));  // nothing opened
+}
+
 TEST(CampaignTest, CountUniqueTasksIsPointsPlusUniqueBaselines) {
   const SweepSpec spec = tiny_spec();
   // One flow count: one baseline per replicate, shared by both gammas.

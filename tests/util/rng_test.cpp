@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -164,6 +168,77 @@ TEST(RngTest, InvalidArgumentsThrow) {
   EXPECT_THROW(rng.uniform_int(5, 2), ParameterError);
   EXPECT_THROW(rng.exponential(0.0), ParameterError);
   EXPECT_THROW(rng.exponential(-1.0), ParameterError);
+}
+
+// The stream tags the one-draw callers derive their seeds with: flow start
+// offsets (core/experiment.cpp) and attacker phases (attack/distributed.cpp).
+constexpr std::uint64_t kFlowStartStream = 0x666c6f77'73000000ULL;
+constexpr std::uint64_t kPhaseStream = 0x70686173'65000000ULL;
+
+TEST(RngTest, OneDrawUniformsMatchTheEngineBitForBit) {
+  std::vector<std::uint64_t> seeds = {
+      0, 1, 2, std::numeric_limits<std::uint64_t>::max(),
+      std::numeric_limits<std::uint64_t>::max() - 1, 0x8000000000000000ULL};
+  for (std::uint64_t base = 1; base <= 25; ++base) {
+    for (std::uint64_t i = 0; i < 2000; ++i) {
+      seeds.push_back(derive_seed(base, kFlowStartStream + i));
+    }
+    for (std::uint64_t a = 0; a < 64; ++a) {
+      seeds.push_back(derive_seed(base, kPhaseStream + a));
+    }
+  }
+  for (std::uint64_t i = 0; seeds.size() < 100'000; ++i) {
+    seeds.push_back(i * 0x9e3779b97f4a7c15ULL);
+  }
+  const std::pair<double, double> ranges[] = {
+      {0.0, 1.0}, {0.0, 0.5}, {-3.25, 11.5}, {2.0, 2.0}};
+  std::vector<double> out(seeds.size());
+  for (const auto& [lo, hi] : ranges) {
+    one_draw_uniforms(seeds, lo, hi, out);
+    for (std::size_t i = 0; i < seeds.size(); ++i) {
+      ASSERT_EQ(out[i], Rng(seeds[i]).uniform(lo, hi))
+          << "seed " << seeds[i] << " in [" << lo << ", " << hi << ")";
+    }
+  }
+}
+
+TEST(RngTest, OneDrawBatchSizesAgreeWithOneSeedCalls) {
+  std::vector<std::uint64_t> seeds;
+  for (std::uint64_t i = 0; i < 1000; ++i) {
+    seeds.push_back(derive_seed(7, kFlowStartStream + i));
+  }
+  for (std::size_t n : {0, 1, 7, 8, 9, 1000}) {
+    const std::span<const std::uint64_t> batch(seeds.data(), n);
+    std::vector<double> out(n, -1.0);
+    one_draw_uniforms(batch, 0.0, 0.5, out);
+    for (std::size_t i = 0; i < n; ++i) {
+      double single = -1.0;
+      one_draw_uniforms(batch.subspan(i, 1), 0.0, 0.5, std::span(&single, 1));
+      ASSERT_EQ(out[i], single) << "batch of " << n << ", seed " << i;
+    }
+  }
+}
+
+TEST(RngTest, OneShotGeneratorContinuesTheEngineSequence) {
+  for (std::uint64_t seed : {std::uint64_t{0}, std::uint64_t{42},
+                             derive_seed(3, kPhaseStream)}) {
+    std::mt19937_64 reference(seed);
+    const std::uint64_t first = reference();
+    const std::uint64_t second = reference();
+    OneShotGenerator gen(seed, first);
+    EXPECT_EQ(gen(), first) << seed;
+    EXPECT_EQ(gen(), second) << seed;  // a second call builds the engine
+    EXPECT_EQ(gen(), reference()) << seed;
+  }
+}
+
+TEST(RngTest, OneDrawUniformsRejectWhatUniformRejects) {
+  const std::uint64_t seeds[] = {1, 2};
+  double out[2] = {};
+  EXPECT_THROW(Rng(1).uniform(5.0, 2.0), ParameterError);
+  EXPECT_THROW(one_draw_uniforms(seeds, 5.0, 2.0, out), ParameterError);
+  EXPECT_THROW(one_draw_uniforms(seeds, 0.0, 1.0, std::span(out, 1)),
+               ParameterError);
 }
 
 }  // namespace

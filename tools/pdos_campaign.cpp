@@ -32,7 +32,8 @@
 // value exits 2, naming the flag, before any worker is forked.
 //
 // Exit status: 0 on success; 1 when any point failed, a worker crashed, or
-// an --assert-no-dup check tripped; 2 on a usage or spec error.
+// an --assert-no-dup check tripped; 2 on a usage or spec error, an output
+// that cannot be opened included (checked before any worker forks).
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -158,6 +159,11 @@ int main(int argc, char** argv) {
   sweep::CampaignResult result;
   try {
     result = sweep::run_campaign(specs, options);
+  } catch (const ParameterError& e) {
+    // A usage error, found before any worker forks: an output that cannot
+    // be opened, say.
+    std::fprintf(stderr, "pdos_campaign: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "pdos_campaign: %s\n", e.what());
     return 1;
