@@ -83,7 +83,7 @@ void BM_LinkServiceUntapped(benchmark::State& state) {
     Simulator sim(1);
     sim.reserve_events(64);
     auto* sink = sim.make<NullSink>();
-    auto* link = sim.make<Link>(sim, "l", mbps(10), ms(5),
+    auto* link = sim.make<Link>(sim, mbps(10), ms(5),
                                 sim.make<DropTailQueue>(64), sink);
     run_link_pipeline(*link, sim, 1000);
     benchmark::DoNotOptimize(sink->received);
@@ -102,7 +102,7 @@ void BM_LinkServiceTapped(benchmark::State& state) {
     sim.reserve_events(64);
     StatsHub hub(ms(10), sec(2));
     auto* sink = sim.make<NullSink>();
-    auto* link = sim.make<Link>(sim, "l", mbps(10), ms(5),
+    auto* link = sim.make<Link>(sim, mbps(10), ms(5),
                                 sim.make<DropTailQueue>(64), sink);
     link->add_arrival_tap([&sim, &hub](const Packet& pkt) {
       hub.on_arrival(sim.now(), pkt);

@@ -28,7 +28,8 @@ RunControl setup_only_control() {
 }
 
 /// perfbench's gigabit_fast: large_scale(1000, 1 Gbps), fast path on, under
-/// a γ = 0.3 pulse train scaled to the bottleneck.
+/// a γ = 0.3 pulse train scaled to the bottleneck (the `BM_GigabitSetup*`
+/// argument turns the train off or on).
 ScenarioConfig gigabit_config() {
   return ScenarioConfig::large_scale(1000, gbps(1));
 }
@@ -77,15 +78,30 @@ void BM_ScenarioSetupWarm(benchmark::State& state) {
 }
 BENCHMARK(BM_ScenarioSetupWarm)->Arg(15)->Arg(45);
 
-void BM_GigabitSetupFresh(benchmark::State& state) {
-  time_fresh_builds(state, gigabit_config(), gigabit_train());
+/// The gigabit train when the benchmark's argument is 1, none when it is 0,
+/// so one run shows what the attack adds to a 1000-flow set-up.
+std::optional<PulseTrain> gigabit_attack(const benchmark::State& state) {
+  if (state.range(0) == 0) return std::nullopt;
+  return gigabit_train();
 }
-BENCHMARK(BM_GigabitSetupFresh)->Unit(benchmark::kMicrosecond);
+
+void BM_GigabitSetupFresh(benchmark::State& state) {
+  time_fresh_builds(state, gigabit_config(), gigabit_attack(state));
+}
+BENCHMARK(BM_GigabitSetupFresh)
+    ->ArgName("train")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_GigabitSetupWarm(benchmark::State& state) {
-  time_warm_builds(state, gigabit_config(), gigabit_train());
+  time_warm_builds(state, gigabit_config(), gigabit_attack(state));
 }
-BENCHMARK(BM_GigabitSetupWarm)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_GigabitSetupWarm)
+    ->ArgName("train")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
 
 /// The gigabit scenario's 1000 flow start seeds (seed 1; the tag is
 /// core/experiment.cpp's flow start stream).

@@ -1,8 +1,8 @@
 #include "attack/pulse.hpp"
 
+#include <algorithm>
 #include <cmath>
 
-#include "net/link.hpp"
 #include "util/assert.hpp"
 
 namespace pdos {
@@ -43,90 +43,98 @@ PulseTrain PulseTrain::flooding(BitRate rate, Bytes packet_bytes) {
 }
 
 PulseAttacker::PulseAttacker(Simulator& sim, PulseTrain train, NodeId self,
-                             NodeId sink, PacketHandler* out, FlowId flow)
+                             NodeId sink, PacketHandler* out, FlowId flow,
+                             std::optional<AccessHop> hop)
     : sim_(sim),
       train_(train),
       self_(self),
       sink_(sink),
       out_(out),
       flow_(flow),
-      pulse_timer_(sim.scheduler(), [this] { fire_pulse(); }) {
+      hop_(hop),
+      pulse_timer_(sim.scheduler(), [this] { fire_pulse(); }),
+      waiting_(sim.memory()) {
   PDOS_REQUIRE(out != nullptr, "PulseAttacker: out must be non-null");
   train_.validate();
+  if (hop_) {
+    PDOS_REQUIRE(hop_->rate > 0.0 && hop_->delay >= 0.0,
+                 "PulseAttacker: access hop needs rate > 0 and delay >= 0");
+    hop_tx_ = transmission_time(train_.packet_bytes, hop_->rate);
+  }
   packet_spacing_ = transmission_time(train_.packet_bytes, train_.rattack);
   // Emit packets whose spacing fits fully inside the pulse window, at least
   // one per pulse.
   packets_per_pulse_ = std::max<std::int64_t>(
       1, static_cast<std::int64_t>(std::floor(train_.textent /
                                               packet_spacing_)));
+  burst_next_ = packets_per_pulse_;
 }
 
 void PulseAttacker::start(Time when) { pulse_timer_.schedule_at(when); }
 
-void PulseAttacker::set_express_lane(Link* lane) {
-  PDOS_REQUIRE(lane != nullptr && lane->express(),
-               "PulseAttacker: burst lane must be an express link");
-  express_lane_ = lane;
-}
-
 void PulseAttacker::fire_pulse() {
   if (stopped_ || stats_.pulses_started >= train_.n) return;
   ++stats_.pulses_started;
-  // Emissions within the pulse chain through one pending event: each one
-  // schedules its successor, so a burst occupies a single heap entry
-  // instead of ballooning the event queue by packets_per_pulse_. Claiming
-  // the burst's rank range here keeps same-timestamp ordering identical to
-  // scheduling every emission eagerly; a started burst always runs to
-  // completion (stop() only suppresses future pulses), exactly as the
+  // The fast path counts a pulse whole when it fires, so a pulse that the
+  // horizon cuts short is over-counted against `full`, which counts each
+  // packet as the chain hands it on (DESIGN.md §11).
+  if (hop_) count_sent(packets_per_pulse_);
+  // Claiming the burst's rank range here keeps same-timestamp ordering
+  // identical to scheduling every packet eagerly. A fired burst always runs
+  // to completion (stop() only suppresses future pulses), exactly as the
   // eagerly scheduled events would have.
-  burst_start_ = sim_.now();
-  if (express_lane_ != nullptr) {
-    // Batched fast path: the whole burst is injected now, each packet at
-    // its analytic send time. The lane serializes them exactly as the
-    // event-driven emissions would (it is never busy when a packet lands —
-    // its rate is at least twice R_attack), so only the event count and
-    // tie ranks change, never a packet timing. A fired burst runs to
-    // completion either way, so stop() semantics are unchanged.
-    for (std::int64_t j = 0; j < packets_per_pulse_; ++j) {
-      express_lane_->inject_at(
-          make_attack_packet(),
-          burst_start_ + static_cast<double>(j) * packet_spacing_);
-    }
-  } else {
-    burst_seq_ = sim_.scheduler().allocate_seq_range(
-        static_cast<std::uint32_t>(packets_per_pulse_));
-    burst_next_ = 0;
-    sim_.scheduler().schedule_at_sequenced(burst_start_, burst_seq_,
-                                           [this] { emit_packet(); });
-  }
+  const auto ranks = static_cast<std::uint32_t>(packets_per_pulse_);
+  waiting_.push_back(
+      Burst{sim_.now(), sim_.scheduler().allocate_seq_range(ranks)});
+  if (burst_next_ == packets_per_pulse_) walk_next_burst();
   if (stats_.pulses_started < train_.n) {
     pulse_timer_.schedule_in(train_.period());
   }
 }
 
-Packet PulseAttacker::make_attack_packet() {
+void PulseAttacker::walk_next_burst() {
+  burst_ = waiting_.pop_front();
+  burst_next_ = 0;
+  schedule_packet();
+}
+
+void PulseAttacker::schedule_packet() {
+  // Send times are computed from the burst origin, not accumulated, so the
+  // chain reproduces the eager schedule's timestamps bit for bit.
+  Time at = burst_.start + static_cast<double>(burst_next_) * packet_spacing_;
+  if (hop_) {
+    // The express lane's serialization and propagation (Link::inject_at,
+    // Link::emit) step for step, FIFO behind the previous packet, whose
+    // pulse may be an earlier one.
+    lane_free_ = std::max(at, lane_free_) + hop_tx_;
+    at = lane_free_ + hop_->delay;
+  }
+  sim_.scheduler().schedule_at_sequenced(
+      at, burst_.seq + static_cast<std::uint32_t>(burst_next_),
+      [this] { emit_packet(); });
+}
+
+void PulseAttacker::emit_packet() {
+  if (!hop_) count_sent(1);
   Packet pkt;
   pkt.type = PacketType::kAttack;
   pkt.flow = flow_;
   pkt.src = self_;
   pkt.dst = sink_;
   pkt.size_bytes = train_.packet_bytes;
-  ++stats_.packets_sent;
-  stats_.bytes_sent += pkt.size_bytes;
-  return pkt;
-}
-
-void PulseAttacker::emit_packet() {
-  Packet pkt = make_attack_packet();
+  // The successor is scheduled before this packet is handed on, as a link
+  // re-arms its delivery event before it delivers.
   if (++burst_next_ < packets_per_pulse_) {
-    // Emission times are computed from the burst origin, not accumulated,
-    // so the chain reproduces the eager schedule's timestamps bit-for-bit.
-    sim_.scheduler().schedule_at_sequenced(
-        burst_start_ + static_cast<double>(burst_next_) * packet_spacing_,
-        burst_seq_ + static_cast<std::uint32_t>(burst_next_),
-        [this] { emit_packet(); });
+    schedule_packet();
+  } else if (!waiting_.empty()) {
+    walk_next_burst();
   }
   out_->handle(std::move(pkt));
+}
+
+void PulseAttacker::count_sent(std::int64_t packets) {
+  stats_.packets_sent += packets;
+  stats_.bytes_sent += packets * train_.packet_bytes;
 }
 
 }  // namespace pdos

@@ -10,9 +10,11 @@
 
 #include <cstdint>
 #include <limits>
+#include <optional>
 
 #include "net/packet.hpp"
 #include "sim/simulator.hpp"
+#include "util/fifo.hpp"
 #include "util/units.hpp"
 
 namespace pdos {
@@ -54,11 +56,24 @@ struct AttackerStats {
   Bytes bytes_sent = 0;
 };
 
-/// Emits the pulse train into `out` (typically the attacker's access link).
+/// An attacker's access hop, which never congests (`rate` is at least twice
+/// the pulse rate): on the fast path the attacker walks it itself instead of
+/// a link (DESIGN.md §11), FIFO serialization at `rate`, then `delay`.
+struct AccessHop {
+  BitRate rate = 0.0;  // > 0
+  Time delay = 0.0;    // >= 0
+};
+
+/// Emits the pulse train into `out`, one packet per event (DESIGN.md §8).
+/// Without `hop` (full path) `out` is the access link, reached by packet j
+/// of a pulse at its send time `burst_start + j * spacing`. With `hop` (fast
+/// path) `out` is the link behind the hop, reached at the instant an express
+/// lane of the hop's rate and delay would deliver the packet.
 class PulseAttacker {
  public:
   PulseAttacker(Simulator& sim, PulseTrain train, NodeId self, NodeId sink,
-                PacketHandler* out, FlowId flow = -1000);
+                PacketHandler* out, FlowId flow = -1000,
+                std::optional<AccessHop> hop = std::nullopt);
 
   /// Begin the first pulse at absolute virtual time `when`.
   void start(Time when);
@@ -66,42 +81,43 @@ class PulseAttacker {
   /// Stop after the current pulse; no further pulses are scheduled.
   void stop() { stopped_ = true; }
 
-  /// Fast path (DESIGN.md §11): emit bursts straight into an express access
-  /// link in one pass — each packet injected at its analytic send time
-  /// `burst_start + j * spacing` — so a pulse costs ONE scheduler event
-  /// instead of one per packet. Valid only because the attacker's access
-  /// link never congests (its rate is at least twice R_attack), so the
-  /// express lane serializes each packet exactly as the queued link would;
-  /// packet timings are bit-identical, only event counts and tie ranks
-  /// differ. `lane` must be express and must outlive the attacker.
-  void set_express_lane(class Link* lane);
-
   const PulseTrain& train() const { return train_; }
   const AttackerStats& stats() const { return stats_; }
 
  private:
+  // A fired pulse: its send origin and the tie-break rank of its packet 0.
+  struct Burst {
+    Time start = 0.0;
+    std::uint32_t seq = 0;
+  };
+
   void fire_pulse();
+  void walk_next_burst();
+  void schedule_packet();
   void emit_packet();
-  Packet make_attack_packet();
+  void count_sent(std::int64_t packets);
 
   Simulator& sim_;
   PulseTrain train_;
   NodeId self_;
   NodeId sink_;
   PacketHandler* out_;
-  class Link* express_lane_ = nullptr;  // batched-burst fast path, or null
   FlowId flow_;
+  std::optional<AccessHop> hop_;
+  Time hop_tx_ = 0.0;     // one attack packet's serialization on the hop
+  Time lane_free_ = 0.0;  // when the hop's wire is next free, across pulses
   Time packet_spacing_;
   std::int64_t packets_per_pulse_;
   bool stopped_ = false;
   Timer pulse_timer_;  // drives the periodic pulse cycle
-  // In-pulse emission chain: one pending event walks the burst instead of
-  // packets_per_pulse_ events sitting in the heap at once. The whole
-  // burst's tie-break ranks are claimed when the pulse fires, so each
-  // emission keeps the rank it would have had as an eager schedule.
-  Time burst_start_ = 0.0;         // fire_pulse() time of the current burst
-  std::uint32_t burst_seq_ = 0;    // rank of emission 0
-  std::int64_t burst_next_ = 0;    // emissions already sent this burst
+  // Emission chain: one pending event walks the burst, whose tie-break
+  // ranks are claimed when the pulse fires, so each packet keeps the rank
+  // an eager schedule would have given it.
+  Burst burst_;                  // the pulse the chain is walking
+  std::int64_t burst_next_ = 0;  // its packets handed on; all = idle
+  // Fired pulses the chain has not reached yet. One waits behind another
+  // only on the fast path, when T_space is shorter than the access hop.
+  Fifo<Burst> waiting_;
   AttackerStats stats_;
 };
 

@@ -296,8 +296,8 @@ void ScenarioWorkspace::build(const ScenarioConfig& config,
   const bool fast = config.backend == Backend::kFast;
   Simulator& sim = sim_;
 
-  auto* router_s = sim.make<Node>(router_s_id, "routerS", sim.memory());
-  auto* router_r = sim.make<Node>(router_r_id, "routerR", sim.memory());
+  auto* router_s = sim.make<Node>(router_s_id, sim.memory());
+  auto* router_r = sim.make<Node>(router_r_id, sim.memory());
 
   // Flat hot-state tables: all N flows' per-ACK sender state in one arena
   // block, receivers in the next, so the ACK clock walks contiguous cache
@@ -310,10 +310,9 @@ void ScenarioWorkspace::build(const ScenarioConfig& config,
   const Time shared_delay = ScenarioConfig::kBottleneckDelay;
   // A forward access link (data or cross traffic): queued, and fused on
   // the fast path.
-  const auto forward_link = [&](std::string name, Time delay,
-                                PacketHandler* downstream) {
-    auto* link = sim.make<Link>(sim, std::move(name), config.access, delay,
-                                big_fifo(sim), downstream, spacket);
+  const auto forward_link = [&](Time delay, PacketHandler* downstream) {
+    auto* link = sim.make<Link>(sim, config.access, delay, big_fifo(sim),
+                                downstream, spacket);
     if (fast) link->set_fused(true);
     return link;
   };
@@ -322,20 +321,18 @@ void ScenarioWorkspace::build(const ScenarioConfig& config,
   // queue-less express lane (one sequenced delivery event per link, no
   // service events). Scenarios that queue or tap the reverse path stay on
   // Backend::kFull and get the full link.
-  const auto reverse_link = [&](std::string name, BitRate rate, Time delay,
+  const auto reverse_link = [&](BitRate rate, Time delay,
                                 PacketHandler* downstream) {
-    return fast ? sim.make<Link>(sim, std::move(name), rate, delay,
-                                 downstream, spacket)
-                : sim.make<Link>(sim, std::move(name), rate, delay,
-                                 big_fifo(sim), downstream, spacket);
+    return fast ? sim.make<Link>(sim, rate, delay, downstream)
+                : sim.make<Link>(sim, rate, delay, big_fifo(sim), downstream,
+                                 spacket);
   };
 
-  bottleneck_ =
-      sim.make<Link>(sim, "bottleneck", config.bottleneck, shared_delay,
-                     make_queue(sim, config), router_r, spacket);
+  bottleneck_ = sim.make<Link>(sim, config.bottleneck, shared_delay,
+                               make_queue(sim, config), router_r, spacket);
   if (fast) bottleneck_->set_fused(true);
-  Link* bottleneck_rev = reverse_link("bottleneck.rev", config.bottleneck,
-                                      shared_delay, router_s);
+  Link* bottleneck_rev =
+      reverse_link(config.bottleneck, shared_delay, router_s);
   // Chain the ACK lane straight through routerS: every packet the reverse
   // bottleneck emits is bound for a sender, whose per-flow reverse access
   // link is also express and fed by this link alone, so the handoff skips
@@ -350,22 +347,19 @@ void ScenarioWorkspace::build(const ScenarioConfig& config,
   for (int i = 0; i < m; ++i) {
     const NodeId snd_id = i;
     const NodeId rcv_id = m + i;
-    const std::string tag = std::to_string(i);
     // Split the flow's propagation RTT between its two access links.
     const Time side = (config.rtts[i] / 2.0 - shared_delay) / 2.0;
     PDOS_CHECK(side > 0.0);
 
-    Link* snd_fwd = forward_link("acc.s" + tag, side, bottleneck_);
-    Link* rcv_rev =
-        reverse_link("acc.r.rev" + tag, config.access, side, bottleneck_rev);
+    Link* snd_fwd = forward_link(side, bottleneck_);
+    Link* rcv_rev = reverse_link(config.access, side, bottleneck_rev);
     auto* sender = sim.make<TcpSender>(sim, FlowId{i}, snd_id, rcv_id,
                                        snd_fwd, config.tcp, &sender_hot[i]);
     auto* receiver =
         sim.make<TcpReceiver>(sim, FlowId{i}, rcv_id, snd_id, rcv_rev,
                               receiver_config, &receiver_hot[i]);
-    router_r->add_route(rcv_id, forward_link("acc.r" + tag, side, receiver));
-    router_s->add_route(
-        snd_id, reverse_link("acc.s.rev" + tag, config.access, side, sender));
+    router_r->add_route(rcv_id, forward_link(side, receiver));
+    router_s->add_route(snd_id, reverse_link(config.access, side, sender));
     flows_.push_back(Flow{sender, receiver});
   }
 
@@ -373,32 +367,29 @@ void ScenarioWorkspace::build(const ScenarioConfig& config,
     // 50% duty cycle: peak rate of twice the requested average.
     cross_traffic_ = sim.make<OnOffSource>(
         sim, 2.0 * config.cross_traffic_rate, ms(500), ms(500), spacket,
-        NodeId{2 * m + 3}, router_r_id,
-        forward_link("acc.cross", ms(1), bottleneck_));
+        NodeId{2 * m + 3}, router_r_id, forward_link(ms(1), bottleneck_));
   }
 
   if (attack) {
     const auto sub_trains = split_train(*attack, config.num_attackers);
     for (int a = 0; a < config.num_attackers; ++a) {
-      const std::string name = "acc.attacker" + std::to_string(a);
-      // At least twice the attacker's pulse rate, so the link never queues.
-      const BitRate access =
-          std::max(config.access, 2.0 * sub_trains[a].rattack);
-      // Fast path: a link that never queues gets the express lane, and the
-      // attacker injects each burst in one batched event instead of one
-      // event per packet (timings are identical either way).
-      Link* attack_link =
-          fast ? sim.make<Link>(sim, name, access, ms(1), bottleneck_,
-                                attack->packet_bytes)
-               : sim.make<Link>(sim, name, access, ms(1), big_fifo(sim),
+      // At least twice the attacker's pulse rate, so the hop never queues.
+      const AccessHop hop{std::max(config.access, 2.0 * sub_trains[a].rattack),
+                          ms(1)};
+      // Full path: a queued access link feeds the bottleneck. Fast path: no
+      // link; the attacker walks the hop and hands each packet to the
+      // bottleneck at the instant the hop would deliver it.
+      PacketHandler* out =
+          fast ? static_cast<PacketHandler*>(bottleneck_)
+               : sim.make<Link>(sim, hop.rate, hop.delay, big_fifo(sim),
                                 bottleneck_, attack->packet_bytes);
       // Attack packets are addressed to routerR, which drops them — after
       // they have crossed the bottleneck queue, which is all the attack
       // needs.
       attackers_.push_back(sim.make<PulseAttacker>(
-          sim, sub_trains[a], NodeId{2 * m + 12 + a}, router_r_id,
-          attack_link, FlowId{-1000 - a}));
-      if (fast) attackers_.back()->set_express_lane(attack_link);
+          sim, sub_trains[a], NodeId{2 * m + 12 + a}, router_r_id, out,
+          FlowId{-1000 - a},
+          fast ? std::optional<AccessHop>(hop) : std::nullopt));
     }
   }
 }

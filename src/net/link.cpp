@@ -7,11 +7,9 @@
 
 namespace pdos {
 
-Link::Link(Simulator& sim, std::string name, BitRate rate, Time delay,
-           QueueDiscipline* queue, PacketHandler* downstream,
-           Bytes mean_packet_bytes)
+Link::Link(Simulator& sim, BitRate rate, Time delay, QueueDiscipline* queue,
+           PacketHandler* downstream, Bytes mean_packet_bytes)
     : sim_(sim),
-      name_(std::move(name)),
       rate_(rate),
       delay_(delay),
       queue_(queue),
@@ -26,10 +24,8 @@ Link::Link(Simulator& sim, std::string name, BitRate rate, Time delay,
   queue_->bind(&sim_.scheduler(), rate_, mean_packet_bytes);
 }
 
-Link::Link(Simulator& sim, std::string name, BitRate rate, Time delay,
-           PacketHandler* downstream, Bytes /*mean_packet_bytes*/)
+Link::Link(Simulator& sim, BitRate rate, Time delay, PacketHandler* downstream)
     : sim_(sim),
-      name_(std::move(name)),
       rate_(rate),
       delay_(delay),
       queue_(nullptr),

@@ -69,7 +69,6 @@
 //   it).
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -95,17 +94,15 @@ class Link : public PacketHandler {
   /// via `Simulator::make`, so it shares the link's lifetime and the link's
   /// internal buffers ride the same arena); `queue` and `downstream` must
   /// outlive the link.
-  Link(Simulator& sim, std::string name, BitRate rate, Time delay,
-       QueueDiscipline* queue, PacketHandler* downstream,
-       Bytes mean_packet_bytes = 1040);
+  Link(Simulator& sim, BitRate rate, Time delay, QueueDiscipline* queue,
+       PacketHandler* downstream, Bytes mean_packet_bytes = 1040);
 
   /// Express lane: no queue discipline — every packet is admitted, FIFO
   /// serialization chains analytically, and the only scheduler event the
   /// link ever owns is the shared delivery event. For paths that are never
   /// congested (the dumbbell reverse/ACK direction); taps cannot be
   /// installed on an express link.
-  Link(Simulator& sim, std::string name, BitRate rate, Time delay,
-       PacketHandler* downstream, Bytes mean_packet_bytes = 1040);
+  Link(Simulator& sim, BitRate rate, Time delay, PacketHandler* downstream);
 
   /// Packet arrival from the upstream node.
   void handle(Packet pkt) override;
@@ -141,19 +138,8 @@ class Link : public PacketHandler {
     if (lazy_ && queued_ != 0) catch_up(sim_.now(), /*include_now=*/false);
   }
 
-  /// Express only: serialize a packet whose arrival instant the caller
-  /// knows analytically — `arrival` must be >= now() and non-decreasing
-  /// across calls (the express FIFO chains off it). This is how a chained
-  /// upstream lane and the pulse attacker's batched bursts feed packets in
-  /// without one scheduler event per packet; handle() is the arrival==now
-  /// special case.
-  void inject_at(Packet pkt, Time arrival);
-
   const QueueDiscipline& queue() const;
   QueueDiscipline& queue();
-  BitRate rate() const { return rate_; }
-  Time delay() const { return delay_; }
-  const std::string& name() const { return name_; }
   bool busy() const {
     return service_event_pending_ || sim_.now() < service_done_;
   }
@@ -171,6 +157,10 @@ class Link : public PacketHandler {
   };
   static_assert(sizeof(InFlight) == 56, "InFlight is a Packet plus 16 bytes");
 
+  /// Express only: serialize a packet at an analytic arrival instant, >=
+  /// now() and non-decreasing across calls — a chained upstream lane's
+  /// handoff; handle() is the arrival == now() case.
+  void inject_at(Packet pkt, Time arrival);
   void serve_next();
   void finish_service();
   void catch_up(Time now, bool include_now);
@@ -192,7 +182,6 @@ class Link : public PacketHandler {
   }
 
   Simulator& sim_;
-  std::string name_;
   BitRate rate_;
   Time delay_;
   QueueDiscipline* queue_;  // null on the express lane

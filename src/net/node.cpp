@@ -1,5 +1,7 @@
 #include "net/node.hpp"
 
+#include <string>
+
 #include "util/assert.hpp"
 
 namespace pdos {
@@ -16,8 +18,8 @@ void Node::add_route(NodeId dst, PacketHandler* via) {
 void Node::handle(Packet pkt) {
   if (pkt.dst == id_) return;  // aimed at this node: nothing to deliver to
   PacketHandler* via = peek_route(pkt.dst);
-  PDOS_CHECK_MSG(via != nullptr,
-                 "node " + name_ + " has no route for destination");
+  PDOS_CHECK_MSG(via != nullptr, "node " + std::to_string(id_) +
+                                     " has no route for destination");
   via->handle(std::move(pkt));
 }
 

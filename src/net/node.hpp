@@ -9,8 +9,6 @@
 #pragma once
 
 #include <memory_resource>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -22,12 +20,11 @@ class Node : public PacketHandler {
  public:
   /// The route table allocates from `memory` (default: the global heap;
   /// pass the Simulator's arena for warm-reuse scenarios).
-  Node(NodeId id, std::string name,
-       std::pmr::memory_resource* memory = std::pmr::get_default_resource())
-      : id_(id), name_(std::move(name)), routes_(memory) {}
+  explicit Node(NodeId id, std::pmr::memory_resource* memory =
+                               std::pmr::get_default_resource())
+      : id_(id), routes_(memory) {}
 
   NodeId id() const { return id_; }
-  const std::string& name() const { return name_; }
 
   /// Install `via` as the next hop toward `dst`.
   void add_route(NodeId dst, PacketHandler* via);
@@ -50,7 +47,6 @@ class Node : public PacketHandler {
 
  private:
   NodeId id_;
-  std::string name_;
   // Dense next-hop table: routes_[dst] is null for destinations with no
   // route.
   std::pmr::vector<PacketHandler*> routes_;

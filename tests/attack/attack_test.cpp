@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "attack/pulse.hpp"
 #include "attack/shrew.hpp"
+#include "net/droptail.hpp"
+#include "net/link.hpp"
 #include "sim/simulator.hpp"
 #include "util/assert.hpp"
 
@@ -166,6 +171,71 @@ TEST(PulseAttackerTest, SinglePacketPulseWhenRateTiny) {
   attacker.start(0.0);
   sim.run();
   EXPECT_EQ(attacker.stats().packets_sent, 2);  // one per pulse, minimum
+}
+
+/// One attacker run into a CountingSink: through a queued access link (the
+/// full path), or with the attacker walking that hop itself (the fast path).
+struct AccessRun {
+  std::vector<Time> arrivals;
+  std::int64_t packets_sent = 0;
+  std::uint64_t events = 0;
+};
+
+AccessRun run_through_access(const PulseTrain& train, AccessHop hop,
+                             bool walk_hop) {
+  Simulator sim;
+  CountingSink sink(sim);
+  Link access(sim, hop.rate, hop.delay, sim.make<DropTailQueue>(1000), &sink,
+              train.packet_bytes);
+  PacketHandler* out = walk_hop ? static_cast<PacketHandler*>(&sink) : &access;
+  PulseAttacker attacker(
+      sim, train, 100, 200, out, -1000,
+      walk_hop ? std::optional<AccessHop>(hop) : std::nullopt);
+  attacker.start(ms(3));
+  sim.run();
+  return {sink.times, attacker.stats().packets_sent,
+          sim.scheduler().events_executed()};
+}
+
+TEST(PulseAttackerTest, FastArrivalsMatchQueuedAccessLink) {
+  // The fast path builds no access link for an attacker: each packet
+  // reaches the next hop at the instant the queued link would deliver it,
+  // bit for bit, whether the pulses are far apart or a pulse fires while
+  // the previous one is still crossing the hop — and, on a hop slower than
+  // the pulse, while packets wait for the wire.
+  const AccessHop hop{mbps(50), ms(1)};
+  PulseTrain apart = PulseTrain::from_gamma(ms(50), mbps(25), 0.3, mbps(15));
+  apart.n = 4;
+  PulseTrain overlapping =
+      PulseTrain::from_gamma(ms(2), mbps(14), 0.9, mbps(15));
+  overlapping.n = 6;
+  // Back-to-back pulses with about a dozen packets still crossing the hop
+  // when the next pulse fires.
+  PulseTrain flooding = PulseTrain::flooding(mbps(100));
+  flooding.n = 3;
+  const AccessHop wide{mbps(200), ms(1)};
+  ASSERT_GT(apart.tspace, hop.delay);
+  ASSERT_LT(overlapping.tspace, hop.delay);
+  ASSERT_LT(10.0 * transmission_time(flooding.packet_bytes, flooding.rattack),
+            wide.delay);
+
+  const AccessHop slow{mbps(12.5), ms(1)};
+  for (const auto& [train, via] :
+       {std::pair{apart, hop}, std::pair{overlapping, hop},
+        std::pair{flooding, wide}, std::pair{apart, slow}}) {
+    const AccessRun full = run_through_access(train, via, false);
+    const AccessRun fast = run_through_access(train, via, true);
+    const auto per_pulse = static_cast<std::int64_t>(
+        std::floor(train.textent / transmission_time(train.packet_bytes,
+                                                     train.rattack)));
+    ASSERT_EQ(static_cast<std::int64_t>(full.arrivals.size()),
+              train.n * per_pulse);
+    EXPECT_EQ(fast.arrivals, full.arrivals);
+    EXPECT_EQ(fast.packets_sent, full.packets_sent);
+    // One event per packet plus one per pulse.
+    EXPECT_EQ(fast.events,
+              static_cast<std::uint64_t>(train.n * per_pulse + train.n));
+  }
 }
 
 TEST(ShrewTest, PeriodsAreHarmonicsOfMinRto) {

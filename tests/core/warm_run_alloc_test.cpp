@@ -81,5 +81,36 @@ TEST(WarmRunAllocTest, AllocationsDoNotGrowWithTheHorizon) {
   EXPECT_GT(long_result.events_executed, short_result.events_executed);
 }
 
+TEST(WarmRunAllocTest, FastPathAllocationsDoNotGrowWithTheHorizon) {
+  // The fast path, under a train whose pulses fire while the previous one
+  // is still crossing the attacker's access hop, so the attacker's queue
+  // of waiting pulses is in use throughout.
+  const ScenarioConfig config = ScenarioConfig::large_scale(16, mbps(15));
+  ASSERT_EQ(config.backend, Backend::kFast);
+  const PulseTrain train =
+      PulseTrain::from_gamma(ms(2), mbps(14), 0.9, config.bottleneck);
+  RunControl short_run;
+  short_run.warmup = sec(0.5);
+  short_run.measure = sec(1.5);
+  RunControl long_run = short_run;
+  long_run.measure = 2.0 * short_run.horizon() - short_run.warmup;
+
+  ScenarioWorkspace ws;
+  (void)ws.run(config, train, long_run);
+
+  std::size_t before = g_new_calls;
+  const RunResult short_result = ws.run(config, train, short_run);
+  const std::size_t short_allocs = g_new_calls - before;
+
+  before = g_new_calls;
+  const RunResult long_result = ws.run(config, train, long_run);
+  const std::size_t long_allocs = g_new_calls - before;
+
+  EXPECT_EQ(long_allocs, short_allocs)
+      << "a warm fast-path run's allocation count grew with its horizon";
+  EXPECT_GT(short_result.attack_packets_sent, 0u);
+  EXPECT_GT(long_result.events_executed, short_result.events_executed);
+}
+
 }  // namespace
 }  // namespace pdos

@@ -127,7 +127,7 @@ TEST(LinkFuzz, OfferedEqualsDeliveredPlusDropped) {
       last_seq = pkt.seq;
     }
   } sink;
-  Link link(sim, "l", mbps(2), ms(3), sim.make<DropTailQueue>(5),
+  Link link(sim, mbps(2), ms(3), sim.make<DropTailQueue>(5),
             &sink);
   Rng rng(11);
   std::int64_t offered = 0;
@@ -182,13 +182,13 @@ TEST_P(TcpLossFuzz, SurvivesRandomLossWithExactDelivery) {
     void handle(Packet pkt) override { next->handle(std::move(pkt)); }
   } redirect;
   TcpReceiver receiver(sim, 0, 1, 0, &redirect, {});
-  Link data_link(sim, "data", mbps(10), ms(10),
+  Link data_link(sim, mbps(10), ms(10),
                  sim.make<DropTailQueue>(1000), &receiver);
   RandomLossGate gate(&data_link, loss_rate, 77);
   TcpSenderConfig config;
   config.rto_min = ms(200);
   TcpSender sender(sim, 0, 0, 1, &gate, config);
-  Link ack_link(sim, "ack", mbps(10), ms(10),
+  Link ack_link(sim, mbps(10), ms(10),
                 sim.make<DropTailQueue>(1000), &sender);
   redirect.next = &ack_link;
 

@@ -39,7 +39,7 @@ TEST(LinkTest, DeliversAfterSerializationPlusPropagation) {
   Simulator sim;
   RecordingSink sink(sim);
   // 1000 bytes at 8 kbps -> 1 s serialization; +0.5 s propagation.
-  Link link(sim, "l", kbps(8), sec(0.5), sim.make<DropTailQueue>(10),
+  Link link(sim, kbps(8), sec(0.5), sim.make<DropTailQueue>(10),
             &sink);
   link.handle(make_packet(1000));
   sim.run();
@@ -50,7 +50,7 @@ TEST(LinkTest, DeliversAfterSerializationPlusPropagation) {
 TEST(LinkTest, BackToBackPacketsSerializeSequentially) {
   Simulator sim;
   RecordingSink sink(sim);
-  Link link(sim, "l", kbps(8), 0.0, sim.make<DropTailQueue>(10),
+  Link link(sim, kbps(8), 0.0, sim.make<DropTailQueue>(10),
             &sink);
   link.handle(make_packet(1000, 0));
   link.handle(make_packet(1000, 1));
@@ -69,7 +69,7 @@ TEST(LinkTest, PropagationIsPipelined) {
   // first packet's propagation, only for its serialization.
   Simulator sim;
   RecordingSink sink(sim);
-  Link link(sim, "l", kbps(8), sec(10), sim.make<DropTailQueue>(10),
+  Link link(sim, kbps(8), sec(10), sim.make<DropTailQueue>(10),
             &sink);
   link.handle(make_packet(1000, 0));
   link.handle(make_packet(1000, 1));
@@ -82,7 +82,7 @@ TEST(LinkTest, PropagationIsPipelined) {
 TEST(LinkTest, QueueOverflowDrops) {
   Simulator sim;
   RecordingSink sink(sim);
-  Link link(sim, "l", kbps(8), 0.0, sim.make<DropTailQueue>(2),
+  Link link(sim, kbps(8), 0.0, sim.make<DropTailQueue>(2),
             &sink);
   // First packet goes into service immediately; two buffer slots remain.
   for (int i = 0; i < 5; ++i) link.handle(make_packet(1000, i));
@@ -94,7 +94,7 @@ TEST(LinkTest, QueueOverflowDrops) {
 TEST(LinkTest, ArrivalTapSeesDroppedPacketsToo) {
   Simulator sim;
   RecordingSink sink(sim);
-  Link link(sim, "l", kbps(8), 0.0, sim.make<DropTailQueue>(1),
+  Link link(sim, kbps(8), 0.0, sim.make<DropTailQueue>(1),
             &sink);
   int arrivals = 0;
   link.add_arrival_tap([&](const Packet&) { ++arrivals; });
@@ -107,7 +107,7 @@ TEST(LinkTest, ArrivalTapSeesDroppedPacketsToo) {
 TEST(LinkTest, IdleLinkResumesAfterDrain) {
   Simulator sim;
   RecordingSink sink(sim);
-  Link link(sim, "l", kbps(8), 0.0, sim.make<DropTailQueue>(10),
+  Link link(sim, kbps(8), 0.0, sim.make<DropTailQueue>(10),
             &sink);
   link.handle(make_packet(1000));
   sim.run();
@@ -122,7 +122,7 @@ TEST(LinkTest, ThroughputMatchesRate) {
   // Saturate a 1 Mbps link for 1 second: ~125 kB should get through.
   Simulator sim;
   RecordingSink sink(sim);
-  Link link(sim, "l", mbps(1), 0.0, sim.make<DropTailQueue>(10000),
+  Link link(sim, mbps(1), 0.0, sim.make<DropTailQueue>(10000),
             &sink);
   const Bytes pkt_size = 1250;  // 10 ms each
   for (int i = 0; i < 100; ++i) link.handle(make_packet(pkt_size, i));
@@ -136,7 +136,7 @@ TEST(LinkTest, InvalidConstructionThrows) {
   RecordingSink sink(sim);
   auto make_link = [&](BitRate rate, Time delay, bool with_queue,
                        PacketHandler* down) {
-    Link link(sim, "l", rate, delay,
+    Link link(sim, rate, delay,
               with_queue ? sim.make<DropTailQueue>(1) : nullptr,
               down);
   };
@@ -154,12 +154,12 @@ TEST(LinkTest, ExpressLaneMatchesFullLinkDeliveryTimes) {
   // completion, then constant propagation.
   Simulator sim_full;
   RecordingSink full_sink(sim_full);
-  Link full(sim_full, "full", kbps(8), sec(0.5),
+  Link full(sim_full, kbps(8), sec(0.5),
             sim_full.make<DropTailQueue>(1000), &full_sink);
 
   Simulator sim_express;
   RecordingSink express_sink(sim_express);
-  Link express(sim_express, "express", kbps(8), sec(0.5), &express_sink);
+  Link express(sim_express, kbps(8), sec(0.5), &express_sink);
   EXPECT_TRUE(express.express());
 
   // A burst (queues behind the serializer), a gap, then a lone packet.
@@ -192,7 +192,7 @@ TEST(LinkTest, ExpressLaneMatchesFullLinkDeliveryTimes) {
 TEST(LinkTest, ExpressLaneRejectsTapsAndQueueAccess) {
   Simulator sim;
   RecordingSink sink(sim);
-  Link express(sim, "express", kbps(8), sec(0.5), &sink);
+  Link express(sim, kbps(8), sec(0.5), &sink);
   EXPECT_THROW(express.add_arrival_tap([](const Packet&) {}), ParameterError);
   EXPECT_THROW(express.queue(), ParameterError);
 }
@@ -205,7 +205,7 @@ TEST(LinkTest, FusedLinkMatchesFullLinkTimingsAndDrops) {
                   std::uint64_t& dropped, std::uint64_t& events) {
     Simulator sim;
     RecordingSink sink(sim);
-    Link link(sim, "l", kbps(8), sec(0.25),
+    Link link(sim, kbps(8), sec(0.25),
               sim.make<DropTailQueue>(2), &sink);
     link.set_fused(fused);
     // Saturating burst (forces drops + pump events), then idle singles
@@ -240,7 +240,7 @@ TEST(LinkTest, SettleReplaysLazyBacklogForSamplers) {
   // sampler reads the exact occupancy an eager link would report.
   Simulator sim;
   RecordingSink sink(sim);
-  Link link(sim, "l", kbps(8), sec(0.5), sim.make<DropTailQueue>(10),
+  Link link(sim, kbps(8), sec(0.5), sim.make<DropTailQueue>(10),
             &sink);
   link.set_fused(true);
   // Five 1 s services back to back: boundaries at 1, 2, 3, 4 s.
@@ -268,11 +268,11 @@ TEST(LinkTest, ChainHandoffMatchesTwoHopExpressTimings) {
                   std::uint64_t& events) {
     Simulator sim;
     RecordingSink sink(sim);
-    Node router(7, "router");
-    Link second(sim, "second", kbps(16), sec(0.25),
+    Node router(7);
+    Link second(sim, kbps(16), sec(0.25),
                 static_cast<PacketHandler*>(&sink));
     router.add_route(5, &second);
-    Link first(sim, "first", kbps(8), sec(0.5),
+    Link first(sim, kbps(8), sec(0.5),
                static_cast<PacketHandler*>(&router));
     if (chained) first.chain_via(&router);
     sim.schedule_at(0.0, [&first] {
@@ -301,12 +301,12 @@ TEST(LinkTest, ChainHandoffMatchesTwoHopExpressTimings) {
 TEST(LinkTest, ChainHandoffRequiresExpressEndpoints) {
   Simulator sim;
   RecordingSink sink(sim);
-  Node router(7, "router");
-  Link queued(sim, "queued", kbps(8), sec(0.5),
+  Node router(7);
+  Link queued(sim, kbps(8), sec(0.5),
               sim.make<DropTailQueue>(10), &sink);
   EXPECT_THROW(queued.chain_via(&router), ParameterError);
 
-  Link express(sim, "express", kbps(8), sec(0.5),
+  Link express(sim, kbps(8), sec(0.5),
                static_cast<PacketHandler*>(&router));
   EXPECT_THROW(express.chain_via(nullptr), ParameterError);
 
@@ -317,46 +317,6 @@ TEST(LinkTest, ChainHandoffRequiresExpressEndpoints) {
   Packet pkt = make_packet(1000, 0);
   pkt.dst = 5;
   EXPECT_THROW(express.handle(std::move(pkt)), ParameterError);
-}
-
-TEST(LinkTest, InjectAtBatchMatchesEventDrivenArrivals) {
-  // The pulse attacker's batched bursts: injecting a whole burst in one
-  // call stack, each packet at its analytic arrival time, must serialize
-  // exactly like per-event handle() calls at those times.
-  auto drive = [](bool batched, std::vector<Time>& times,
-                  std::uint64_t& events) {
-    Simulator sim;
-    RecordingSink sink(sim);
-    Link lane(sim, "lane", kbps(16), sec(0.5),
-              static_cast<PacketHandler*>(&sink));
-    for (int i = 0; i < 3; ++i) {
-      const Time at = 0.25 * i;
-      if (batched) {
-        // One event injects the whole burst with analytic arrival times.
-        if (i == 0) {
-          sim.schedule_at(0.0, [&lane] {
-            for (int j = 0; j < 3; ++j) {
-              lane.inject_at(make_packet(1000, j), 0.25 * j);
-            }
-          });
-        }
-      } else {
-        sim.schedule_at(at, [&lane, i] { lane.handle(make_packet(1000, i)); });
-      }
-    }
-    sim.run();
-    times = sink.times;
-    events = sim.scheduler().events_executed();
-  };
-
-  std::vector<Time> ref_times, batch_times;
-  std::uint64_t ref_events = 0, batch_events = 0;
-  drive(false, ref_times, ref_events);
-  drive(true, batch_times, batch_events);
-
-  ASSERT_EQ(ref_times.size(), 3u);
-  EXPECT_EQ(batch_times, ref_times);
-  EXPECT_LT(batch_events, ref_events);
 }
 
 }  // namespace

@@ -24,7 +24,7 @@ Packet addressed(NodeId dst, FlowId flow = 0) {
 }
 
 TEST(NodeTest, PeekRouteMirrorsForwardingWithoutTouchingPackets) {
-  Node node(1, "n1");
+  Node node(1);
   CollectingHandler hop;
   node.add_route(7, &hop);
   EXPECT_EQ(node.peek_route(7), &hop);
@@ -35,7 +35,7 @@ TEST(NodeTest, PeekRouteMirrorsForwardingWithoutTouchingPackets) {
 }
 
 TEST(NodeTest, ForwardsViaRouteTable) {
-  Node node(1, "n1");
+  Node node(1);
   CollectingHandler next_hop;
   node.add_route(7, &next_hop);
   node.handle(addressed(7));
@@ -43,14 +43,14 @@ TEST(NodeTest, ForwardsViaRouteTable) {
 }
 
 TEST(NodeTest, NoRouteIsAnInvariantViolation) {
-  Node node(1, "n1");
+  Node node(1);
   EXPECT_THROW(node.handle(addressed(9)), InvariantError);
 }
 
 TEST(NodeTest, UnmatchedLocalDeliveryIsSunkAndCounted) {
   // A self-addressed packet (attack traffic aimed at a router) is dropped:
   // not forwarded, even over a route to the node's own id, and no error.
-  Node node(5, "n5");
+  Node node(5);
   CollectingHandler hop;
   node.add_route(5, &hop);
   EXPECT_NO_THROW(node.handle(addressed(5, 42)));
@@ -59,14 +59,13 @@ TEST(NodeTest, UnmatchedLocalDeliveryIsSunkAndCounted) {
 }
 
 TEST(NodeTest, NullRouteOrAgentRejected) {
-  Node node(1, "n1");
+  Node node(1);
   EXPECT_THROW(node.add_route(2, nullptr), ParameterError);
 }
 
 TEST(NodeTest, IdentityAccessors) {
-  Node node(9, "router");
+  Node node(9);
   EXPECT_EQ(node.id(), 9);
-  EXPECT_EQ(node.name(), "router");
 }
 
 }  // namespace

@@ -139,7 +139,7 @@ TEST(AllocTest, TappedLinkPipelineStaysAllocationFree) {
     void handle(Packet) override { ++received; }
   };
   auto* sink = sim.make<CountingSink>();
-  auto* link = sim.make<Link>(sim, "bottleneck", mbps(10), ms(5),
+  auto* link = sim.make<Link>(sim, mbps(10), ms(5),
                               sim.make<DropTailQueue>(32), sink);
   long long arrivals = 0;
   link->add_arrival_tap([&arrivals](const Packet&) { ++arrivals; });
@@ -199,8 +199,8 @@ TEST(AllocTest, WarmResetRebuildRunsAllocationFree) {
     auto* sink = sim.make<CountingSink>();
     auto* red = sim.make<RedQueue>(RedParams::paper_testbed(32),
                                    sim.stream(kQueueStream), sim.memory());
-    auto* link = sim.make<Link>(sim, "bottleneck", mbps(10), ms(5), red, sink);
-    auto* src = sim.make<Node>(NodeId{0}, "src", sim.memory());
+    auto* link = sim.make<Link>(sim, mbps(10), ms(5), red, sink);
+    auto* src = sim.make<Node>(NodeId{0}, sim.memory());
     src->add_route(NodeId{1}, link);
     auto* cbr = sim.make<CbrSource>(sim, mbps(12), 1040, NodeId{0}, NodeId{1},
                                     src);

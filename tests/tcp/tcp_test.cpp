@@ -68,13 +68,13 @@ struct Loopback {
     // sender; the Redirect breaks the construction-order cycle.
     receiver = std::make_unique<TcpReceiver>(sim, 0, 1, 0, &ack_sink,
                                              receiver_config);
-    data_link = std::make_unique<Link>(sim, "data", rate, delay,
+    data_link = std::make_unique<Link>(sim, rate, delay,
                                        sim.make<DropTailQueue>(1000),
                                        receiver.get());
     gate = std::make_unique<LossGate>(data_link.get());
     sender = std::make_unique<TcpSender>(sim, 0, 0, 1, gate.get(),
                                          sender_config);
-    ack_link = std::make_unique<Link>(sim, "ack", rate, delay,
+    ack_link = std::make_unique<Link>(sim, rate, delay,
                                       sim.make<DropTailQueue>(1000),
                                       sender.get());
     ack_sink.next = ack_link.get();

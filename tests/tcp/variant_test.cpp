@@ -50,13 +50,13 @@ struct Pair {
     rcfg.mss = config.mss;
     receiver = std::make_unique<TcpReceiver>(sim, 0, 1, 0, &redirect, rcfg);
     data_link = std::make_unique<Link>(
-        sim, "data", mbps(10), ms(10), sim.make<DropTailQueue>(1000),
+        sim, mbps(10), ms(10), sim.make<DropTailQueue>(1000),
         receiver.get());
     gate = std::make_unique<Gate>(data_link.get());
     sender =
         std::make_unique<TcpSender>(sim, 0, 0, 1, gate.get(), config);
     ack_link = std::make_unique<Link>(
-        sim, "ack", mbps(10), ms(10), sim.make<DropTailQueue>(1000),
+        sim, mbps(10), ms(10), sim.make<DropTailQueue>(1000),
         sender.get());
     redirect.next = ack_link.get();
   }
