@@ -1,12 +1,13 @@
 // CampaignStore benchmarks (google-benchmark): the store operations a
 // campaign worker issues per task — result append, in-memory lookup,
 // claim + release round-trip, and the incremental refresh a drain loop
-// polls with (DESIGN.md §15). Each runs against a throwaway store
-// directory under /tmp, so the numbers include the real flock + append
-// syscall cost. These are for interactive work on the store layer — the
-// gated ≥2.5x 4-worker cold campaign floor lives in tools/bench_report,
-// and perfbench's fluid_campaign workload reports store.claim_us_p50 and
-// store.append_us_p50.
+// polls with (DESIGN.md §15) — and the reopen that every worker start-up
+// and resume pays once. Each runs against a throwaway store directory
+// under /tmp, so the numbers include the real flock + append syscall cost.
+// These are for interactive work on the store layer — the gated ≥2.5x
+// 4-worker cold campaign floor lives in tools/bench_report, and
+// perfbench's fluid_campaign workload reports store.open_ms,
+// store.claim_us_p50 and store.append_us_p50.
 #include <benchmark/benchmark.h>
 
 #include <unistd.h>
@@ -103,6 +104,26 @@ void BM_StoreClaimRelease(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_StoreClaimRelease);
+
+/// Reopening a store of 10,000 point records, each with the lease that
+/// claimed it, as a cold campaign leaves them: stat, read and parse all 16
+/// segments into a fresh index.
+void BM_StoreOpen(benchmark::State& state) {
+  ScratchStore scratch;
+  const CachedPoint point = sample_point();
+  constexpr std::uint64_t kPoints = 10000;
+  for (std::uint64_t k = 0; k < kPoints; ++k) {
+    const std::uint64_t key = k * 0x9e3779b97f4a7c15ull;
+    benchmark::DoNotOptimize(scratch.store().claim_point(key));
+    scratch.store().store_point(key, point);
+  }
+  for (auto _ : state) {
+    CampaignStore reopened(scratch.dir());
+    benchmark::DoNotOptimize(reopened.size());
+  }
+  state.SetItemsProcessed(state.iterations() * kPoints);
+}
+BENCHMARK(BM_StoreOpen)->Unit(benchmark::kMillisecond);
 
 /// Refresh with nothing new: 16 shared-lock tail checks — the idle cost of
 /// one drain-loop poll.

@@ -78,7 +78,7 @@ void PulseAttacker::fire_pulse() {
   // The fast path counts a pulse whole when it fires, so a pulse that the
   // horizon cuts short is over-counted against `full`, which counts each
   // packet as the chain hands it on (DESIGN.md §11).
-  if (hop_) count_sent(packets_per_pulse_);
+  if (hop_) stats_.packets_sent += packets_per_pulse_;
   // Claiming the burst's rank range here keeps same-timestamp ordering
   // identical to scheduling every packet eagerly. A fired burst always runs
   // to completion (stop() only suppresses future pulses), exactly as the
@@ -115,7 +115,7 @@ void PulseAttacker::schedule_packet() {
 }
 
 void PulseAttacker::emit_packet() {
-  if (!hop_) count_sent(1);
+  if (!hop_) ++stats_.packets_sent;
   Packet pkt;
   pkt.type = PacketType::kAttack;
   pkt.flow = flow_;
@@ -130,11 +130,6 @@ void PulseAttacker::emit_packet() {
     walk_next_burst();
   }
   out_->handle(std::move(pkt));
-}
-
-void PulseAttacker::count_sent(std::int64_t packets) {
-  stats_.packets_sent += packets;
-  stats_.bytes_sent += packets * train_.packet_bytes;
 }
 
 }  // namespace pdos

@@ -53,7 +53,6 @@ struct PulseTrain {
 struct AttackerStats {
   std::int64_t pulses_started = 0;
   std::int64_t packets_sent = 0;
-  Bytes bytes_sent = 0;
 };
 
 /// An attacker's access hop, which never congests (`rate` is at least twice
@@ -95,7 +94,6 @@ class PulseAttacker {
   void walk_next_burst();
   void schedule_packet();
   void emit_packet();
-  void count_sent(std::int64_t packets);
 
   Simulator& sim_;
   PulseTrain train_;

@@ -49,7 +49,7 @@ std::vector<std::string> segment_paths(const std::string& dir) {
 }  // namespace
 
 CampaignStore::CampaignStore(std::string dir, double lease_ttl_seconds)
-    : SegmentStore(segment_paths(dir), "pdos-campaign-seg-v1"),
+    : SegmentStore(segment_paths(dir), "pdos-campaign-seg-v2"),
       dir_(std::move(dir)),
       lease_ttl_(lease_ttl_seconds),
       owner_(make_owner_token()) {
@@ -73,8 +73,8 @@ CampaignStore::ClaimStatus CampaignStore::claim(std::uint64_t key,
   ::flock(seg.fd, LOCK_EX);
   scan(seg);
   ClaimStatus status;
-  const bool done = baseline ? baselines_.find(key) != baselines_.end()
-                             : points_.find(key) != points_.end();
+  const bool done = baseline ? results_.find<double>(key) != nullptr
+                             : results_.find<CachedPoint>(key) != nullptr;
   if (done) {
     status = ClaimStatus::kDone;
   } else {
@@ -159,16 +159,17 @@ std::size_t CampaignStore::compact() {
     // cache, the cost is one re-simulation.
     std::string content = std::string(header_) + "\n";
     std::size_t new_lines = 1;
-    for (const auto& [key, value] : points_) {
-      if (segment_index(key) != i) continue;
-      content += format_point_record(key, value);
-      ++new_lines;
-    }
-    for (const auto& [key, goodput] : baselines_) {
-      if (segment_index(key) != i) continue;
+    results_.for_each<CachedPoint>(
+        [&](std::uint64_t key, const CachedPoint& value) {
+          if (segment_index(key) != i) return;
+          content += format_point_record(key, value);
+          ++new_lines;
+        });
+    results_.for_each<double>([&](std::uint64_t key, double goodput) {
+      if (segment_index(key) != i) return;
       content += format_baseline_record(key, goodput);
       ++new_lines;
-    }
+    });
     if (::ftruncate(seg.fd, 0) == 0) {
       // After a failed write the next scan re-reads whatever landed.
       const bool written = write_all(seg.fd, content);

@@ -10,13 +10,14 @@
 // (or, later, NFS peers).
 //
 // Layout: a directory of 16 append-only segment files, `seg-0` … `seg-f`
-// (header `pdos-campaign-seg-v1`), keyed by the top 4 bits of the 64-bit
+// (header `pdos-campaign-seg-v2`), keyed by the top 4 bits of the 64-bit
 // content hash. Sharding bounds lock contention (two workers only collide
 // when their keys share a prefix) and keeps each file small enough that
 // compaction and re-scans stay cheap. The files, their scans and appends
 // and the in-memory index are `SegmentStore`'s (point_cache.hpp), shared
 // with the single-file cache: the same P/B record format (and the same
-// %.17g bit-exact doubles), plus two coordination record kinds:
+// bit-exact doubles, as the hex digits of their IEEE-754 bits), plus two
+// coordination record kinds:
 //
 //   P <key> <outputs…>          completed point        (point_cache.hpp)
 //   B <key> <goodput>           completed baseline
@@ -37,15 +38,18 @@
 // Torn-tail tolerance: a worker killed mid-write leaves a partial final
 // line. Scans consume whole lines only, so the fragment never loads, and
 // every appender first cuts the segment back to its last '\n' (under the
-// lock, `cut_torn_tail`). Terminating the fragment instead would let a
-// prefix of a record that happens to parse (`B <key> 98765` torn from a
-// longer goodput) load as a wrong result and mark the key done. A killed
-// worker thus loses its one unfinished record, never a finished one.
+// lock, `cut_torn_tail`) unless the segment ends where the appender's own
+// last scan or write ended, which is always at a line's end. Terminating
+// the fragment instead would let a prefix of a record that happens to
+// parse (a point record cut inside its last count, `… 476` torn from
+// `… 47644`) load as a wrong result and mark the key done. A killed worker
+// thus loses its one unfinished record, never a finished one.
 //
-// The in-memory index answers lookups without I/O; `refresh()`
-// incrementally folds in segment bytes appended by other processes since
-// the last scan (tracked by per-segment offset). `compact()` rewrites each
-// segment in place, dropping lease/release records and duplicate results —
+// The in-memory index (`ResultIndex`) answers lookups without I/O;
+// `refresh()` incrementally folds in segment bytes appended by other
+// processes since the last scan (tracked by per-segment offset).
+// `compact()` rewrites each segment in place from the index, dropping
+// lease/release records and duplicate results —
 // run it when the campaign is quiescent (concurrent appends are serialized
 // by the lock and survive, but a crash mid-compaction can lose records,
 // which only costs re-simulation).

@@ -6,11 +6,12 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <charconv>
-#include <cinttypes>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 
 #include "util/assert.hpp"
 
@@ -194,85 +195,132 @@ std::uint64_t SweepKeys::baseline(const PointSpec& probe,
   return finish_baseline_key(prefix(probe.flows).baseline, probe, seed);
 }
 
+namespace {
+
+/// A record being written: the tag, then each field after one space.
+class RecordWriter {
+ public:
+  explicit RecordWriter(char tag) { *p_++ = tag; }
+
+  /// 16 lowercase hex digits: a key or owner.
+  RecordWriter& hex(std::uint64_t v) {
+    static constexpr char kDigits[] = "0123456789abcdef";
+    *p_++ = ' ';
+    for (int i = 15; i >= 0; --i, v >>= 4) p_[i] = kDigits[v & 0xf];
+    p_ += 16;
+    return *this;
+  }
+  /// A double as the 16 hex digits of its IEEE-754 bits.
+  RecordWriter& f64(double v) { return hex(std::bit_cast<std::uint64_t>(v)); }
+  /// An unsigned decimal count.
+  RecordWriter& u64(std::uint64_t v) {
+    *p_++ = ' ';
+    p_ = std::to_chars(p_, std::end(buf_), v).ptr;
+    return *this;
+  }
+  std::string line() {
+    *p_++ = '\n';
+    return std::string(buf_, p_);
+  }
+
+ private:
+  // The longest record: a point's tag, 10 hex fields, 5 counts and '\n'.
+  char buf_[1 + 10 * 17 + 5 * 21 + 1];
+  char* p_ = buf_;
+};
+
+}  // namespace
+
 std::string format_point_record(std::uint64_t key, const CachedPoint& v) {
-  char buf[640];
-  std::snprintf(
-      buf, sizeof(buf),
-      "P %016" PRIx64
-      " %.17g %.17g %.17g %d %.17g %.17g %.17g %.17g %.17g %.17g %" PRIu64
-      " %" PRIu64 " %" PRIu64 " %" PRIu64 "\n",
-      key, v.c_psi, v.analytic_degradation, v.analytic_gain, v.shrew ? 1 : 0,
-      v.baseline_goodput, v.goodput, v.measured_degradation, v.measured_gain,
-      v.utilization, v.fairness, v.timeouts, v.fast_recoveries,
-      v.attack_packets, v.events);
-  return buf;
+  RecordWriter out('P');
+  out.hex(key).f64(v.c_psi).f64(v.analytic_degradation).f64(v.analytic_gain);
+  out.u64(v.shrew ? 1 : 0).f64(v.baseline_goodput).f64(v.goodput);
+  out.f64(v.measured_degradation).f64(v.measured_gain).f64(v.utilization);
+  out.f64(v.fairness).u64(v.timeouts).u64(v.fast_recoveries);
+  out.u64(v.attack_packets).u64(v.events);
+  return out.line();
 }
 
 std::string format_baseline_record(std::uint64_t key, double goodput) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "B %016" PRIx64 " %.17g\n", key, goodput);
-  return buf;
+  return RecordWriter('B').hex(key).f64(goodput).line();
 }
 
 std::string format_lease_record(std::uint64_t key, std::uint64_t owner,
                                 double expiry) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "L %016" PRIx64 " %016" PRIx64 " %.17g\n",
-                key, owner, expiry);
-  return buf;
+  return RecordWriter('L').hex(key).hex(owner).f64(expiry).line();
 }
 
 std::string format_release_record(std::uint64_t key, std::uint64_t owner) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "R %016" PRIx64 " %016" PRIx64 "\n", key,
-                owner);
-  return buf;
+  return RecordWriter('R').hex(key).hex(owner).line();
 }
 
 namespace {
 
-/// Reads a record's fields left to right with std::from_chars, in the
-/// writers' grammar (see point_cache.hpp). A failed field fails every
-/// later one, so a parser checks `done()` once at the end.
+/// The value of each lowercase hex digit; 16 marks every other byte.
+constexpr std::array<std::uint8_t, 256> kHexValue = [] {
+  std::array<std::uint8_t, 256> table{};
+  table.fill(16);
+  for (int i = 0; i < 16; ++i) {
+    table["0123456789abcdef"[i]] = static_cast<std::uint8_t>(i);
+  }
+  return table;
+}();
+
+/// Reads a record's fields left to right, in the writers' grammar (see
+/// point_cache.hpp). A failed field fails every later one, so a parser
+/// checks `done()` once at the end.
 class FieldReader {
  public:
   explicit FieldReader(std::string_view text)
       : p_(text.data()), end_(text.data() + text.size()) {}
 
-  /// 16 hex digits, as %016 PRIx64 writes them.
+  /// Exactly 16 lowercase hex digits, as RecordWriter::hex writes them.
   FieldReader& hex(std::uint64_t& v) {
-    if (next(v, 16) && p_ - field_ != 16) ok_ = false;
-    return *this;
-  }
-  FieldReader& u64(std::uint64_t& v) {
-    next(v, 10);
+    if (!separator()) return *this;
+    if (end_ - p_ < 16) {
+      ok_ = false;
+      return *this;
+    }
+    // Branch-free: a table load and a shift per digit, and one check.
+    std::uint64_t value = 0;
+    unsigned bad = 0;
+    for (int i = 0; i < 16; ++i) {
+      const unsigned digit = kHexValue[static_cast<unsigned char>(p_[i])];
+      bad |= digit;
+      value = value << 4 | (digit & 0xf);
+    }
+    p_ += 16;
+    ok_ = bad < 16;
+    v = value;
     return *this;
   }
   FieldReader& f64(double& v) {
-    next(v);
+    std::uint64_t bits = 0;
+    hex(bits);
+    v = std::bit_cast<double>(bits);
+    return *this;
+  }
+  FieldReader& u64(std::uint64_t& v) {
+    if (!separator()) return *this;
+    // from_chars takes no leading space, '+' or '-' for an unsigned value.
+    const std::from_chars_result r = std::from_chars(p_, end_, v);
+    p_ = r.ptr;
+    ok_ = r.ec == std::errc();
     return *this;
   }
   /// Every field parsed and nothing follows the last one.
   bool done() const { return ok_ && p_ == end_; }
 
  private:
-  template <typename T, typename... Base>
-  bool next(T& v, Base... base) {
-    // One space before every field but the first: from_chars itself takes
-    // no leading space or '+'.
+  /// One space before every field but the first.
+  bool separator() {
     if (ok_ && !first_) ok_ = p_ != end_ && *p_++ == ' ';
     first_ = false;
-    if (!ok_) return false;
-    field_ = p_;
-    const std::from_chars_result r = std::from_chars(p_, end_, v, base...);
-    p_ = r.ptr;
-    ok_ = r.ec == std::errc();
     return ok_;
   }
 
   const char* p_;
   const char* end_;
-  const char* field_ = nullptr;  // start of the last field read
   bool first_ = true;
   bool ok_ = true;
 };
@@ -307,17 +355,73 @@ bool parse_release_record(std::string_view text, std::uint64_t& key,
   return FieldReader(text).hex(key).hex(owner).done();
 }
 
+std::size_t ResultIndex::home(std::uint64_t key, std::size_t slots) {
+  // Fibonacci hashing: the top bits of key * 2^64/phi. Store keys are FNV
+  // digests already; the multiply also spreads keys made by hand (small
+  // integers, or one segment's prefix over a counter).
+  return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ULL) >>
+                                  (64 - std::countr_zero(slots)));
+}
+
+std::size_t ResultIndex::probe(std::uint64_t key, Kind kind) const {
+  const std::size_t mask = slots_.size() - 1;
+  // The table is never full, so every probe ends at an empty slot.
+  for (std::size_t i = home(key, slots_.size());; i = (i + 1) & mask) {
+    const Slot& slot = slots_[i];
+    if (slot.kind == Kind::kEmpty || (slot.key == key && slot.kind == kind)) {
+      return i;
+    }
+  }
+}
+
+void ResultIndex::rehash(std::size_t slots) {
+  std::vector<Slot> old(slots);
+  old.swap(slots_);
+  const std::size_t mask = slots - 1;
+  for (const Slot& slot : old) {
+    if (slot.kind == Kind::kEmpty) continue;
+    std::size_t i = home(slot.key, slots);
+    while (slots_[i].kind != Kind::kEmpty) i = (i + 1) & mask;
+    slots_[i] = slot;
+  }
+}
+
+void ResultIndex::reserve(std::size_t points) {
+  if (points == 0) return;
+  std::size_t slots = 16;
+  while (slots * 3 < (size() + points) * 4) slots *= 2;
+  if (slots > slots_.size()) rehash(slots);
+  points_.reserve(points_.size() + points);
+}
+
+template <typename V>
+std::pair<V*, bool> ResultIndex::emplace(std::uint64_t key) {
+  if ((size() + 1) * 4 > slots_.size() * 3) {
+    rehash(std::max<std::size_t>(16, slots_.size() * 2));
+  }
+  std::vector<V>& dense = values<V>(*this);
+  Slot& slot = slots_[probe(key, kind_of<V>())];
+  if (slot.kind != Kind::kEmpty) return {&dense[slot.at], false};
+  PDOS_CHECK_MSG(dense.size() < std::numeric_limits<std::uint32_t>::max(),
+                 "ResultIndex: more results than a slot can address");
+  slot = Slot{key, kind_of<V>(), static_cast<std::uint32_t>(dense.size())};
+  return {&dense.emplace_back(), true};
+}
+
+template std::pair<CachedPoint*, bool> ResultIndex::emplace<CachedPoint>(
+    std::uint64_t key);
+template std::pair<double*, bool> ResultIndex::emplace<double>(
+    std::uint64_t key);
+
 namespace {
 
 /// Cut a torn final line (a writer killed mid-record) back to the file's
 /// last '\n', or to empty when it has none, so the next record starts a
-/// fresh line and the fragment can never load as a record. Returns the
-/// resulting file size, or -1 on an I/O error. Call it under the file's
-/// exclusive flock(2).
-std::int64_t cut_torn_tail(int fd) {
-  struct stat st;
-  if (::fstat(fd, &st) != 0) return -1;
-  off_t end = st.st_size;
+/// fresh line and the fragment can never load as a record. `size` is the
+/// file's size. Returns the resulting size, or -1 on an I/O error. Call it
+/// under the file's exclusive flock(2).
+std::int64_t cut_torn_tail(int fd, std::int64_t size) {
+  off_t end = size;
   // Scan back a chunk at a time: a record is far shorter than a chunk, so
   // one pread finds the last '\n' unless the file holds no whole line.
   char buf[512];
@@ -332,7 +436,7 @@ std::int64_t cut_torn_tail(int fd) {
     }
     end = from;
   }
-  if (end < st.st_size && ::ftruncate(fd, end) != 0) return -1;
+  if (end < size && ::ftruncate(fd, end) != 0) return -1;
   return end;
 }
 
@@ -349,13 +453,24 @@ bool write_all(int fd, std::string_view bytes) {
 
 SegmentStore::SegmentStore(std::vector<std::string> paths, const char* header)
     : header_(header), segments_(paths.size()) {
-  std::error_code ec;
+  // The shortest point record: every count one digit.
+  static const std::size_t kShortestPointLine =
+      format_point_record(0, CachedPoint{}).size();
+  std::vector<bool> found(paths.size(), false);
+  std::uint64_t bytes = 0;
   for (std::size_t i = 0; i < paths.size(); ++i) {
-    Segment& seg = segments_[i];
-    seg.path = std::move(paths[i]);
+    segments_[i].path = std::move(paths[i]);
+    struct stat st;
+    found[i] = ::stat(segments_[i].path.c_str(), &st) == 0;
+    if (found[i]) bytes += static_cast<std::uint64_t>(st.st_size);
+  }
+  // Room for as many points as the files could hold, so loading them never
+  // regrows the index.
+  results_.reserve(static_cast<std::size_t>(bytes / kShortestPointLine));
+  for (std::size_t i = 0; i < segments_.size(); ++i) {
     // Load only files that already exist; the rest are created by the
     // first append that lands in them.
-    if (std::filesystem::exists(seg.path, ec) && open(seg)) scan(seg);
+    if (found[i] && open(segments_[i])) scan(segments_[i]);
   }
 }
 
@@ -381,57 +496,58 @@ bool SegmentStore::open(Segment& seg) {
   return seg.fd >= 0;
 }
 
-void SegmentStore::apply_line(std::string_view line) {
+void SegmentStore::apply_result(std::string_view line) {
   if (line.size() < 2 || line[1] != ' ') return;
   const std::string_view fields = line.substr(2);
   std::uint64_t key = 0;
-  switch (line[0]) {
-    case 'P': {
-      CachedPoint value;
-      if (parse_point_record(fields, key, value)) {
-        points_[key] = value;
-        leases_.erase(key);  // result supersedes any claim
-      }
-      break;
+  if (line[0] == 'P') {
+    CachedPoint value;
+    if (!parse_point_record(fields, key, value)) return;
+    *results_.emplace<CachedPoint>(key).first = value;
+  } else if (line[0] == 'B') {
+    double goodput = 0.0;
+    if (!parse_baseline_record(fields, key, goodput)) return;
+    *results_.emplace<double>(key).first = goodput;
+  } else {
+    return;  // unknown record kinds are skipped, not fatal
+  }
+  leases_.erase(key);  // a result supersedes any claim
+}
+
+void SegmentStore::apply_lease(std::string_view line) {
+  if (line.size() < 2 || line[1] != ' ') return;
+  const std::string_view fields = line.substr(2);
+  std::uint64_t key = 0;
+  std::uint64_t owner = 0;
+  if (line[0] == 'L') {
+    double expiry = 0.0;
+    // Last lease wins: a re-claim after expiry replaces the dead one.
+    // Never shadow a result.
+    if (parse_lease_record(fields, key, owner, expiry) &&
+        !results_.contains(key)) {
+      leases_[key] = Lease{owner, expiry};
     }
-    case 'B': {
-      double goodput = 0.0;
-      if (parse_baseline_record(fields, key, goodput)) {
-        baselines_[key] = goodput;
-        leases_.erase(key);
-      }
-      break;
-    }
-    case 'L': {
-      std::uint64_t owner = 0;
-      double expiry = 0.0;
-      if (parse_lease_record(fields, key, owner, expiry)) {
-        // Last lease wins: a re-claim after expiry replaces the dead one.
-        // Never shadow a result that already landed.
-        if (points_.find(key) == points_.end() &&
-            baselines_.find(key) == baselines_.end()) {
-          leases_[key] = Lease{owner, expiry};
-        }
-      }
-      break;
-    }
-    case 'R': {
-      std::uint64_t owner = 0;
-      if (parse_release_record(fields, key, owner)) {
-        const auto it = leases_.find(key);
-        if (it != leases_.end() && it->second.owner == owner) {
-          leases_.erase(it);
-        }
-      }
-      break;
-    }
-    default:
-      break;  // unknown record kinds are skipped, not fatal
+  } else if (parse_release_record(fields, key, owner)) {  // an `R` line
+    const auto it = leases_.find(key);
+    if (it != leases_.end() && it->second.owner == owner) leases_.erase(it);
   }
 }
 
+bool SegmentStore::still_foreign(const Segment& seg) const {
+  const std::string_view header = header_;
+  std::string first(header.size() + 1, '\0');
+  return ::pread(seg.fd, first.data(), first.size(), 0) !=
+             static_cast<ssize_t>(first.size()) ||
+         first.back() != '\n' || first.compare(0, header.size(), header) != 0;
+}
+
 void SegmentStore::scan(Segment& seg) {
-  if (seg.rewrite) return;  // foreign file: ignored until truncated
+  if (seg.rewrite) {
+    // A foreign file is ignored until it is truncated, by us or by a peer
+    // that opened it foreign too; the peer's rewrite loads from the start.
+    if (still_foreign(seg)) return;
+    seg.rewrite = false;
+  }
   struct stat st;
   if (::fstat(seg.fd, &st) != 0) return;
   auto size = static_cast<std::uint64_t>(st.st_size);
@@ -455,7 +571,10 @@ void SegmentStore::scan(Segment& seg) {
   tail.resize(got);
 
   // Consume complete lines only; a torn tail (no final newline yet) stays
-  // unconsumed and is re-read — whole — on a later scan.
+  // unconsumed and is re-read — whole — on a later scan. Results apply as
+  // they are read; lease records wait until every result in these bytes
+  // is in, and then apply only to keys still without one.
+  std::vector<std::string_view> lease_lines;
   std::size_t begin = 0;
   while (true) {
     const std::size_t nl = tail.find('\n', begin);
@@ -463,33 +582,46 @@ void SegmentStore::scan(Segment& seg) {
     const std::string_view line(tail.data() + begin, nl - begin);
     if (seg.scanned == 0 && begin == 0 && !seg.header_ok) {
       if (line != header_) {
-        // Foreign or pre-v1 file: load nothing from it and truncate it on
-        // the first append (records appended after a bad header would be
-        // invisible to the next load).
+        // Foreign file or an older record layout: load nothing from it and
+        // truncate it on the first append (records appended after a bad
+        // header would be invisible to the next load).
         seg.rewrite = true;
         return;
       }
       seg.header_ok = true;
+    } else if (line.starts_with('L') || line.starts_with('R')) {
+      lease_lines.push_back(line);
     } else {
-      apply_line(line);
+      apply_result(line);
     }
     begin = nl + 1;
   }
+  for (const std::string_view line : lease_lines) apply_lease(line);
   seg.scanned += begin;
 }
 
 void SegmentStore::append_locked(Segment& seg, const std::string& line) {
   if (seg.rewrite) {
-    if (::ftruncate(seg.fd, 0) != 0) return;
+    // Truncate a foreign file, unless a peer's first append already did:
+    // truncating again would erase the peer's records. Either way the next
+    // scan reads the file from its header.
+    if (still_foreign(seg) && ::ftruncate(seg.fd, 0) != 0) return;
     seg.rewrite = false;
     seg.scanned = 0;
     seg.header_ok = false;
   }
-  // A writer killed mid-record left a partial final line: cut it, so our
-  // record starts a fresh line and the fragment never loads as a record.
-  // Scans consume whole lines only, so `scanned` never passes the cut.
-  const std::int64_t end = cut_torn_tail(seg.fd);
-  if (end < 0) return;
+  struct stat st;
+  if (::fstat(seg.fd, &st) != 0) return;
+  // A file that ends where this store's last scan or write of it ended ends
+  // in a whole line. Any other may end in a partial line that a writer
+  // killed mid-record left: cut it, so our record starts a fresh line and
+  // the fragment never loads as a record. Scans consume whole lines only,
+  // so `scanned` never passes the cut.
+  std::int64_t end = st.st_size;
+  if (static_cast<std::uint64_t>(end) != seg.scanned) {
+    end = cut_torn_tail(seg.fd, end);
+    if (end < 0) return;
+  }
   std::string out;
   if (end == 0) {
     out = std::string(header_) + "\n";
@@ -516,40 +648,44 @@ void SegmentStore::append(std::uint64_t key, const std::string& line) {
 
 bool SegmentStore::lookup_point(std::uint64_t key, CachedPoint& out) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = points_.find(key);
-  if (it == points_.end()) return false;
-  out = it->second;
+  const CachedPoint* found = results_.find<CachedPoint>(key);
+  if (found == nullptr) return false;
+  out = *found;
   return true;
 }
 
 bool SegmentStore::lookup_baseline(std::uint64_t key, double& goodput) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = baselines_.find(key);
-  if (it == baselines_.end()) return false;
-  goodput = it->second;
+  const double* found = results_.find<double>(key);
+  if (found == nullptr) return false;
+  goodput = *found;
   return true;
 }
 
 void SegmentStore::store_point(std::uint64_t key, const CachedPoint& value) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (!points_.emplace(key, value).second) return;  // already recorded
+  const auto [slot, added] = results_.emplace<CachedPoint>(key);
+  if (!added) return;  // already recorded
+  *slot = value;
   leases_.erase(key);
   append(key, format_point_record(key, value));
 }
 
 void SegmentStore::store_baseline(std::uint64_t key, double goodput) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (!baselines_.emplace(key, goodput).second) return;
+  const auto [slot, added] = results_.emplace<double>(key);
+  if (!added) return;
+  *slot = goodput;
   leases_.erase(key);
   append(key, format_baseline_record(key, goodput));
 }
 
 std::size_t SegmentStore::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return points_.size() + baselines_.size();
+  return results_.size();
 }
 
 PointCache::PointCache(std::string path)
-    : SegmentStore({std::move(path)}, "pdos-point-cache-v1") {}
+    : SegmentStore({std::move(path)}, "pdos-point-cache-v2") {}
 
 }  // namespace pdos::sweep

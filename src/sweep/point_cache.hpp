@@ -9,13 +9,14 @@
 // or repeated campaign replays as cache hits (`pdos_sweep --resume`).
 //
 // Storage is line-oriented append-only text: one header line, then one
-// record per entry. Doubles are written with %.17g so the reloaded value
-// is bit-exact and cached CSV output stays byte-identical to a fresh run.
-// Robustness over cleverness: a missing, truncated, or corrupt file —
-// including one from an older schema — loads as empty and is rewritten by
-// subsequent appends; malformed lines are skipped, a final line without
-// its '\n' (a writer killed mid-record) never loads, and the next append
-// cuts it off before writing.
+// record per entry. Doubles are written as the 16 hex digits of their
+// IEEE-754 bits, so the reloaded value is bit-exact (NaN payloads included)
+// and cached CSV output stays byte-identical to a fresh run. The header
+// line versions the record layout: a file with any other header — a
+// missing, truncated or foreign one, or an older layout's — loads as empty
+// and is rewritten by subsequent appends. Malformed lines are skipped, a
+// final line without its '\n' (a writer killed mid-record) never loads,
+// and the next append cuts it off before writing.
 //
 // The key covers every *parameter* that shapes the simulation, plus the
 // compiler version. It cannot see code changes that alter simulation
@@ -36,15 +37,20 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sweep/sweep.hpp"
 
 namespace pdos::sweep {
 
-/// Bump on any change to the record layout OR to simulation semantics that
-/// changes outputs at identical parameters.
+/// Bump on any change to simulation semantics that changes outputs at
+/// identical parameters, or to what a key hashes. The record layout is
+/// versioned by the segment header line instead (`pdos-point-cache-v2`,
+/// `pdos-campaign-seg-v2`): a file with an older layout loads as empty, so
+/// its points are simulated again rather than misread, and no key moves.
 /// Schema 2: the key covers the simulation tier (ScenarioConfig::backend,
 /// fast_path, and the hybrid/fluid tuning knobs), so points computed on
 /// different backends never alias.
@@ -99,9 +105,10 @@ class SweepKeys {
   std::vector<Prefix> prefixes_;  // sorted by flows
 };
 
-// Record text codecs of every segment file: one line per
-// record, fields separated by one space, keys and owners as 16 hex digits,
-// doubles as %.17g (bit-exact on reload), counts as unsigned decimals:
+// Record text codecs of every segment file: one line per record, fields
+// separated by one space, keys and owners as 16 lowercase hex digits,
+// doubles as the 16 lowercase hex digits of their IEEE-754 bits (so every
+// bit pattern reloads exactly), counts as unsigned decimals:
 //
 //   P <key> <c_psi> … <fairness> <timeouts> … <events>   completed point
 //   B <key> <goodput>                                    completed baseline
@@ -111,9 +118,10 @@ class SweepKeys {
 // The format functions return the whole line, trailing '\n' included. The
 // parsers take the text after the "P " / "B " / "L " / "R " tag, without
 // the '\n', and accept exactly what the writers produce: no leading,
-// doubled or trailing spaces, no '+' signs or hex prefixes, no doubles out
-// of range, nothing after the last field. They return false on anything
-// else, leaving the outputs unspecified.
+// doubled or trailing spaces, no '+' signs, hex prefixes or uppercase hex
+// digits, no hex field of other than 16 digits, no decimal double, nothing
+// after the last field. They return false on anything else, leaving the
+// outputs unspecified.
 std::string format_point_record(std::uint64_t key, const CachedPoint& v);
 std::string format_baseline_record(std::uint64_t key, double goodput);
 std::string format_lease_record(std::uint64_t key, std::uint64_t owner,
@@ -173,6 +181,84 @@ class PointStore {
   virtual void refresh() {}
 };
 
+/// The results a store holds, by task key: one open-addressing table probed
+/// linearly from each key's home slot. A slot holds a key, the kind of its
+/// result and the result's position in a dense array, one array per kind.
+/// Point and baseline keys are separate namespaces, so a slot matches on
+/// (key, kind), and every 64-bit key is valid, 0 and ~0 included. The
+/// table doubles before it passes 3/4 full. Not thread-safe: a store
+/// guards its index with its mutex.
+///
+/// V is CachedPoint for a point result and double for a baseline's goodput.
+class ResultIndex {
+ public:
+  /// Room for `points` point results without growing.
+  void reserve(std::size_t points);
+
+  /// `key`'s result of type V, or null.
+  template <typename V>
+  const V* find(std::uint64_t key) const {
+    if (slots_.empty()) return nullptr;
+    const Slot& slot = slots_[probe(key, kind_of<V>())];
+    return slot.kind == Kind::kEmpty ? nullptr : &values<V>(*this)[slot.at];
+  }
+  /// Whether `key` has a result of either kind.
+  bool contains(std::uint64_t key) const {
+    return find<CachedPoint>(key) != nullptr || find<double>(key) != nullptr;
+  }
+  /// `key`'s result of type V, added value-initialized if it had none, and
+  /// whether it was added. The pointer is valid until the next emplace.
+  template <typename V>
+  std::pair<V*, bool> emplace(std::uint64_t key);
+  /// Calls fn(key, value) for every result of type V.
+  template <typename V, typename Fn>
+  void for_each(Fn&& fn) const {
+    const std::vector<V>& dense = values<V>(*this);
+    for (const Slot& slot : slots_) {
+      if (slot.kind == kind_of<V>()) fn(slot.key, dense[slot.at]);
+    }
+  }
+
+  std::size_t size() const { return points_.size() + baselines_.size(); }
+  /// The table's length: 0, or a power of two of at least 16.
+  std::size_t slots() const { return slots_.size(); }
+  /// The slot where `key`'s probe starts in a table of `slots` slots.
+  static std::size_t home(std::uint64_t key, std::size_t slots);
+
+ private:
+  enum class Kind : std::uint32_t { kEmpty, kPoint, kBaseline };
+  struct Slot {
+    std::uint64_t key = 0;
+    Kind kind = Kind::kEmpty;
+    std::uint32_t at = 0;  // position in points_ or baselines_
+  };
+
+  template <typename V>
+  static constexpr Kind kind_of() {
+    static_assert(std::is_same_v<V, CachedPoint> || std::is_same_v<V, double>,
+                  "a result is a CachedPoint or a baseline's goodput");
+    return std::is_same_v<V, CachedPoint> ? Kind::kPoint : Kind::kBaseline;
+  }
+  /// `self`'s dense array of results of type V.
+  template <typename V, typename Self>
+  static auto& values(Self& self) {
+    if constexpr (std::is_same_v<V, CachedPoint>) {
+      return self.points_;
+    } else {
+      return self.baselines_;
+    }
+  }
+
+  /// The slot holding `key`'s result of `kind`, or else the empty slot
+  /// that ends its probe. The table must be nonempty.
+  std::size_t probe(std::uint64_t key, Kind kind) const;
+  void rehash(std::size_t slots);
+
+  std::vector<Slot> slots_;
+  std::vector<CachedPoint> points_;
+  std::vector<double> baselines_;
+};
+
 /// Append-only segment files of the records above and the in-memory index
 /// over them: what both stores share. A key's records live in segment
 /// `(key >> 60) % segments`. Each file starts with the store's header line.
@@ -181,16 +267,25 @@ class PointStore {
 ///     directories. A file the process can read but not write opens
 ///     read-only: it still loads, and appends to it fail like any I/O
 ///     error, which leaves the store in-memory only.
+///   - Opening a store sizes the index for the records its files can hold
+///     (their bytes over the shortest `P` line), taking each size from the
+///     existence check the open makes anyway.
 ///   - Scans are incremental (a per-file offset) and consume whole lines
 ///     only. Malformed lines and unknown record kinds are skipped. A file
 ///     with a foreign header loads as empty and is truncated by its first
-///     append.
+///     append, from this process or from a peer that opened it too, and
+///     it loads again once it starts with the store's header.
 ///   - An append takes the file's exclusive flock(2), cuts a torn final
-///     line back to the last '\n', and writes the whole record in one write(2)
-///     through an O_APPEND fd, so processes sharing a file never interleave
-///     a record and each sees the others' lines whole on its next scan.
+///     line back to the last '\n' unless the file ends where this store's
+///     last scan or write ended, and writes the whole record in one
+///     write(2) through an O_APPEND fd, so processes sharing a file never
+///     interleave a record and each sees the others' lines whole on its
+///     next scan.
 /// Lease records (`L`/`R`) load into `leases_`; only CampaignStore writes
-/// them. All public methods are thread-safe.
+/// them. A scan applies the result records (`P`/`B`) of its bytes first and
+/// then the lease records, skipping those of keys that have a result: the
+/// index and the leases end as they would in file order, and a settled task
+/// never inserts and erases a lease. All public methods are thread-safe.
 class SegmentStore : public PointStore {
  public:
   ~SegmentStore() override;
@@ -228,6 +323,10 @@ class SegmentStore : public PointStore {
 
   // All helpers below assume mutex_ is held.
   bool open(Segment& seg);
+  /// Whether a segment opened with a foreign header still has one: a
+  /// process sharing the file may have truncated it and written ours. Call
+  /// it under the file's flock(2).
+  bool still_foreign(const Segment& seg) const;
   void scan(Segment& seg);
   /// Append `line` to an open segment; the caller holds its flock.
   void append_locked(Segment& seg, const std::string& line);
@@ -237,15 +336,15 @@ class SegmentStore : public PointStore {
   const char* header_;
   mutable std::mutex mutex_;
   std::vector<Segment> segments_;
-  std::unordered_map<std::uint64_t, CachedPoint> points_;
-  std::unordered_map<std::uint64_t, double> baselines_;
+  ResultIndex results_;
   std::unordered_map<std::uint64_t, Lease> leases_;  // keys with no result
 
  private:
-  void apply_line(std::string_view line);
+  void apply_result(std::string_view line);
+  void apply_lease(std::string_view line);
 };
 
-/// The single-file cache: one segment with header `pdos-point-cache-v1`.
+/// The single-file cache: one segment with header `pdos-point-cache-v2`.
 class PointCache : public SegmentStore {
  public:
   explicit PointCache(std::string path);

@@ -38,8 +38,6 @@ void CbrSource::start(Time when) { emit_timer_.schedule_at(when); }
 
 void CbrSource::emit() {
   if (stopped_) return;
-  ++stats_.packets_sent;
-  stats_.bytes_sent += packet_bytes_;
   out_->handle(make_udp(flow_, self_, sink_, packet_bytes_));
   emit_timer_.schedule_in(spacing_);
 }
@@ -91,8 +89,6 @@ void OnOffSource::begin_on() {
 // adopting the new burst's deadline.
 void OnOffSource::emit(Time on_end) {
   if (stopped_ || sim_.now() >= on_end) return;
-  ++stats_.packets_sent;
-  stats_.bytes_sent += packet_bytes_;
   out_->handle(make_udp(flow_, self_, sink_, packet_bytes_));
   sim_.schedule(spacing_, [this, on_end] { emit(on_end); });
 }

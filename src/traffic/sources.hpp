@@ -21,11 +21,6 @@
 
 namespace pdos {
 
-struct SourceStats {
-  std::int64_t packets_sent = 0;
-  Bytes bytes_sent = 0;
-};
-
 /// Constant-bit-rate datagram source.
 class CbrSource {
  public:
@@ -34,7 +29,6 @@ class CbrSource {
 
   void start(Time when);
   void stop() { stopped_ = true; }
-  const SourceStats& stats() const { return stats_; }
 
  private:
   void emit();
@@ -48,7 +42,6 @@ class CbrSource {
   FlowId flow_;
   bool stopped_ = false;
   Timer emit_timer_;  // drives the fixed-spacing emission cycle
-  SourceStats stats_;
 };
 
 /// Exponential ON/OFF source: CBR at `peak_rate` during ON periods.
@@ -60,7 +53,6 @@ class OnOffSource {
 
   void start(Time when);
   void stop() { stopped_ = true; }
-  const SourceStats& stats() const { return stats_; }
   /// Long-run average rate peak * E[on]/(E[on]+E[off]).
   BitRate average_rate() const;
 
@@ -81,7 +73,6 @@ class OnOffSource {
   Rng rng_;
   bool stopped_ = false;
   Timer burst_timer_;  // drives the ON/OFF cycle
-  SourceStats stats_;
 };
 
 }  // namespace pdos
