@@ -21,34 +21,19 @@ namespace pdos::sweep {
 
 namespace {
 
-/// Insert every task key of `spec` (points + deduped baselines) into `keys`.
-void collect_task_keys(const SweepSpec& spec,
-                       std::unordered_set<std::uint64_t>& keys) {
+/// The distinct store keys of `tasks`, the task list of `spec`.
+std::unordered_set<std::uint64_t> task_keys(const SweepSpec& spec,
+                                            const SweepTasks& tasks) {
   const SweepKeys spec_keys(spec);
-  PairIndex baseline_pairs;
-  std::size_t next_slot = 0;
-  for (const PointSpec& point : spec.enumerate()) {
-    const std::uint64_t seed = replicate_seed(spec.base_seed, point.replicate);
-    keys.insert(spec_keys.point(point, seed));
-    if (baseline_pairs.insert(point.flows, point.replicate, next_slot)
-            .second) {
-      ++next_slot;
-      keys.insert(spec_keys.baseline(point, seed));
-    }
+  std::unordered_set<std::uint64_t> keys;
+  for (const PointResult& row : tasks.rows) {
+    keys.insert(spec_keys.point(row.point, row.seed));
   }
-}
-
-/// Task count run_sweep will report for `spec` (points + unique baselines).
-std::size_t spec_task_total(const SweepSpec& spec) {
-  const std::vector<PointSpec> points = spec.enumerate();
-  PairIndex pairs;
-  std::size_t baselines = 0;
-  for (const PointSpec& point : points) {
-    if (pairs.insert(point.flows, point.replicate, baselines).second) {
-      ++baselines;
-    }
+  for (const std::size_t first : tasks.baselines) {
+    const PointResult& row = tasks.rows[first];
+    keys.insert(spec_keys.baseline(row.point, row.seed));
   }
-  return points.size() + baselines;
+  return keys;
 }
 
 /// Open `path` for writing, creating its directory; an empty path stays
@@ -115,9 +100,7 @@ bool CampaignResult::ok() const {
 }
 
 std::size_t count_unique_tasks(const SweepSpec& spec) {
-  std::unordered_set<std::uint64_t> keys;
-  collect_task_keys(spec, keys);
-  return keys.size();
+  return task_keys(spec, make_tasks(spec)).size();
 }
 
 CampaignResult run_campaign(const std::vector<CampaignSpec>& specs,
@@ -131,17 +114,22 @@ CampaignResult run_campaign(const std::vector<CampaignSpec>& specs,
   const int workers = std::max(1, options.workers);
   const auto start = std::chrono::steady_clock::now();
 
+  // Each spec's task list, built once: its size is the spec's progress
+  // total, and its keys give the spec's and the campaign's unique counts.
   CampaignResult campaign;
+  std::vector<std::size_t> spec_totals;
+  std::vector<std::size_t> spec_unique;
   {
-    std::unordered_set<std::uint64_t> keys;
+    std::unordered_set<std::uint64_t> all_keys;
     for (const CampaignSpec& spec : specs) {
-      collect_task_keys(spec.spec, keys);
+      const SweepTasks tasks = make_tasks(spec.spec);
+      const std::unordered_set<std::uint64_t> keys =
+          task_keys(spec.spec, tasks);
+      spec_totals.push_back(tasks.size());
+      spec_unique.push_back(keys.size());
+      all_keys.insert(keys.begin(), keys.end());
     }
-    campaign.unique_tasks = keys.size();
-  }
-  std::vector<std::size_t> spec_totals(specs.size(), 0);
-  for (std::size_t si = 0; si < specs.size(); ++si) {
-    spec_totals[si] = spec_task_total(specs[si].spec);
+    campaign.unique_tasks = all_keys.size();
   }
   // Open every output before the first fork, so a path that cannot be
   // written fails here instead of after the whole grid has run. The streams
@@ -149,16 +137,13 @@ CampaignResult run_campaign(const std::vector<CampaignSpec>& specs,
   // Two open streams on one path would interleave their tables.
   std::unordered_set<std::string> output_paths;
   for (const CampaignSpec& spec : specs) {
-    for (const std::string& path : {spec.csv_path, spec.json_path}) {
-      PDOS_REQUIRE(path.empty() || output_paths.insert(path).second,
-                   "output named twice: " + path);
-    }
+    PDOS_REQUIRE(
+        spec.csv_path.empty() || output_paths.insert(spec.csv_path).second,
+        "output named twice: " + spec.csv_path);
   }
   std::vector<std::ofstream> csv_outs;
-  std::vector<std::ofstream> json_outs;
   for (const CampaignSpec& spec : specs) {
     csv_outs.push_back(open_output(spec.csv_path));
-    json_outs.push_back(open_output(spec.json_path));
   }
 
   // Fork the workers, each with a report pipe. Fork happens before this
@@ -294,10 +279,9 @@ CampaignResult run_campaign(const std::vector<CampaignSpec>& specs,
     sweep_options.store = &merged;
     sweep_options.claim_poll_seconds = options.claim_poll_seconds;
     spec_result.result = run_sweep(spec.spec, sweep_options);
-    spec_result.unique_tasks = count_unique_tasks(spec.spec);
+    spec_result.unique_tasks = spec_unique[si];
     campaign.final_simulated += spec_result.result.simulated;
     if (csv_outs[si].is_open()) spec_result.result.write_csv(csv_outs[si]);
-    if (json_outs[si].is_open()) spec_result.result.write_json(json_outs[si]);
     campaign.specs.push_back(std::move(spec_result));
   }
 

@@ -35,9 +35,8 @@ namespace pdos::sweep {
 /// One submitted spec plus where its merged outputs go.
 struct CampaignSpec {
   SweepSpec spec;
-  std::string csv_path;   // empty: suppress the CSV file
-  std::string json_path;  // empty: no JSON output
-  std::string name;       // label for progress lines (e.g. file basename)
+  std::string csv_path;  // empty: suppress the CSV file
+  std::string name;      // label for progress lines (e.g. file basename)
 };
 
 /// Merged progress across all workers and specs. Every worker walks every
@@ -93,13 +92,14 @@ struct CampaignResult {
 
 /// Fork `options.workers` processes over `specs`, join them, and replay the
 /// merged results. Must be called from a process that can fork safely
-/// (i.e. before the caller spawns its own threads). Every CSV/JSON output is
+/// (i.e. before the caller spawns its own threads). Every CSV output is
 /// opened before the first fork: one that cannot be opened, or a path named
 /// twice, is a ParameterError and nothing runs.
 CampaignResult run_campaign(const std::vector<CampaignSpec>& specs,
                             const CampaignOptions& options);
 
-/// Unique task count (baselines + points) of one spec.
+/// Unique task count (baselines + points) of one spec: the distinct store
+/// keys of make_tasks(spec).
 std::size_t count_unique_tasks(const SweepSpec& spec);
 
 }  // namespace pdos::sweep

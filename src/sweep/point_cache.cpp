@@ -300,12 +300,15 @@ class FieldReader {
     v = std::bit_cast<double>(bits);
     return *this;
   }
+  /// An unsigned decimal count, as RecordWriter::u64 writes it: no leading
+  /// zero unless the count is 0.
   FieldReader& u64(std::uint64_t& v) {
     if (!separator()) return *this;
     // from_chars takes no leading space, '+' or '-' for an unsigned value.
+    const char* first = p_;
     const std::from_chars_result r = std::from_chars(p_, end_, v);
     p_ = r.ptr;
-    ok_ = r.ec == std::errc();
+    ok_ = r.ec == std::errc() && (*first != '0' || p_ - first == 1);
     return *this;
   }
   /// Every field parsed and nothing follows the last one.
@@ -337,7 +340,7 @@ bool parse_point_record(std::string_view text, std::uint64_t& key,
   in.f64(v.fairness).u64(v.timeouts).u64(v.fast_recoveries);
   in.u64(v.attack_packets).u64(v.events);
   v.shrew = shrew != 0;
-  return in.done();
+  return in.done() && shrew <= 1;
 }
 
 bool parse_baseline_record(std::string_view text, std::uint64_t& key,
@@ -386,12 +389,18 @@ void ResultIndex::rehash(std::size_t slots) {
   }
 }
 
-void ResultIndex::reserve(std::size_t points) {
-  if (points == 0) return;
+void ResultIndex::reserve(std::size_t results) {
+  if (results == 0) return;
   std::size_t slots = 16;
-  while (slots * 3 < (size() + points) * 4) slots *= 2;
+  while (slots * 3 < (size() + results) * 4) slots *= 2;
   if (slots > slots_.size()) rehash(slots);
-  points_.reserve(points_.size() + points);
+  // Nearly every result is a point. Their array at least doubles when it
+  // grows, so a store opened a segment at a time, or refreshed a few lines
+  // at a time, copies each point O(1) times.
+  const std::size_t points = points_.size() + results;
+  if (points > points_.capacity()) {
+    points_.reserve(std::max(points, 2 * points_.capacity()));
+  }
 }
 
 template <typename V>
@@ -453,24 +462,14 @@ bool write_all(int fd, std::string_view bytes) {
 
 SegmentStore::SegmentStore(std::vector<std::string> paths, const char* header)
     : header_(header), segments_(paths.size()) {
-  // The shortest point record: every count one digit.
-  static const std::size_t kShortestPointLine =
-      format_point_record(0, CachedPoint{}).size();
-  std::vector<bool> found(paths.size(), false);
-  std::uint64_t bytes = 0;
   for (std::size_t i = 0; i < paths.size(); ++i) {
     segments_[i].path = std::move(paths[i]);
-    struct stat st;
-    found[i] = ::stat(segments_[i].path.c_str(), &st) == 0;
-    if (found[i]) bytes += static_cast<std::uint64_t>(st.st_size);
-  }
-  // Room for as many points as the files could hold, so loading them never
-  // regrows the index.
-  results_.reserve(static_cast<std::size_t>(bytes / kShortestPointLine));
-  for (std::size_t i = 0; i < segments_.size(); ++i) {
     // Load only files that already exist; the rest are created by the
     // first append that lands in them.
-    if (found[i] && open(segments_[i])) scan(segments_[i]);
+    struct stat st;
+    if (::stat(segments_[i].path.c_str(), &st) == 0 && open(segments_[i])) {
+      scan(segments_[i]);
+    }
   }
 }
 
@@ -571,9 +570,11 @@ void SegmentStore::scan(Segment& seg) {
   tail.resize(got);
 
   // Consume complete lines only; a torn tail (no final newline yet) stays
-  // unconsumed and is re-read — whole — on a later scan. Results apply as
-  // they are read; lease records wait until every result in these bytes
-  // is in, and then apply only to keys still without one.
+  // unconsumed and is re-read — whole — on a later scan. Result records are
+  // set aside, so the index grows once for all of them; lease records wait
+  // until every result in these bytes is in, and then apply only to keys
+  // still without one.
+  std::vector<std::string_view> result_lines;
   std::vector<std::string_view> lease_lines;
   std::size_t begin = 0;
   while (true) {
@@ -592,10 +593,12 @@ void SegmentStore::scan(Segment& seg) {
     } else if (line.starts_with('L') || line.starts_with('R')) {
       lease_lines.push_back(line);
     } else {
-      apply_result(line);
+      result_lines.push_back(line);
     }
     begin = nl + 1;
   }
+  results_.reserve(result_lines.size());
+  for (const std::string_view line : result_lines) apply_result(line);
   for (const std::string_view line : lease_lines) apply_lease(line);
   seg.scanned += begin;
 }

@@ -108,7 +108,8 @@ class SweepKeys {
 // Record text codecs of every segment file: one line per record, fields
 // separated by one space, keys and owners as 16 lowercase hex digits,
 // doubles as the 16 lowercase hex digits of their IEEE-754 bits (so every
-// bit pattern reloads exactly), counts as unsigned decimals:
+// bit pattern reloads exactly), counts as unsigned decimals with no leading
+// zero, and a point's shrew flag as 0 or 1:
 //
 //   P <key> <c_psi> … <fairness> <timeouts> … <events>   completed point
 //   B <key> <goodput>                                    completed baseline
@@ -119,8 +120,9 @@ class SweepKeys {
 // parsers take the text after the "P " / "B " / "L " / "R " tag, without
 // the '\n', and accept exactly what the writers produce: no leading,
 // doubled or trailing spaces, no '+' signs, hex prefixes or uppercase hex
-// digits, no hex field of other than 16 digits, no decimal double, nothing
-// after the last field. They return false on anything else, leaving the
+// digits, no hex field of other than 16 digits, no decimal double, no
+// leading zero in a count, no shrew flag but 0 or 1, nothing after the
+// last field. They return false on anything else, leaving the
 // outputs unspecified.
 std::string format_point_record(std::uint64_t key, const CachedPoint& v);
 std::string format_baseline_record(std::uint64_t key, double goodput);
@@ -192,8 +194,9 @@ class PointStore {
 /// V is CachedPoint for a point result and double for a baseline's goodput.
 class ResultIndex {
  public:
-  /// Room for `points` point results without growing.
-  void reserve(std::size_t points);
+  /// Room for `results` more results, of either kind, without the table
+  /// growing.
+  void reserve(std::size_t results);
 
   /// `key`'s result of type V, or null.
   template <typename V>
@@ -267,11 +270,11 @@ class ResultIndex {
 ///     directories. A file the process can read but not write opens
 ///     read-only: it still loads, and appends to it fail like any I/O
 ///     error, which leaves the store in-memory only.
-///   - Opening a store sizes the index for the records its files can hold
-///     (their bytes over the shortest `P` line), taking each size from the
-///     existence check the open makes anyway.
 ///   - Scans are incremental (a per-file offset) and consume whole lines
-///     only. Malformed lines and unknown record kinds are skipped. A file
+///     only, holding one file's new bytes at a time. Each sizes the index
+///     for the result lines it read before applying them, so opening a
+///     store grows the index only to fit its results, never its leases.
+///     Malformed lines and unknown record kinds are skipped. A file
 ///     with a foreign header loads as empty and is truncated by its first
 ///     append, from this process or from a peer that opened it too, and
 ///     it loads again once it starts with the store's header.

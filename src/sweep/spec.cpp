@@ -138,10 +138,8 @@ SpecFile parse_spec(const std::string& text) {
       check_worker_count(file.options.threads, at + ": threads");
     } else if (key == "csv") {
       file.csv_path = value;
-    } else if (key == "json") {
-      file.json_path = value;
     } else if (key == "cache") {
-      file.options.cache_path = value;
+      file.cache_path = value;
     } else if (key == "store") {
       file.store_dir = value;
     } else {

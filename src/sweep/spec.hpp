@@ -20,15 +20,16 @@
 //   warmup_s     = 5
 //   measure_s    = 15
 //   threads      = 0            # 0 = all hardware threads, at most 1024
-//   csv          = sweep.csv    # optional output paths
-//   json         = sweep.json
+//   csv          = sweep.csv    # optional output path (default stdout)
 //   cache        = points.cache # optional persistent point cache
 //   store        = campaign.d   # optional sharded campaign store directory
 //                               # (multi-process; overrides `cache`)
 //
 // Unknown keys are an error (they are always typos). Numbers must be
 // finite; the integer keys (flows, gamma_points, replicates, base_seed,
-// threads) take whole numbers in their type's range.
+// threads) take whole numbers in their type's range. A grid every point of
+// which would fail is rejected too (SweepSpec::validate): kappa or
+// warmup_s below 0, or a textent_ms or rattack_mbps entry of 0 or less.
 #pragma once
 
 #include <string>
@@ -40,11 +41,13 @@ namespace pdos::sweep {
 struct SpecFile {
   SweepSpec spec;
   SweepOptions options;
-  std::string csv_path;   // empty: write CSV to stdout
-  std::string json_path;  // empty: no JSON output
-  /// `store =`: CampaignStore directory to coordinate through. The caller
-  /// (pdos_sweep/pdos_campaign) owns the store object; this is just the
-  /// parsed path. Takes precedence over `cache` when both are set.
+  std::string csv_path;  // empty: write CSV to stdout
+  /// `cache =`: PointCache file. The caller (pdos_sweep) opens the store
+  /// and passes it in `options.store`; this is just the parsed path.
+  std::string cache_path;
+  /// `store =`: CampaignStore directory to coordinate through, opened by
+  /// the caller (pdos_sweep/pdos_campaign) like `cache_path`. Takes
+  /// precedence over `cache` when both are set.
   std::string store_dir;
 };
 

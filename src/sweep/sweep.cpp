@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -25,35 +26,6 @@ namespace pdos::sweep {
 
 const char* scenario_kind_name(ScenarioKind kind) {
   return kind == ScenarioKind::kNs2Dumbbell ? "ns2" : "testbed";
-}
-
-std::pair<std::size_t, bool> PairIndex::insert(int a, int b,
-                                               std::size_t slot) {
-  const std::uint64_t key = key_of(a, b);
-  const auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), key,
-      [](const Entry& e, std::uint64_t k) { return e.key < k; });
-  if (it != entries_.end() && it->key == key) return {it->slot, false};
-  entries_.insert(it, Entry{key, slot});
-  return {slot, true};
-}
-
-std::size_t PairIndex::at(int a, int b) const {
-  const std::uint64_t key = key_of(a, b);
-  const auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), key,
-      [](const Entry& e, std::uint64_t k) { return e.key < k; });
-  PDOS_CHECK_MSG(it != entries_.end() && it->key == key,
-                 "PairIndex::at: key not present");
-  return it->slot;
-}
-
-bool PairIndex::contains(int a, int b) const {
-  const std::uint64_t key = key_of(a, b);
-  const auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), key,
-      [](const Entry& e, std::uint64_t k) { return e.key < k; });
-  return it != entries_.end() && it->key == key;
 }
 
 std::uint64_t replicate_seed(std::uint64_t base_seed, int replicate) {
@@ -84,7 +56,17 @@ void SweepSpec::validate() const {
     for (int flows : flow_counts) {
       PDOS_REQUIRE(flows >= 1, "SweepSpec: flow counts must be >= 1");
     }
+    // Every point of an axis entry <= 0 would fail; explicit points (which
+    // tests use to inject an infeasible one) still fail at run time.
+    for (Time textent : textents) {
+      PDOS_REQUIRE(textent > 0.0, "SweepSpec: textent must be > 0");
+    }
+    for (BitRate rattack : rattacks) {
+      PDOS_REQUIRE(rattack > 0.0, "SweepSpec: rattack must be > 0");
+    }
   }
+  PDOS_REQUIRE(kappa >= 0.0, "SweepSpec: kappa must be >= 0");
+  PDOS_REQUIRE(control.warmup >= 0.0, "SweepSpec: warmup must be >= 0");
   PDOS_REQUIRE(control.measure > 0.0, "SweepSpec: measure window must be > 0");
 }
 
@@ -140,6 +122,25 @@ std::vector<PointSpec> SweepSpec::enumerate() const {
   return points;
 }
 
+SweepTasks make_tasks(const SweepSpec& spec) {
+  SweepTasks tasks;
+  const std::vector<PointSpec> points = spec.enumerate();
+  tasks.rows.resize(points.size());
+  tasks.baseline_of.resize(points.size());
+  std::map<std::pair<int, int>, std::size_t> slot_of;  // (flows, replicate)
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    PointResult& row = tasks.rows[i];
+    row.index = i;
+    row.point = points[i];
+    row.seed = replicate_seed(spec.base_seed, row.point.replicate);
+    const auto [it, added] = slot_of.try_emplace(
+        {row.point.flows, row.point.replicate}, tasks.baselines.size());
+    if (added) tasks.baselines.push_back(i);
+    tasks.baseline_of[i] = it->second;
+  }
+  return tasks;
+}
+
 std::size_t SweepResult::failures() const {
   std::size_t n = 0;
   for (const auto& point : points) {
@@ -177,28 +178,6 @@ const char* status_name(PointStatus status) {
   return "?";
 }
 
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 void SweepResult::write_csv(std::ostream& out) const {
@@ -224,47 +203,13 @@ void SweepResult::write_csv(std::ostream& out) const {
   }
 }
 
-void SweepResult::write_json(std::ostream& out) const {
-  out << "[\n";
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const auto& r = points[i];
-    out << "  {\"index\": " << r.index << ", \"flows\": " << r.point.flows
-        << ", \"textent_ms\": " << fmt(to_ms(r.point.textent))
-        << ", \"rattack_mbps\": " << fmt(to_mbps(r.point.rattack))
-        << ", \"gamma\": " << fmt(r.point.gamma)
-        << ", \"kappa\": " << fmt(r.point.kappa)
-        << ", \"replicate\": " << r.point.replicate
-        << ", \"seed\": " << r.seed
-        << ", \"status\": \"" << status_name(r.status) << "\""
-        << ", \"c_psi\": " << fmt(r.c_psi)
-        << ", \"analytic_degradation\": " << fmt(r.analytic_degradation)
-        << ", \"analytic_gain\": " << fmt(r.analytic_gain)
-        << ", \"shrew\": " << (r.shrew ? "true" : "false")
-        << ", \"baseline_mbps\": " << fmt(to_mbps(r.baseline_goodput))
-        << ", \"goodput_mbps\": " << fmt(to_mbps(r.goodput))
-        << ", \"measured_degradation\": " << fmt(r.measured_degradation)
-        << ", \"measured_gain\": " << fmt(r.measured_gain)
-        << ", \"utilization\": " << fmt(r.utilization)
-        << ", \"fairness\": " << fmt(r.fairness)
-        << ", \"timeouts\": " << r.timeouts
-        << ", \"fast_recoveries\": " << r.fast_recoveries
-        << ", \"attack_packets\": " << r.attack_packets
-        << ", \"events\": " << r.events
-        << ", \"error\": \"" << json_escape(r.error) << "\"}"
-        << (i + 1 < points.size() ? "," : "") << "\n";
-  }
-  out << "]\n";
-}
-
 namespace {
 
 /// Baseline goodput for one (flows, replicate) pair.
 struct BaselineSlot {
-  PointSpec probe;  // flows + replicate; attack axes unused
-  std::uint64_t seed = 0;
   BitRate goodput = 0.0;
-  bool ok = false;
-  std::string error;
+  PointStatus status = PointStatus::kSkipped;
+  std::string error;  // set when status == kFailed
 };
 
 /// Serialized progress bookkeeping shared by all workers.
@@ -412,17 +357,13 @@ class SweepRun {
       : spec_(spec),
         options_(options),
         threads_(options.threads > 0 ? options.threads : default_threads()),
-        rows_(make_rows(spec)),
-        baselines_(make_baselines(rows_, baseline_index_)),
-        meter_(baselines_.size() + rows_.size(), options.on_progress),
+        tasks_(make_tasks(spec)),
+        baselines_(tasks_.baselines.size()),
+        meter_(tasks_.size(), options.on_progress),
         store_(options.store) {
-    // Before a workspace slot is made, a store opened or a thread started.
+    // Before a workspace slot is made or a thread started.
     check_worker_count(options.threads, "run_sweep: threads");
     workspaces_.resize(static_cast<std::size_t>(threads_));
-    if (store_ == nullptr && !options.cache_path.empty()) {
-      owned_cache_ = std::make_unique<PointCache>(options.cache_path);
-      store_ = owned_cache_.get();
-    }
     // Keys are hashed only when there is a store to address.
     if (store_ != nullptr) keys_.emplace(spec);
   }
@@ -432,7 +373,8 @@ class SweepRun {
     // Baselines first: each runs the no-attack scenario with the same seed
     // as the attack points it normalizes.
     for (const bool baseline : {true, false}) {
-      std::vector<Task> tasks(baseline ? baselines_.size() : rows_.size());
+      std::vector<Task> tasks(baseline ? baselines_.size()
+                                       : tasks_.rows.size());
       for (std::size_t i = 0; i < tasks.size(); ++i) {
         tasks[i].baseline = baseline;
         tasks[i].slot = i;
@@ -440,7 +382,7 @@ class SweepRun {
       drain(pass(tasks));
     }
     SweepResult result;
-    result.points = std::move(rows_);
+    result.points = std::move(tasks_.rows);
     result.threads = threads_;
     result.cache_hits = cache_hits_.load(std::memory_order_relaxed);
     result.simulated = simulated_.load(std::memory_order_relaxed);
@@ -452,30 +394,6 @@ class SweepRun {
   }
 
  private:
-  static std::vector<PointResult> make_rows(const SweepSpec& spec) {
-    const std::vector<PointSpec> points = spec.enumerate();
-    std::vector<PointResult> rows(points.size());
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      rows[i].index = i;
-      rows[i].point = points[i];
-      rows[i].seed = replicate_seed(spec.base_seed, points[i].replicate);
-    }
-    return rows;
-  }
-
-  /// Unique (flows, replicate) pairs, in stable order of first appearance.
-  static std::vector<BaselineSlot> make_baselines(
-      const std::vector<PointResult>& rows, PairIndex& index) {
-    std::vector<BaselineSlot> baselines;
-    for (const PointResult& row : rows) {
-      if (index.insert(row.point.flows, row.point.replicate, baselines.size())
-              .second) {
-        baselines.push_back(BaselineSlot{row.point, row.seed, 0.0, false, {}});
-      }
-    }
-    return baselines;
-  }
-
   /// One parallel pass over `tasks`. Returns the tasks a peer process holds
   /// a live lease on.
   std::vector<Task> pass(const std::vector<Task>& tasks) {
@@ -488,7 +406,7 @@ class SweepRun {
       const std::vector<TaskGroup> groups = group_consecutive(
           tasks.size(),
           [&](std::size_t i) -> const PointSpec& {
-            return rows_[tasks[i].slot].point;
+            return tasks_.rows[tasks[i].slot].point;
           },
           [](const PointSpec& a, const PointSpec& b) {
             return a.flows == b.flows;
@@ -536,13 +454,21 @@ class SweepRun {
     return task.baseline
                ? store_->lookup_baseline(task.key,
                                          baselines_[task.slot].goodput)
-               : store_->lookup_point(task.key, rows_[task.slot]);
+               : store_->lookup_point(task.key, tasks_.rows[task.slot]);
   }
 
-  /// Resolve: lookup → claim → re-lookup on kDone. Records a hit, a skip
-  /// (the sweep is cancelled) or a store error itself and defers a task a
-  /// peer is running; returns true when the task must run here.
+  /// Resolve: lookup → claim → re-lookup on kDone. Returns true when the
+  /// task must run here; otherwise records it (a row whose baseline failed,
+  /// a skip once the sweep is cancelled, a store hit or a store error) or
+  /// defers it to the peer running it. A row runs only on an ok baseline.
   bool resolve(Task& task) {
+    if (!task.baseline) {
+      const BaselineSlot& base = baselines_[tasks_.baseline_of[task.slot]];
+      if (base.status == PointStatus::kFailed) {
+        record(task, Outcome::kFailed, "baseline failed: " + base.error);
+        return false;
+      }
+    }
     if (cancel_.load(std::memory_order_relaxed)) {
       record(task, Outcome::kSkipped);
       return false;
@@ -551,10 +477,10 @@ class SweepRun {
     Outcome outcome = Outcome::kHit;
     std::string error;
     try {
-      task.key = task.baseline ? keys_->baseline(baselines_[task.slot].probe,
-                                                 baselines_[task.slot].seed)
-                               : keys_->point(rows_[task.slot].point,
-                                              rows_[task.slot].seed);
+      const PointResult& row =
+          tasks_.rows[task.baseline ? tasks_.baselines[task.slot] : task.slot];
+      task.key = task.baseline ? keys_->baseline(row.point, row.seed)
+                               : keys_->point(row.point, row.seed);
       if (!lookup(task)) {
         const PointStore::ClaimStatus status =
             task.baseline ? store_->claim_baseline(task.key)
@@ -584,7 +510,7 @@ class SweepRun {
         if (task.baseline) {
           store_->store_baseline(task.key, baselines_[task.slot].goodput);
         } else {
-          store_->store_point(task.key, rows_[task.slot]);
+          store_->store_point(task.key, tasks_.rows[task.slot]);
         }
       } catch (const std::exception& e) {
         outcome = Outcome::kFailed;
@@ -594,11 +520,8 @@ class SweepRun {
     switch (outcome) {
       case Outcome::kHit:
       case Outcome::kResult:
-        if (task.baseline) {
-          baselines_[task.slot].ok = true;
-        } else {
-          rows_[task.slot].status = PointStatus::kOk;
-        }
+        (task.baseline ? baselines_[task.slot].status
+                       : tasks_.rows[task.slot].status) = PointStatus::kOk;
         (outcome == Outcome::kHit ? cache_hits_ : simulated_)
             .fetch_add(1, std::memory_order_relaxed);
         break;
@@ -616,30 +539,25 @@ class SweepRun {
           }
         }
         if (task.baseline) {
+          baselines_[task.slot].status = PointStatus::kFailed;
           baselines_[task.slot].error = std::move(error);
         } else {
-          rows_[task.slot].status = PointStatus::kFailed;
-          rows_[task.slot].error = std::move(error);
+          tasks_.rows[task.slot].status = PointStatus::kFailed;
+          tasks_.rows[task.slot].error = std::move(error);
         }
         if (options_.cancel_on_failure) {
           cancel_.store(true, std::memory_order_relaxed);
         }
         break;
       case Outcome::kSkipped:
-        if (task.baseline) {
-          baselines_[task.slot].error = "skipped: sweep cancelled";
-        }
-        break;  // a row stays kSkipped
+        break;  // the task stays kSkipped
     }
     meter_.tick(outcome == Outcome::kHit);
   }
 
-  /// The goodput a row is normalized by; throws if its baseline failed.
+  /// The goodput a row is normalized by (resolve ran it on an ok one).
   BitRate baseline_goodput(const PointResult& row) const {
-    const BaselineSlot& slot =
-        baselines_[baseline_index_.at(row.point.flows, row.point.replicate)];
-    if (!slot.ok) throw std::runtime_error("baseline failed: " + slot.error);
-    return slot.goodput;
+    return baselines_[tasks_.baseline_of[row.index]].goodput;
   }
 
   /// The packet executor: one run on `worker`'s warm workspace — every
@@ -652,12 +570,13 @@ class SweepRun {
       std::unique_ptr<ScenarioWorkspace>& ws = workspaces_[worker];
       if (!ws) ws = std::make_unique<ScenarioWorkspace>();
       if (task.baseline) {
-        BaselineSlot& slot = baselines_[task.slot];
-        const ScenarioConfig scenario = spec_.make_scenario(slot.probe);
-        slot.goodput = ws->baseline(scenario, spec_.control);
-        PDOS_REQUIRE(slot.goodput > 0.0, "baseline goodput is zero");
+        BitRate& goodput = baselines_[task.slot].goodput;
+        goodput = ws->baseline(
+            spec_.make_scenario(tasks_.rows[tasks_.baselines[task.slot]].point),
+            spec_.control);
+        PDOS_REQUIRE(goodput > 0.0, "baseline goodput is zero");
       } else {
-        PointResult& row = rows_[task.slot];
+        PointResult& row = tasks_.rows[task.slot];
         const BitRate baseline = baseline_goodput(row);
         const ScenarioConfig scenario = spec_.make_scenario(row.point);
         const AttackPlan plan = plan_point_attack(scenario, row.point);
@@ -686,12 +605,12 @@ class SweepRun {
     std::vector<Task> planned;         // the misses that got a plan
     std::vector<std::size_t> plan_of;  // planned[k] uses plans[plan_of[k]]
     for (const Task& task : misses) {
-      const PointResult& row = rows_[task.slot];
+      const PointResult& row = tasks_.rows[task.slot];
       try {
-        baseline_goodput(row);  // a failed baseline fails the point first
         if (!scenario) scenario = spec_.make_scenario(row.point);
         if (planned.empty() ||
-            !same_point_axes(row.point, rows_[planned.back().slot].point)) {
+            !same_point_axes(row.point,
+                             tasks_.rows[planned.back().slot].point)) {
           plans.push_back(plan_point_attack(*scenario, row.point));
         }
       } catch (const std::exception& e) {
@@ -722,7 +641,7 @@ class SweepRun {
     }
     for (std::size_t k = 0; k < planned.size(); ++k) {
       const std::size_t p = plan_of[k];
-      PointResult& row = rows_[planned[k].slot];
+      PointResult& row = tasks_.rows[planned[k].slot];
       try {
         if (!solve_errors[p].empty()) throw std::runtime_error(solve_errors[p]);
         const BitRate baseline = baseline_goodput(row);
@@ -742,13 +661,11 @@ class SweepRun {
   const SweepSpec& spec_;
   const SweepOptions& options_;
   int threads_;
-  std::vector<PointResult> rows_;
-  PairIndex baseline_index_;
-  std::vector<BaselineSlot> baselines_;
+  SweepTasks tasks_;  // its rows become the result table
+  std::vector<BaselineSlot> baselines_;  // one per tasks_.baselines entry
   ProgressMeter meter_;
   std::vector<std::unique_ptr<ScenarioWorkspace>> workspaces_;  // by worker
   PointStore* store_;
-  std::unique_ptr<PointCache> owned_cache_;
   std::optional<SweepKeys> keys_;
   std::atomic<bool> cancel_{false};
   std::atomic<std::size_t> cache_hits_{0};
@@ -823,16 +740,10 @@ namespace {
 
 /// Spread statistics (stddev/CI) are undefined below two replicates: the
 /// CSV cell is left empty rather than printing a misleading 0 (or a NaN if
-/// a caller aggregated rows by hand). JSON, which has no empty-number
-/// notion, emits 0 for the same cases.
+/// a caller aggregated rows by hand).
 std::string spread_csv(double value, std::size_t replicates) {
   if (replicates < 2 || !std::isfinite(value)) return "";
   return fmt(value);
-}
-
-double spread_json(double value, std::size_t replicates) {
-  if (replicates < 2 || !std::isfinite(value)) return 0.0;
-  return value;
 }
 
 }  // namespace
@@ -854,31 +765,6 @@ void write_aggregate_csv(const std::vector<AggregateRow>& rows,
              spread_csv(r.ci95_degradation, r.replicates),
              fmt(to_mbps(r.mean_goodput))});
   }
-}
-
-void write_aggregate_json(const std::vector<AggregateRow>& rows,
-                          std::ostream& out) {
-  out << "[\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const AggregateRow& r = rows[i];
-    out << "  {\"flows\": " << r.point.flows
-        << ", \"textent_ms\": " << fmt(to_ms(r.point.textent))
-        << ", \"rattack_mbps\": " << fmt(to_mbps(r.point.rattack))
-        << ", \"gamma\": " << fmt(r.point.gamma)
-        << ", \"kappa\": " << fmt(r.point.kappa)
-        << ", \"replicates\": " << r.replicates
-        << ", \"mean_gain\": " << fmt(r.mean_gain)
-        << ", \"stddev_gain\": " << fmt(spread_json(r.stddev_gain, r.replicates))
-        << ", \"ci95_gain\": " << fmt(spread_json(r.ci95_gain, r.replicates))
-        << ", \"mean_degradation\": " << fmt(r.mean_degradation)
-        << ", \"stddev_degradation\": "
-        << fmt(spread_json(r.stddev_degradation, r.replicates))
-        << ", \"ci95_degradation\": "
-        << fmt(spread_json(r.ci95_degradation, r.replicates))
-        << ", \"mean_goodput_mbps\": " << fmt(to_mbps(r.mean_goodput)) << "}"
-        << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  out << "]\n";
 }
 
 }  // namespace pdos::sweep

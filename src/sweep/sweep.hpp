@@ -5,14 +5,14 @@
 // `Simulator`. `SweepSpec` describes the grid (Cartesian axes or an
 // explicit point list), `run_sweep` executes it in one parallel loop
 // (sweep/parallel_for.hpp), and `SweepResult` collects per-point Γ/G plus
-// run statistics into a stable-ordered table with CSV and JSON writers.
+// run statistics into a stable-ordered CSV table.
 //
 // Determinism contract: point `i` of the enumeration runs with seed
 // `derive_seed(base_seed, replicate)` and writes into slot `i` of the
 // result table, so the output is byte-identical regardless of thread
 // count or execution order. Baselines are measured once per unique
 // (flows, replicate) pair with the same seed as the attack runs they
-// normalize.
+// normalize; `make_tasks` decides both lists, for every caller.
 #pragma once
 
 #include <cstdint>
@@ -85,36 +85,6 @@ struct SweepSpec {
 /// replicate streams are independent and thread-count invariant.
 std::uint64_t replicate_seed(std::uint64_t base_seed, int replicate);
 
-/// Flat sorted-vector index from an (int, int) key pair to a slot number.
-/// Replaces the std::map that used to assemble the sweep's baseline table:
-/// entries live contiguously and lookups are a branch-free binary search
-/// over 16-byte records instead of a pointer chase per tree level. Keys are
-/// a few dozen (flows, replicate) pairs, so insertion's O(n) shift is
-/// cheaper than a node allocation ever was.
-class PairIndex {
- public:
-  /// Map `(a, b)` to `slot` if the key is absent. Returns the slot the key
-  /// maps to and whether this call inserted it.
-  std::pair<std::size_t, bool> insert(int a, int b, std::size_t slot);
-
-  /// Slot for `(a, b)`; the key must be present.
-  std::size_t at(int a, int b) const;
-
-  bool contains(int a, int b) const;
-  std::size_t size() const { return entries_.size(); }
-
- private:
-  struct Entry {
-    std::uint64_t key;
-    std::size_t slot;
-  };
-  static std::uint64_t key_of(int a, int b) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(a)) << 32) |
-           static_cast<std::uint32_t>(b);
-  }
-  std::vector<Entry> entries_;  // sorted by key
-};
-
 enum class PointStatus { kOk, kFailed, kSkipped };
 
 /// The outputs of one completed point: every row field a run produces, and
@@ -149,13 +119,33 @@ struct PointResult : CachedPoint {
   std::string error;  // set when status == kFailed
 };
 
+/// A spec's work, as `make_tasks` decides it: its rows and the no-attack
+/// baselines that normalize them. run_sweep runs exactly these tasks, and
+/// campaigns count and key them from the same list.
+struct SweepTasks {
+  /// SweepSpec::enumerate() order, each row's index, point and seed set.
+  std::vector<PointResult> rows;
+  /// One per distinct (flows, replicate) pair, in order of first
+  /// appearance: the first row with that pair, whose point and seed the
+  /// baseline runs with.
+  std::vector<std::size_t> baselines;
+  /// Per row: the position of its baseline in `baselines`.
+  std::vector<std::size_t> baseline_of;
+
+  /// Baselines plus rows: a run_sweep call's progress total.
+  std::size_t size() const { return baselines.size() + rows.size(); }
+};
+
+/// Enumerate `spec` into its tasks (validating it first).
+SweepTasks make_tasks(const SweepSpec& spec);
+
 struct SweepResult {
   std::vector<PointResult> points;  // enumeration order, always full-size
   int threads = 1;
   double wall_seconds = 0.0;
   bool cancelled = false;
-  /// Tasks (baselines + points) answered from the point cache instead of
-  /// simulation. 0 when no cache was configured.
+  /// Tasks (baselines + points) answered from the store instead of
+  /// simulation. 0 without a store.
   std::size_t cache_hits = 0;
   /// Tasks this process simulated itself (as opposed to cache hits and
   /// failures). Campaign workers sum this across processes to verify the
@@ -169,8 +159,6 @@ struct SweepResult {
   /// Stable machine-readable table (RFC 4180 via io/csv). Byte-identical
   /// across thread counts for the same spec.
   void write_csv(std::ostream& out) const;
-  /// Same table as a JSON array of objects.
-  void write_json(std::ostream& out) const;
 };
 
 /// Replicate statistics for one grid point: mean, sample stddev, and 95%
@@ -197,8 +185,6 @@ std::vector<AggregateRow> aggregate_replicates(const SweepResult& result);
 
 void write_aggregate_csv(const std::vector<AggregateRow>& rows,
                          std::ostream& out);
-void write_aggregate_json(const std::vector<AggregateRow>& rows,
-                          std::ostream& out);
 
 /// Progress snapshot handed to the callback after every finished task.
 struct SweepProgress {
@@ -226,13 +212,10 @@ struct SweepOptions {
   /// Called with the sweep's progress after each task; invocations are
   /// serialized, but may come from any worker thread.
   std::function<void(const SweepProgress&)> on_progress;
-  /// Persistent point-cache file (see sweep/point_cache.hpp). Completed
-  /// points are looked up before dispatch and appended after simulation,
-  /// so re-running a campaign resumes instead of recomputing. Empty
-  /// disables caching.
-  std::string cache_path;
-  /// External result store overriding `cache_path` (not owned; must outlive
-  /// the call). With a claiming store (CampaignStore), every cold task is
+  /// Result store (sweep/point_cache.hpp; not owned, must outlive the call;
+  /// null runs without one). Every task is looked up before dispatch and
+  /// stored after simulation, so re-running a campaign resumes instead of
+  /// recomputing. With a claiming store (CampaignStore), every cold task is
   /// claimed before simulation: tasks another process holds a live lease on
   /// are deferred and drained after the main pass — resolved from the store
   /// when the other worker's result lands, or simulated locally once its
@@ -243,8 +226,8 @@ struct SweepOptions {
   double claim_poll_seconds = 0.05;
 };
 
-/// Execute the sweep: baselines first (one per unique (flows, replicate)),
-/// then every point, each phase one parallel loop over its tasks.
+/// Execute make_tasks(spec): baselines first, then every row, each phase one
+/// parallel loop over its tasks.
 SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& options = {});
 
 }  // namespace pdos::sweep

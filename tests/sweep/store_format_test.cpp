@@ -173,7 +173,8 @@ TEST(RecordGrammarTest, RandomBitPatternsRoundTripExactly) {
 }
 
 /// One record kind: its writer's fields (k = 16-hex key or owner,
-/// d = a double's 16-hex bits, u = unsigned count) and its parser.
+/// d = a double's 16-hex bits, u = unsigned count, f = a 0/1 flag) and its
+/// parser.
 struct Grammar {
   const char* name;
   std::vector<std::string> fields;
@@ -211,7 +212,7 @@ std::vector<Grammar> grammars() {
         "be8421f5f40d8376", "1", "416ae28d55555555", "415ae28d55555555",
         "3fe0000000000000", "7ff0000000000000", "3fde147ae147ae14",
         "3fedc28f5c28f5c3", "321", "12", "98765", "1234567890123"},
-       "kdddudddddduuuu",
+       "kdddfdddddduuuu",
        point},
       {"B", {"f00000000000abc1", "416ae28d55555555"}, "kd", baseline},
       {"L", {"3000000000000a07", "00012345deadbeef", "41da3c5860100000"},
@@ -265,8 +266,11 @@ TEST(RecordGrammarTest, RejectsAnythingButTheWritersGrammar) {
       bad.push_back(with("1.5e"));
       bad.push_back(with("1e400"));
       bad.push_back(with("0x1p3"));
-      if (g.types[i] == 'u') {
+      if (g.types[i] == 'u' || g.types[i] == 'f') {
         bad.push_back(with("-1"));
+        bad.push_back(with("0" + g.fields[i]));  // a leading zero
+        bad.push_back(with("00"));
+        if (g.types[i] == 'f') bad.push_back(with("7"));
         continue;
       }
       bad.push_back(with("0x" + g.fields[i].substr(2)));
@@ -698,6 +702,30 @@ TEST(ResultIndexTest, GrowsByDoublingDuringAColdPass) {
   const std::size_t reserved_slots = reserved.slots();
   for (std::uint64_t k : keys) reserved.emplace<CachedPoint>(k);
   EXPECT_EQ(reserved.slots(), reserved_slots);
+}
+
+TEST(ResultIndexTest, OpeningAStoreSizesTheIndexForItsResultsOnly) {
+  // A campaign store of 10,000 results, each after the lease line its
+  // worker wrote before running it: the index fits the results alone
+  // (10,000 < 3/4 of 16,384), not the bytes of results and leases.
+  TempDir dir;
+  const std::string path = dir.path() + "/store";
+  {
+    CampaignStore writer(path);
+    for (std::uint64_t k = 0; k < 10000; ++k) {
+      const std::uint64_t key = k * 0x9e3779b97f4a7c15ULL;
+      ASSERT_EQ(writer.claim_point(key), PointStore::ClaimStatus::kAcquired);
+      writer.store_point(key, sample_point(static_cast<double>(k)));
+    }
+  }
+  /// Exposes the index size of a store opened on `path`.
+  struct Opened : CampaignStore {
+    using CampaignStore::CampaignStore;
+    std::size_t slots() const { return results_.slots(); }
+  };
+  const Opened opened(path);
+  EXPECT_EQ(opened.size(), 10000u);
+  EXPECT_EQ(opened.slots(), 16384u);
 }
 
 TEST(ResultIndexTest, KeysZeroAndAllOnesAreKeysLikeAnyOther) {

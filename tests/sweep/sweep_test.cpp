@@ -7,8 +7,6 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <map>
-#include <random>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -35,32 +33,6 @@ SweepSpec tiny_spec() {
   spec.control.warmup = sec(0.5);
   spec.control.measure = sec(1.5);
   return spec;
-}
-
-TEST(PairIndex, MatchesMapReferenceAcrossRandomInserts) {
-  // The flat sorted-vector index must behave exactly like the std::map it
-  // replaced, including repeated keys, negative components, and lookups.
-  PairIndex index;
-  std::map<std::pair<int, int>, std::size_t> ref;
-  std::mt19937 rng(20250806);
-  std::size_t next_slot = 0;
-  for (int i = 0; i < 2000; ++i) {
-    const int a = static_cast<int>(rng() % 17) - 8;
-    const int b = static_cast<int>(rng() % 16);
-    const auto [slot, inserted] = index.insert(a, b, next_slot);
-    const auto [it, ref_inserted] = ref.emplace(std::make_pair(a, b),
-                                                next_slot);
-    ASSERT_EQ(inserted, ref_inserted);
-    ASSERT_EQ(slot, it->second);
-    if (inserted) ++next_slot;
-  }
-  EXPECT_EQ(index.size(), ref.size());
-  for (const auto& [key, slot] : ref) {
-    ASSERT_TRUE(index.contains(key.first, key.second));
-    ASSERT_EQ(index.at(key.first, key.second), slot);
-  }
-  EXPECT_FALSE(index.contains(99, 99));
-  EXPECT_THROW(index.at(99, 99), InvariantError);
 }
 
 TEST(SeedDerivation, StableAndDistinct) {
@@ -121,7 +93,7 @@ TEST(SweepSpec, ExplicitPointsPassThrough) {
 }
 
 // The acceptance-criterion test: the same spec at 1 thread and at 8
-// threads must produce byte-identical CSV (and JSON) output.
+// threads must produce byte-identical CSV output.
 TEST(RunSweep, OutputIsByteIdenticalAcrossThreadCounts) {
   const SweepSpec spec = tiny_spec();
 
@@ -138,13 +110,10 @@ TEST(RunSweep, OutputIsByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(a.failures(), 0u);
   EXPECT_EQ(b.failures(), 0u);
 
-  std::ostringstream csv_a, csv_b, json_a, json_b;
+  std::ostringstream csv_a, csv_b;
   a.write_csv(csv_a);
   b.write_csv(csv_b);
-  a.write_json(json_a);
-  b.write_json(json_b);
   EXPECT_EQ(csv_a.str(), csv_b.str());
-  EXPECT_EQ(json_a.str(), json_b.str());
 }
 
 TEST(RunSweep, ReplicatesDiffer) {
@@ -209,6 +178,83 @@ TEST(RunSweep, KeepGoingRunsPastFailures) {
     EXPECT_EQ(result.failures(), 1u);
     EXPECT_EQ(result.completed(), 1u);
     EXPECT_EQ(result.points[1].status, PointStatus::kOk);
+  }
+}
+
+TEST(RunSweep, RowsOfOnePairShareOneBaselineWhereverTheyAre) {
+  // Rows of one (flows, replicate) pair need not be adjacent: explicit
+  // points of flows 5, 3, 5 put two other rows between each pair's rows.
+  SweepSpec spec;
+  spec.control.warmup = sec(0.5);
+  spec.control.measure = sec(1.0);
+  spec.replicates = 2;
+  PointSpec point;
+  point.flows = 5;
+  point.gamma = 0.3;
+  PointSpec other = point;
+  other.flows = 3;
+  PointSpec again = point;
+  again.gamma = 0.6;
+  spec.explicit_points = {point, other, again};
+
+  const SweepTasks tasks = make_tasks(spec);
+  ASSERT_EQ(tasks.rows.size(), 6u);
+  EXPECT_EQ(tasks.baselines, (std::vector<std::size_t>{0, 1, 2, 3}));
+  EXPECT_EQ(tasks.baseline_of,
+            (std::vector<std::size_t>{0, 1, 2, 3, 0, 1}));
+  EXPECT_EQ(tasks.size(), 10u);
+
+  SweepProgress last;
+  SweepOptions options;
+  options.threads = 2;
+  options.on_progress = [&](const SweepProgress& progress) {
+    last = progress;
+  };
+  const SweepResult result = run_sweep(spec, options);
+  ASSERT_EQ(result.completed(), 6u);
+  EXPECT_EQ(last.total, 10u);  // 4 distinct pairs + 6 rows
+  EXPECT_EQ(last.done, last.total);
+  EXPECT_EQ(result.simulated, 10u);
+  for (std::size_t i : {0u, 1u}) {
+    EXPECT_EQ(result.points[i].baseline_goodput,
+              result.points[i + 4].baseline_goodput);
+    EXPECT_NE(result.points[i].baseline_goodput,
+              result.points[i + 2].baseline_goodput);
+  }
+}
+
+TEST(RunSweep, FailedBaselineFailsTheRowsItNormalizes) {
+  // A measure window too short to deliver a packet: the one baseline's
+  // goodput is zero, and its rows fail with its error in both modes.
+  SweepSpec spec = parse_spec(
+                       "flows = 3\ngamma = 0.4, 0.6\nwarmup_s = 0\n"
+                       "measure_s = 0.001\n")
+                       .spec;
+  for (const bool cancel : {true, false}) {
+    SCOPED_TRACE(cancel ? "cancel on failure" : "keep going");
+    SweepOptions options;
+    options.cancel_on_failure = cancel;
+    const SweepResult result = run_sweep(spec, options);
+    ASSERT_EQ(result.points.size(), 2u);
+    EXPECT_EQ(result.failures(), 2u);
+    EXPECT_EQ(result.cancelled, cancel);
+    for (const PointResult& row : result.points) {
+      EXPECT_EQ(row.status, PointStatus::kFailed);
+      EXPECT_EQ(row.error, "baseline failed: baseline goodput is zero");
+    }
+  }
+  // A baseline the cancelled sweep skipped fails nothing: its rows stay
+  // skipped. On one thread flows 3's baseline fails before flows 5's runs.
+  spec.flow_counts = {3, 5};
+  SweepOptions options;
+  options.threads = 1;
+  const SweepResult result = run_sweep(spec, options);
+  ASSERT_EQ(result.points.size(), 4u);
+  EXPECT_TRUE(result.cancelled);
+  EXPECT_EQ(result.failures(), 2u);
+  for (std::size_t i : {2u, 3u}) {
+    EXPECT_EQ(result.points[i].status, PointStatus::kSkipped);
+    EXPECT_TRUE(result.points[i].error.empty());
   }
 }
 
@@ -310,7 +356,12 @@ TEST(RunSweep, CacheHitsAreWeightedNearZeroInEta) {
   SweepSpec spec = tiny_spec();
   SweepOptions options;
   options.threads = 1;
-  options.cache_path = cache_path;
+  // Each run opens the cache file afresh, as a resumed pdos_sweep does.
+  const auto run_cached = [&] {
+    PointCache cache(cache_path);
+    options.store = &cache;
+    return run_sweep(spec, options);
+  };
 
   // First pass simulates everything: no snapshot reports a cache hit.
   std::size_t snapshots = 0;
@@ -318,7 +369,7 @@ TEST(RunSweep, CacheHitsAreWeightedNearZeroInEta) {
     EXPECT_EQ(progress.cached, 0u);
     ++snapshots;
   };
-  const SweepResult first = run_sweep(spec, options);
+  const SweepResult first = run_cached();
   ASSERT_EQ(first.failures(), 0u);
   EXPECT_GT(snapshots, 0u);
 
@@ -328,7 +379,7 @@ TEST(RunSweep, CacheHitsAreWeightedNearZeroInEta) {
     EXPECT_EQ(progress.cached, progress.done);
     EXPECT_EQ(progress.eta_seconds, 0.0);
   };
-  const SweepResult resumed = run_sweep(spec, options);
+  const SweepResult resumed = run_cached();
   EXPECT_EQ(resumed.failures(), 0u);
   EXPECT_EQ(resumed.cache_hits, resumed.points.size() + 2u);  // + baselines
 
@@ -368,7 +419,8 @@ warmup_s     = 1
 measure_s    = 2
 threads      = 4
 csv          = out.csv
-json         = out.json
+cache        = points.cache
+store        = campaign.d
 )");
   EXPECT_EQ(file.spec.scenario, ScenarioKind::kNs2Dumbbell);
   EXPECT_EQ(file.spec.queue, QueueKind::kDropTail);
@@ -382,7 +434,8 @@ json         = out.json
   EXPECT_DOUBLE_EQ(file.spec.control.measure, sec(2));
   EXPECT_EQ(file.options.threads, 4);
   EXPECT_EQ(file.csv_path, "out.csv");
-  EXPECT_EQ(file.json_path, "out.json");
+  EXPECT_EQ(file.cache_path, "points.cache");
+  EXPECT_EQ(file.store_dir, "campaign.d");
 }
 
 TEST(SpecParser, AutoGammaAndDefaults) {
@@ -415,6 +468,14 @@ TEST(SpecParser, RejectsUnknownKeysAndGarbage) {
   EXPECT_THROW(parse_spec("base_seed = -1\n"), ParameterError);
   EXPECT_THROW(parse_spec("replicates = 2.7\n"), ParameterError);
   EXPECT_THROW(parse_spec("flows = 15.9\n"), ParameterError);
+  // Values every point of the grid would fail on.
+  EXPECT_THROW(parse_spec("kappa = -1\n"), ParameterError);
+  EXPECT_THROW(parse_spec("textent_ms = -50\n"), ParameterError);
+  EXPECT_THROW(parse_spec("textent_ms = 50, 0\n"), ParameterError);
+  EXPECT_THROW(parse_spec("rattack_mbps = 0\n"), ParameterError);
+  EXPECT_THROW(parse_spec("warmup_s = -1\n"), ParameterError);
+  // The retired JSON output is an unknown key.
+  EXPECT_THROW(parse_spec("json = out.json\n"), ParameterError);
 }
 
 // The same readers check the CLIs' numeric flags (pdos_sweep --threads;
@@ -635,11 +696,6 @@ TEST(AggregateReplicates, MeanStddevAndCiOverReplicates) {
   write_aggregate_csv(rows, csv);
   EXPECT_NE(csv.str().find("mean_gain"), std::string::npos);
   EXPECT_NE(csv.str().find("ci95_gain"), std::string::npos);
-
-  std::ostringstream json;
-  write_aggregate_json(rows, json);
-  EXPECT_EQ(json.str().front(), '[');
-  EXPECT_NE(json.str().find("\"replicates\": 3"), std::string::npos);
 }
 
 TEST(AggregateReplicates, SingleReplicateHasZeroSpread) {

@@ -13,6 +13,7 @@
 #include <string>
 
 #include "core/experiment.hpp"
+#include "sweep/point_cache.hpp"
 #include "sweep/sweep.hpp"
 #include "util/units.hpp"
 
@@ -101,15 +102,20 @@ TEST(WarmReuseTest, CachedSweepReplaysByteIdentically) {
   spec.control.warmup = sec(1);
   spec.control.measure = sec(3);
 
-  sweep::SweepOptions options;
-  options.threads = 1;
-  options.cache_path = cache_path;
+  // Each run opens the cache file afresh, as a resumed pdos_sweep does.
+  const auto run_cached = [&] {
+    sweep::PointCache cache(cache_path);
+    sweep::SweepOptions options;
+    options.threads = 1;
+    options.store = &cache;
+    return sweep::run_sweep(spec, options);
+  };
 
-  const sweep::SweepResult cold = sweep::run_sweep(spec, options);
+  const sweep::SweepResult cold = run_cached();
   ASSERT_EQ(cold.failures(), 0u);
   EXPECT_EQ(cold.cache_hits, 0u);
 
-  const sweep::SweepResult resumed = sweep::run_sweep(spec, options);
+  const sweep::SweepResult resumed = run_cached();
   ASSERT_EQ(resumed.failures(), 0u);
   // Every task answered from the cache: one baseline per flow count plus
   // every point.

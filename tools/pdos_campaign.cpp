@@ -11,8 +11,8 @@
 // near-zero duplicated simulation, and every completed point is a hit for
 // all workers, all specs that share its sub-grid, and every later
 // campaign. After the workers join, the parent replays each spec from the
-// store and writes merged CSV/JSON tables byte-identical to a
-// single-process run.
+// store and writes merged CSV tables byte-identical to a single-process
+// run.
 //
 //   --store DIR          CampaignStore directory (default
 //                        .pdos-cache/campaign; spec `store =` overrides the
@@ -120,7 +120,6 @@ int main(int argc, char** argv) {
     sweep::CampaignSpec spec;
     spec.spec = file.spec;
     spec.csv_path = file.csv_path;
-    spec.json_path = file.json_path;
     spec.name = std::filesystem::path(path).stem().string();
     if (!csv_dir.empty()) {
       spec.csv_path =

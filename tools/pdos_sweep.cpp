@@ -2,27 +2,27 @@
 // and emit the result table.
 //
 // Usage:
-//   pdos_sweep SPECFILE [--threads N] [--csv PATH] [--json PATH]
-//              [--aggregate PATH] [--resume] [--cache PATH]
-//              [--campaign DIR] [--progress-json] [--quiet] [--keep-going]
+//   pdos_sweep SPECFILE [--threads N] [--csv PATH] [--aggregate PATH]
+//              [--resume] [--cache PATH] [--campaign DIR] [--progress-json]
+//              [--quiet] [--keep-going]
 //
 // The spec format is documented in src/sweep/spec.hpp (and README.md,
 // "Running parameter sweeps"). Command-line flags override the file.
 // Progress goes to stderr, the CSV table to --csv/`csv =` or stdout.
 // `--aggregate` additionally writes the per-point replicate statistics
-// (mean / sample stddev / 95% CI of gain and degradation) — CSV, or JSON
-// when the path ends in ".json". `--resume` enables the persistent point
-// cache at .pdos-cache/points.cache (or `--cache PATH`): completed points
-// are replayed instead of re-simulated, so an interrupted or repeated
-// campaign picks up where it left off. `--campaign DIR` (or `store =` in
-// the spec) coordinates through a sharded CampaignStore instead: several
-// pdos_sweep processes pointed at the same DIR partition a cold grid via
-// work claiming and share every result (see README.md, "Running
-// campaigns"). `--progress-json` emits machine-readable JSON-lines
-// progress on stderr for orchestrators and CI logs. `--threads` is read
-// exactly, like the spec's `threads =` key, and at most 1024. Every output
-// file is opened before the sweep starts, so an unwritable path simulates
-// nothing.
+// (mean / sample stddev / 95% CI of gain and degradation) as CSV.
+// `--resume` enables the persistent point cache at
+// .pdos-cache/points.cache (or `--cache PATH`, or `cache =` in the spec):
+// completed points are replayed instead of re-simulated, so an interrupted
+// or repeated campaign picks up where it left off. `--campaign DIR` (or
+// `store =` in the spec) coordinates through a sharded CampaignStore
+// instead: several pdos_sweep processes pointed at the same DIR partition
+// a cold grid via work claiming and share every result (see README.md,
+// "Running campaigns"). `--progress-json` emits machine-readable
+// JSON-lines progress on stderr for orchestrators and CI logs. `--threads`
+// is read exactly, like the spec's `threads =` key, and at most 1024.
+// Every output file is opened before the sweep starts, so an unwritable
+// path simulates nothing.
 // Exit status: 0 on success, 1 when any point failed, 2 on a usage or spec
 // error (an output that cannot be opened included).
 #include <cstdio>
@@ -34,6 +34,7 @@
 
 #include "sweep/campaign_store.hpp"
 #include "sweep/parallel_for.hpp"
+#include "sweep/point_cache.hpp"
 #include "sweep/spec.hpp"
 #include "util/assert.hpp"
 
@@ -44,7 +45,7 @@ namespace {
 int usage() {
   std::fprintf(stderr,
                "usage: pdos_sweep SPECFILE [--threads N] [--csv PATH] "
-               "[--json PATH] [--aggregate PATH] [--resume] [--cache PATH] "
+               "[--aggregate PATH] [--resume] [--cache PATH] "
                "[--campaign DIR] [--progress-json] [--quiet] "
                "[--keep-going]\n");
   return 2;
@@ -78,16 +79,12 @@ int main(int argc, char** argv) {
       }
     } else if (std::strcmp(argv[i], "--csv") == 0 && i + 1 < argc) {
       file.csv_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      file.json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--aggregate") == 0 && i + 1 < argc) {
       aggregate_path = argv[++i];
     } else if (std::strcmp(argv[i], "--resume") == 0) {
-      if (file.options.cache_path.empty()) {
-        file.options.cache_path = ".pdos-cache/points.cache";
-      }
+      if (file.cache_path.empty()) file.cache_path = ".pdos-cache/points.cache";
     } else if (std::strcmp(argv[i], "--cache") == 0 && i + 1 < argc) {
-      file.options.cache_path = argv[++i];
+      file.cache_path = argv[++i];
     } else if (std::strcmp(argv[i], "--campaign") == 0 && i + 1 < argc) {
       file.store_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--progress-json") == 0) {
@@ -104,10 +101,8 @@ int main(int argc, char** argv) {
   // Open every output now: failing after a finished sweep would throw its
   // results away.
   std::ofstream csv_out;
-  std::ofstream json_out;
   std::ofstream aggregate_out;
   for (const auto& [path, out] : {std::pair{&file.csv_path, &csv_out},
-                                  std::pair{&file.json_path, &json_out},
                                   std::pair{&aggregate_path, &aggregate_out}}) {
     if (path->empty()) continue;
     out->open(*path);
@@ -120,11 +115,13 @@ int main(int argc, char** argv) {
 
   // A campaign store (from --campaign or `store =`) supersedes the
   // single-file cache: same keys, plus multi-process claiming.
-  std::unique_ptr<sweep::CampaignStore> store;
+  std::unique_ptr<sweep::PointStore> store;
   if (!file.store_dir.empty()) {
     store = std::make_unique<sweep::CampaignStore>(file.store_dir);
-    file.options.store = store.get();
+  } else if (!file.cache_path.empty()) {
+    store = std::make_unique<sweep::PointCache>(file.cache_path);
   }
+  file.options.store = store.get();
 
   const auto points = file.spec.enumerate();
   if (progress_json) {
@@ -159,14 +156,14 @@ int main(int argc, char** argv) {
                  result.completed(), result.failures(),
                  result.cancelled ? " (cancelled)" : "", result.threads,
                  result.wall_seconds);
-    if (store) {
+    if (!file.store_dir.empty()) {
       std::fprintf(stderr,
                    "pdos_sweep: %zu store hits, %zu simulated (%s)\n",
                    result.cache_hits, result.simulated,
                    file.store_dir.c_str());
-    } else if (!file.options.cache_path.empty()) {
+    } else if (store) {
       std::fprintf(stderr, "pdos_sweep: %zu cache hits (%s)\n",
-                   result.cache_hits, file.options.cache_path.c_str());
+                   result.cache_hits, file.cache_path.c_str());
     }
   }
 
@@ -178,22 +175,9 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "pdos_sweep: wrote %s\n", file.csv_path.c_str());
     }
   }
-  if (!file.json_path.empty()) {
-    result.write_json(json_out);
-    if (!quiet) {
-      std::fprintf(stderr, "pdos_sweep: wrote %s\n", file.json_path.c_str());
-    }
-  }
   if (!aggregate_path.empty()) {
     const auto rows = sweep::aggregate_replicates(result);
-    const bool json = aggregate_path.size() >= 5 &&
-                      aggregate_path.rfind(".json") ==
-                          aggregate_path.size() - 5;
-    if (json) {
-      sweep::write_aggregate_json(rows, aggregate_out);
-    } else {
-      sweep::write_aggregate_csv(rows, aggregate_out);
-    }
+    sweep::write_aggregate_csv(rows, aggregate_out);
     if (!quiet) {
       std::fprintf(stderr, "pdos_sweep: wrote %s (%zu aggregate rows)\n",
                    aggregate_path.c_str(), rows.size());
