@@ -1,8 +1,9 @@
 // CampaignStore benchmarks (google-benchmark): the store operations a
 // campaign worker issues per task — result append, in-memory lookup,
 // claim + release round-trip, and the incremental refresh a drain loop
-// polls with (DESIGN.md §15) — and the reopen that every worker start-up
-// and resume pays once. Each runs against a throwaway store directory
+// polls with (DESIGN.md §15) — the reopen that every worker start-up
+// and resume pays once, and the store keys every store-backed sweep
+// hashes. Each runs against a throwaway store directory
 // under /tmp, so the numbers include the real flock + append syscall cost.
 // These are for interactive work on the store layer — the gated ≥2.5x
 // 4-worker cold campaign floor lives in tools/bench_report, and
@@ -124,6 +125,33 @@ void BM_StoreOpen(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kPoints);
 }
 BENCHMARK(BM_StoreOpen)->Unit(benchmark::kMillisecond);
+
+/// The store keys of the middle spec of perfbench's fluid_campaign grid,
+/// R_attack 35 Mbps (1,328 rows: 15/25/35/45 flows x 9 T_extent x the
+/// feasible ones of 31 auto-γ x 2 replicates; the seven specs average
+/// 1,406): a prefix per flow count, then every row's key finished from its
+/// prefix — what a store-backed run_sweep hashes before its first lookup.
+void BM_SweepKeys(benchmark::State& state) {
+  SweepSpec spec;
+  spec.backend = Backend::kFluid;
+  spec.flow_counts = {15, 25, 35, 45};
+  spec.textents.clear();
+  for (int i = 0; i < 9; ++i) spec.textents.push_back(ms(20.0 + 22.5 * i));
+  spec.rattacks = {mbps(35)};
+  spec.gamma_points = 31;
+  spec.replicates = 2;
+  spec.control.warmup = sec(8.0);
+  spec.control.measure = sec(40.0);
+  const SweepTasks tasks = make_tasks(spec);
+  for (auto _ : state) {
+    const TaskKeys keys = sweep_keys(spec, tasks);
+    benchmark::DoNotOptimize(keys.points.data());
+  }
+  state.counters["rows"] = static_cast<double>(tasks.rows.size());
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(tasks.rows.size()));
+}
+BENCHMARK(BM_SweepKeys)->Unit(benchmark::kMicrosecond);
 
 /// Refresh with nothing new: 16 shared-lock tail checks — the idle cost of
 /// one drain-loop poll.

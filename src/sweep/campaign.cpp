@@ -24,16 +24,11 @@ namespace {
 /// The distinct store keys of `tasks`, the task list of `spec`.
 std::unordered_set<std::uint64_t> task_keys(const SweepSpec& spec,
                                             const SweepTasks& tasks) {
-  const SweepKeys spec_keys(spec);
-  std::unordered_set<std::uint64_t> keys;
-  for (const PointResult& row : tasks.rows) {
-    keys.insert(spec_keys.point(row.point, row.seed));
-  }
-  for (const std::size_t first : tasks.baselines) {
-    const PointResult& row = tasks.rows[first];
-    keys.insert(spec_keys.baseline(row.point, row.seed));
-  }
-  return keys;
+  const TaskKeys keys = sweep_keys(spec, tasks);
+  std::unordered_set<std::uint64_t> distinct(keys.points.begin(),
+                                             keys.points.end());
+  distinct.insert(keys.baselines.begin(), keys.baselines.end());
+  return distinct;
 }
 
 /// Open `path` for writing, creating its directory; an empty path stays
@@ -54,12 +49,12 @@ std::ofstream open_output(const std::string& path) {
 /// One worker process: run every spec through the ordinary sweep engine
 /// against the shared store, reporting progress as one text line per event
 /// on `report_fd`. Lines are shorter than PIPE_BUF, so each lands atomically
-/// in the parent's pipe.
-int worker_main(const std::vector<CampaignSpec>& specs,
-                const CampaignOptions& options, int report_fd) {
+/// in the parent's pipe. Failed points are the merge pass's to report: a
+/// worker whose sweeps all returned has done its work.
+void worker_main(const std::vector<CampaignSpec>& specs,
+                 const CampaignOptions& options, int report_fd) {
   CampaignStore store(options.store_dir, options.lease_ttl_seconds);
   FILE* report = ::fdopen(report_fd, "w");
-  bool any_failed = false;
   for (std::size_t si = 0; si < specs.size(); ++si) {
     SweepOptions sweep_options;
     sweep_options.threads = options.threads;
@@ -80,10 +75,8 @@ int worker_main(const std::vector<CampaignSpec>& specs,
                    r.cancelled ? 1 : 0);
       std::fflush(report);
     }
-    if (r.failures() > 0 || r.cancelled) any_failed = true;
   }
   if (report != nullptr) std::fclose(report);
-  return any_failed ? 1 : 0;
 }
 
 }  // namespace
@@ -158,9 +151,9 @@ CampaignResult run_campaign(const std::vector<CampaignSpec>& specs,
     if (pid == 0) {
       ::close(fds[0]);
       for (int other : report_fds) ::close(other);
-      int code = 1;
+      int code = 0;
       try {
-        code = worker_main(specs, options, fds[1]);
+        worker_main(specs, options, fds[1]);
       } catch (...) {
         code = 1;
       }

@@ -84,7 +84,10 @@ struct CampaignResult {
   /// work; <= holds whenever claiming dedups correctly (CI asserts it).
   std::size_t worker_simulated = 0;
   std::size_t final_simulated = 0;  // stragglers simulated by the parent
-  int worker_failures = 0;  // workers that exited nonzero or crashed
+  /// Workers that could not run their sweeps: one that threw (a store it
+  /// could not open, say) or crashed. Failed points are not worker
+  /// failures; the merged results hold them.
+  int worker_failures = 0;
   double wall_seconds = 0.0;
 
   bool ok() const;

@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -71,7 +72,8 @@ CampaignStore::ClaimStatus CampaignStore::claim(std::uint64_t key,
   // Read-tail + decide + append must be atomic across processes, so the
   // whole protocol runs under the segment lock.
   ::flock(seg.fd, LOCK_EX);
-  scan(seg);
+  ReadBuffer buffer;
+  scan(seg, buffer);
   ClaimStatus status;
   const bool done = baseline ? results_.find<double>(key) != nullptr
                              : results_.find<CachedPoint>(key) != nullptr;
@@ -115,13 +117,14 @@ void CampaignStore::release_baseline(std::uint64_t key) { release(key); }
 void CampaignStore::refresh() {
   std::lock_guard<std::mutex> lock(mutex_);
   std::error_code ec;
+  ReadBuffer buffer;
   for (Segment& seg : segments_) {
     if (seg.fd < 0 && !std::filesystem::exists(seg.path, ec)) continue;
     if (!open(seg)) continue;
     // Shared lock: appenders write whole lines under the exclusive lock,
     // so a scan never observes a half-written record.
     ::flock(seg.fd, LOCK_SH);
-    scan(seg);
+    scan(seg, buffer);
     ::flock(seg.fd, LOCK_UN);
   }
 }
@@ -130,27 +133,21 @@ std::size_t CampaignStore::compact() {
   std::lock_guard<std::mutex> lock(mutex_);
   std::size_t dropped = 0;
   std::error_code ec;
+  ReadBuffer buffer;
   for (std::size_t i = 0; i < segments_.size(); ++i) {
     Segment& seg = segments_[i];
     if (seg.fd < 0 && !std::filesystem::exists(seg.path, ec)) continue;
     if (!open(seg)) continue;
     ::flock(seg.fd, LOCK_EX);
-    scan(seg);  // fold in everything before rewriting
+    scan(seg, buffer);  // fold in everything before rewriting
 
     struct stat st;
     std::size_t old_lines = 0;
     if (::fstat(seg.fd, &st) == 0 && st.st_size > 0) {
-      std::string all(static_cast<std::size_t>(st.st_size), '\0');
-      std::size_t got = 0;
-      while (got < all.size()) {
-        const ssize_t n = ::pread(seg.fd, all.data() + got, all.size() - got,
-                                  static_cast<off_t>(got));
-        if (n <= 0) break;
-        got += static_cast<std::size_t>(n);
-      }
-      for (std::size_t at = 0; at < got; ++at) {
-        if (all[at] == '\n') ++old_lines;
-      }
+      const std::string_view all =
+          buffer.read(seg.fd, 0, static_cast<std::size_t>(st.st_size));
+      old_lines = static_cast<std::size_t>(
+          std::count(all.begin(), all.end(), '\n'));
     }
 
     // The rewrite is in place (same inode), so append fds held by other
@@ -174,7 +171,6 @@ std::size_t CampaignStore::compact() {
       // After a failed write the next scan re-reads whatever landed.
       const bool written = write_all(seg.fd, content);
       seg.scanned = written ? content.size() : 0;
-      seg.header_ok = written;
       if (old_lines > new_lines) dropped += old_lines - new_lines;
     }
     ::flock(seg.fd, LOCK_UN);

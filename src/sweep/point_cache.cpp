@@ -6,7 +6,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <charconv>
 #include <cstring>
@@ -111,7 +110,7 @@ void hash_control(Fnv1a& h, const RunControl& ctl) {
 
 /// The FNV state of a sweep key up to its seed: the entry-kind tag, the
 /// build fingerprint, the derived ScenarioConfig and the measurement
-/// windows. Depends on `point` only through `flows` (see SweepKeys).
+/// windows. Depends on `point` only through `flows` (see sweep_keys).
 std::uint64_t key_prefix(const char* tag, const SweepSpec& spec,
                          const PointSpec& point) {
   Fnv1a h;
@@ -156,43 +155,38 @@ std::uint64_t baseline_key(const SweepSpec& spec, const PointSpec& probe,
   return finish_baseline_key(key_prefix("baseline", spec, probe), probe, seed);
 }
 
-SweepKeys::SweepKeys(const SweepSpec& spec) {
-  std::vector<int> flows;
-  if (spec.explicit_points.empty()) {
-    flows = spec.flow_counts;
-  } else {
-    for (const PointSpec& point : spec.explicit_points) {
-      flows.push_back(point.flows);
+TaskKeys sweep_keys(const SweepSpec& spec, const SweepTasks& tasks) {
+  // The FNV states at the seed, per flow count. `enumerate()` emits flows
+  // outermost, so the newest prefix is nearly always the one asked for.
+  struct Prefix {
+    int flows = 0;
+    std::uint64_t point = 0;
+    std::uint64_t baseline = 0;
+  };
+  std::vector<Prefix> prefixes;
+  const auto prefix = [&](int flows) {
+    for (auto it = prefixes.rbegin(); it != prefixes.rend(); ++it) {
+      if (it->flows == flows) return *it;
     }
-  }
-  std::sort(flows.begin(), flows.end());
-  flows.erase(std::unique(flows.begin(), flows.end()), flows.end());
-  prefixes_.reserve(flows.size());
-  for (int n : flows) {
     PointSpec probe;
-    probe.flows = n;
-    prefixes_.push_back(Prefix{n, key_prefix("point", spec, probe),
-                               key_prefix("baseline", spec, probe)});
+    probe.flows = flows;
+    return prefixes.emplace_back(Prefix{flows, key_prefix("point", spec, probe),
+                                        key_prefix("baseline", spec, probe)});
+  };
+
+  TaskKeys keys;
+  keys.points.reserve(tasks.rows.size());
+  for (const PointResult& row : tasks.rows) {
+    keys.points.push_back(
+        finish_point_key(prefix(row.point.flows).point, row.point, row.seed));
   }
-}
-
-const SweepKeys::Prefix& SweepKeys::prefix(int flows) const {
-  const auto it = std::lower_bound(
-      prefixes_.begin(), prefixes_.end(), flows,
-      [](const Prefix& p, int n) { return p.flows < n; });
-  PDOS_CHECK_MSG(it != prefixes_.end() && it->flows == flows,
-                 "SweepKeys: flow count not in the spec");
-  return *it;
-}
-
-std::uint64_t SweepKeys::point(const PointSpec& point,
-                               std::uint64_t seed) const {
-  return finish_point_key(prefix(point.flows).point, point, seed);
-}
-
-std::uint64_t SweepKeys::baseline(const PointSpec& probe,
-                                  std::uint64_t seed) const {
-  return finish_baseline_key(prefix(probe.flows).baseline, probe, seed);
+  keys.baselines.reserve(tasks.baselines.size());
+  for (const std::size_t first : tasks.baselines) {
+    const PointResult& row = tasks.rows[first];
+    keys.baselines.push_back(finish_baseline_key(
+        prefix(row.point.flows).baseline, row.point, row.seed));
+  }
+  return keys;
 }
 
 namespace {
@@ -256,15 +250,46 @@ std::string format_release_record(std::uint64_t key, std::uint64_t owner) {
 
 namespace {
 
-/// The value of each lowercase hex digit; 16 marks every other byte.
-constexpr std::array<std::uint8_t, 256> kHexValue = [] {
-  std::array<std::uint8_t, 256> table{};
-  table.fill(16);
-  for (int i = 0; i < 16; ++i) {
-    table["0123456789abcdef"[i]] = static_cast<std::uint8_t>(i);
+/// The 8 lowercase hex digits at `p`, the first one most significant, in
+/// `value`; false when any of the 8 bytes is not one of [0-9a-f]. Branch
+/// free: the bytes are checked and converted side by side, as the lanes of
+/// one 64-bit word.
+inline bool decode_hex8(const char* p, std::uint32_t& value) {
+  constexpr std::uint64_t kOnes = 0x0101010101010101ULL;
+  constexpr std::uint64_t kHigh = kOnes * 0x80;
+  std::uint64_t x;
+  std::memcpy(&x, p, sizeof(x));
+  if constexpr (std::endian::native == std::endian::big) {
+    x = __builtin_bswap64(x);  // lane i holds the i-th byte
   }
-  return table;
-}();
+  // Adding 0x80 - c to a byte below 0x80 sets its high bit iff the byte is
+  // at least c, and carries into no other lane. A byte with its high bit
+  // set is no digit; `~x` drops it below.
+  const std::uint64_t low = x & ~kHigh;
+  const auto at_least = [low](std::uint64_t c) {
+    return (low + kOnes * (0x80 - c)) & kHigh;
+  };
+  const std::uint64_t digit = at_least('0') & ~at_least('9' + 1);
+  const std::uint64_t letter = at_least('a') & ~at_least('f' + 1);
+  // A digit's value is its low nibble; a letter's (bit 6 set) is 9 more.
+  const std::uint64_t nibbles = (x & kOnes * 0xf) + 9 * (x >> 6 & kOnes);
+  // Gather pairs of nibbles into bytes, pairs of bytes into 16-bit halves,
+  // and the two halves into the value.
+  std::uint64_t v = ((nibbles << 4) + (nibbles >> 8)) & 0x00ff00ff00ff00ffULL;
+  v = ((v << 8) + (v >> 16)) & 0x0000ffff0000ffffULL;
+  value = static_cast<std::uint32_t>((v << 16) + (v >> 32));
+  return ((digit | letter) & ~x) == kHigh;
+}
+
+/// The 16 lowercase hex digits at `p`, as RecordWriter::hex writes them.
+inline bool decode_hex16(const char* p, std::uint64_t& value) {
+  std::uint32_t high = 0;
+  std::uint32_t low = 0;
+  // `&`, not `&&`: both halves decode, with no branch between them.
+  const bool ok = decode_hex8(p, high) & decode_hex8(p + 8, low);
+  value = std::uint64_t{high} << 32 | low;
+  return ok;
+}
 
 /// Reads a record's fields left to right, in the writers' grammar (see
 /// point_cache.hpp). A failed field fails every later one, so a parser
@@ -281,17 +306,8 @@ class FieldReader {
       ok_ = false;
       return *this;
     }
-    // Branch-free: a table load and a shift per digit, and one check.
-    std::uint64_t value = 0;
-    unsigned bad = 0;
-    for (int i = 0; i < 16; ++i) {
-      const unsigned digit = kHexValue[static_cast<unsigned char>(p_[i])];
-      bad |= digit;
-      value = value << 4 | (digit & 0xf);
-    }
+    ok_ = decode_hex16(p_, v);
     p_ += 16;
-    ok_ = bad < 16;
-    v = value;
     return *this;
   }
   FieldReader& f64(double& v) {
@@ -389,18 +405,8 @@ void ResultIndex::rehash(std::size_t slots) {
   }
 }
 
-void ResultIndex::reserve(std::size_t results) {
-  if (results == 0) return;
-  std::size_t slots = 16;
-  while (slots * 3 < (size() + results) * 4) slots *= 2;
-  if (slots > slots_.size()) rehash(slots);
-  // Nearly every result is a point. Their array at least doubles when it
-  // grows, so a store opened a segment at a time, or refreshed a few lines
-  // at a time, copies each point O(1) times.
-  const std::size_t points = points_.size() + results;
-  if (points > points_.capacity()) {
-    points_.reserve(std::max(points, 2 * points_.capacity()));
-  }
+void ResultIndex::reserve_points(std::size_t points) {
+  points_.reserve(points_.size() + points);
 }
 
 template <typename V>
@@ -460,16 +466,42 @@ bool write_all(int fd, std::string_view bytes) {
   return true;
 }
 
+std::string_view ReadBuffer::read(int fd, std::uint64_t from, std::size_t n) {
+  if (n > size_) {
+    size_ = std::bit_ceil(n);
+    bytes_ = std::make_unique_for_overwrite<char[]>(size_);
+  }
+  std::size_t got = 0;
+  while (got < n) {
+    const ssize_t r = ::pread(fd, bytes_.get() + got, n - got,
+                              static_cast<off_t>(from + got));
+    if (r <= 0) break;
+    got += static_cast<std::size_t>(r);
+  }
+  return {bytes_.get(), got};
+}
+
 SegmentStore::SegmentStore(std::vector<std::string> paths, const char* header)
     : header_(header), segments_(paths.size()) {
+  // Load the files that exist; the rest are created by the first append
+  // that lands in them. The point array is reserved once for the most
+  // points their bytes can hold, so loading them never moves it.
+  std::uint64_t bytes = 0;
   for (std::size_t i = 0; i < paths.size(); ++i) {
-    segments_[i].path = std::move(paths[i]);
-    // Load only files that already exist; the rest are created by the
-    // first append that lands in them.
+    Segment& seg = segments_[i];
+    seg.path = std::move(paths[i]);
     struct stat st;
-    if (::stat(segments_[i].path.c_str(), &st) == 0 && open(segments_[i])) {
-      scan(segments_[i]);
+    if (::stat(seg.path.c_str(), &st) == 0 && open(seg)) {
+      bytes += static_cast<std::uint64_t>(st.st_size);
     }
+  }
+  // The shortest point record: every count a single digit.
+  static const std::size_t kShortestPoint =
+      format_point_record(0, CachedPoint{}).size();
+  results_.reserve_points(static_cast<std::size_t>(bytes / kShortestPoint));
+  ReadBuffer buffer;  // one file's bytes at a time, freed when the open ends
+  for (Segment& seg : segments_) {
+    if (seg.fd >= 0) scan(seg, buffer);
   }
 }
 
@@ -540,7 +572,7 @@ bool SegmentStore::still_foreign(const Segment& seg) const {
          first.back() != '\n' || first.compare(0, header.size(), header) != 0;
 }
 
-void SegmentStore::scan(Segment& seg) {
+void SegmentStore::scan(Segment& seg, ReadBuffer& buffer) {
   if (seg.rewrite) {
     // A foreign file is ignored until it is truncated, by us or by a peer
     // that opened it foreign too; the peer's rewrite loads from the start.
@@ -549,58 +581,48 @@ void SegmentStore::scan(Segment& seg) {
   }
   struct stat st;
   if (::fstat(seg.fd, &st) != 0) return;
-  auto size = static_cast<std::uint64_t>(st.st_size);
+  const auto size = static_cast<std::uint64_t>(st.st_size);
   if (size < seg.scanned) {
     // The file shrank under us (a compaction pass rewrote it): rescan from
     // the start. Result records are idempotent facts, so re-applying them
     // is harmless; leases age out by TTL either way.
     seg.scanned = 0;
-    seg.header_ok = false;
   }
   if (size == seg.scanned) return;
 
-  std::string tail(size - seg.scanned, '\0');
-  std::size_t got = 0;
-  while (got < tail.size()) {
-    const ssize_t n = ::pread(seg.fd, tail.data() + got, tail.size() - got,
-                              static_cast<off_t>(seg.scanned + got));
-    if (n <= 0) break;
-    got += static_cast<std::size_t>(n);
-  }
-  tail.resize(got);
-
   // Consume complete lines only; a torn tail (no final newline yet) stays
-  // unconsumed and is re-read — whole — on a later scan. Result records are
-  // set aside, so the index grows once for all of them; lease records wait
-  // until every result in these bytes is in, and then apply only to keys
-  // still without one.
-  std::vector<std::string_view> result_lines;
+  // unconsumed and is re-read — whole — on a later scan.
+  std::string_view lines = buffer.read(
+      seg.fd, seg.scanned, static_cast<std::size_t>(size - seg.scanned));
+  lines = lines.substr(0, lines.rfind('\n') + 1);
+  const std::uint64_t end = seg.scanned + lines.size();
+  if (seg.scanned == 0 && !lines.empty()) {
+    const std::size_t nl = lines.find('\n');
+    if (lines.substr(0, nl) != header_) {
+      // Foreign file or an older record layout: load nothing from it and
+      // truncate it on the first append (records appended after a bad
+      // header would be invisible to the next load).
+      seg.rewrite = true;
+      return;
+    }
+    lines.remove_prefix(nl + 1);
+  }
+  // Result records apply as they are read; lease records wait until every
+  // result in these bytes is in, and then apply only to keys still without
+  // one.
   std::vector<std::string_view> lease_lines;
-  std::size_t begin = 0;
-  while (true) {
-    const std::size_t nl = tail.find('\n', begin);
-    if (nl == std::string::npos) break;
-    const std::string_view line(tail.data() + begin, nl - begin);
-    if (seg.scanned == 0 && begin == 0 && !seg.header_ok) {
-      if (line != header_) {
-        // Foreign file or an older record layout: load nothing from it and
-        // truncate it on the first append (records appended after a bad
-        // header would be invisible to the next load).
-        seg.rewrite = true;
-        return;
-      }
-      seg.header_ok = true;
-    } else if (line.starts_with('L') || line.starts_with('R')) {
+  for (std::size_t at = 0; at < lines.size();) {
+    const std::size_t nl = lines.find('\n', at);
+    const std::string_view line = lines.substr(at, nl - at);
+    if (line.starts_with('L') || line.starts_with('R')) {
       lease_lines.push_back(line);
     } else {
-      result_lines.push_back(line);
+      apply_result(line);
     }
-    begin = nl + 1;
+    at = nl + 1;
   }
-  results_.reserve(result_lines.size());
-  for (const std::string_view line : result_lines) apply_result(line);
   for (const std::string_view line : lease_lines) apply_lease(line);
-  seg.scanned += begin;
+  seg.scanned = end;
 }
 
 void SegmentStore::append_locked(Segment& seg, const std::string& line) {
@@ -611,7 +633,6 @@ void SegmentStore::append_locked(Segment& seg, const std::string& line) {
     if (still_foreign(seg) && ::ftruncate(seg.fd, 0) != 0) return;
     seg.rewrite = false;
     seg.scanned = 0;
-    seg.header_ok = false;
   }
   struct stat st;
   if (::fstat(seg.fd, &st) != 0) return;
@@ -626,10 +647,7 @@ void SegmentStore::append_locked(Segment& seg, const std::string& line) {
     if (end < 0) return;
   }
   std::string out;
-  if (end == 0) {
-    out = std::string(header_) + "\n";
-    seg.header_ok = true;
-  }
+  if (end == 0) out = std::string(header_) + "\n";
   out += line;
   // Disk full etc. degrades to in-memory only; a partial write leaves a
   // torn line that the next append cuts. Our own bytes need no re-parse:

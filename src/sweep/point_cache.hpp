@@ -34,6 +34,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -76,34 +77,22 @@ std::uint64_t point_key(const SweepSpec& spec, const PointSpec& point,
 std::uint64_t baseline_key(const SweepSpec& spec, const PointSpec& probe,
                            std::uint64_t seed);
 
-/// `point_key`/`baseline_key` for the points of one spec, with the shared
-/// part hashed once. Everything the two keys hash before the seed (tag,
-/// schema, compiler, scenario and queue kinds, the derived ScenarioConfig,
-/// the RunControl) depends on the point only through `flows`: the seed
+/// The store keys of one spec's tasks (make_tasks): `points[i]` is row i's
+/// `point_key` and `baselines[b]` baseline b's `baseline_key`.
+struct TaskKeys {
+  std::vector<std::uint64_t> baselines;
+  std::vector<std::uint64_t> points;
+};
+
+/// Every key of `tasks`, the task list of `spec`, with the shared part
+/// hashed once. Everything a key hashes before the seed (tag, schema,
+/// compiler, scenario and queue kinds, the derived ScenarioConfig, the
+/// RunControl) depends on the point only through `flows`: the seed
 /// `make_scenario` also sets is left to the finishing step. So the FNV state
 /// at the seed is computed once per flow count, and each key is finished
-/// with the seed and the point axes. The keys are the free functions'
-/// keys. Immutable after construction, so pool threads share one without
-/// locking. A newly hashed field that varies per point must be hashed
-/// after the prefix, in the finishing step.
-class SweepKeys {
- public:
-  /// Prefixes for every flow count `spec.enumerate()` can produce.
-  explicit SweepKeys(const SweepSpec& spec);
-
-  std::uint64_t point(const PointSpec& point, std::uint64_t seed) const;
-  std::uint64_t baseline(const PointSpec& probe, std::uint64_t seed) const;
-
- private:
-  struct Prefix {
-    int flows = 0;
-    std::uint64_t point = 0;  // FNV states before the seed
-    std::uint64_t baseline = 0;
-  };
-  const Prefix& prefix(int flows) const;
-
-  std::vector<Prefix> prefixes_;  // sorted by flows
-};
+/// with the seed and the point axes. A newly hashed field that varies per
+/// point must be hashed after the prefix, in the finishing step.
+TaskKeys sweep_keys(const SweepSpec& spec, const SweepTasks& tasks);
 
 // Record text codecs of every segment file: one line per record, fields
 // separated by one space, keys and owners as 16 lowercase hex digits,
@@ -141,6 +130,20 @@ bool parse_release_record(std::string_view text, std::uint64_t& key,
 /// write(2) all of `bytes`; false on an I/O error (disk full etc.). Call it
 /// under the file's exclusive flock(2).
 bool write_all(int fd, std::string_view bytes);
+
+/// One buffer that successive reads of files reuse: it grows to the largest
+/// read and is never zero-filled. The bytes of a read are valid until the
+/// next read.
+class ReadBuffer {
+ public:
+  /// Up to `n` bytes of `fd` from offset `from`; fewer at the end of the
+  /// file or on an I/O error.
+  std::string_view read(int fd, std::uint64_t from, std::size_t n);
+
+ private:
+  std::unique_ptr<char[]> bytes_;
+  std::size_t size_ = 0;
+};
 
 /// What the sweep engine needs from a result store. `PointCache` is the
 /// single-process file implementation; `CampaignStore` adds multi-process
@@ -194,9 +197,8 @@ class PointStore {
 /// V is CachedPoint for a point result and double for a baseline's goodput.
 class ResultIndex {
  public:
-  /// Room for `results` more results, of either kind, without the table
-  /// growing.
-  void reserve(std::size_t results);
+  /// Room for `points` more point results without the point array moving.
+  void reserve_points(std::size_t points);
 
   /// `key`'s result of type V, or null.
   template <typename V>
@@ -270,11 +272,13 @@ class ResultIndex {
 ///     directories. A file the process can read but not write opens
 ///     read-only: it still loads, and appends to it fail like any I/O
 ///     error, which leaves the store in-memory only.
+///   - Opening reads each file once, through one buffer reused from file
+///     to file and never zero-filled, so it holds one file's bytes at a
+///     time. The point array is reserved once for the most points the
+///     files' bytes can hold, so loading never moves it; the table doubles
+///     as results load, so it ends sized for them alone, never for leases.
 ///   - Scans are incremental (a per-file offset) and consume whole lines
-///     only, holding one file's new bytes at a time. Each sizes the index
-///     for the result lines it read before applying them, so opening a
-///     store grows the index only to fit its results, never its leases.
-///     Malformed lines and unknown record kinds are skipped. A file
+///     only. Malformed lines and unknown record kinds are skipped. A file
 ///     with a foreign header loads as empty and is truncated by its first
 ///     append, from this process or from a peer that opened it too, and
 ///     it loads again once it starts with the store's header.
@@ -316,7 +320,6 @@ class SegmentStore : public PointStore {
     std::string path;
     int fd = -1;                // opened lazily
     std::uint64_t scanned = 0;  // bytes consumed by incremental scans
-    bool header_ok = false;     // header line verified (or written by us)
     bool rewrite = false;       // foreign header: truncate on first append
   };
 
@@ -330,7 +333,9 @@ class SegmentStore : public PointStore {
   /// process sharing the file may have truncated it and written ours. Call
   /// it under the file's flock(2).
   bool still_foreign(const Segment& seg) const;
-  void scan(Segment& seg);
+  /// Read `seg`'s new lines through `buffer`, apply them, and move its
+  /// offset past them.
+  void scan(Segment& seg, ReadBuffer& buffer);
   /// Append `line` to an open segment; the caller holds its flock.
   void append_locked(Segment& seg, const std::string& line);
   /// Append `line` to `key`'s segment under its exclusive flock.

@@ -365,7 +365,7 @@ class SweepRun {
     check_worker_count(options.threads, "run_sweep: threads");
     workspaces_.resize(static_cast<std::size_t>(threads_));
     // Keys are hashed only when there is a store to address.
-    if (store_ != nullptr) keys_.emplace(spec);
+    if (store_ != nullptr) keys_ = sweep_keys(spec, tasks_);
   }
 
   SweepResult run() {
@@ -477,10 +477,7 @@ class SweepRun {
     Outcome outcome = Outcome::kHit;
     std::string error;
     try {
-      const PointResult& row =
-          tasks_.rows[task.baseline ? tasks_.baselines[task.slot] : task.slot];
-      task.key = task.baseline ? keys_->baseline(row.point, row.seed)
-                               : keys_->point(row.point, row.seed);
+      task.key = (task.baseline ? keys_.baselines : keys_.points)[task.slot];
       if (!lookup(task)) {
         const PointStore::ClaimStatus status =
             task.baseline ? store_->claim_baseline(task.key)
@@ -666,7 +663,7 @@ class SweepRun {
   ProgressMeter meter_;
   std::vector<std::unique_ptr<ScenarioWorkspace>> workspaces_;  // by worker
   PointStore* store_;
-  std::optional<SweepKeys> keys_;
+  TaskKeys keys_;  // the tasks' store keys, when there is a store
   std::atomic<bool> cancel_{false};
   std::atomic<std::size_t> cache_hits_{0};
   std::atomic<std::size_t> simulated_{0};

@@ -340,6 +340,35 @@ TEST(CampaignTest, RejectsOutputNamedTwiceBeforeForking) {
   EXPECT_FALSE(std::filesystem::exists(first.csv_path));  // nothing opened
 }
 
+// No warm-up and a 1 ms window leave the baseline with zero goodput: both
+// points fail in the merged results with the baseline's reason, and the
+// worker that ran them, whose sweep returned, is no worker failure.
+TEST(CampaignTest, FailedPointsAreReportedNotWorkerFailures) {
+  TempDir dir;
+  CampaignSpec spec;
+  spec.spec.flow_counts = {3};
+  spec.spec.gammas = {0.4, 0.6};
+  spec.spec.control.warmup = 0.0;
+  spec.spec.control.measure = sec(0.001);
+  spec.name = "zero";
+  CampaignOptions options;
+  options.store_dir = dir.sub("store.d");
+  options.workers = 1;
+  options.threads = 1;
+
+  const CampaignResult result = run_campaign({spec}, options);
+  EXPECT_EQ(result.worker_failures, 0);
+  EXPECT_FALSE(result.ok());
+  ASSERT_EQ(result.specs.size(), 1u);
+  const SweepResult& merged = result.specs[0].result;
+  ASSERT_EQ(merged.points.size(), 2u);
+  EXPECT_EQ(merged.failures(), 2u);
+  for (const PointResult& point : merged.points) {
+    EXPECT_EQ(point.status, PointStatus::kFailed) << point.index;
+    EXPECT_EQ(point.error, "baseline failed: baseline goodput is zero");
+  }
+}
+
 TEST(CampaignTest, CountUniqueTasksIsPointsPlusUniqueBaselines) {
   const SweepSpec spec = tiny_spec();
   // One flow count: one baseline per replicate, shared by both gammas.

@@ -1,11 +1,14 @@
 // The result stores' record grammar, index and keys: format/parse round
-// trips, rejection of everything the writers never produce, torn records
-// and older layouts in both stores, lease records applied after results,
-// the flat result index, and SweepKeys against the free key functions.
+// trips, the hex decoder against a one-digit-at-a-time table, rejection of
+// everything the writers never produce, torn records and older layouts in
+// both stores, lease records applied after results, the flat result index,
+// and sweep_keys against the free key functions.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cctype>
 #include <cfloat>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -13,6 +16,7 @@
 #include <iterator>
 #include <limits>
 #include <memory>
+#include <new>
 #include <random>
 #include <string>
 #include <unordered_set>
@@ -23,6 +27,34 @@
 #include "sweep/campaign_store.hpp"
 #include "sweep/point_cache.hpp"
 #include "sweep/sweep.hpp"
+
+namespace {
+
+// Sizes of the allocations made while `g_recording` is set: how many point
+// arrays one store open allocates. The tests run on one thread.
+bool g_recording = false;
+std::size_t g_sizes[1 << 14];
+std::size_t g_allocations = 0;
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_recording && g_allocations < std::size(g_sizes)) {
+    g_sizes[g_allocations++] = size;
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+// Out of line, so the compiler never sees a `new` matched with free(3).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace pdos::sweep {
 namespace {
@@ -296,6 +328,81 @@ TEST(RecordGrammarTest, RejectsAnythingButTheWritersGrammar) {
   }
 }
 
+/// The value of each lowercase hex digit; 16 marks every other byte: the
+/// one-byte-at-a-time reference for the record decoder.
+constexpr std::array<std::uint8_t, 256> kHexDigit = [] {
+  std::array<std::uint8_t, 256> table{};
+  table.fill(16);
+  for (int i = 0; i < 16; ++i) {
+    table["0123456789abcdef"[i]] = static_cast<std::uint8_t>(i);
+  }
+  return table;
+}();
+
+/// Whether the reference reads `field` (16 bytes) as a hex field, and as
+/// what.
+bool reference_hex(const std::string& field, std::uint64_t& value) {
+  bool ok = field.size() == 16;
+  value = 0;
+  for (const char c : field) {
+    const unsigned digit = kHexDigit[static_cast<unsigned char>(c)];
+    ok = ok && digit < 16;
+    value = value << 4 | (digit & 0xf);
+  }
+  return ok;
+}
+
+/// `field` read by the record decoder, as a release record's key and as its
+/// owner; both must agree with the reference.
+void expect_decoded_as_reference(const std::string& field) {
+  std::uint64_t want = 0;
+  const bool valid = reference_hex(field, want);
+  const std::string other = "3000000000000a07";
+  std::uint64_t key = 0;
+  std::uint64_t owner = 0;
+  ASSERT_EQ(parse_release_record(field + " " + other, key, owner), valid)
+      << testing::PrintToString(field);
+  if (valid) {
+    EXPECT_EQ(key, want) << field;
+  }
+  ASSERT_EQ(parse_release_record(other + " " + field, key, owner), valid)
+      << testing::PrintToString(field);
+  if (valid) {
+    EXPECT_EQ(owner, want) << field;
+  }
+}
+
+TEST(RecordGrammarTest, HexFieldsDecodeAsTheDigitTableDoes) {
+  // Every byte value at each of the 16 positions of a valid field.
+  const std::string valid = "0123456789abcdef";
+  for (std::size_t at = 0; at < valid.size(); ++at) {
+    for (int byte = 0; byte < 256; ++byte) {
+      std::string field = valid;
+      field[at] = static_cast<char>(byte);
+      expect_decoded_as_reference(field);
+      if (HasFailure()) return;
+    }
+  }
+  // Random fields: each byte a digit 15 times in 16, else any byte. About a
+  // third of the fields are valid, and the rest break anywhere.
+  std::mt19937_64 rng(20051107);
+  std::size_t accepted = 0;
+  for (int i = 0; i < 1'000'000; ++i) {
+    std::string field(16, '0');
+    for (char& c : field) {
+      const std::uint64_t draw = rng();
+      c = static_cast<char>(draw % 16 != 0 ? valid[(draw >> 8) % 16]
+                                           : (draw >> 8) % 256);
+    }
+    std::uint64_t want = 0;
+    accepted += reference_hex(field, want);
+    expect_decoded_as_reference(field);
+    if (HasFailure()) return;
+  }
+  EXPECT_GT(accepted, 250'000u);
+  EXPECT_LT(accepted, 500'000u);
+}
+
 CachedPoint sample_point(double salt = 0.0) {
   CachedPoint p;
   p.c_psi = 0.123456789012345678 + salt;
@@ -541,6 +648,8 @@ TEST(LeaseOrderTest, LeasesAppliedAfterResultsClaimAsInFileOrder) {
       format_release_record(key(8), kX),        //     released
       format_lease_record(key(2), kY, live),
       format_baseline_record(key(10), 4.0),
+      format_baseline_record(key(11), 5.0),     // 11: a baseline lands, and
+      format_lease_record(key(11), kX, live),   //     only then its lease
   };
   using S = PointStore::ClaimStatus;
   struct Want {
@@ -555,6 +664,7 @@ TEST(LeaseOrderTest, LeasesAppliedAfterResultsClaimAsInFileOrder) {
       {key(7), false, S::kAcquired}, {key(8), true, S::kDone},
       {key(8), false, S::kAcquired}, {key(9), false, S::kAcquired},
       {key(10), true, S::kDone},     {key(10), false, S::kAcquired},
+      {key(11), true, S::kDone},     {key(11), false, S::kAcquired},
   };
 
   // One store reads the whole segment in one scan, which applies the
@@ -575,8 +685,8 @@ TEST(LeaseOrderTest, LeasesAppliedAfterResultsClaimAsInFileOrder) {
     append_raw(stepped_segment, line);
     in_order.refresh();
   }
-  ASSERT_EQ(in_one_scan.size(), 4u);
-  ASSERT_EQ(in_order.size(), 4u);
+  ASSERT_EQ(in_one_scan.size(), 5u);
+  ASSERT_EQ(in_order.size(), 5u);
   for (const Want& want : wants) {
     SCOPED_TRACE(testing::Message() << std::hex << want.key
                                     << (want.baseline ? " baseline" : ""));
@@ -696,12 +806,13 @@ TEST(ResultIndexTest, GrowsByDoublingDuringAColdPass) {
   });
   EXPECT_EQ(points, 5000u);
 
-  // Reserving room up front leaves nothing to grow.
+  // Room reserved for the points up front: the point array never moves.
   ResultIndex reserved;
-  reserved.reserve(5000);
-  const std::size_t reserved_slots = reserved.slots();
+  reserved.reserve_points(keys.size());
+  const CachedPoint* first = reserved.emplace<CachedPoint>(keys[0]).first;
   for (std::uint64_t k : keys) reserved.emplace<CachedPoint>(k);
-  EXPECT_EQ(reserved.slots(), reserved_slots);
+  EXPECT_EQ(reserved.size(), keys.size());
+  EXPECT_EQ(reserved.find<CachedPoint>(keys[0]), first);
 }
 
 TEST(ResultIndexTest, OpeningAStoreSizesTheIndexForItsResultsOnly) {
@@ -723,9 +834,29 @@ TEST(ResultIndexTest, OpeningAStoreSizesTheIndexForItsResultsOnly) {
     using CampaignStore::CampaignStore;
     std::size_t slots() const { return results_.slots(); }
   };
+  g_allocations = 0;
+  g_recording = true;
   const Opened opened(path);
+  g_recording = false;
   EXPECT_EQ(opened.size(), 10000u);
   EXPECT_EQ(opened.slots(), 16384u);
+  // The open allocates the point array once, for the most points the
+  // store's bytes can hold. A point array is the only allocation of 64
+  // points' bytes or more that is a whole number of points: the slot
+  // table, the read buffer and a segment's list of lease lines grow in
+  // powers of two, and a power of two is no multiple of
+  // sizeof(CachedPoint), which has an odd factor.
+  static_assert((sizeof(CachedPoint) & (sizeof(CachedPoint) - 1)) != 0);
+  ASSERT_LT(g_allocations, std::size(g_sizes));
+  std::vector<std::size_t> point_arrays;
+  for (std::size_t i = 0; i < g_allocations; ++i) {
+    if (g_sizes[i] >= 64 * sizeof(CachedPoint) &&
+        g_sizes[i] % sizeof(CachedPoint) == 0) {
+      point_arrays.push_back(g_sizes[i] / sizeof(CachedPoint));
+    }
+  }
+  ASSERT_EQ(point_arrays.size(), 1u) << "point arrays allocated";
+  EXPECT_GE(point_arrays[0], 10000u);
 }
 
 TEST(ResultIndexTest, KeysZeroAndAllOnesAreKeysLikeAnyOther) {
@@ -772,6 +903,28 @@ TEST(ResultIndexTest, KeysZeroAndAllOnesAreKeysLikeAnyOther) {
   }
 }
 
+/// Checks sweep_keys against the free key functions on every task of
+/// `spec`; returns the number of rows checked.
+std::size_t expect_free_keys(const SweepSpec& spec) {
+  const SweepTasks tasks = make_tasks(spec);
+  const TaskKeys keys = sweep_keys(spec, tasks);
+  EXPECT_EQ(keys.points.size(), tasks.rows.size());
+  EXPECT_EQ(keys.baselines.size(), tasks.baselines.size());
+  if (::testing::Test::HasFailure()) return 0;
+  std::unordered_set<std::uint64_t> seen;
+  for (const PointResult& row : tasks.rows) {
+    const std::uint64_t key = keys.points[row.index];
+    EXPECT_EQ(key, point_key(spec, row.point, row.seed)) << "row " << row.index;
+    EXPECT_TRUE(seen.insert(key).second) << "colliding point keys";
+  }
+  for (std::size_t b = 0; b < tasks.baselines.size(); ++b) {
+    const PointResult& row = tasks.rows[tasks.baselines[b]];
+    EXPECT_EQ(keys.baselines[b], baseline_key(spec, row.point, row.seed))
+        << "baseline " << b;
+  }
+  return tasks.rows.size();
+}
+
 TEST(SweepKeysTest, MatchTheFreeKeyFunctionsOnEveryPoint) {
   std::size_t checked = 0;
   for (ScenarioKind scenario :
@@ -796,7 +949,7 @@ TEST(SweepKeysTest, MatchTheFreeKeyFunctionsOnEveryPoint) {
             PointSpec c = a;
             c.rattack = mbps(40);
             c.kappa = 2.0;
-            spec.explicit_points = {a, b, c};
+            spec.explicit_points = {a, b, c};  // 9 rows, flows 12, 5, 12
           } else {
             spec.flow_counts = {15, 3, 9};
             spec.textents = {ms(40), ms(120)};
@@ -807,23 +960,27 @@ TEST(SweepKeysTest, MatchTheFreeKeyFunctionsOnEveryPoint) {
                        backend_name(backend) +
                        (queue == QueueKind::kRed ? "/red" : "/droptail") +
                        (explicit_points ? "/explicit" : "/grid"));
-          const SweepKeys keys(spec);
-          std::unordered_set<std::uint64_t> seen;
-          for (const PointSpec& point : spec.enumerate()) {
-            const std::uint64_t seed =
-                replicate_seed(spec.base_seed, point.replicate);
-            const std::uint64_t key = keys.point(point, seed);
-            EXPECT_EQ(key, point_key(spec, point, seed));
-            EXPECT_EQ(keys.baseline(point, seed),
-                      baseline_key(spec, point, seed));
-            EXPECT_TRUE(seen.insert(key).second) << "colliding point keys";
-            ++checked;
-          }
+          checked += expect_free_keys(spec);
         }
       }
     }
   }
-  EXPECT_GT(checked, 1000u);  // 1,872 points over the 32 specs
+  EXPECT_GT(checked, 1000u);  // 1,872 rows over the 32 specs
+
+  // Explicit points whose flow counts change from row to row, so a key's
+  // prefix is rarely the last one hashed: lists of 1 to 25 rows.
+  for (std::size_t rows = 1; rows <= 25; ++rows) {
+    SCOPED_TRACE(testing::Message() << rows << " rows");
+    SweepSpec spec;
+    spec.backend = Backend::kFluid;
+    for (std::size_t i = 0; i < rows; ++i) {
+      PointSpec point;
+      point.flows = static_cast<int>(3 + i % 4 * 7 + i / 9);
+      point.gamma = 0.1 + 0.03 * static_cast<double>(i);
+      spec.explicit_points.push_back(point);
+    }
+    EXPECT_EQ(expect_free_keys(spec), rows);
+  }
 }
 
 }  // namespace

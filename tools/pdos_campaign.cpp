@@ -31,7 +31,12 @@
 // Numbers are read exactly, as in spec files: a malformed or out-of-range
 // value exits 2, naming the flag, before any worker is forked.
 //
-// Exit status: 0 on success; 1 when any point failed, a worker crashed, or
+// Each failed point of the merged results prints
+// `<spec>: point <index> failed: <error>` on stderr, --quiet or not. A
+// worker failure is a worker that could not run its sweeps (it threw or
+// crashed), not one whose points failed.
+//
+// Exit status: 0 on success; 1 when any point failed, a worker failed, or
 // an --assert-no-dup check tripped; 2 on a usage or spec error, an output
 // that cannot be opened included (checked before any worker forks).
 #include <cstdio>
@@ -189,6 +194,16 @@ int main(int argc, char** argv) {
                  result.unique_tasks, total_simulated,
                  result.worker_simulated, result.final_simulated,
                  result.worker_failures, result.wall_seconds);
+  }
+
+  for (std::size_t si = 0; si < specs.size(); ++si) {
+    for (const sweep::PointResult& point : result.specs[si].result.points) {
+      if (point.status == sweep::PointStatus::kFailed) {
+        std::fprintf(stderr, "%s: point %zu failed: %s\n",
+                     specs[si].name.c_str(), point.index,
+                     point.error.c_str());
+      }
+    }
   }
 
   if (compact) {
