@@ -27,9 +27,7 @@ int main(int argc, char** argv) {
     const BitRate baseline = measure_baseline(scenario, mode.control);
     const double cpsi = c_psi(scenario.victim_profile(), ms(50),
                               25.0 / 15.0);
-    const auto gammas =
-        bench::gamma_grid(std::max(0.1, cpsi + 0.02), 0.95,
-                          mode.gamma_points);
+    const auto gammas = gamma_grid(cpsi, mode.gamma_points);
     const auto rows = bench::gain_curve(scenario, ms(50), mbps(25), 1.0,
                                         gammas, mode.control, baseline);
     char label[96];

@@ -54,15 +54,6 @@ struct Mode {
   const char* name() const { return full ? "full" : "quick"; }
 };
 
-/// Evenly spaced gamma sweep on (lo, hi), endpoints included.
-inline std::vector<double> gamma_grid(double lo, double hi, int points) {
-  std::vector<double> grid;
-  for (int i = 0; i < points; ++i) {
-    grid.push_back(lo + (hi - lo) * i / (points - 1));
-  }
-  return grid;
-}
-
 struct GainRow {
   double gamma = 0.0;
   double analytic_gain = 0.0;

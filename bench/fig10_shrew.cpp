@@ -50,8 +50,7 @@ int main(int argc, char** argv) {
     const double cpsi = c_psi(scenario.victim_profile(), config.textent,
                               config.rattack / scenario.bottleneck);
     // Regular grid plus the exact shrew gammas.
-    auto gammas = bench::gamma_grid(std::max(0.1, cpsi + 0.02), 0.95,
-                                    mode.gamma_points);
+    std::vector<double> gammas = gamma_grid(cpsi, mode.gamma_points);
     for (double g : shrew_gammas(config.textent, config.rattack,
                                  scenario.bottleneck,
                                  scenario.tcp.rto_min)) {

@@ -32,9 +32,8 @@ int main(int argc, char** argv) {
     const double cpsi = c_psi(scenario.victim_profile(), textent,
                               rattack / scenario.bottleneck);
     const double hi = std::min(0.95, rattack / scenario.bottleneck - 0.01);
-    const auto gammas =
-        bench::gamma_grid(std::max(0.08, cpsi + 0.02), hi,
-                          mode.gamma_points);
+    const auto gammas = gamma_grid(cpsi, mode.gamma_points,
+                                   std::max(0.08, cpsi + 0.02), hi);
     const auto rows = bench::gain_curve(scenario, textent, rattack, 1.0,
                                         gammas, mode.control, baseline);
     char label[128];

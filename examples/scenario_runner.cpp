@@ -85,9 +85,13 @@ int run_single(int argc, char** argv) {
   scenario.seed = integer_arg_of<std::uint64_t>(argc, argv, "--seed", 1);
 
   const std::string queue = arg_of(argc, argv, "--queue", "red");
+  PDOS_REQUIRE(queue == "red" || queue == "droptail",
+               "unknown --queue '" + queue + "' (want red|droptail)");
   scenario.queue =
       queue == "droptail" ? QueueKind::kDropTail : QueueKind::kRed;
   const std::string tcp = arg_of(argc, argv, "--tcp", "newreno");
+  PDOS_REQUIRE(tcp == "tahoe" || tcp == "reno" || tcp == "newreno",
+               "unknown --tcp '" + tcp + "' (want tahoe|reno|newreno)");
   scenario.tcp.variant = tcp == "tahoe"  ? TcpVariant::kTahoe
                          : tcp == "reno" ? TcpVariant::kReno
                                          : TcpVariant::kNewReno;

@@ -179,9 +179,14 @@ fluid::FluidControl fluid_control_from(const RunControl& control) {
   return fctl;
 }
 
+/// The fluid tier's train: endless, since FluidAttack has no pulse count.
+/// A finite train is rejected rather than run as an endless one.
 std::optional<fluid::FluidAttack> fluid_attack_from(
     const std::optional<PulseTrain>& attack) {
   if (!attack) return std::nullopt;
+  PDOS_REQUIRE(attack->n == PulseTrain{}.n,
+               "fluid backend: a pulse train with a finite pulse count is "
+               "not modelled");
   return fluid::FluidAttack{attack->textent, attack->rattack, attack->tspace,
                             attack->packet_bytes};
 }
@@ -257,24 +262,6 @@ std::vector<RunResult> run_fluid_batch(
     results.push_back(fluid_result_to_run(attacks[i], std::move(solved[i])));
   }
   return results;
-}
-
-std::vector<GainMeasurement> fluid_gain_batch(const ScenarioConfig& config,
-                                              const std::vector<PulseTrain>& trains,
-                                              double kappa,
-                                              const RunControl& control,
-                                              BitRate baseline_goodput) {
-  std::vector<std::optional<PulseTrain>> attacks;
-  attacks.reserve(trains.size());
-  for (const PulseTrain& train : trains) attacks.emplace_back(train);
-  std::vector<RunResult> runs = run_fluid_batch(config, attacks, control);
-  std::vector<GainMeasurement> gains;
-  gains.reserve(runs.size());
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    gains.push_back(finish_gain(config, trains[i], kappa, baseline_goodput,
-                                std::move(runs[i])));
-  }
-  return gains;
 }
 
 void ScenarioWorkspace::build(const ScenarioConfig& config,

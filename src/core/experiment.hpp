@@ -46,7 +46,8 @@ enum class QueueKind { kDropTail, kRed };
 ///            different event counts.
 ///   kFluid — no packets at all: the fluid AIMD solver (src/fluid)
 ///            integrates per-class window ODEs and RED occupancy,
-///            microseconds per run.
+///            microseconds per run. It models endless pulse trains only:
+///            a train with a finite `PulseTrain::n` is a ParameterError.
 enum class Backend { kFull, kFast, kFluid };
 
 const char* backend_name(Backend backend);
@@ -259,20 +260,11 @@ BitRate measure_baseline(const ScenarioConfig& config,
 /// trains. results[i] is bit-identical to `run_scenario` on the kFluid
 /// backend with attacks[i]; the batching only changes throughput. The
 /// scenario's `backend` field is ignored: calling this IS selecting the
-/// fluid tier.
+/// fluid tier, so a train with a finite pulse count is a ParameterError.
 std::vector<RunResult> run_fluid_batch(
     const ScenarioConfig& config,
     const std::vector<std::optional<PulseTrain>>& attacks,
     const RunControl& control);
-
-/// Batched gain points sharing one baseline: `run_fluid_batch` over
-/// `trains` folded through `finish_gain`. gains[i] is bit-identical to
-/// `measure_gain(config-with-kFluid, trains[i], ...)`.
-std::vector<GainMeasurement> fluid_gain_batch(const ScenarioConfig& config,
-                                              const std::vector<PulseTrain>& trains,
-                                              double kappa,
-                                              const RunControl& control,
-                                              BitRate baseline_goodput);
 
 /// Translate a scenario to the fluid tier's system description: one class
 /// per flow, the same RED parameterization `make_queue` builds, the TCP

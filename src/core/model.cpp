@@ -139,4 +139,16 @@ double risk_term(double gamma, double kappa) {
   return std::pow(1.0 - gamma, kappa);
 }
 
+std::vector<double> gamma_grid(double cpsi, int points, double lo,
+                               double hi) {
+  PDOS_REQUIRE(points >= 2, "gamma_grid: need at least 2 points");
+  if (lo <= 0.0) lo = std::max(0.1, cpsi + 0.02);
+  std::vector<double> grid;
+  grid.reserve(static_cast<std::size_t>(points));
+  for (int i = 0; i < points; ++i) {
+    grid.push_back(lo + (hi - lo) * i / (points - 1));
+  }
+  return grid;
+}
+
 }  // namespace pdos

@@ -18,6 +18,8 @@
 // bps, and the factor 4 in Eq. 11 absorbs the bits/bytes conversion 8/2).
 #pragma once
 
+#include <vector>
+
 #include "core/params.hpp"
 #include "util/units.hpp"
 
@@ -69,5 +71,13 @@ double attack_gain(double gamma, double cpsi, double kappa);
 
 /// The risk term (1 − γ)^κ alone (Fig. 4).
 double risk_term(double gamma, double kappa);
+
+/// The γ grid that sweeps, γ searches and the figures scan: `points` (≥ 2)
+/// values evenly spaced on [lo, hi], both ends included. `lo` ≤ 0 picks
+/// the automatic lower end max(0.1, C_Ψ + 0.02), just right of γ = C_Ψ,
+/// where the gain is 0 (Eq. 12); the default [auto, 0.95] is SweepSpec's
+/// `gamma = auto` grid and GammaSearch's.
+std::vector<double> gamma_grid(double cpsi, int points, double lo = 0.0,
+                               double hi = 0.95);
 
 }  // namespace pdos

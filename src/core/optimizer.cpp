@@ -125,10 +125,10 @@ GammaSearchResult run_gamma_search(const GammaSearch& search,
   const double c_attack = search.rattack / packet_cfg.bottleneck;
   const double cpsi =
       c_psi(packet_cfg.victim_profile(), search.textent, c_attack);
-  double lo = search.gamma_lo;
-  if (lo <= 0.0) lo = std::max(cpsi + 0.02, 0.1);
+  const std::vector<double> gammas = gamma_grid(
+      cpsi, search.grid_points, search.gamma_lo, search.gamma_hi);
   const double hi = search.gamma_hi;
-  PDOS_REQUIRE(lo < hi && hi < 1.0,
+  PDOS_REQUIRE(gammas.front() < hi && hi < 1.0,
                "gamma search: need gamma_lo < gamma_hi < 1");
   // γ = R_attack·T_extent/(R_bottle·T) <= C_attack at back-to-back pulses.
   PDOS_REQUIRE(hi <= c_attack,
@@ -157,15 +157,14 @@ GammaSearchResult run_gamma_search(const GammaSearch& search,
 
   // Score the grid on the fluid surrogate: cache hits fill in directly,
   // the misses are solved as lanes of ONE lane-batched fluid evaluation
-  // (fluid::solve_batch via fluid_gain_batch) — bit-identical to solving
-  // them one at a time, several times faster on SIMD builds.
-  result.candidates.resize(static_cast<std::size_t>(search.grid_points));
+  // (run_fluid_batch) — bit-identical to solving them one at a time,
+  // several times faster on SIMD builds.
+  result.candidates.resize(gammas.size());
   std::vector<std::size_t> miss_index;
-  std::vector<PulseTrain> miss_trains;
-  for (int i = 0; i < search.grid_points; ++i) {
-    auto& cand = result.candidates[static_cast<std::size_t>(i)];
-    cand.gamma = lo + (hi - lo) * static_cast<double>(i) /
-                          static_cast<double>(search.grid_points - 1);
+  std::vector<std::optional<PulseTrain>> miss_trains;
+  for (std::size_t i = 0; i < gammas.size(); ++i) {
+    auto& cand = result.candidates[i];
+    cand.gamma = gammas[i];
     if (!fluid_inner) continue;
     if (cache) {
       if (const std::optional<double> hit =
@@ -174,18 +173,19 @@ GammaSearchResult run_gamma_search(const GammaSearch& search,
         continue;
       }
     }
-    miss_index.push_back(static_cast<std::size_t>(i));
-    miss_trains.push_back(PulseTrain::from_gamma(search.textent,
-                                                 search.rattack, cand.gamma,
-                                                 packet_cfg.bottleneck));
+    miss_index.push_back(i);
+    miss_trains.emplace_back(PulseTrain::from_gamma(
+        search.textent, search.rattack, cand.gamma, packet_cfg.bottleneck));
   }
   if (!miss_trains.empty()) {
-    const std::vector<GainMeasurement> gains =
-        fluid_gain_batch(fluid_cfg, miss_trains, search.kappa, search.control,
-                         result.fluid_baseline_goodput);
+    std::vector<RunResult> runs =
+        run_fluid_batch(fluid_cfg, miss_trains, search.control);
     for (std::size_t k = 0; k < miss_index.size(); ++k) {
       auto& cand = result.candidates[miss_index[k]];
-      cand.fluid_gain = gains[k].gain;
+      cand.fluid_gain =
+          finish_gain(fluid_cfg, *miss_trains[k], search.kappa,
+                      result.fluid_baseline_goodput, std::move(runs[k]))
+              .gain;
       ++result.fluid_runs;
       if (cache) cache->store_gain(search, cand.gamma, cand.fluid_gain);
     }

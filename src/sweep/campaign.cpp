@@ -31,8 +31,9 @@ std::unordered_set<std::uint64_t> task_keys(const SweepSpec& spec,
   return distinct;
 }
 
-/// Open `path` for writing, creating its directory; an empty path stays
-/// closed. A path that cannot be opened is a ParameterError.
+/// Open `path` for appending, creating its directory; an empty path stays
+/// closed. A path that cannot be opened is a ParameterError. Nothing is
+/// truncated: run_campaign empties the file once the store has opened.
 std::ofstream open_output(const std::string& path) {
   std::ofstream out;
   if (path.empty()) return out;
@@ -41,7 +42,7 @@ std::ofstream open_output(const std::string& path) {
     std::error_code ec;
     std::filesystem::create_directories(parent, ec);  // best effort
   }
-  out.open(path);
+  out.open(path, std::ios::app);
   PDOS_REQUIRE(out.good(), "cannot open output: " + path);
   return out;
 }
@@ -137,6 +138,14 @@ CampaignResult run_campaign(const std::vector<CampaignSpec>& specs,
   std::vector<std::ofstream> csv_outs;
   for (const CampaignSpec& spec : specs) {
     csv_outs.push_back(open_output(spec.csv_path));
+  }
+  // The merge pass's store, opened before the first fork so that a store
+  // that refuses to open forks no worker. Each worker opens its own: flock(2)
+  // locks belong to the open file, which an inherited fd would share.
+  CampaignStore merged(options.store_dir, options.lease_ttl_seconds);
+  // Only now empty the outputs, so a refused run leaves an earlier table.
+  for (const CampaignSpec& spec : specs) {
+    if (!spec.csv_path.empty()) std::filesystem::resize_file(spec.csv_path, 0);
   }
 
   // Fork the workers, each with a report pipe. Fork happens before this
@@ -261,7 +270,6 @@ CampaignResult run_campaign(const std::vector<CampaignSpec>& specs,
   // joined store. All-hit when the workers finished the grid (so the CSVs
   // are byte-identical to a single-process run); stragglers from crashed
   // workers get simulated right here.
-  CampaignStore merged(options.store_dir, options.lease_ttl_seconds);
   merged.refresh();
   for (std::size_t si = 0; si < specs.size(); ++si) {
     const CampaignSpec& spec = specs[si];

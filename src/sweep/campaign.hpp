@@ -95,9 +95,11 @@ struct CampaignResult {
 
 /// Fork `options.workers` processes over `specs`, join them, and replay the
 /// merged results. Must be called from a process that can fork safely
-/// (i.e. before the caller spawns its own threads). Every CSV output is
-/// opened before the first fork: one that cannot be opened, or a path named
-/// twice, is a ParameterError and nothing runs.
+/// (i.e. before the caller spawns its own threads). Every CSV output, and
+/// then the store, is opened before the first fork: an output that cannot
+/// be opened, a path named twice, or a store that refuses to open
+/// (SegmentStore, sweep/point_cache.hpp) is a ParameterError and no worker
+/// runs.
 CampaignResult run_campaign(const std::vector<CampaignSpec>& specs,
                             const CampaignOptions& options);
 

@@ -1,14 +1,12 @@
 #include "sweep/campaign_store.hpp"
 
 #include <sys/file.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <filesystem>
 #include <random>
 
 #include "util/assert.hpp"
@@ -34,10 +32,8 @@ std::uint64_t make_owner_token() {
   return (static_cast<std::uint64_t>(::getpid()) << 32) ^ (salt & 0xffffffff);
 }
 
-/// `dir`'s 16 segment paths, created as the directory if it is missing.
+/// `dir`'s 16 segment paths.
 std::vector<std::string> segment_paths(const std::string& dir) {
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);  // best effort
   std::vector<std::string> paths;
   for (int i = 0; i < 16; ++i) {
     char name[16];
@@ -50,7 +46,7 @@ std::vector<std::string> segment_paths(const std::string& dir) {
 }  // namespace
 
 CampaignStore::CampaignStore(std::string dir, double lease_ttl_seconds)
-    : SegmentStore(segment_paths(dir), "pdos-campaign-seg-v2"),
+    : SegmentStore(dir, segment_paths(dir), "pdos-campaign-seg-v2"),
       dir_(std::move(dir)),
       lease_ttl_(lease_ttl_seconds),
       owner_(make_owner_token()) {
@@ -64,35 +60,24 @@ CampaignStore::ClaimStatus CampaignStore::claim(std::uint64_t key,
                                                 bool baseline) {
   std::lock_guard<std::mutex> lock(mutex_);
   Segment& seg = segments_[segment_index(key)];
-  if (!open(seg)) {
-    // Unopenable store (permissions, disk): claim unconditionally so the
-    // sweep still completes — it just can't coordinate.
-    return ClaimStatus::kAcquired;
-  }
+  open(seg, /*create=*/true);
   // Read-tail + decide + append must be atomic across processes, so the
   // whole protocol runs under the segment lock.
-  ::flock(seg.fd, LOCK_EX);
+  const FileLock exclusive(seg, LOCK_EX);
   ReadBuffer buffer;
   scan(seg, buffer);
-  ClaimStatus status;
   const bool done = baseline ? results_.find<double>(key) != nullptr
                              : results_.find<CachedPoint>(key) != nullptr;
-  if (done) {
-    status = ClaimStatus::kDone;
-  } else {
-    const auto it = leases_.find(key);
-    if (it != leases_.end() && it->second.owner != owner_ &&
-        it->second.expiry > now_epoch_seconds()) {
-      status = ClaimStatus::kBusy;
-    } else {
-      const double expiry = now_epoch_seconds() + lease_ttl_;
-      append_locked(seg, format_lease_record(key, owner_, expiry));
-      leases_[key] = Lease{owner_, expiry};
-      status = ClaimStatus::kAcquired;
-    }
+  if (done) return ClaimStatus::kDone;
+  const auto it = leases_.find(key);
+  if (it != leases_.end() && it->second.owner != owner_ &&
+      it->second.expiry > now_epoch_seconds()) {
+    return ClaimStatus::kBusy;
   }
-  ::flock(seg.fd, LOCK_UN);
-  return status;
+  const double expiry = now_epoch_seconds() + lease_ttl_;
+  append_locked(seg, format_lease_record(key, owner_, expiry));
+  leases_[key] = Lease{owner_, expiry};
+  return ClaimStatus::kAcquired;
 }
 
 CampaignStore::ClaimStatus CampaignStore::claim_point(std::uint64_t key) {
@@ -116,45 +101,35 @@ void CampaignStore::release_baseline(std::uint64_t key) { release(key); }
 
 void CampaignStore::refresh() {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::error_code ec;
   ReadBuffer buffer;
   for (Segment& seg : segments_) {
-    if (seg.fd < 0 && !std::filesystem::exists(seg.path, ec)) continue;
-    if (!open(seg)) continue;
+    if (!open(seg, /*create=*/false)) continue;
     // Shared lock: appenders write whole lines under the exclusive lock,
     // so a scan never observes a half-written record.
-    ::flock(seg.fd, LOCK_SH);
+    const FileLock shared(seg, LOCK_SH);
     scan(seg, buffer);
-    ::flock(seg.fd, LOCK_UN);
   }
 }
 
 std::size_t CampaignStore::compact() {
   std::lock_guard<std::mutex> lock(mutex_);
   std::size_t dropped = 0;
-  std::error_code ec;
   ReadBuffer buffer;
   for (std::size_t i = 0; i < segments_.size(); ++i) {
     Segment& seg = segments_[i];
-    if (seg.fd < 0 && !std::filesystem::exists(seg.path, ec)) continue;
-    if (!open(seg)) continue;
-    ::flock(seg.fd, LOCK_EX);
-    scan(seg, buffer);  // fold in everything before rewriting
-
-    struct stat st;
-    std::size_t old_lines = 0;
-    if (::fstat(seg.fd, &st) == 0 && st.st_size > 0) {
-      const std::string_view all =
-          buffer.read(seg.fd, 0, static_cast<std::size_t>(st.st_size));
-      old_lines = static_cast<std::size_t>(
-          std::count(all.begin(), all.end(), '\n'));
-    }
+    if (!open(seg, /*create=*/false)) continue;
+    const FileLock exclusive(seg, LOCK_EX);
+    const std::uint64_t size = scan(seg, buffer);  // fold everything in
+    const std::string_view all =
+        buffer.read(seg.path, seg.fd, 0, static_cast<std::size_t>(size));
+    const auto old_lines =
+        static_cast<std::size_t>(std::count(all.begin(), all.end(), '\n'));
 
     // The rewrite is in place (same inode), so append fds held by other
     // live processes stay valid; their offset trackers notice the shrink
     // and rescan. A result present only in a torn line is lost — it is a
     // cache, the cost is one re-simulation.
-    std::string content = std::string(header_) + "\n";
+    std::string content = header_;
     std::size_t new_lines = 1;
     results_.for_each<CachedPoint>(
         [&](std::uint64_t key, const CachedPoint& value) {
@@ -167,13 +142,12 @@ std::size_t CampaignStore::compact() {
       content += format_baseline_record(key, goodput);
       ++new_lines;
     });
-    if (::ftruncate(seg.fd, 0) == 0) {
-      // After a failed write the next scan re-reads whatever landed.
-      const bool written = write_all(seg.fd, content);
-      seg.scanned = written ? content.size() : 0;
-      if (old_lines > new_lines) dropped += old_lines - new_lines;
-    }
-    ::flock(seg.fd, LOCK_UN);
+    if (::ftruncate(seg.fd, 0) != 0) fail(seg, "ftruncate");
+    // After a failed write the next scan re-reads whatever landed.
+    seg.scanned = 0;
+    write_all(seg, content);
+    seg.scanned = content.size();
+    if (old_lines > new_lines) dropped += old_lines - new_lines;
   }
   return dropped;
 }

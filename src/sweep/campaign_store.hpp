@@ -37,13 +37,12 @@
 //
 // Torn-tail tolerance: a worker killed mid-write leaves a partial final
 // line. Scans consume whole lines only, so the fragment never loads, and
-// every appender first cuts the segment back to its last '\n' (under the
-// lock, `cut_torn_tail`) unless the segment ends where the appender's own
-// last scan or write ended, which is always at a line's end. Terminating
-// the fragment instead would let a prefix of a record that happens to
-// parse (a point record cut inside its last count, `… 476` torn from
-// `… 47644`) load as a wrong result and mark the key done. A killed worker
-// thus loses its one unfinished record, never a finished one.
+// every appender first scans the segment under the lock and cuts it back
+// to where that scan stopped, after its last '\n'. Terminating the
+// fragment instead would let a prefix of a record that happens to parse
+// (a point record cut inside its last count, `… 476` torn from `… 47644`)
+// load as a wrong result and mark the key done. A killed worker thus
+// loses its one unfinished record, never a finished one.
 //
 // The in-memory index (`ResultIndex`) answers lookups without I/O;
 // `refresh()` incrementally folds in segment bytes appended by other
@@ -53,6 +52,11 @@
 // run it when the campaign is quiescent (concurrent appends are serialized
 // by the lock and survive, but a crash mid-compaction can lose records,
 // which only costs re-simulation).
+//
+// Like the cache, a store owns its files or refuses to open (SegmentStore,
+// point_cache.hpp): a directory it cannot create or write, or a segment
+// that does not start with its header (a v1 store's included), throws
+// ParameterError naming it, and the store writes nothing there.
 #pragma once
 
 #include <cstdint>
@@ -64,13 +68,14 @@ namespace pdos::sweep {
 
 class CampaignStore : public SegmentStore {
  public:
-  /// Open (creating if needed) the store directory at `dir`. `lease_ttl`
-  /// is the wall-clock lifetime of a work claim in seconds: a worker that
-  /// neither stores a result nor releases within the TTL is presumed
-  /// crashed and its key becomes claimable again. Size it well above the
-  /// slowest expected single point; expiry only costs duplicated work,
-  /// never wrong results (both workers compute identical bytes). Throws
-  /// ParameterError unless the TTL is finite and > 0.
+  /// Open (creating if needed) the store directory at `dir`; see above for
+  /// what makes it refuse. `lease_ttl` is the wall-clock lifetime of a work
+  /// claim in seconds: a worker that neither stores a result nor releases
+  /// within the TTL is presumed crashed and its key becomes claimable
+  /// again. Size it well above the slowest expected single point; expiry
+  /// only costs duplicated work, never wrong results (both workers compute
+  /// identical bytes). Throws ParameterError unless the TTL is finite and
+  /// > 0.
   explicit CampaignStore(std::string dir, double lease_ttl_seconds = 120.0);
 
   ClaimStatus claim_point(std::uint64_t key) override;

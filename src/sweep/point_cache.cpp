@@ -7,10 +7,12 @@
 
 #include <algorithm>
 #include <bit>
+#include <cerrno>
 #include <charconv>
 #include <cstring>
 #include <filesystem>
 #include <limits>
+#include <system_error>
 
 #include "util/assert.hpp"
 
@@ -430,43 +432,15 @@ template std::pair<double*, bool> ResultIndex::emplace<double>(
 
 namespace {
 
-/// Cut a torn final line (a writer killed mid-record) back to the file's
-/// last '\n', or to empty when it has none, so the next record starts a
-/// fresh line and the fragment can never load as a record. `size` is the
-/// file's size. Returns the resulting size, or -1 on an I/O error. Call it
-/// under the file's exclusive flock(2).
-std::int64_t cut_torn_tail(int fd, std::int64_t size) {
-  off_t end = size;
-  // Scan back a chunk at a time: a record is far shorter than a chunk, so
-  // one pread finds the last '\n' unless the file holds no whole line.
-  char buf[512];
-  while (end > 0) {
-    const off_t from = std::max<off_t>(0, end - static_cast<off_t>(sizeof(buf)));
-    const auto want = static_cast<std::size_t>(end - from);
-    if (::pread(fd, buf, want, from) != static_cast<ssize_t>(want)) return -1;
-    const std::size_t nl = std::string_view(buf, want).rfind('\n');
-    if (nl != std::string_view::npos) {
-      end = from + static_cast<off_t>(nl) + 1;
-      break;
-    }
-    end = from;
-  }
-  if (end < size && ::ftruncate(fd, end) != 0) return -1;
-  return end;
+/// `path`, a store's directory or one of its files, cannot be the store's.
+[[noreturn]] void refuse(const std::string& path, const std::string& why) {
+  throw ParameterError("cannot use " + path + " as a result store: " + why);
 }
 
 }  // namespace
 
-bool write_all(int fd, std::string_view bytes) {
-  while (!bytes.empty()) {
-    const ssize_t n = ::write(fd, bytes.data(), bytes.size());
-    if (n <= 0) return false;
-    bytes.remove_prefix(static_cast<std::size_t>(n));
-  }
-  return true;
-}
-
-std::string_view ReadBuffer::read(int fd, std::uint64_t from, std::size_t n) {
+std::string_view ReadBuffer::read(const std::string& path, int fd,
+                                  std::uint64_t from, std::size_t n) {
   if (n > size_) {
     size_ = std::bit_ceil(n);
     bytes_ = std::make_unique_for_overwrite<char[]>(size_);
@@ -475,25 +449,54 @@ std::string_view ReadBuffer::read(int fd, std::uint64_t from, std::size_t n) {
   while (got < n) {
     const ssize_t r = ::pread(fd, bytes_.get() + got, n - got,
                               static_cast<off_t>(from + got));
-    if (r <= 0) break;
+    if (r < 0) {
+      throw std::system_error(errno, std::generic_category(),
+                              "result store " + path + ": read");
+    }
+    if (r == 0) break;
     got += static_cast<std::size_t>(r);
   }
   return {bytes_.get(), got};
 }
 
-SegmentStore::SegmentStore(std::vector<std::string> paths, const char* header)
-    : header_(header), segments_(paths.size()) {
-  // Load the files that exist; the rest are created by the first append
-  // that lands in them. The point array is reserved once for the most
-  // points their bytes can hold, so loading them never moves it.
+SegmentStore::Segment::~Segment() {
+  if (fd >= 0) ::close(fd);
+}
+
+SegmentStore::FileLock::FileLock(const Segment& seg, int operation)
+    : fd(seg.fd) {
+  ::flock(fd, operation);
+}
+
+SegmentStore::FileLock::~FileLock() { ::flock(fd, LOCK_UN); }
+
+void SegmentStore::fail(const Segment& seg, const char* call) {
+  throw std::system_error(errno, std::generic_category(),
+                          "result store " + seg.path + ": " + call);
+}
+
+SegmentStore::SegmentStore(const std::string& dir,
+                           std::vector<std::string> paths, const char* header)
+    : header_(std::string(header) + "\n"), segments_(paths.size()) {
+  // Missing files are created by the first append that lands in them, so
+  // the directory must take new files now, not after points have run.
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (ec) refuse(dir, "cannot create the directory: " + ec.message());
+  if (::access(dir.c_str(), W_OK | X_OK) != 0) {
+    refuse(dir, std::string("the directory is not writable: ") +
+                    std::strerror(errno));
+  }
+  // The point array is reserved once for the most points the existing
+  // files' bytes can hold, so loading them never moves it.
   std::uint64_t bytes = 0;
   for (std::size_t i = 0; i < paths.size(); ++i) {
     Segment& seg = segments_[i];
     seg.path = std::move(paths[i]);
+    if (!open(seg, /*create=*/false)) continue;
     struct stat st;
-    if (::stat(seg.path.c_str(), &st) == 0 && open(seg)) {
-      bytes += static_cast<std::uint64_t>(st.st_size);
-    }
+    if (::fstat(seg.fd, &st) != 0) fail(seg, "fstat");
+    bytes += static_cast<std::uint64_t>(st.st_size);
   }
   // The shortest point record: every count a single digit.
   static const std::size_t kShortestPoint =
@@ -505,26 +508,32 @@ SegmentStore::SegmentStore(std::vector<std::string> paths, const char* header)
   }
 }
 
-SegmentStore::~SegmentStore() {
-  for (Segment& seg : segments_) {
-    if (seg.fd >= 0) ::close(seg.fd);
-  }
+bool SegmentStore::open(Segment& seg, bool create) {
+  if (seg.fd >= 0) return true;
+  // O_RDWR (not O_WRONLY): scans pread(2) through the fd the appends go
+  // through, so there is exactly one handle to lock.
+  seg.fd = ::open(seg.path.c_str(),
+                  O_RDWR | O_APPEND | O_CLOEXEC | (create ? O_CREAT : 0),
+                  0644);
+  if (seg.fd >= 0) return true;
+  if (!create && errno == ENOENT) return false;
+  refuse(seg.path, std::strerror(errno));
 }
 
-bool SegmentStore::open(Segment& seg) {
-  if (seg.fd >= 0) return true;
-  const std::filesystem::path parent =
-      std::filesystem::path(seg.path).parent_path();
-  if (!parent.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(parent, ec);  // best effort
+void SegmentStore::check_head(const Segment& seg,
+                              std::string_view head) const {
+  const std::string_view header = header_;
+  if (head.starts_with(header) || header.starts_with(head)) return;
+  // Another layout's header matches this one's up to its version number.
+  const std::string_view first = head.substr(0, head.find('\n'));
+  if (first.starts_with(header.substr(0, header.rfind('v') + 1))) {
+    refuse(seg.path, "it holds another record layout (" +
+                         std::string(first.substr(0, 40)) +
+                         "); delete it to simulate its points again");
   }
-  // O_RDWR (not O_WRONLY): scans and the torn-tail cut pread(2) through the
-  // fd the appends go through, so there is exactly one handle to lock.
-  seg.fd = ::open(seg.path.c_str(), O_RDWR | O_CREAT | O_APPEND | O_CLOEXEC,
-                  0644);
-  if (seg.fd < 0) seg.fd = ::open(seg.path.c_str(), O_RDONLY | O_CLOEXEC);
-  return seg.fd >= 0;
+  refuse(seg.path, "its first line is not \"" +
+                       std::string(header.substr(0, header.size() - 1)) +
+                       "\", so this store did not write it");
 }
 
 void SegmentStore::apply_result(std::string_view line) {
@@ -564,23 +573,9 @@ void SegmentStore::apply_lease(std::string_view line) {
   }
 }
 
-bool SegmentStore::still_foreign(const Segment& seg) const {
-  const std::string_view header = header_;
-  std::string first(header.size() + 1, '\0');
-  return ::pread(seg.fd, first.data(), first.size(), 0) !=
-             static_cast<ssize_t>(first.size()) ||
-         first.back() != '\n' || first.compare(0, header.size(), header) != 0;
-}
-
-void SegmentStore::scan(Segment& seg, ReadBuffer& buffer) {
-  if (seg.rewrite) {
-    // A foreign file is ignored until it is truncated, by us or by a peer
-    // that opened it foreign too; the peer's rewrite loads from the start.
-    if (still_foreign(seg)) return;
-    seg.rewrite = false;
-  }
+std::uint64_t SegmentStore::scan(Segment& seg, ReadBuffer& buffer) {
   struct stat st;
-  if (::fstat(seg.fd, &st) != 0) return;
+  if (::fstat(seg.fd, &st) != 0) fail(seg, "fstat");
   const auto size = static_cast<std::uint64_t>(st.st_size);
   if (size < seg.scanned) {
     // The file shrank under us (a compaction pass rewrote it): rescan from
@@ -588,24 +583,18 @@ void SegmentStore::scan(Segment& seg, ReadBuffer& buffer) {
     // is harmless; leases age out by TTL either way.
     seg.scanned = 0;
   }
-  if (size == seg.scanned) return;
+  if (size == seg.scanned) return size;
 
   // Consume complete lines only; a torn tail (no final newline yet) stays
   // unconsumed and is re-read — whole — on a later scan.
-  std::string_view lines = buffer.read(
-      seg.fd, seg.scanned, static_cast<std::size_t>(size - seg.scanned));
-  lines = lines.substr(0, lines.rfind('\n') + 1);
+  const std::string_view bytes =
+      buffer.read(seg.path, seg.fd, seg.scanned,
+                  static_cast<std::size_t>(size - seg.scanned));
+  std::string_view lines = bytes.substr(0, bytes.rfind('\n') + 1);
   const std::uint64_t end = seg.scanned + lines.size();
-  if (seg.scanned == 0 && !lines.empty()) {
-    const std::size_t nl = lines.find('\n');
-    if (lines.substr(0, nl) != header_) {
-      // Foreign file or an older record layout: load nothing from it and
-      // truncate it on the first append (records appended after a bad
-      // header would be invisible to the next load).
-      seg.rewrite = true;
-      return;
-    }
-    lines.remove_prefix(nl + 1);
+  if (seg.scanned == 0) {
+    check_head(seg, bytes);
+    if (!lines.empty()) lines.remove_prefix(header_.size());
   }
   // Result records apply as they are read; lease records wait until every
   // result in these bytes is in, and then apply only to keys still without
@@ -623,48 +612,42 @@ void SegmentStore::scan(Segment& seg, ReadBuffer& buffer) {
   }
   for (const std::string_view line : lease_lines) apply_lease(line);
   seg.scanned = end;
+  return size;
+}
+
+void SegmentStore::write_all(const Segment& seg, std::string_view bytes) {
+  while (!bytes.empty()) {
+    const ssize_t n = ::write(seg.fd, bytes.data(), bytes.size());
+    if (n <= 0) fail(seg, "write");
+    bytes.remove_prefix(static_cast<std::size_t>(n));
+  }
 }
 
 void SegmentStore::append_locked(Segment& seg, const std::string& line) {
-  if (seg.rewrite) {
-    // Truncate a foreign file, unless a peer's first append already did:
-    // truncating again would erase the peer's records. Either way the next
-    // scan reads the file from its header.
-    if (still_foreign(seg) && ::ftruncate(seg.fd, 0) != 0) return;
-    seg.rewrite = false;
-    seg.scanned = 0;
-  }
-  struct stat st;
-  if (::fstat(seg.fd, &st) != 0) return;
-  // A file that ends where this store's last scan or write of it ended ends
-  // in a whole line. Any other may end in a partial line that a writer
+  // Fold in what other processes appended since our last scan or write (a
+  // file never scanned has its head checked here). Scans consume whole
+  // lines only, so anything past `scanned` is a partial line that a writer
   // killed mid-record left: cut it, so our record starts a fresh line and
-  // the fragment never loads as a record. Scans consume whole lines only,
-  // so `scanned` never passes the cut.
-  std::int64_t end = st.st_size;
-  if (static_cast<std::uint64_t>(end) != seg.scanned) {
-    end = cut_torn_tail(seg.fd, end);
-    if (end < 0) return;
+  // the fragment never loads as a record.
+  ReadBuffer buffer;
+  const std::uint64_t size = scan(seg, buffer);
+  if (size > seg.scanned &&
+      ::ftruncate(seg.fd, static_cast<off_t>(seg.scanned)) != 0) {
+    fail(seg, "ftruncate");
   }
   std::string out;
-  if (end == 0) out = std::string(header_) + "\n";
+  if (seg.scanned == 0) out = header_;
   out += line;
-  // Disk full etc. degrades to in-memory only; a partial write leaves a
-  // torn line that the next append cuts. Our own bytes need no re-parse:
-  // account them as scanned if we were current with the file (the common
-  // case: we appended under the lock right after a scan).
-  if (write_all(seg.fd, out) &&
-      static_cast<std::uint64_t>(end) == seg.scanned) {
-    seg.scanned += out.size();
-  }
+  // A partial write leaves a torn line that the next append cuts.
+  write_all(seg, out);
+  seg.scanned += out.size();
 }
 
 void SegmentStore::append(std::uint64_t key, const std::string& line) {
   Segment& seg = segments_[segment_index(key)];
-  if (!open(seg)) return;  // unopenable file: in-memory only
-  ::flock(seg.fd, LOCK_EX);
+  open(seg, /*create=*/true);
+  const FileLock lock(seg, LOCK_EX);
   append_locked(seg, line);
-  ::flock(seg.fd, LOCK_UN);
 }
 
 bool SegmentStore::lookup_point(std::uint64_t key, CachedPoint& out) const {
@@ -685,20 +668,20 @@ bool SegmentStore::lookup_baseline(std::uint64_t key, double& goodput) const {
 
 void SegmentStore::store_point(std::uint64_t key, const CachedPoint& value) {
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto [slot, added] = results_.emplace<CachedPoint>(key);
-  if (!added) return;  // already recorded
-  *slot = value;
-  leases_.erase(key);
+  if (results_.find<CachedPoint>(key) != nullptr) return;  // already recorded
+  // Into the index only once it is in the file: a result the store could
+  // not write is not in the store.
   append(key, format_point_record(key, value));
+  *results_.emplace<CachedPoint>(key).first = value;
+  leases_.erase(key);
 }
 
 void SegmentStore::store_baseline(std::uint64_t key, double goodput) {
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto [slot, added] = results_.emplace<double>(key);
-  if (!added) return;
-  *slot = goodput;
-  leases_.erase(key);
+  if (results_.find<double>(key) != nullptr) return;
   append(key, format_baseline_record(key, goodput));
+  *results_.emplace<double>(key).first = goodput;
+  leases_.erase(key);
 }
 
 std::size_t SegmentStore::size() const {
@@ -706,7 +689,17 @@ std::size_t SegmentStore::size() const {
   return results_.size();
 }
 
-PointCache::PointCache(std::string path)
-    : SegmentStore({std::move(path)}, "pdos-point-cache-v2") {}
+namespace {
+
+/// The directory holding the file at `path`.
+std::string parent_dir(const std::string& path) {
+  const std::string parent = std::filesystem::path(path).parent_path();
+  return parent.empty() ? "." : parent;
+}
+
+}  // namespace
+
+PointCache::PointCache(const std::string& path)
+    : SegmentStore(parent_dir(path), {path}, "pdos-point-cache-v2") {}
 
 }  // namespace pdos::sweep

@@ -12,11 +12,12 @@
 // record per entry. Doubles are written as the 16 hex digits of their
 // IEEE-754 bits, so the reloaded value is bit-exact (NaN payloads included)
 // and cached CSV output stays byte-identical to a fresh run. The header
-// line versions the record layout: a file with any other header — a
-// missing, truncated or foreign one, or an older layout's — loads as empty
-// and is rewritten by subsequent appends. Malformed lines are skipped, a
-// final line without its '\n' (a writer killed mid-record) never loads,
-// and the next append cuts it off before writing.
+// line versions the record layout. A store owns its files or refuses to
+// open: a file whose first line is not the header — another program's
+// file, or an older layout's — is a ParameterError naming it, and the
+// store never writes to it. Malformed lines are skipped, a final line
+// without its '\n' (a writer killed mid-record) never loads, and the next
+// append cuts it off before writing.
 //
 // The key covers every *parameter* that shapes the simulation, plus the
 // compiler version. It cannot see code changes that alter simulation
@@ -50,8 +51,8 @@ namespace pdos::sweep {
 /// Bump on any change to simulation semantics that changes outputs at
 /// identical parameters, or to what a key hashes. The record layout is
 /// versioned by the segment header line instead (`pdos-point-cache-v2`,
-/// `pdos-campaign-seg-v2`): a file with an older layout loads as empty, so
-/// its points are simulated again rather than misread, and no key moves.
+/// `pdos-campaign-seg-v2`): a store with an older layout is refused, never
+/// misread, and deleting it has its points simulated again; no key moves.
 /// Schema 2: the key covers the simulation tier (ScenarioConfig::backend,
 /// fast_path, and the hybrid/fluid tuning knobs), so points computed on
 /// different backends never alias.
@@ -127,18 +128,16 @@ bool parse_lease_record(std::string_view text, std::uint64_t& key,
 bool parse_release_record(std::string_view text, std::uint64_t& key,
                           std::uint64_t& owner);
 
-/// write(2) all of `bytes`; false on an I/O error (disk full etc.). Call it
-/// under the file's exclusive flock(2).
-bool write_all(int fd, std::string_view bytes);
-
 /// One buffer that successive reads of files reuse: it grows to the largest
 /// read and is never zero-filled. The bytes of a read are valid until the
 /// next read.
 class ReadBuffer {
  public:
-  /// Up to `n` bytes of `fd` from offset `from`; fewer at the end of the
-  /// file or on an I/O error.
-  std::string_view read(int fd, std::uint64_t from, std::size_t n);
+  /// Up to `n` bytes of `fd`, the file at `path`, from offset `from`: fewer
+  /// only at the end of the file. Throws std::system_error naming `path`
+  /// when a read fails.
+  std::string_view read(const std::string& path, int fd, std::uint64_t from,
+                        std::size_t n);
 
  private:
   std::unique_ptr<char[]> bytes_;
@@ -267,27 +266,29 @@ class ResultIndex {
 /// Append-only segment files of the records above and the in-memory index
 /// over them: what both stores share. A key's records live in segment
 /// `(key >> 60) % segments`. Each file starts with the store's header line.
-///   - Files open lazily: an existing one when the store opens, a missing
-///     one on its first append, which creates it and its parent
-///     directories. A file the process can read but not write opens
-///     read-only: it still loads, and appends to it fail like any I/O
-///     error, which leaves the store in-memory only.
+/// A store persists every result or refuses to open:
+///   - The constructor creates the directory that holds the files, requires
+///     it to be writable, and opens every existing file read-write. A
+///     nonempty file must start with the header line or be a proper prefix
+///     of it (a writer killed inside its first line); any other file throws
+///     ParameterError naming it and why, and is not written to. A missing
+///     file is created by the first append that lands in it.
+///   - After that every failure throws, naming the file: one that cannot be
+///     opened, read, written or truncated, and a scan that finds a foreign
+///     first line (the file was replaced under the store).
 ///   - Opening reads each file once, through one buffer reused from file
 ///     to file and never zero-filled, so it holds one file's bytes at a
 ///     time. The point array is reserved once for the most points the
 ///     files' bytes can hold, so loading never moves it; the table doubles
 ///     as results load, so it ends sized for them alone, never for leases.
 ///   - Scans are incremental (a per-file offset) and consume whole lines
-///     only. Malformed lines and unknown record kinds are skipped. A file
-///     with a foreign header loads as empty and is truncated by its first
-///     append, from this process or from a peer that opened it too, and
-///     it loads again once it starts with the store's header.
-///   - An append takes the file's exclusive flock(2), cuts a torn final
-///     line back to the last '\n' unless the file ends where this store's
-///     last scan or write ended, and writes the whole record in one
-///     write(2) through an O_APPEND fd, so processes sharing a file never
-///     interleave a record and each sees the others' lines whole on its
-///     next scan.
+///     only. Malformed lines and unknown record kinds are skipped.
+///   - An append takes the file's exclusive flock(2), scans what other
+///     processes appended since this store's last scan or write, cuts a
+///     torn final line back to the last whole line, and writes the whole
+///     record in one write(2) through an O_APPEND fd, so processes sharing
+///     a file never interleave a record and each sees the others' lines
+///     whole on its next scan.
 /// Lease records (`L`/`R`) load into `leases_`; only CampaignStore writes
 /// them. A scan applies the result records (`P`/`B`) of its bytes first and
 /// then the lease records, skipping those of keys that have a result: the
@@ -295,59 +296,81 @@ class ResultIndex {
 /// never inserts and erases a lease. All public methods are thread-safe.
 class SegmentStore : public PointStore {
  public:
-  ~SegmentStore() override;
-
   SegmentStore(const SegmentStore&) = delete;
   SegmentStore& operator=(const SegmentStore&) = delete;
 
   bool lookup_point(std::uint64_t key, CachedPoint& out) const override;
   bool lookup_baseline(std::uint64_t key, double& goodput) const override;
-  /// Record a result: insert it in the index and append it to its segment.
-  /// A key already recorded keeps its first result.
+  /// Record a result: append it to its segment, then insert it in the
+  /// index. A key already recorded keeps its first result.
   void store_point(std::uint64_t key, const CachedPoint& value) override;
   void store_baseline(std::uint64_t key, double goodput) override;
   std::size_t size() const override;
 
  protected:
-  /// Open the segment files at `paths`, loading the ones that exist.
-  SegmentStore(std::vector<std::string> paths, const char* header);
+  /// Open the segment files at `paths`, all in directory `dir`, loading the
+  /// ones that exist.
+  SegmentStore(const std::string& dir, std::vector<std::string> paths,
+               const char* header);
 
   struct Lease {
     std::uint64_t owner = 0;
     double expiry = 0.0;  // epoch seconds
   };
   struct Segment {
+    Segment() = default;
+    Segment(const Segment&) = delete;
+    Segment& operator=(const Segment&) = delete;
+    ~Segment();  // closes fd
+
     std::string path;
     int fd = -1;                // opened lazily
     std::uint64_t scanned = 0;  // bytes consumed by incremental scans
-    bool rewrite = false;       // foreign header: truncate on first append
+  };
+
+  /// flock(2) on an open segment for a scope, so a throw cannot leave the
+  /// file locked.
+  struct FileLock {
+    FileLock(const Segment& seg, int operation);  // LOCK_SH or LOCK_EX
+    ~FileLock();
+    FileLock(const FileLock&) = delete;
+    FileLock& operator=(const FileLock&) = delete;
+    const int fd;
   };
 
   std::size_t segment_index(std::uint64_t key) const {
     return static_cast<std::size_t>(key >> 60) % segments_.size();
   }
 
+  /// std::system_error for the failed system call `call` on `seg`.
+  [[noreturn]] static void fail(const Segment& seg, const char* call);
+
   // All helpers below assume mutex_ is held.
-  bool open(Segment& seg);
-  /// Whether a segment opened with a foreign header still has one: a
-  /// process sharing the file may have truncated it and written ours. Call
-  /// it under the file's flock(2).
-  bool still_foreign(const Segment& seg) const;
+  /// Open `seg` read-write unless it is open, creating the file when
+  /// `create` is set. False, leaving it closed, only for a missing file
+  /// that `create` does not ask for; a file that cannot be opened throws.
+  bool open(Segment& seg, bool create);
   /// Read `seg`'s new lines through `buffer`, apply them, and move its
-  /// offset past them.
-  void scan(Segment& seg, ReadBuffer& buffer);
+  /// offset past them. Returns the file's size.
+  std::uint64_t scan(Segment& seg, ReadBuffer& buffer);
+  /// Write all of `bytes` to an open segment; the caller holds its flock.
+  static void write_all(const Segment& seg, std::string_view bytes);
   /// Append `line` to an open segment; the caller holds its flock.
   void append_locked(Segment& seg, const std::string& line);
   /// Append `line` to `key`'s segment under its exclusive flock.
   void append(std::uint64_t key, const std::string& line);
 
-  const char* header_;
+  const std::string header_;  // every file's first line, '\n' included
   mutable std::mutex mutex_;
   std::vector<Segment> segments_;
   ResultIndex results_;
   std::unordered_map<std::uint64_t, Lease> leases_;  // keys with no result
 
  private:
+  /// Throws ParameterError unless `head`, a file's first bytes (all of them
+  /// when it is shorter), starts with the header line or is a proper prefix
+  /// of it.
+  void check_head(const Segment& seg, std::string_view head) const;
   void apply_result(std::string_view line);
   void apply_lease(std::string_view line);
 };
@@ -355,7 +378,10 @@ class SegmentStore : public PointStore {
 /// The single-file cache: one segment with header `pdos-point-cache-v2`.
 class PointCache : public SegmentStore {
  public:
-  explicit PointCache(std::string path);
+  /// Open the cache file at `path`, creating its directory if needed.
+  /// Throws ParameterError, naming the path, when the directory cannot be
+  /// created or written or the file is not a cache file (see SegmentStore).
+  explicit PointCache(const std::string& path);
   const std::string& path() const { return segments_.front().path; }
 };
 

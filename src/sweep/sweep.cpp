@@ -93,15 +93,10 @@ std::vector<PointSpec> SweepSpec::enumerate() const {
     for (Time textent : textents) {
       for (BitRate rattack : rattacks) {
         const double c_attack = rattack / scenario_config.bottleneck;
-        std::vector<double> grid = gammas;
-        if (grid.empty()) {
-          const double cpsi = c_psi(victim, textent, c_attack);
-          const double lo = std::max(0.1, cpsi + 0.02);
-          const double hi = 0.95;
-          for (int i = 0; i < gamma_points; ++i) {
-            grid.push_back(lo + (hi - lo) * i / (gamma_points - 1));
-          }
-        }
+        const std::vector<double> grid =
+            gammas.empty()
+                ? gamma_grid(c_psi(victim, textent, c_attack), gamma_points)
+                : gammas;
         for (double gamma : grid) {
           if (gamma <= 0.0 || gamma >= 1.0) continue;
           if (gamma > c_attack) continue;  // needs T_space >= 0
@@ -434,7 +429,8 @@ class SweepRun {
   /// Tasks a peer holds a live lease on go through the same pass again,
   /// back in slot order, after a poll interval and a refresh of the store:
   /// each resolves to a hit once the peer's result lands, or runs here once
-  /// its lease expires. Every wait is bounded by the lease TTL.
+  /// its lease expires. Every wait is bounded by the lease TTL. A refresh
+  /// that throws fails the tasks waiting on it.
   void drain(std::vector<Task> deferred) {
     const auto poll = std::chrono::duration<double>(
         std::max(1e-3, options_.claim_poll_seconds));
@@ -443,7 +439,14 @@ class SweepRun {
                 [](const Task& a, const Task& b) { return a.slot < b.slot; });
       if (!cancel_.load(std::memory_order_relaxed)) {
         std::this_thread::sleep_for(poll);
-        store_->refresh();
+        try {
+          store_->refresh();
+        } catch (const std::exception& e) {
+          for (const Task& task : deferred) {
+            record(task, Outcome::kFailed, e.what());
+          }
+          return;
+        }
       }
       deferred = pass(deferred);
     }

@@ -196,6 +196,25 @@ TEST(RunScenarioTest, FluidBackendRejectsNonPositiveOrNanBinWidth) {
   }
 }
 
+TEST(RunScenarioTest, FluidTierRejectsAFinitePulseTrain) {
+  // The fluid tier models endless trains only. Run as one, a 3-pulse train
+  // sent the endless train's 5,859 attack packets, so both fluid entry
+  // points refuse it, while the packet tier runs its 3 pulses.
+  ScenarioConfig config = ScenarioConfig::ns2_dumbbell(15);
+  PulseTrain train =
+      PulseTrain::from_gamma(ms(50), mbps(25), 0.4, config.bottleneck);
+  train.n = 3;
+  RunControl control;
+  control.warmup = sec(2);
+  control.measure = sec(6);
+  EXPECT_EQ(run_scenario(config, train, control).attack_packets_sent, 450u);
+  config.backend = Backend::kFluid;
+  EXPECT_THROW(run_scenario(config, train, control), ParameterError);
+  EXPECT_THROW(run_fluid_batch(config, {train}, control), ParameterError);
+  train.n = PulseTrain{}.n;
+  EXPECT_GT(run_scenario(config, train, control).attack_packets_sent, 450u);
+}
+
 TEST(MeasureGainTest, GainComposesDegradationAndRisk) {
   const ScenarioConfig config = ScenarioConfig::ns2_dumbbell(15);
   const RunControl control = quick_control();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "util/assert.hpp"
 
@@ -208,6 +209,23 @@ TEST(GainTest, RiskTermMatchesFig4Shapes) {
   EXPECT_DOUBLE_EQ(risk_term(0.5, 0.0), 1.0);
   EXPECT_DOUBLE_EQ(risk_term(0.0, 5.0), 1.0);
   EXPECT_DOUBLE_EQ(risk_term(1.0, 5.0), 0.0);
+}
+
+TEST(GainTest, GammaGridIsEvenlySpacedFromTheAutomaticLowerEnd) {
+  // lo <= 0 starts the grid at max(0.1, C_Psi + 0.02); hi defaults to 0.95.
+  const std::vector<double> grid = gamma_grid(0.3, 5);
+  ASSERT_EQ(grid.size(), 5u);
+  EXPECT_EQ(grid.front(), 0.3 + 0.02);
+  EXPECT_DOUBLE_EQ(grid.back(), 0.95);
+  for (std::size_t i = 1; i < grid.size(); ++i) {
+    EXPECT_NEAR(grid[i] - grid[i - 1], (0.95 - 0.32) / 4, 1e-12);
+  }
+  EXPECT_EQ(gamma_grid(0.01, 2).front(), 0.1);
+  const std::vector<double> explicit_ends = gamma_grid(0.3, 3, 0.4, 0.8);
+  EXPECT_EQ(explicit_ends.front(), 0.4);
+  EXPECT_DOUBLE_EQ(explicit_ends[1], 0.6);
+  EXPECT_DOUBLE_EQ(explicit_ends.back(), 0.8);
+  EXPECT_THROW(gamma_grid(0.3, 1), ParameterError);
 }
 
 TEST(ModelValidationTest, BadParametersThrow) {

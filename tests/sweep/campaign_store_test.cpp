@@ -1,6 +1,6 @@
 // CampaignStore: sharded persistence round-trips, torn-tail recovery,
 // concurrent cross-process appends, the lease claim protocol, incremental
-// refresh between live stores, compaction, and foreign-file tolerance.
+// refresh between live stores, compaction, and refusal of foreign files.
 #include "sweep/campaign_store.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 
@@ -277,6 +278,9 @@ TEST(CampaignStoreTest, CompactDropsCoordinationRecordsKeepsResults) {
 }
 
 TEST(CampaignStoreTest, ForeignSegmentLoadsEmptyAndIsRewritten) {
+  // A segment the store did not write refuses the whole store: the
+  // constructor throws naming the segment, and the segment stays byte for
+  // byte as it was.
   TempStoreDir dir;
   const std::uint64_t key = key_in_segment(0x4, 51);
   std::string seg_path;
@@ -284,22 +288,17 @@ TEST(CampaignStoreTest, ForeignSegmentLoadsEmptyAndIsRewritten) {
     CampaignStore probe(dir.path());
     seg_path = probe.segment_path(key);
   }
-  {
-    std::ofstream out(seg_path);
-    out << "not a campaign segment\nP ffff bogus\n";
+  const std::string foreign = "not a campaign segment\nP ffff bogus\n";
+  { std::ofstream(seg_path, std::ios::binary) << foreign; }
+  try {
+    CampaignStore store(dir.path());
+    ADD_FAILURE() << "a foreign segment must be refused";
+  } catch (const ParameterError& e) {
+    EXPECT_NE(std::string(e.what()).find(seg_path), std::string::npos)
+        << e.what();
   }
-  CampaignStore store(dir.path());
-  EXPECT_EQ(store.size(), 0u);
-  store.store_point(key, sample_point());
-  CampaignStore reloaded(dir.path());
-  CachedPoint out;
-  ASSERT_TRUE(reloaded.lookup_point(key, out));
-  EXPECT_EQ(reloaded.size(), 1u);
-  // The foreign content is gone, replaced by a valid header.
-  std::ifstream in(seg_path);
-  std::string first;
-  std::getline(in, first);
-  EXPECT_NE(first, "not a campaign segment");
+  std::ifstream in(seg_path, std::ios::binary);
+  EXPECT_EQ(std::string(std::istreambuf_iterator<char>(in), {}), foreign);
 }
 
 }  // namespace

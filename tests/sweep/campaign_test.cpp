@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -297,7 +298,8 @@ TEST(CampaignTest, RejectsBadLeaseTtlBeforeForking) {
     options.lease_ttl_seconds = ttl;
     EXPECT_THROW(run_campaign({spec}, options), ParameterError) << ttl;
   }
-  // No worker ran: workers create the store directory when they open it.
+  // Nothing ran: the store opens after the checks, and creates its
+  // directory when it does.
   EXPECT_FALSE(std::filesystem::exists(options.store_dir));
 }
 
@@ -318,8 +320,44 @@ TEST(CampaignTest, RejectsUnopenableOutputBeforeForking) {
     EXPECT_NE(std::string(e.what()).find(spec.csv_path), std::string::npos)
         << e.what();
   }
-  // No worker ran: workers create the store directory when they open it.
+  // Nothing ran: the store opens after the outputs, and creates its
+  // directory when it does.
   EXPECT_FALSE(std::filesystem::exists(options.store_dir));
+}
+
+TEST(CampaignTest, RejectsRefusedStoreBeforeForking) {
+  // A regular file where the store's directory should be: the parent's
+  // store refuses to open, naming the path, before any worker forks. The
+  // file, and the table an earlier campaign left at the output path, stay
+  // as they were.
+  TempDir dir;
+  const std::string afile = dir.sub("afile");
+  { std::ofstream(afile) << "a regular file\n"; }
+  CampaignSpec spec;
+  spec.spec = tiny_spec();
+  spec.csv_path = dir.sub("tiny.csv");
+  { std::ofstream(spec.csv_path) << "an earlier table\n"; }
+  CampaignOptions options;
+  options.store_dir = afile;
+  options.workers = 2;
+  options.threads = 1;
+  rusage before{};
+  ASSERT_EQ(getrusage(RUSAGE_CHILDREN, &before), 0);
+  try {
+    run_campaign({spec}, options);
+    ADD_FAILURE() << "a store under a regular file must not open";
+  } catch (const ParameterError& e) {
+    EXPECT_NE(std::string(e.what()).find(afile), std::string::npos)
+        << e.what();
+  }
+  // A forked worker would be reaped with page faults to its name, or be
+  // left unreaped.
+  rusage after{};
+  ASSERT_EQ(getrusage(RUSAGE_CHILDREN, &after), 0);
+  EXPECT_EQ(after.ru_minflt, before.ru_minflt);
+  EXPECT_EQ(waitpid(-1, nullptr, WNOHANG), -1);
+  EXPECT_EQ(slurp(afile), "a regular file\n");
+  EXPECT_EQ(slurp(spec.csv_path), "an earlier table\n");
 }
 
 TEST(CampaignTest, RejectsOutputNamedTwiceBeforeForking) {

@@ -1,5 +1,5 @@
-// PointCache: key derivation sensitivity, persistence round-trips, and
-// tolerance of corrupt or foreign cache files.
+// PointCache: key derivation sensitivity, persistence round-trips,
+// tolerance of corrupt lines, and refusal of files the cache did not write.
 #include "sweep/point_cache.hpp"
 
 #include <gtest/gtest.h>
@@ -8,9 +8,11 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include "sweep/sweep.hpp"
+#include "util/assert.hpp"
 
 namespace pdos::sweep {
 namespace {
@@ -122,21 +124,22 @@ TEST(PointCacheTest, SkipsMalformedLines) {
 }
 
 TEST(PointCacheTest, ForeignHeaderLoadsEmptyAndIsRewritten) {
+  // A file the cache did not write is refused: the constructor throws
+  // naming it, and the file stays byte for byte as it was.
   TempCacheFile file;
-  {
-    std::ofstream out(file.path());
-    out << "some-other-format-v9\n";
-    out << "P 0000000000000001 1 1 1 1 1 1 1 1 1 1 1 1 1 1\n";
+  const std::string foreign =
+      "some-other-format-v9\n"
+      "P 0000000000000001 1 1 1 1 1 1 1 1 1 1 1 1 1 1\n";
+  { std::ofstream(file.path(), std::ios::binary) << foreign; }
+  try {
+    PointCache cache(file.path());
+    ADD_FAILURE() << "a foreign file must be refused";
+  } catch (const ParameterError& e) {
+    EXPECT_NE(std::string(e.what()).find(file.path()), std::string::npos)
+        << e.what();
   }
-  PointCache cache(file.path());
-  EXPECT_EQ(cache.size(), 0u) << "foreign file must be ignored";
-  cache.store_baseline(3, 7.0);
-
-  PointCache reloaded(file.path());
-  EXPECT_EQ(reloaded.size(), 1u);
-  double goodput = 0.0;
-  EXPECT_TRUE(reloaded.lookup_baseline(3, goodput));
-  EXPECT_EQ(goodput, 7.0);
+  std::ifstream in(file.path(), std::ios::binary);
+  EXPECT_EQ(std::string(std::istreambuf_iterator<char>(in), {}), foreign);
 }
 
 TEST(PointCacheTest, MissingDirectoryIsCreated) {

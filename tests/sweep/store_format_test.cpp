@@ -1,8 +1,9 @@
 // The result stores' record grammar, index and keys: format/parse round
 // trips, the hex decoder against a one-digit-at-a-time table, rejection of
-// everything the writers never produce, torn records and older layouts in
-// both stores, lease records applied after results, the flat result index,
-// and sweep_keys against the free key functions.
+// everything the writers never produce, torn records in both stores, both
+// stores' refusal of files they did not write (older layouts included),
+// lease records applied after results, the flat result index, and
+// sweep_keys against the free key functions.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -27,6 +28,7 @@
 #include "sweep/campaign_store.hpp"
 #include "sweep/point_cache.hpp"
 #include "sweep/sweep.hpp"
+#include "util/assert.hpp"
 
 namespace {
 
@@ -439,6 +441,27 @@ bool has_key(const PointStore& store, std::uint64_t key) {
   return store.lookup_point(key, point) || store.lookup_baseline(key, goodput);
 }
 
+std::string bytes_of(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+/// `call` must throw ParameterError whose message names `file` and says
+/// `why`, and leave `file` byte for byte as it was.
+void expect_refused(const std::string& file, const std::string& why,
+                    const std::function<void()>& call) {
+  const std::string before = bytes_of(file);
+  try {
+    call();
+    ADD_FAILURE() << file << " must be refused";
+  } catch (const ParameterError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(file), std::string::npos) << what;
+    EXPECT_NE(what.find(why), std::string::npos) << what;
+  }
+  EXPECT_EQ(bytes_of(file), before);
+}
+
 /// Opens a store over the same files each time it is called.
 using OpenStore = std::function<std::unique_ptr<PointStore>()>;
 
@@ -526,18 +549,18 @@ void check_torn_header(const std::string& header, const std::string& file,
 TEST(TornRecordTest, TornHeaderIsRewritten) {
   TempDir dir;
   const std::string path = dir.path() + "/points.cache";
-  check_torn_header("pdos-point-cache-v1", path,
+  check_torn_header("pdos-point-cache-v2", path,
                     [&] { return std::make_unique<PointCache>(path); });
   const std::string store_dir = dir.path() + "/store";
-  check_torn_header("pdos-campaign-seg-v1",
+  check_torn_header("pdos-campaign-seg-v2",
                     CampaignStore(store_dir).segment_path(kNext), [&] {
                       return std::make_unique<CampaignStore>(store_dir);
                     });
 }
 
 /// A store written with the first record layout (decimal %.17g doubles):
-/// its header no longer matches, so it loads as empty, and the first
-/// append starts the file over with the current header.
+/// its header is not the store's, so the store refuses to open, says to
+/// delete the file, and leaves it byte for byte as it was.
 void check_v1_file(const std::string& v1_header, const std::string& file,
                    const OpenStore& open) {
   std::error_code ec;
@@ -552,25 +575,7 @@ void check_v1_file(const std::string& v1_header, const std::string& file,
            "1234567890123\n"
         << "B 5000000000000002 14095466.666666666\n";
   }
-  {
-    const std::unique_ptr<PointStore> store = open();
-    EXPECT_EQ(store->size(), 0u);
-    EXPECT_FALSE(has_key(*store, kIntact));
-    EXPECT_FALSE(has_key(*store, kTorn));
-    store->store_baseline(kNext, 7.0);
-  }
-  const std::unique_ptr<PointStore> store = open();
-  EXPECT_EQ(store->size(), 1u);
-  double goodput = 0.0;
-  EXPECT_TRUE(store->lookup_baseline(kNext, goodput));
-  EXPECT_EQ(goodput, 7.0);
-  std::ifstream in(file, std::ios::binary);
-  const std::string bytes((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
-  EXPECT_EQ(bytes.find("pdos-"), 0u);
-  EXPECT_EQ(bytes.find("-v1"), std::string::npos) << bytes;
-  EXPECT_EQ(bytes.substr(bytes.find('\n') + 1),
-            format_baseline_record(kNext, 7.0));
+  expect_refused(file, "(" + v1_header + "); delete it", [&] { open(); });
 }
 
 TEST(StoreVersionTest, V1FilesLoadEmptyAndAreRewritten) {
@@ -585,37 +590,104 @@ TEST(StoreVersionTest, V1FilesLoadEmptyAndAreRewritten) {
                 });
 }
 
-TEST(StoreVersionTest, PeersOpeningAV1StoreShareOneRewrite) {
-  // Two workers open a store whose segment is foreign to both. The first
-  // append truncates it and writes the header; the second worker must then
-  // see the first one's lease and results instead of truncating them away.
+/// A file with no whole line passes only as a torn header, a prefix of the
+/// store's first line. Anything else is refused, not cut back to empty like
+/// a torn record.
+void check_unterminated_foreign(const std::string& v1_header,
+                                const std::string& file,
+                                const OpenStore& open) {
+  for (const std::string& bytes : {std::string("flows,gamma,goodput"),
+                                   std::string("x"), v1_header}) {
+    SCOPED_TRACE(bytes);
+    std::error_code ec;
+    std::filesystem::remove(file, ec);
+    append_raw(file, bytes);
+    expect_refused(file, bytes == v1_header ? "delete it" : "first line",
+                   [&] { open(); });
+  }
+}
+
+TEST(StoreRefusalTest, ForeignFileWithoutNewlineIsRefusedNotCut) {
   TempDir dir;
+  const std::string path = dir.path() + "/points.cache";
+  check_unterminated_foreign("pdos-point-cache-v1", path, [&] {
+    return std::make_unique<PointCache>(path);
+  });
   const std::string store_dir = dir.path() + "/store";
-  const std::string segment = CampaignStore(store_dir).segment_path(kTorn);
-  append_raw(segment, "pdos-campaign-seg-v1\nB 5000000000000002 98765\n");
-  CampaignStore a(store_dir);
-  CampaignStore b(store_dir);
-  ASSERT_EQ(a.size(), 0u);
-  ASSERT_EQ(b.size(), 0u);
-  using S = PointStore::ClaimStatus;
-  EXPECT_EQ(a.claim_point(kTorn), S::kAcquired);
-  EXPECT_EQ(b.claim_point(kTorn), S::kBusy);
-  a.store_point(kTorn, sample_point(1.0));
-  b.store_baseline(kNext, 7.0);  // b's first append to the segment
-  EXPECT_EQ(b.claim_point(kTorn), S::kDone);
-  a.refresh();
-  const auto expect_both = [](const PointStore& store) {
-    EXPECT_EQ(store.size(), 2u);
-    CachedPoint point;
-    ASSERT_TRUE(store.lookup_point(kTorn, point));
-    EXPECT_EQ(bits_of(point.goodput), bits_of(sample_point(1.0).goodput));
-    double goodput = 0.0;
-    ASSERT_TRUE(store.lookup_baseline(kNext, goodput));
-    EXPECT_EQ(goodput, 7.0);
-  };
-  expect_both(a);
-  expect_both(b);
-  expect_both(CampaignStore(store_dir));
+  check_unterminated_foreign(
+      "pdos-campaign-seg-v1", CampaignStore(store_dir).segment_path(kNext),
+      [&] { return std::make_unique<CampaignStore>(store_dir); });
+}
+
+TEST(StoreRefusalTest, SegmentTurnedForeignAfterOpenThrowsOnNextScan) {
+  // The store opened its file, then another program replaced it. The next
+  // scan (a refresh, a claim, or the one an append starts with) throws
+  // naming the file, and neither it nor a later call writes to the file.
+  const std::string foreign = "flows,gamma\n3,0.5\n";
+  TempDir dir;
+  const std::string path = dir.path() + "/points.cache";
+  PointCache cache(path);
+  cache.store_baseline(kIntact, 5.0);
+  { std::ofstream(path, std::ios::binary | std::ios::trunc) << foreign; }
+  for (int call = 0; call < 2; ++call) {
+    expect_refused(path, "first line", [&] { cache.store_baseline(kNext, 7.0); });
+  }
+  EXPECT_FALSE(has_key(cache, kNext)) << "a result it could not write";
+
+  // A campaign segment replaced after it was written, and one that was
+  // missing when the store opened.
+  for (const bool written : {true, false}) {
+    SCOPED_TRACE(written ? "written" : "missing");
+    const std::string store_dir =
+        dir.path() + (written ? "/written" : "/missing");
+    CampaignStore store(store_dir);
+    if (written) store.store_baseline(kIntact, 5.0);
+    const std::string segment = store.segment_path(kNext);
+    { std::ofstream(segment, std::ios::binary | std::ios::trunc) << foreign; }
+    expect_refused(segment, "first line", [&] { store.refresh(); });
+    expect_refused(segment, "first line", [&] { store.claim_point(kNext); });
+    expect_refused(segment, "first line",
+                   [&] { store.store_baseline(kNext, 7.0); });
+    EXPECT_FALSE(has_key(store, kNext));
+  }
+}
+
+TEST(StoreRefusalTest, FirstAppendToAPathTurnedDirectoryFailsTheTask) {
+  // Both stores open with their files missing; then a directory takes each
+  // file's path. The first append (PointCache) or claim (CampaignStore)
+  // cannot open the file, so the task fails with the store's message, and
+  // the sweep returns.
+  SweepSpec spec;
+  spec.flow_counts = {3};
+  spec.gammas = {0.5};
+  spec.control.warmup = sec(0.5);
+  spec.control.measure = sec(1);
+  TempDir dir;
+  const std::string path = dir.path() + "/points.cache";
+  PointCache cache(path);
+  const std::string store_dir = dir.path() + "/store";
+  CampaignStore store(store_dir);
+  std::filesystem::create_directory(path);
+  for (int seg = 0; seg < 16; ++seg) {
+    std::filesystem::create_directory(
+        store.segment_path(static_cast<std::uint64_t>(seg) << 60));
+  }
+  for (PointStore* const attached : {static_cast<PointStore*>(&cache),
+                                     static_cast<PointStore*>(&store)}) {
+    SweepOptions options;
+    options.threads = 1;
+    options.store = attached;
+    const SweepResult result = run_sweep(spec, options);
+    ASSERT_EQ(result.points.size(), 1u);
+    const PointResult& row = result.points[0];
+    EXPECT_EQ(row.status, PointStatus::kFailed);
+    const std::string dir_path = attached == &cache ? path : store_dir;
+    EXPECT_EQ(row.error.find("baseline failed: cannot use " + dir_path), 0u)
+        << row.error;
+    EXPECT_NE(row.error.find("as a result store"), std::string::npos)
+        << row.error;
+    EXPECT_EQ(attached->size(), 0u);
+  }
 }
 
 TEST(LeaseOrderTest, LeasesAppliedAfterResultsClaimAsInFileOrder) {

@@ -341,6 +341,48 @@ TEST(RunSweep, ThrowingStoreFailsEveryRowWithoutEscaping) {
   }
 }
 
+/// A store whose every task a live peer holds, and whose refresh fails:
+/// every task is deferred to the drain loop, which cannot refresh.
+class UnrefreshableBusyStore : public PointStore {
+ public:
+  bool lookup_point(std::uint64_t, CachedPoint&) const override {
+    return false;
+  }
+  bool lookup_baseline(std::uint64_t, double&) const override { return false; }
+  void store_point(std::uint64_t, const CachedPoint&) override {}
+  void store_baseline(std::uint64_t, double) override {}
+  std::size_t size() const override { return 0; }
+  ClaimStatus claim_point(std::uint64_t) override { return ClaimStatus::kBusy; }
+  ClaimStatus claim_baseline(std::uint64_t) override {
+    return ClaimStatus::kBusy;
+  }
+  void refresh() override { throw std::runtime_error("refresh failed"); }
+};
+
+TEST(RunSweep, ThrowingRefreshFailsTheDeferredTasksWithoutEscaping) {
+  // The drain loop's refresh is a store call like any other: when it
+  // throws, the tasks waiting on it fail, and the sweep returns.
+  UnrefreshableBusyStore store;
+  SweepProgress last;
+  SweepOptions options;
+  options.threads = 2;
+  options.cancel_on_failure = false;
+  options.claim_poll_seconds = 1e-3;
+  options.store = &store;
+  options.on_progress = [&](const SweepProgress& progress) {
+    last = progress;
+  };
+  const SweepResult result = run_sweep(tiny_spec(), options);
+  ASSERT_EQ(result.points.size(), 4u);
+  for (const PointResult& row : result.points) {
+    EXPECT_EQ(row.status, PointStatus::kFailed);
+    EXPECT_EQ(row.error, "baseline failed: refresh failed");
+  }
+  EXPECT_EQ(last.total, 6u);  // 2 baselines + 4 points
+  EXPECT_EQ(last.done, last.total);
+  EXPECT_EQ(result.simulated, 0u);
+}
+
 TEST(RunSweep, CacheHitsAreWeightedNearZeroInEta) {
   // The ETA (DESIGN.md §6) extrapolates wall cost from the SIMULATED
   // tasks only. An all-hit --resume replay must report eta 0 and

@@ -38,7 +38,9 @@
 //
 // Exit status: 0 on success; 1 when any point failed, a worker failed, or
 // an --assert-no-dup check tripped; 2 on a usage or spec error, an output
-// that cannot be opened included (checked before any worker forks).
+// that cannot be opened or a store that refuses to open (a file it did not
+// write, an older layout's, an unwritable directory) included. Both are
+// checked before any worker forks, and a refused store is left as it was.
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -165,7 +167,7 @@ int main(int argc, char** argv) {
     result = sweep::run_campaign(specs, options);
   } catch (const ParameterError& e) {
     // A usage error, found before any worker forks: an output that cannot
-    // be opened, say.
+    // be opened or a store that refuses to open, say.
     std::fprintf(stderr, "pdos_campaign: %s\n", e.what());
     return 2;
   } catch (const std::exception& e) {
@@ -206,17 +208,22 @@ int main(int argc, char** argv) {
     }
   }
 
+  bool ok = result.ok();
   if (compact) {
-    sweep::CampaignStore store(options.store_dir,
-                               options.lease_ttl_seconds);
-    const std::size_t dropped = store.compact();
-    if (!quiet) {
-      std::fprintf(stderr, "pdos_campaign: compacted %s (%zu lines dropped)\n",
-                   options.store_dir.c_str(), dropped);
+    try {
+      sweep::CampaignStore store(options.store_dir,
+                                 options.lease_ttl_seconds);
+      const std::size_t dropped = store.compact();
+      if (!quiet) {
+        std::fprintf(stderr,
+                     "pdos_campaign: compacted %s (%zu lines dropped)\n",
+                     options.store_dir.c_str(), dropped);
+      }
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "pdos_campaign: %s\n", e.what());
+      ok = false;
     }
   }
-
-  bool ok = result.ok();
   if (assert_no_dup && total_simulated > result.unique_tasks) {
     std::fprintf(stderr,
                  "pdos_campaign: DUPLICATED WORK: %zu simulations for %zu "

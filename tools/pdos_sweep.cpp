@@ -21,10 +21,11 @@
 // "Running campaigns"). `--progress-json` emits machine-readable
 // JSON-lines progress on stderr for orchestrators and CI logs. `--threads`
 // is read exactly, like the spec's `threads =` key, and at most 1024.
-// Every output file is opened before the sweep starts, so an unwritable
-// path simulates nothing.
+// The store and every output file are opened before the sweep starts, so
+// an unwritable path, or a store file this program did not write (a CSV
+// named as `--cache`, say), simulates nothing and leaves the file as it was.
 // Exit status: 0 on success, 1 when any point failed, 2 on a usage or spec
-// error (an output that cannot be opened included).
+// error (an output or store that cannot be opened included).
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -98,8 +99,24 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Open every output now: failing after a finished sweep would throw its
-  // results away.
+  // Open the store, then every output, now: failing after a finished
+  // sweep would throw its results away. A campaign store (from --campaign
+  // or `store =`) supersedes the single-file cache: same keys, plus
+  // multi-process claiming. A store that refuses to open (a file it did not
+  // write, an unwritable directory) is named and left as it was.
+  std::unique_ptr<sweep::PointStore> store;
+  try {
+    if (!file.store_dir.empty()) {
+      store = std::make_unique<sweep::CampaignStore>(file.store_dir);
+    } else if (!file.cache_path.empty()) {
+      store = std::make_unique<sweep::PointCache>(file.cache_path);
+    }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "pdos_sweep: %s\n", e.what());
+    return 2;
+  }
+  file.options.store = store.get();
+
   std::ofstream csv_out;
   std::ofstream aggregate_out;
   for (const auto& [path, out] : {std::pair{&file.csv_path, &csv_out},
@@ -112,16 +129,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-
-  // A campaign store (from --campaign or `store =`) supersedes the
-  // single-file cache: same keys, plus multi-process claiming.
-  std::unique_ptr<sweep::PointStore> store;
-  if (!file.store_dir.empty()) {
-    store = std::make_unique<sweep::CampaignStore>(file.store_dir);
-  } else if (!file.cache_path.empty()) {
-    store = std::make_unique<sweep::PointCache>(file.cache_path);
-  }
-  file.options.store = store.get();
 
   const auto points = file.spec.enumerate();
   if (progress_json) {
